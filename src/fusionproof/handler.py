@@ -10,6 +10,7 @@ stale setup can be rejected.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
@@ -26,7 +27,7 @@ from .errors import (
 # "." joins tasks within a group, "," joins groups, "/" builds store keys.
 _FORBIDDEN = set("-,./")
 
-_HEX_DIGITS = set("0123456789abcdef")
+_HEX64 = re.compile(r"[0-9a-f]{64}")
 
 RANDOM_PART_BYTES = 32
 
@@ -51,8 +52,9 @@ def _sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _is_hex64(part: str) -> bool:
-    return len(part) == 64 and all(ch in _HEX_DIGITS for ch in part)
+def is_hex64(value: str) -> bool:
+    """True for a str of exactly 64 lowercase hex digits: a SHA-256 hexdigest."""
+    return isinstance(value, str) and _HEX64.fullmatch(value) is not None
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,9 @@ def split_trace_id(value: str) -> TraceID:
     setup_part, function_name, random_part, hash_part = parts
     if not setup_part or not function_name:
         raise MalformedTraceID(f"trace ID {value!r} has empty parts")
-    if not _is_hex64(random_part):
+    if not is_hex64(random_part):
         raise MalformedTraceID(f"trace ID {value!r} has a bad random part")
-    if not _is_hex64(hash_part):
+    if not is_hex64(hash_part):
         raise MalformedTraceID(f"trace ID {value!r} has a bad hash part")
     return TraceID(setup_part, function_name, random_part, hash_part)
 

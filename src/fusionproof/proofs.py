@@ -13,17 +13,12 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidHexLeaf, ParseError
-from .handler import RouteKind
+from .handler import RouteKind, is_hex64
 from .workload import InvocationRecord
-
-_HEX_DIGITS = set("0123456789abcdef")
-
-
-def is_hex64(value: str) -> bool:
-    return len(value) == 64 and all(ch in _HEX_DIGITS for ch in value)
 
 
 def calc_hash(data: bytes) -> str:
@@ -235,13 +230,26 @@ def record_from_wire(obj: Mapping) -> InvocationRecord:
         raise ParseError(f"bad record object: {exc}") from exc
 
 
+# The compact, ASCII-escaped JSON form of record_to_wire, written out
+# directly: json.dumps(record_to_wire(r), separators=(",", ":")).
+_RECORD_LINE = (
+    '{"traceid":%s,"task":%s,"idx":%d,"caller":%s,"start":%d,'
+    '"billed":%d,"mem":%d,"route":"%s","setupv":%d}'
+)
+
+
 def canonical_record_bytes(record: InvocationRecord) -> bytes:
     """Single-line UTF-8 serialization with pinned field order, no whitespace.
 
     This exact byte string is what gets hashed into the tree and stored
     as the record's block, so it must never drift.
     """
-    return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
+    q = encode_basestring_ascii
+    return (_RECORD_LINE % (
+        q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
+        record.start_ms, record.billed_duration_ms, record.memory_used_mb,
+        record.route.value, record.setup_version,
+    )).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +289,6 @@ def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
     return TreeInfo(root, tree, leaves)
 
 
-def _combine(left: str, right: str) -> str:
-    # Combined hash input is the UTF-8 concatenation of the two hex
-    # strings, not their raw digest bytes.
-    return calc_hash((left + right).encode("utf-8"))
-
-
 def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     """Build the proof over leaf hashes, duplicating the last element of
     every odd level so no leaf ever drops out of the tree."""
@@ -296,16 +298,16 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     if not leaf_hashes:
         return TreeInfo.empty()
     tree: list[str] = list(leaf_hashes)
-    level: list[str] = list(leaf_hashes)
-    if len(level) % 2 == 1:
-        level.append(level[-1])
-    while len(level) > 1:
-        combined = [_combine(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        tree.extend(combined)
-        level = combined
-        if len(level) % 2 == 1 and len(level) > 1:
-            level.append(level[-1])
-    return TreeInfo(root=level[0], tree=tuple(tree), leaves=tuple(leaf_hashes))
+    level = tree
+    while True:
+        if len(level) % 2 == 1:
+            level = [*level, level[-1]]
+        # A parent hashes the UTF-8 concatenation of its two children's
+        # hex strings, not their raw digest bytes.
+        level = [calc_hash((left + right).encode()) for left, right in zip(level[::2], level[1::2])]
+        tree.extend(level)
+        if len(level) == 1:
+            return TreeInfo(root=level[0], tree=tuple(tree), leaves=tuple(leaf_hashes))
 
 
 def record_leaf_hashes(records: Sequence[InvocationRecord]) -> list[str]:
@@ -330,25 +332,34 @@ def group_key(fusion_key: str) -> str:
     return f"{fusion_key}.json"
 
 
+def _join_group_file(encoded: Sequence[bytes], tree: TreeInfo) -> bytes:
+    # A single join, so no intermediate copy of the whole body is made.
+    proof = json.dumps(treeinfo_to_wire(tree), separators=(",", ":")) + "]"
+    parts = [*encoded, proof.encode("utf-8")]
+    parts[0] = b"[" + parts[0]
+    return b",".join(parts)
+
+
 def group_file_bytes(records: Sequence[InvocationRecord], tree: TreeInfo) -> bytes:
-    body = [record_to_wire(r) for r in records]
-    body.append(treeinfo_to_wire(tree))
-    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+    """Compact JSON array of the records' canonical lines, then the proof."""
+    return _join_group_file([canonical_record_bytes(r) for r in records], tree)
 
 
 def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationRecord]) -> PersistReceipt:
     """Write per-trace blocks and the group file with its Merkle proof.
 
-    Records of one trace share a block key, so the trace's last record
-    wins there; the group file keeps every record in hashing order and
-    is the authoritative input for verification.
+    Each record is encoded once, and those bytes are hashed, stored and
+    joined into the group file.  Records of one trace share a block key,
+    so one block per trace is written, holding the trace's last record;
+    the group file keeps every record in hashing order and is the
+    authoritative input for verification.
     """
-    tree = build_merkle_tree(record_leaf_hashes(clean_records))
-    block_keys: dict[str, None] = {}
-    for record in clean_records:
-        key = block_key(fusion_key, record.trace_id)
-        store.put(key, canonical_record_bytes(record))
-        block_keys[key] = None
+    encoded = [canonical_record_bytes(r) for r in clean_records]
+    tree = build_merkle_tree([calc_hash(data) for data in encoded])
+    blocks = dict(zip((r.trace_id for r in clean_records), encoded))
+    block_keys = tuple(block_key(fusion_key, trace_id) for trace_id in blocks)
+    for key, data in zip(block_keys, blocks.values()):
+        store.put(key, data)
     gkey = group_key(fusion_key)
-    store.put(gkey, group_file_bytes(clean_records, tree))
-    return PersistReceipt(tuple(block_keys), gkey, tree)
+    store.put(gkey, _join_group_file(encoded, tree))
+    return PersistReceipt(block_keys, gkey, tree)

@@ -9,6 +9,7 @@ Keys look like `<fusion_key>/<trace_id>.json` (blocks) and
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 from typing import Protocol, Union
@@ -102,11 +103,14 @@ class FileStore:
             raise StoreWriteFailed(f"cannot delete {key!r}: {exc}") from exc
 
     def list(self, prefix: str = "") -> list[str]:
+        root = os.path.join(self.root, "")
         keys = []
-        for path in self.root.rglob("*.json"):
-            if path.is_file():
-                key = path.relative_to(self.root).as_posix()
-                if key.startswith(prefix):
+        for directory, _subdirs, files in os.walk(root):
+            # Files in directory root + "a/b" have keys "a/b/<name>".
+            base = os.path.join(directory[len(root) :], "").replace(os.sep, "/")
+            for name in files:
+                key = base + name
+                if name.endswith(".json") and key.startswith(prefix):
                     keys.append(key)
         return sorted(keys)
 

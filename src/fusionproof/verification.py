@@ -109,7 +109,7 @@ def verify_integrity(
         try:
             for p in reversed(deletable):
                 store.delete(block_key(key, blocks[p].trace_id))
-            new_tree = build_merkle_tree(record_leaf_hashes(survivors))
+            new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
             store.put(group_key(key), group_file_bytes(survivors, new_tree))
         except StoreWriteFailed as exc:
             notes[key] = str(exc)
@@ -230,11 +230,9 @@ def annotate_metrics(
     did, there is nothing safe to optimize from and NoVerifiedData tells
     the caller to revert.
     """
-    verified = [
-        r
-        for r in clean_records
-        if report.group_results.get(fusion_key_for_trace(r.trace_id), False)
-    ]
+    # Records of one trace share its fusion key: derive it once per trace.
+    keys = {t: fusion_key_for_trace(t) for t in dict.fromkeys(r.trace_id for r in clean_records)}
+    verified = [r for r in clean_records if report.group_results.get(keys[r.trace_id], False)]
     if not verified:
         raise NoVerifiedData("no verified groups contributed any records")
     billed: dict[str, list[int]] = {}

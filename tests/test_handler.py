@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fusionproof import proofs
 from fusionproof.errors import (
+    InvalidHexLeaf,
     InvalidName,
     MalformedTraceID,
     SetupMismatch,
@@ -22,8 +24,10 @@ from fusionproof.handler import (
     ensure_trace_id,
     entry_fusion_key,
     generate_trace_id,
+    is_hex64,
     parse_and_validate_trace_id,
     route_call,
+    split_trace_id,
     validate_name,
 )
 
@@ -234,3 +238,39 @@ class TestRouting:
 
     def test_routing_is_pure(self):
         assert route_call(SETUP, "A", "C") == route_call(SETUP, "A", "C")
+
+
+class TestHexValidator:
+    GOOD = hashlib.sha256(b"leaf").hexdigest()
+    BAD = [
+        "a" * 64 + "\n",
+        "A" * 64,
+        "٠" * 64,
+        "0" * 63,
+        "0" * 65,
+    ]
+
+    def test_accepts_sha256_hexdigest(self):
+        assert is_hex64(self.GOOD)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rejects(self, bad):
+        assert not is_hex64(bad)
+
+    def test_proofs_uses_the_same_validator(self):
+        assert proofs.is_hex64 is is_hex64
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_split_trace_id_rejects_bad_random_part(self, bad):
+        with pytest.raises(MalformedTraceID):
+            split_trace_id(f"A.B,C-A-{bad}-{self.GOOD}")
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_split_trace_id_rejects_bad_hash_part(self, bad):
+        with pytest.raises(MalformedTraceID):
+            split_trace_id(f"A.B,C-A-{self.GOOD}-{bad}")
+
+    @pytest.mark.parametrize("bad", [*BAD, b"a" * 64, None])
+    def test_merkle_tree_rejects_bad_leaf(self, bad):
+        with pytest.raises(InvalidHexLeaf):
+            proofs.build_merkle_tree([self.GOOD, bad])

@@ -28,6 +28,7 @@ from fusionproof.proofs import (
     parse_log_lines,
     persist_evidence,
     record_leaf_hashes,
+    record_to_wire,
     treeinfo_from_wire,
     treeinfo_to_wire,
 )
@@ -442,3 +443,100 @@ class TestPersistEvidence:
         store = MemoryStore()
         receipt = persist_evidence(store, "CW.SE.CS.CT.CA", records)
         assert store.get("CW.SE.CS.CT.CA.json") == group_file_bytes(records, receipt.tree)
+
+
+# Strings that exercise every escaping rule of the JSON encoder.
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "€", "\U0001f600", "\ud800"]
+        ),
+        st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+    ),
+    max_size=12,
+)
+_ANY_INT = st.integers(min_value=-(2**80), max_value=2**80)
+
+_RECORDS = st.builds(
+    InvocationRecord,
+    trace_id=_TRICKY_TEXT,
+    task=_TRICKY_TEXT,
+    chain_index=_ANY_INT,
+    caller=_TRICKY_TEXT,
+    start_ms=_ANY_INT,
+    billed_duration_ms=_ANY_INT,
+    memory_used_mb=_ANY_INT,
+    route=st.sampled_from(RouteKind),
+    setup_version=_ANY_INT,
+)
+
+
+def _reference_record_bytes(record: InvocationRecord) -> bytes:
+    return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
+
+
+def _reference_group_file(records, tree: TreeInfo) -> bytes:
+    body = [record_to_wire(r) for r in records] + [treeinfo_to_wire(tree)]
+    return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+class TestEncoderMatchesJsonDumps:
+    @given(_RECORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_record_bytes(self, record):
+        assert canonical_record_bytes(record) == _reference_record_bytes(record)
+
+    @given(st.lists(_RECORDS, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_group_file_bytes(self, records):
+        tree = build_merkle_tree(record_leaf_hashes(records))
+        assert group_file_bytes(records, tree) == _reference_group_file(records, tree)
+
+    def test_empty_group(self):
+        expected = b'[{"root":"","tree":[],"leaf":[]}]'
+        assert group_file_bytes([], TreeInfo.empty()) == expected
+        assert _reference_group_file([], TreeInfo.empty()) == expected
+
+
+class _CountingStore(MemoryStore):
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts: list[str] = []
+
+    def put(self, key: str, data: bytes) -> None:
+        self.puts.append(key)
+        super().put(key, data)
+
+
+class TestPersistPutCount:
+    KEY = "CW.SE.CS.CT.CA"
+
+    def interleaved_records(self):
+        first = iot_records(b"\x31" * 32)
+        second = iot_records(b"\x32" * 32, origin=5000)
+        third = iot_records(b"\x33" * 32, origin=9000)
+        # Traces overlap in emission order: first, second, first, third, second.
+        return [*first[:2], *second[:3], *first[2:], *third, *second[3:]], [first, second, third]
+
+    def test_one_put_per_trace_plus_group(self):
+        records, traces = self.interleaved_records()
+        store = _CountingStore()
+        receipt = persist_evidence(store, self.KEY, records)
+        assert len(store.puts) == len(traces) + 1
+        assert len(set(store.puts)) == len(store.puts)
+        assert store.puts[-1] == f"{self.KEY}.json"
+        assert receipt.block_keys == tuple(f"{self.KEY}/{t[0].trace_id}.json" for t in traces)
+
+    def test_contents_equal_one_put_per_record(self):
+        records, _ = self.interleaved_records()
+        store = MemoryStore()
+        persist_evidence(store, self.KEY, records)
+        # The store as a put of every record, in order, leaves it.
+        expected = MemoryStore()
+        for record in records:
+            expected.put(f"{self.KEY}/{record.trace_id}.json", _reference_record_bytes(record))
+        tree = build_merkle_tree(record_leaf_hashes(records))
+        expected.put(f"{self.KEY}.json", _reference_group_file(records, tree))
+        assert store.list() == expected.list()
+        for key in expected.list():
+            assert store.get(key) == expected.get(key)

@@ -177,3 +177,41 @@ class TestLoadSetups:
 
     def test_empty_store(self):
         assert load_setups(MemoryStore()) == ({}, {})
+
+
+def rglob_keys(root, prefix: str = "") -> list[str]:
+    """The listing as a recursive glob over the store's directory gives it."""
+    keys = []
+    for path in root.rglob("*.json"):
+        if path.is_file():
+            key = path.relative_to(root).as_posix()
+            if key.startswith(prefix):
+                keys.append(key)
+    return sorted(keys)
+
+
+class TestFileStoreListing:
+    def populated(self, tmp_path):
+        store = FileStore(tmp_path / "ev")
+        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x41" * 32))
+        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x42" * 32, origin=900))
+        persist_evidence(store, "CW", iot_records(b"\x43" * 32, origin=1800))
+        store.put("deep/er/nested.json", b"{}")
+        (tmp_path / "ev" / "notes.txt").write_bytes(b"not a key")
+        (tmp_path / "ev" / "CW" / "x.json").mkdir()
+        (tmp_path / "ev" / "CW" / "x.json" / "inner.json").write_bytes(b"{}")
+        return store
+
+    @pytest.mark.parametrize("prefix", ["", "CW", "CW/", "CW.SE.CS.CT.CA/", "deep/er", "zz"])
+    def test_matches_recursive_glob(self, tmp_path, prefix):
+        store = self.populated(tmp_path)
+        keys = store.list(prefix)
+        assert keys == rglob_keys(tmp_path / "ev", prefix)
+        assert "CW/x.json" not in keys
+        assert all(k.endswith(".json") for k in keys)
+
+    def test_group_files_and_blocks_listed(self, tmp_path):
+        keys = self.populated(tmp_path).list()
+        assert "CW.json" in keys and "CW.SE.CS.CT.CA.json" in keys
+        assert "CW/x.json/inner.json" in keys
+        assert sum(k.startswith("CW.SE.CS.CT.CA/") for k in keys) == 2
