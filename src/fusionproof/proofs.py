@@ -226,7 +226,7 @@ def record_from_wire(obj: Mapping) -> InvocationRecord:
             route=RouteKind(obj["route"]),
             setup_version=int(obj["setupv"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad record object: {exc}") from exc
 
 
@@ -245,11 +245,18 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
     as the record's block, so it must never drift.
     """
     q = encode_basestring_ascii
-    return (_RECORD_LINE % (
-        q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
-        record.start_ms, record.billed_duration_ms, record.memory_used_mb,
-        record.route.value, record.setup_version,
-    )).encode("ascii")
+    try:
+        line = _RECORD_LINE % (
+            q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
+            record.start_ms, record.billed_duration_ms, record.memory_used_mb,
+            record.route.value, record.setup_version,
+        )
+    except TypeError:
+        # A text field that is not a str, as a tampered group file can
+        # carry: encode it the reference way, so its leaf hash mismatches
+        # and verification prunes the record.
+        return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
+    return line.encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,24 @@ class TestVerifyCommand:
         # A second verify over the pruned store is clean again.
         assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
 
+    def test_non_string_text_fields_are_pruned(self, tmp_path):
+        def retype(root: Path):
+            store = FileStore(root)
+            key = next(k for k in store.list() if "/" not in k)
+            body = json.loads(store.get(key))
+            body[0]["task"] = 1
+            body[1]["caller"] = None
+            store.put(key, json.dumps(body, separators=(",", ":")).encode())
+
+        code, out = self.run_then_verify(tmp_path, mutate=retype)
+        assert code == EXIT_VERIFY_FAILED
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["integrity_verified"] is False
+        assert payload["corrupt"] == {}
+        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 8}
+        assert len(payload["pruned"]["CW.SE.CS.CT.CA"]) == 2
+        assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
+
     def test_corrupt_group_file_exit_code(self, tmp_path):
         def corrupt(root: Path):
             FileStore(root).put("BROKEN.json", b"not json")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionproof.errors import InvalidHexLeaf
+from fusionproof.errors import InvalidHexLeaf, ParseError
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
     ThresholdPolicy,
@@ -27,6 +27,7 @@ from fusionproof.proofs import (
     group_file_bytes,
     parse_log_lines,
     persist_evidence,
+    record_from_wire,
     record_leaf_hashes,
     record_to_wire,
     treeinfo_from_wire,
@@ -471,6 +472,37 @@ _RECORDS = st.builds(
 )
 
 
+# Every kind of value json.loads can return.
+_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ANY_INT,
+    st.floats(),
+    _TRICKY_TEXT,
+    st.lists(_TRICKY_TEXT, max_size=2),
+    st.dictionaries(_TRICKY_TEXT, _ANY_INT, max_size=2),
+)
+_WIRE_INTS = ("idx", "start", "billed", "mem", "setupv")
+_TAMPERED_TEXT_RECORDS = st.fixed_dictionaries(
+    {
+        "traceid": _JSON_VALUE,
+        "task": _JSON_VALUE,
+        "caller": _JSON_VALUE,
+        "route": st.sampled_from([r.value for r in RouteKind]),
+        **{name: _ANY_INT for name in _WIRE_INTS},
+    }
+)
+_TAMPERED_WIRE_RECORDS = st.fixed_dictionaries(
+    {
+        "traceid": _JSON_VALUE,
+        "task": _JSON_VALUE,
+        "caller": _JSON_VALUE,
+        "route": st.one_of(st.sampled_from([r.value for r in RouteKind]), _JSON_VALUE),
+        **{name: st.one_of(_ANY_INT, _JSON_VALUE) for name in _WIRE_INTS},
+    }
+)
+
+
 def _reference_record_bytes(record: InvocationRecord) -> bytes:
     return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
 
@@ -496,6 +528,31 @@ class TestEncoderMatchesJsonDumps:
         expected = b'[{"root":"","tree":[],"leaf":[]}]'
         assert group_file_bytes([], TreeInfo.empty()) == expected
         assert _reference_group_file([], TreeInfo.empty()) == expected
+
+    @given(_TAMPERED_TEXT_RECORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_loaded_record_with_any_text_value(self, obj):
+        # A tampered group file can hold any JSON value in a text field;
+        # the record still encodes exactly as the reference form does.
+        record = record_from_wire(obj)
+        assert canonical_record_bytes(record) == _reference_record_bytes(record)
+
+    @given(_TAMPERED_WIRE_RECORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_wire_record_loads_or_raises_parse_error(self, obj):
+        try:
+            record = record_from_wire(obj)
+        except ParseError:
+            return
+        assert canonical_record_bytes(record) == _reference_record_bytes(record)
+
+    def test_infinite_number_raises_parse_error(self):
+        obj = json.loads(
+            '{"traceid":"t","task":"A","idx":Infinity,"caller":"","start":0,'
+            '"billed":1,"mem":1,"route":"LOCAL","setupv":0}'
+        )
+        with pytest.raises(ParseError):
+            record_from_wire(obj)
 
 
 class _CountingStore(MemoryStore):

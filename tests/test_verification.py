@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -567,6 +568,15 @@ def tamper_first_record(iteration: int, store) -> None:
         store.put(key, group_file_bytes(records, tree))
 
 
+def retype_first_record(iteration: int, store) -> None:
+    for key in [k for k in store.list() if "/" not in k]:
+        body = json.loads(store.get(key))
+        if len(body) < 2:
+            continue
+        body[0]["task"] = 1
+        store.put(key, json.dumps(body, separators=(",", ":")).encode())
+
+
 class TestRunOptimization:
     def test_iot_converges_from_split(self):
         trace = run_optimization(IOT, SPLIT, 7, policy=POLICY, seed=9)
@@ -637,6 +647,22 @@ class TestRunOptimization:
             seed=19,
             request_counts=(2,),
             tamper=tamper_first_record,
+        )
+        result = trace.iterations[0]
+        assert result.integrity_verified is False
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert result.reverted is False
+        assert result.estimated_cost_ms == pytest.approx(282.0)
+
+    def test_non_string_task_prunes_and_continues(self):
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=19,
+            request_counts=(2,),
+            tamper=retype_first_record,
         )
         result = trace.iterations[0]
         assert result.integrity_verified is False
