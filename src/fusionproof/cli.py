@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
@@ -29,6 +29,7 @@ from .verification import (
     verify_integrity,
 )
 from .workload import (
+    ATTACK_GATES,
     AppSpec,
     AttackPlan,
     builtin_iot_app,
@@ -45,14 +46,6 @@ EXIT_CORRUPT = 3
 
 class ConfigError(FusionProofError):
     """The scenario config cannot be resolved to runnable inputs."""
-
-
-_ATTACK_GATES: Mapping[str, Callable[[int, int], bool]] = {
-    "odd_iterations": lambda iteration, request: iteration % 2 == 1,
-    "even_iterations": lambda iteration, request: iteration % 2 == 0,
-    "always": lambda iteration, request: True,
-    "first_request": lambda iteration, request: request == 0,
-}
 
 
 @dataclass(frozen=True)
@@ -207,12 +200,12 @@ def build_setup(config: ScenarioConfig, app: AppSpec) -> FusionSetup:
 
 
 def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
-    if config.attack_when not in _ATTACK_GATES:
+    if config.attack_when not in ATTACK_GATES:
         raise ConfigError(
             f"bad attack.when {config.attack_when!r}; "
-            f"choose from {', '.join(sorted(_ATTACK_GATES))}"
+            f"choose from {', '.join(sorted(ATTACK_GATES))}"
         )
-    gate = _ATTACK_GATES[config.attack_when]
+    gate = ATTACK_GATES[config.attack_when]
     if config.attack_mode == "none":
         return None
     if config.attack_mode == "dow":
@@ -309,10 +302,10 @@ def cmd_run(config: ScenarioConfig) -> int:
 def _report_to_wire(report: VerificationReport, corrupt: Mapping[str, str]) -> dict:
     return {
         "integrity_verified": report.integrity_verified,
-        "results": list(report.results),
+        "results": list(report.group_results.values()),
         "group_results": dict(report.group_results),
         "pruned": {key: list(ids) for key, ids in report.pruned.items()},
-        "surviving_counts": {key: len(records) for key, records in report.delete_list.items()},
+        "surviving_counts": {key: len(records) for key, records in report.survivors.items()},
         "notes": dict(report.notes),
         "corrupt": dict(corrupt),
     }
@@ -322,7 +315,7 @@ def cmd_verify(config: ScenarioConfig) -> int:
     """Re-check all stored proofs, pruning tampered blocks."""
     store = FileStore(config.store_root)
     setups, corrupt = load_setups(store)
-    report = verify_integrity(setups, {}, store)
+    report = verify_integrity(setups, store)
     _write_json(Path(config.output_dir) / "verification.json", _report_to_wire(report, corrupt))
     if corrupt:
         return EXIT_CORRUPT

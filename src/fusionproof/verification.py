@@ -62,16 +62,14 @@ def find_mismatch(
 @dataclass(frozen=True)
 class VerificationReport:
     integrity_verified: bool
-    results: tuple[bool, ...]
     group_results: Mapping[str, bool]
-    delete_list: Mapping[str, tuple[InvocationRecord, ...]]
+    survivors: Mapping[str, tuple[InvocationRecord, ...]]
     pruned: Mapping[str, tuple[str, ...]]
     notes: Mapping[str, str] = field(default_factory=dict)
 
 
 def verify_integrity(
     setups: Mapping[str, Sequence[Union[InvocationRecord, TreeInfo]]],
-    delete_list: Mapping[str, tuple[InvocationRecord, ...]],
     store: EvidenceStore,
 ) -> VerificationReport:
     """Check every group's blocks against its stored proof, pruning on failure.
@@ -81,10 +79,10 @@ def verify_integrity(
     compared by root.  On mismatch the offending blocks are deleted from
     the store (descending index, so pending positions stay valid), the
     group file is rewritten over the survivors, and the survivors are
-    recorded in the returned delete_list.
+    recorded in the report's survivors under the group's key.
     """
     group_results: dict[str, bool] = {}
-    out_delete: dict[str, tuple[InvocationRecord, ...]] = dict(delete_list)
+    out_survivors: dict[str, tuple[InvocationRecord, ...]] = {}
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
     for key, blocks_with_tree in setups.items():
@@ -115,15 +113,13 @@ def verify_integrity(
             notes[key] = str(exc)
             group_results[key] = False
             continue
-        out_delete[key] = survivors
+        out_survivors[key] = survivors
         pruned[key] = tuple(blocks[p].trace_id for p in deletable)
         group_results[key] = False
-    results = tuple(group_results.values())
     return VerificationReport(
-        integrity_verified=all(results),
-        results=results,
+        integrity_verified=all(group_results.values()),
         group_results=group_results,
-        delete_list=out_delete,
+        survivors=out_survivors,
         pruned=pruned,
         notes=notes,
     )
@@ -220,19 +216,20 @@ class AnnotatedMetrics:
 
 
 def annotate_metrics(
-    clean_records: Sequence[InvocationRecord],
-    report: VerificationReport,
+    records: Sequence[InvocationRecord],
+    fusion_key: str,
     app: AppSpec,
 ) -> AnnotatedMetrics:
     """Aggregate per-task means and per-edge stats from trusted records.
 
-    Only records whose fusion group verified true contribute; when none
-    did, there is nothing safe to optimize from and NoVerifiedData tells
-    the caller to revert.
+    The records are those a verification pass vouched for under
+    fusion_key; only records whose trace id names that group contribute.
+    When none do, there is nothing safe to optimize from and
+    NoVerifiedData tells the caller to revert.
     """
     # Records of one trace share its fusion key: derive it once per trace.
-    keys = {t: fusion_key_for_trace(t) for t in dict.fromkeys(r.trace_id for r in clean_records)}
-    verified = [r for r in clean_records if report.group_results.get(keys[r.trace_id], False)]
+    keys = {t: fusion_key_for_trace(t) for t in dict.fromkeys(r.trace_id for r in records)}
+    verified = [r for r in records if keys[r.trace_id] == fusion_key]
     if not verified:
         raise NoVerifiedData("no verified groups contributed any records")
     billed: dict[str, list[int]] = {}
@@ -441,12 +438,13 @@ def run_optimization(
     """Iterate run → filter → persist → verify → annotate → adopt.
 
     Each iteration runs the workload under the current setup, persists
-    filtered evidence to a fresh store, verifies it when the sampling
-    plan says so (pruning and re-verifying on failure), and feeds the
-    surviving measurements to the optimizer.  When nothing survives the
-    setup reverts to initial_setup for the next iteration.  The optional
-    tamper hook mutates the store between persist and verify, simulating
-    an attacker with storage access.
+    filtered evidence to a fresh store, verifies it once when the sampling
+    plan says so (pruning on failure), and feeds the entry group's
+    verified or surviving measurements to the optimizer.  A group file
+    that will not parse fails the iteration's integrity.  When nothing
+    survives the setup reverts to initial_setup for the next iteration.
+    The optional tamper hook mutates the store between persist and verify,
+    simulating an attacker with storage access.
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
@@ -493,50 +491,28 @@ def run_optimization(
             tamper(it, store)
 
         integrity: Optional[bool] = None
-        group_results: Mapping[str, bool] = {}
+        group_results: dict[str, bool] = {}
         pruned_counts: dict[str, int] = {}
+        # The batch as persisted: trusted when the entry group verifies,
+        # and accepted on trust when the sampling plan skips inspection.
+        usable_records: Sequence[InvocationRecord] = clean
+        last_outcome = InspectionOutcome.NOT_INSPECTED
         if inspect_this:
-            setups, _corrupt = load_setups(store)
-            report = verify_integrity(setups, {}, store)
-            integrity = report.integrity_verified
-            group_results = report.group_results
+            setups, corrupt = load_setups(store)
+            report = verify_integrity(setups, store)
+            integrity = report.integrity_verified and not corrupt
+            group_results = {**report.group_results, **dict.fromkeys(corrupt, False)}
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             last_outcome = (
-                InspectionOutcome.CONFORMING
-                if report.integrity_verified
-                else InspectionOutcome.NONCONFORMING
+                InspectionOutcome.CONFORMING if integrity else InspectionOutcome.NONCONFORMING
             )
-            if report.integrity_verified:
-                usable_records: Sequence[InvocationRecord] = clean
-                effective = report
-            else:
-                # Pruning rewrote the group files; a second pass decides
-                # which survivors can be trusted for metrics.
-                surviving_setups, _ = load_setups(store)
-                effective = verify_integrity(
-                    surviving_setups, dict(report.delete_list), store
-                )
-                usable_records = [
-                    record
-                    for key, blocks in surviving_setups.items()
-                    for record in blocks[:-1]
-                ]
-        else:
-            # Skipped by the sampling plan: the batch is accepted on trust.
-            last_outcome = InspectionOutcome.NOT_INSPECTED
-            usable_records = clean
-            effective = VerificationReport(
-                integrity_verified=True,
-                results=(True,),
-                group_results={fusion_key: True},
-                delete_list={},
-                pruned={},
-            )
+            if not group_results.get(fusion_key, False):
+                usable_records = report.survivors.get(fusion_key, ())
 
         reverted = False
         cost: Optional[float] = None
         try:
-            metrics = annotate_metrics(usable_records, effective, app)
+            metrics = annotate_metrics(usable_records, fusion_key, app)
             cost = estimate_cost(current, metrics, model)
             proposed = optimize_step(current, metrics, model, history)
             if proposed.setup_part != current.setup_part:
@@ -553,7 +529,7 @@ def run_optimization(
                 setup_part=current.setup_part,
                 estimated_cost_ms=cost,
                 integrity_verified=integrity,
-                group_results=dict(group_results),
+                group_results=group_results,
                 pruned_counts=pruned_counts,
                 reverted=reverted,
                 inspected=inspect_this,

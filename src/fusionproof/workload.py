@@ -138,8 +138,13 @@ class AttackMode(Enum):
     BUSINESS_LOGIC = "business_logic"
 
 
-def _attack_on_odd_iterations(iteration: int, request: int) -> bool:
-    return iteration % 2 == 1
+# Named apply_on gates, (iteration, request) -> whether the attack fires.
+ATTACK_GATES: Mapping[str, Callable[[int, int], bool]] = {
+    "odd_iterations": lambda iteration, request: iteration % 2 == 1,
+    "even_iterations": lambda iteration, request: iteration % 2 == 0,
+    "always": lambda iteration, request: True,
+    "first_request": lambda iteration, request: request == 0,
+}
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,9 @@ class AttackPlan:
     target_task: Optional[str] = None
     inflated_duration_ms: float = 0.0
     swap: Optional[tuple[str, str]] = None
-    apply_on: Callable[[int, int], bool] = field(default=_attack_on_odd_iterations, compare=False)
+    apply_on: Callable[[int, int], bool] = field(
+        default=ATTACK_GATES["odd_iterations"], compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.mode is AttackMode.DOW:
@@ -175,7 +182,7 @@ class AttackPlan:
         cls,
         target_task: str,
         inflated_duration_ms: float,
-        apply_on: Callable[[int, int], bool] = _attack_on_odd_iterations,
+        apply_on: Callable[[int, int], bool] = ATTACK_GATES["odd_iterations"],
     ) -> "AttackPlan":
         return cls(AttackMode.DOW, target_task=target_task,
                    inflated_duration_ms=inflated_duration_ms, apply_on=apply_on)
@@ -184,7 +191,7 @@ class AttackPlan:
     def business_logic(
         cls,
         swap: tuple[str, str],
-        apply_on: Callable[[int, int], bool] = _attack_on_odd_iterations,
+        apply_on: Callable[[int, int], bool] = ATTACK_GATES["odd_iterations"],
     ) -> "AttackPlan":
         return cls(AttackMode.BUSINESS_LOGIC, swap=swap, apply_on=apply_on)
 

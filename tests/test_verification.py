@@ -8,10 +8,12 @@ import json
 
 import pytest
 
+import fusionproof.verification as verification
 from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
     ThresholdPolicy,
+    TreeInfo,
     build_merkle_tree,
     group_file_bytes,
     persist_evidence,
@@ -25,7 +27,6 @@ from fusionproof.verification import (
     InspectionOutcome,
     SamplingMode,
     SamplingState,
-    VerificationReport,
     annotate_metrics,
     csp1_step,
     estimate_cost,
@@ -57,21 +58,11 @@ def fused_records(randomness: bytes, origin=0):
     return execute_request(IOT, FUSED, trace, None, 3, origin)
 
 
-def all_true_report(*keys: str) -> VerificationReport:
-    return VerificationReport(
-        integrity_verified=True,
-        results=tuple(True for _ in keys),
-        group_results={k: True for k in keys},
-        delete_list={},
-        pruned={},
-    )
-
-
 def iot_metrics(setup: FusionSetup, requests: int = 3) -> AnnotatedMetrics:
     batch = run_workload(IOT, setup, [requests], None, 1, seed=11)
     clean, flagged = filter_batch_checked(batch.records)
     key = next(iter(batch.by_fusion_key))
-    return annotate_metrics(clean, all_true_report(key), IOT)
+    return annotate_metrics(clean, key, IOT)
 
 
 def filter_batch_checked(records):
@@ -118,23 +109,23 @@ class TestVerifyIntegrity:
         persist_evidence(store, self.KEY, records)
         before = {k: store.get(k) for k in store.list()}
         setups, _ = load_setups(store)
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is True
         assert report.group_results == {self.KEY: True}
         assert report.pruned == {}
         assert {k: store.get(k) for k in store.list()} == before
 
     def test_empty_setups_vacuously_true(self):
-        report = verify_integrity({}, {}, MemoryStore())
+        report = verify_integrity({}, MemoryStore())
         assert report.integrity_verified is True
-        assert report.results == ()
+        assert report.group_results == {}
 
     def test_empty_proof_fails_without_pruning(self):
         store = MemoryStore()
         persist_evidence(store, self.KEY, [])
         before = store.get(f"{self.KEY}.json")
         setups, _ = load_setups(store)
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.group_results == {self.KEY: False}
         assert report.pruned == {}
@@ -142,7 +133,7 @@ class TestVerifyIntegrity:
 
     def test_missing_tree_info_noted(self):
         records = fused_records(b"\x32" * 32)
-        report = verify_integrity({self.KEY: list(records)}, {}, MemoryStore())
+        report = verify_integrity({self.KEY: list(records)}, MemoryStore())
         assert report.group_results == {self.KEY: False}
         assert self.KEY in report.notes
 
@@ -154,10 +145,10 @@ class TestVerifyIntegrity:
             records[1], billed_duration_ms=records[1].billed_duration_ms + 7
         )
         setups = {self.KEY: [records[0], tampered, records[2], blocks[-1]]}
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
-        assert report.delete_list == {self.KEY: (records[0], records[2])}
+        assert report.survivors == {self.KEY: (records[0], records[2])}
         # The tampered block is gone, survivors remain addressable.
         assert f"{self.KEY}/{records[1].trace_id}.json" not in store.list()
         assert f"{self.KEY}/{records[0].trace_id}.json" in store.list()
@@ -168,7 +159,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[0], memory_used_mb=999)
         setups = {self.KEY: [tampered, records[1], records[2], blocks[-1]]}
-        verify_integrity(setups, {}, store)
+        verify_integrity(setups, store)
         rewritten = parse_group_file(store.get(f"{self.KEY}.json"))
         survivors = [records[1], records[2]]
         assert rewritten[:-1] == survivors
@@ -180,12 +171,13 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[2], billed_duration_ms=1)
         setups = {self.KEY: [records[0], records[1], tampered, records[3], blocks[-1]]}
-        first = verify_integrity(setups, {}, store)
+        first = verify_integrity(setups, store)
         assert first.integrity_verified is False
         reloaded, _ = load_setups(store)
-        second = verify_integrity(reloaded, dict(first.delete_list), store)
+        assert reloaded[self.KEY][:-1] == list(first.survivors[self.KEY])
+        second = verify_integrity(reloaded, store)
         assert second.integrity_verified is True
-        assert second.delete_list == first.delete_list
+        assert second.survivors == {}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_prunes_exactly_the_tampered_positions(self, n):
@@ -201,11 +193,11 @@ class TestVerifyIntegrity:
                 else r
                 for p, r in enumerate(records)
             ]
-            report = verify_integrity({self.KEY: mutated + [blocks[-1]]}, {}, store)
+            report = verify_integrity({self.KEY: mutated + [blocks[-1]]}, store)
             assert report.pruned[self.KEY] == tuple(
                 records[p].trace_id for p in positions
             )
-            assert report.delete_list[self.KEY] == tuple(
+            assert report.survivors[self.KEY] == tuple(
                 r for p, r in enumerate(records) if p not in positions
             )
 
@@ -215,16 +207,16 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         extra = fused_records(b"\x39" * 32, origin=9000)[0]
         setups = {self.KEY: list(records) + [extra, blocks[-1]]}
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.pruned == {self.KEY: (extra.trace_id,)}
-        assert report.delete_list[self.KEY] == tuple(records)
+        assert report.survivors[self.KEY] == tuple(records)
 
     def test_reordered_blocks_detected(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         swapped = [records[1], records[0], records[2], blocks[-1]]
-        report = verify_integrity({self.KEY: swapped}, {}, store)
+        report = verify_integrity({self.KEY: swapped}, store)
         assert report.integrity_verified is False
         assert set(report.pruned[self.KEY]) == {records[0].trace_id, records[1].trace_id}
 
@@ -242,15 +234,10 @@ class TestVerifyIntegrity:
             else b
             for p, b in enumerate(setups["CW"])
         ]
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
-
-    def test_input_delete_list_preserved(self):
-        record = fused_records(b"\x3c" * 32)[0]
-        report = verify_integrity({}, {"X": (record,)}, MemoryStore())
-        assert report.delete_list == {"X": (record,)}
 
 
 class TestCsp1:
@@ -338,22 +325,18 @@ class TestAnnotateMetrics:
 
     def test_unverified_group_raises(self):
         records = fused_records(b"\x41" * 32)
-        report = VerificationReport(False, (False,), {"CW.SE.CS.CT.CA": False}, {}, {})
         with pytest.raises(NoVerifiedData):
-            annotate_metrics(records, report, IOT)
+            annotate_metrics(records, "CW", IOT)
 
     def test_no_records_raises(self):
         with pytest.raises(NoVerifiedData):
-            annotate_metrics([], all_true_report("CW.SE.CS.CT.CA"), IOT)
+            annotate_metrics([], "CW.SE.CS.CT.CA", IOT)
 
     def test_mixed_groups_use_only_verified(self):
         fused = fused_records(b"\x42" * 32)
         split_trace = generate_trace_id(SPLIT, "CW", b"\x43" * 32)
         split = execute_request(IOT, SPLIT, split_trace, None, 3, 0)
-        report = VerificationReport(
-            False, (True, False), {"CW": True, "CW.SE.CS.CT.CA": False}, {}, {}
-        )
-        metrics = annotate_metrics(fused + split, report, IOT)
+        metrics = annotate_metrics(fused + split, "CW", IOT)
         # Only the split run contributed, so every edge crossed groups.
         assert all(s.route is RouteKind.REMOTE for s in metrics.edges.values())
         assert all(s.count == 1 for s in metrics.edges.values())
@@ -366,13 +349,13 @@ class TestAnnotateMetrics:
         base = fused_records(b"\x44" * 32)[0]
         rogue = dataclasses.replace(base, task="CW", caller="CS")
         with pytest.raises(MissingMetric):
-            annotate_metrics([rogue], all_true_report("CW.SE.CS.CT.CA"), IOT)
+            annotate_metrics([rogue], "CW.SE.CS.CT.CA", IOT)
 
     def test_version_follows_records(self):
         setup = FUSED.with_version(3)
         trace = generate_trace_id(setup, "CW", b"\x45" * 32)
         records = execute_request(IOT, setup, trace, None, 3, 0)
-        metrics = annotate_metrics(records, all_true_report("CW.SE.CS.CT.CA"), IOT)
+        metrics = annotate_metrics(records, "CW.SE.CS.CT.CA", IOT)
         assert metrics.setup_version == 3
 
 
@@ -400,7 +383,7 @@ class TestEstimateCost:
         setup = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, setup, [2], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, all_true_report(next(iter(batch.by_fusion_key))), tree
+            batch.records, next(iter(batch.by_fusion_key)), tree
         )
         # Leaves run from the entry's start, so the slowest branch wins.
         assert estimate_cost(setup, metrics, CostModel()) == pytest.approx(80.0)
@@ -410,7 +393,7 @@ class TestEstimateCost:
         fused = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, fused, [2], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, all_true_report(next(iter(batch.by_fusion_key))), tree
+            batch.records, next(iter(batch.by_fusion_key)), tree
         )
         model = CostModel(memory_weight=0.01)
         # Memory means: N0 10, leaves 64 each; durations 20, 80, 80.
@@ -478,7 +461,7 @@ class TestProposeCandidates:
         fused = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, fused, [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, all_true_report(next(iter(batch.by_fusion_key))), tree
+            batch.records, next(iter(batch.by_fusion_key)), tree
         )
         parts = {c.setup_part for c in propose_candidates(fused, metrics)}
         assert parts == {"N0.N0_1,N0_0", "N0.N0_0,N0_1"}
@@ -488,7 +471,7 @@ class TestProposeCandidates:
         split = FusionSetup.singletons(tree.task_names())
         batch = run_workload(tree, split, [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, all_true_report(next(iter(batch.by_fusion_key))), tree
+            batch.records, next(iter(batch.by_fusion_key)), tree
         )
         assert propose_candidates(split, metrics) == []
 
@@ -497,7 +480,7 @@ class TestProposeCandidates:
         setup = FusionSetup.fused([["N0", "N0_0"], ["N0_1"]])
         batch = run_workload(tree, FusionSetup.fused([tree.task_names()]), [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, all_true_report(next(iter(batch.by_fusion_key))), tree
+            batch.records, next(iter(batch.by_fusion_key)), tree
         )
         parts = {c.setup_part for c in propose_candidates(setup, metrics)}
         assert parts == {"N0,N0_1,N0_0"}
@@ -575,6 +558,18 @@ def retype_first_record(iteration: int, store) -> None:
             continue
         body[0]["task"] = 1
         store.put(key, json.dumps(body, separators=(",", ":")).encode())
+
+
+def corrupt_group_file(iteration: int, store) -> None:
+    store.put("CW.SE.CS.CT.CA.json", b"not json")
+
+
+def tamper_and_forge_group(iteration: int, store) -> None:
+    """Prune one entry record, and plant a failing group of inflated copies."""
+    tamper_first_record(iteration, store)
+    records = parse_group_file(store.get("CW.SE.CS.CT.CA.json"))[:-1]
+    inflated = [dataclasses.replace(r, billed_duration_ms=50000) for r in records]
+    store.put("X.json", group_file_bytes(inflated, TreeInfo.empty()))
 
 
 class TestRunOptimization:
@@ -669,6 +664,65 @@ class TestRunOptimization:
         assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
         assert result.reverted is False
         assert result.estimated_cost_ms == pytest.approx(282.0)
+
+    def test_corrupt_group_file_fails_integrity(self):
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=19,
+            request_counts=(2,),
+            tamper=corrupt_group_file,
+        )
+        result = trace.iterations[0]
+        assert result.integrity_verified is False
+        assert result.group_results == {"CW.SE.CS.CT.CA": False}
+        assert result.pruned_counts == {}
+        assert result.reverted is True
+
+    def test_records_of_a_failed_group_never_reach_metrics(self):
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=19,
+            request_counts=(2,),
+            tamper=tamper_and_forge_group,
+        )
+        result = trace.iterations[0]
+        assert result.group_results == {"CW.SE.CS.CT.CA": False, "X": False}
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert result.estimated_cost_ms == pytest.approx(282.0)
+
+    def test_pruned_iteration_verifies_once(self, monkeypatch):
+        calls = {"load_setups": [], "verify_integrity": [], "annotate_metrics": []}
+
+        def recording(name, inner):
+            def wrapper(*args):
+                calls[name].append(inner(*args))
+                return calls[name][-1]
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verification, name, recording(name, getattr(verification, name)))
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=19,
+            request_counts=(2,),
+            tamper=tamper_first_record,
+        )
+        assert trace.iterations[0].pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert {name: len(results) for name, results in calls.items()} == {
+            "load_setups": 1, "verify_integrity": 1, "annotate_metrics": 1,
+        }
+        (report,) = calls["verify_integrity"]
+        key = "CW.SE.CS.CT.CA"
+        assert calls["annotate_metrics"] == [annotate_metrics(report.survivors[key], key, IOT)]
 
     def test_attacked_iteration_reverts_on_empty_evidence(self):
         trace = run_optimization(
