@@ -367,16 +367,24 @@ def cmd_report(config: ScenarioConfig) -> int:
     if not trace_path.exists():
         print(f"missing {trace_path}; run the optimize command first", file=sys.stderr)
         return EXIT_USAGE
-    payload = json.loads(trace_path.read_text(encoding="utf-8"))
     rows = []
-    for entry in payload.get("iterations", []):
-        group_results = entry.get("group_results", {})
-        verified = sum(1 for ok in group_results.values() if ok)
-        failed = sum(1 for ok in group_results.values() if not ok)
-        pruned = sum(entry.get("pruned_counts", {}).values())
-        for load_text in entry.get("load_stats", {}):
-            rows.append([int(load_text), entry["iteration"], verified, failed, pruned])
-    rows.sort(key=lambda row: (row[0], row[1]))
+    try:
+        payload = json.loads(trace_path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{trace_path} must hold a JSON object")
+        for entry in payload.get("iterations", []):
+            iteration = entry["iteration"]
+            group_results = entry.get("group_results", {})
+            verified = sum(1 for ok in group_results.values() if ok)
+            failed = sum(1 for ok in group_results.values() if not ok)
+            pruned = sum(entry.get("pruned_counts", {}).values())
+            for load_text in entry.get("load_stats", {}):
+                rows.append([int(load_text), iteration, verified, failed, pruned])
+        rows.sort(key=lambda row: (row[0], row[1]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{trace_path} is not a valid optimization trace: {type(exc).__name__}: {exc}"
+        ) from exc
     _write_csv(
         Path(config.output_dir) / "outcomes_by_load.csv",
         ["load", "iteration", "verified_groups", "failed_groups", "pruned_blocks"],

@@ -13,6 +13,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -48,8 +49,9 @@ def validate_name(name: str) -> str:
     return name
 
 
-def _sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def calc_hash(data: bytes) -> str:
+    """Lowercase hex SHA-256 of raw bytes."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def is_hex64(value: str) -> bool:
@@ -86,25 +88,30 @@ class FusionSetup:
     def fused(cls, groups: Iterable[Iterable[str]], version: int = 1) -> "FusionSetup":
         return cls(tuple(tuple(group) for group in groups), version)
 
-    @property
+    # cached_property writes the instance __dict__: no part of ==, hash or repr.
+    @cached_property
     def setup_part(self) -> str:
         """Canonical string form: tasks joined by ".", groups by ","."""
         return ",".join(".".join(group) for group in self.groups)
+
+    @cached_property
+    def _group_index_of(self) -> dict[str, int]:
+        return {name: idx for idx, group in enumerate(self.groups) for name in group}
 
     def functions(self) -> tuple[str, ...]:
         return tuple(name for group in self.groups for name in group)
 
     def group_index(self, function_name: str) -> int:
-        for idx, group in enumerate(self.groups):
-            if function_name in group:
-                return idx
-        raise UnknownFunction(f"function {function_name!r} not in setup {self.setup_part!r}")
+        idx = self._group_index_of.get(function_name)
+        if idx is None:
+            raise UnknownFunction(f"function {function_name!r} not in setup {self.setup_part!r}")
+        return idx
 
     def group_of(self, function_name: str) -> tuple[str, ...]:
         return self.groups[self.group_index(function_name)]
 
     def contains(self, function_name: str) -> bool:
-        return any(function_name in group for group in self.groups)
+        return function_name in self._group_index_of
 
     def same_group(self, a: str, b: str) -> bool:
         return self.group_index(a) == self.group_index(b)
@@ -157,7 +164,7 @@ class TraceID:
 
 
 def compute_hash_part(setup_part: str, function_name: str, random_part: str) -> str:
-    return _sha256_hex(f"{setup_part}-{function_name}-{random_part}")
+    return calc_hash(f"{setup_part}-{function_name}-{random_part}".encode("utf-8"))
 
 
 def generate_trace_id(setup: FusionSetup, function_name: str, randomness: bytes) -> TraceID:

@@ -17,13 +17,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidHexLeaf, ParseError
-from .handler import RouteKind, is_hex64
+from .handler import _HEX64, RouteKind, calc_hash, is_hex64
 from .workload import InvocationRecord
-
-
-def calc_hash(data: bytes) -> str:
-    """Lowercase hex SHA-256 of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +99,15 @@ class Verdict:
 
     @classmethod
     def passing(cls) -> "Verdict":
-        return cls(VerdictStatus.PASS, ViolationKind.NONE)
+        return _PASSING
 
     @classmethod
     def violation(cls, kind: ViolationKind, detail: str) -> "Verdict":
         return cls(VerdictStatus.VIOLATION, kind, detail)
+
+
+# Verdicts are frozen, so every passing check can share one instance.
+_PASSING = Verdict(VerdictStatus.PASS, ViolationKind.NONE)
 
 
 @dataclass(frozen=True)
@@ -213,6 +212,17 @@ def record_to_wire(record: InvocationRecord) -> dict:
     }
 
 
+# RouteKind(value) goes through EnumMeta.__call__, far slower than a dict hit.
+_ROUTES = {kind.value: kind for kind in RouteKind}
+
+
+def _route_from_wire(value) -> RouteKind:
+    try:
+        return _ROUTES[value]
+    except (KeyError, TypeError):
+        return RouteKind(value)  # raises ValueError, naming the value
+
+
 def record_from_wire(obj: Mapping) -> InvocationRecord:
     try:
         return InvocationRecord(
@@ -223,7 +233,7 @@ def record_from_wire(obj: Mapping) -> InvocationRecord:
             start_ms=int(obj["start"]),
             billed_duration_ms=int(obj["billed"]),
             memory_used_mb=int(obj["mem"]),
-            route=RouteKind(obj["route"]),
+            route=_route_from_wire(obj["route"]),
             setup_version=int(obj["setupv"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -299,11 +309,16 @@ def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
 def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     """Build the proof over leaf hashes, duplicating the last element of
     every odd level so no leaf ever drops out of the tree."""
-    for leaf in leaf_hashes:
-        if not is_hex64(leaf):
-            raise InvalidHexLeaf(f"leaf {leaf!r} is not a 64-char lowercase hex digest")
+    try:
+        valid = all(map(_HEX64.fullmatch, leaf_hashes))
+    except TypeError:  # a leaf that is not a str
+        valid = False
+    if not valid:
+        bad = next(leaf for leaf in leaf_hashes if not is_hex64(leaf))
+        raise InvalidHexLeaf(f"leaf {bad!r} is not a 64-char lowercase hex digest")
     if not leaf_hashes:
         return TreeInfo.empty()
+    sha256 = hashlib.sha256
     tree: list[str] = list(leaf_hashes)
     level = tree
     while True:
@@ -311,7 +326,8 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
             level = [*level, level[-1]]
         # A parent hashes the UTF-8 concatenation of its two children's
         # hex strings, not their raw digest bytes.
-        level = [calc_hash((left + right).encode()) for left, right in zip(level[::2], level[1::2])]
+        level = [sha256((left + right).encode()).hexdigest()
+                 for left, right in zip(level[::2], level[1::2])]
         tree.extend(level)
         if len(level) == 1:
             return TreeInfo(root=level[0], tree=tuple(tree), leaves=tuple(leaf_hashes))

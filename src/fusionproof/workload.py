@@ -12,6 +12,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -79,20 +81,20 @@ class AppSpec:
         names = [t.name for t in self.tasks]
         if len(set(names)) != len(names):
             raise ParseError(f"app {self.name!r} declares a task twice")
-        by_name = {t.name: t for t in self.tasks}
-        if self.entry_task not in by_name:
+        if self.entry_task not in self.task_map:
             raise UnknownCallee(f"entry task {self.entry_task!r} is not declared")
         for task in self.tasks:
             for call in task.calls:
-                if call.callee not in by_name:
+                if call.callee not in self.task_map:
                     raise UnknownCallee(
                         f"task {task.name!r} calls undeclared task {call.callee!r}"
                     )
-        _check_acyclic(by_name)
+        _check_acyclic(self.task_map)
 
-    @property
+    @cached_property
     def task_map(self) -> Mapping[str, TaskSpec]:
-        return {t.name: t for t in self.tasks}
+        """Tasks by name, built once: a read-only view, so it can be shared."""
+        return MappingProxyType({t.name: t for t in self.tasks})
 
     def task_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tasks)
@@ -238,7 +240,8 @@ def execute_request(
     extend the caller's path.  Crossing a group boundary delays the
     callee's start by remote_overhead_ms.
     """
-    parse_and_validate_trace_id(trace_id.full, setup)
+    wire_id = trace_id.full
+    parse_and_validate_trace_id(wire_id, setup)
     rng = random.Random(seed)
     records: list[InvocationRecord] = []
     tasks = app.task_map
@@ -251,7 +254,7 @@ def execute_request(
         billed = _jittered_duration(task, rng)
         records.append(
             InvocationRecord(
-                trace_id=trace_id.full,
+                trace_id=wire_id,
                 task=name,
                 chain_index=len(records),
                 caller=caller,

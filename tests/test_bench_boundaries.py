@@ -5,7 +5,9 @@ looks them up, for example ``verification.fusion_key_for_trace``.  A
 refactor that drops one of those names makes every traced benchmark
 operation fail; this test makes it fail here instead.  The tracer's
 tables are read with ``runpy``, which leaves ``sys.path``,
-``sys.modules`` and the ``bench/`` directory as they were.
+``sys.modules`` and the ``bench/`` directory as they were.  Counting
+wrappers on the same names check that the work still passes through
+them, so a speed-up cannot route around a counter unseen.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from __future__ import annotations
 import importlib
 import runpy
 from pathlib import Path
+
+from fusionproof import proofs, verification
+from fusionproof.handler import FusionSetup
+from fusionproof.store import MemoryStore, load_setups
+from fusionproof.workload import builtin_iot_app, run_workload
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
 
@@ -33,3 +40,54 @@ def test_every_wrapped_boundary_exists():
                 break
             owner = getattr(owner, part)
     assert missing == []
+
+
+def test_wrapped_boundaries_see_every_call(monkeypatch):
+    """The benchmark's counters sit on these names; the work must pass them.
+
+    A group of odd size n with one tampered record costs n encodes in
+    persist, n in verification's re-hash and n - 1 in the survivors'
+    rewrite; one Merkle build in persist and two in verification.
+    """
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            key = f"{module.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    app = builtin_iot_app()
+    setup = FusionSetup.fused([app.task_names()])
+    records = run_workload(app, setup, [3], None, iterations=1, seed=5).records
+    n = len(records)
+    assert n % 2 == 1
+    for module, name in (
+        (proofs, "canonical_record_bytes"),
+        (proofs, "build_merkle_tree"),
+        (verification, "build_merkle_tree"),
+        (verification, "record_leaf_hashes"),
+    ):
+        count(module, name)
+
+    store = MemoryStore()
+    receipt = proofs.persist_evidence(store, "CW.SE.CS.CT.CA", records)
+    original = store.get(receipt.group_key)
+    tampered = original.replace(b'"billed":37', b'"billed":38', 1)
+    assert tampered != original
+    store.put(receipt.group_key, tampered)
+    setups, corrupt = load_setups(store)
+    report = verification.verify_integrity(setups, store)
+
+    assert not corrupt and not report.integrity_verified
+    assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 1
+    assert calls == {
+        "fusionproof.proofs.canonical_record_bytes": n + n + (n - 1),
+        "fusionproof.proofs.build_merkle_tree": 1,
+        "fusionproof.verification.build_merkle_tree": 2,
+        "fusionproof.verification.record_leaf_hashes": 1,
+    }

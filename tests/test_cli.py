@@ -317,3 +317,44 @@ class TestParser:
         code = main(["run", "--config", str(tmp_path / "absent.json"), "--seed", "1"])
         assert code == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
+
+
+class TestReportMalformedTrace:
+    GOOD_ENTRY = {"iteration": 0, "group_results": {"CW": True}, "load_stats": {"2": [2, 0]}}
+
+    def report_on(self, tmp_path, capsys, text):
+        config = write_config(tmp_path)
+        trace = tmp_path / "out" / "optimization_trace.json"
+        trace.parent.mkdir()
+        trace.write_text(text, encoding="utf-8")
+        code = main(["report", "--config", str(config)])
+        return code, capsys.readouterr().err
+
+    def test_truncated_json(self, tmp_path, capsys):
+        text = json.dumps({"iterations": [self.GOOD_ENTRY]})[:-7]
+        code, err = self.report_on(tmp_path, capsys, text)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "JSONDecodeError" in err
+
+    def test_payload_not_an_object(self, tmp_path, capsys):
+        code, err = self.report_on(tmp_path, capsys, json.dumps([self.GOOD_ENTRY]))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "JSON object" in err
+
+    def test_missing_iteration(self, tmp_path, capsys):
+        entry = {k: v for k, v in self.GOOD_ENTRY.items() if k != "iteration"}
+        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "'iteration'" in err
+
+    def test_non_integer_load_key(self, tmp_path, capsys):
+        entry = {**self.GOOD_ENTRY, "load_stats": {"two": [2, 0]}}
+        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "'two'" in err
+
+    @pytest.mark.parametrize("entry", [1, ["iteration"], {"iteration": 0, "load_stats": [None]}])
+    def test_entry_of_the_wrong_shape(self, tmp_path, capsys, entry):
+        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")

@@ -274,3 +274,63 @@ class TestHexValidator:
     def test_merkle_tree_rejects_bad_leaf(self, bad):
         with pytest.raises(InvalidHexLeaf):
             proofs.build_merkle_tree([self.GOOD, bad])
+
+
+@st.composite
+def partitions(draw):
+    """A FusionSetup's groups: distinct valid names cut into non-empty groups."""
+    names = draw(st.lists(
+        st.text(alphabet="ABCXYZ_019", min_size=1, max_size=3), min_size=1, max_size=9, unique=True
+    ))
+    groups, current = [], [names[0]]
+    for name in names[1:]:
+        if draw(st.booleans()):
+            groups.append(tuple(current))
+            current = []
+        current.append(name)
+    groups.append(tuple(current))
+    return tuple(groups)
+
+
+def _scan_group_index(groups, name):
+    """The linear-scan lookup the cached name index must agree with."""
+    for idx, group in enumerate(groups):
+        if name in group:
+            return idx
+    return None
+
+
+class TestSetupLookupsMatchLinearScan:
+    @given(groups=partitions(), extra=st.text(alphabet="ABCXYZ_019", min_size=1, max_size=4))
+    def test_lookups(self, groups, extra):
+        setup = FusionSetup(groups, 3)
+        names = [n for g in groups for n in g]
+        assert setup.setup_part == ",".join(".".join(g) for g in groups)
+        for name in [*names, extra]:
+            expected = _scan_group_index(groups, name)
+            assert setup.contains(name) is (expected is not None)
+            if expected is None:
+                with pytest.raises(UnknownFunction) as info:
+                    setup.group_index(name)
+                assert str(info.value) == (
+                    f"function {name!r} not in setup {setup.setup_part!r}"
+                )
+                continue
+            assert setup.group_index(name) == expected
+            assert setup.group_of(name) == groups[expected]
+            for other in names:
+                assert setup.same_group(name, other) is (
+                    expected == _scan_group_index(groups, other)
+                )
+
+    @given(groups=partitions())
+    def test_filled_cache_keeps_equality_hash_and_repr(self, groups):
+        used = FusionSetup(groups, 2)
+        used.group_index(groups[0][0])
+        used.contains("nope")
+        assert used.setup_part
+        fresh = FusionSetup(groups, 2)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used != used.with_version(3)

@@ -7,11 +7,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionproof.errors import InvalidHexLeaf, ParseError
-from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
+from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id, is_hex64
 from fusionproof.proofs import (
     ThresholdPolicy,
     TreeInfo,
@@ -597,3 +597,86 @@ class TestPersistPutCount:
         assert store.list() == expected.list()
         for key in expected.list():
             assert store.get(key) == expected.get(key)
+
+
+def _reference_merkle_root(leaves):
+    """Bottom-up root with odd-level duplication, one calc_hash per parent."""
+    level = list(leaves)
+    while True:
+        if len(level) % 2:
+            level.append(level[-1])
+        level = [calc_hash((a + b).encode()) for a, b in zip(level[::2], level[1::2])]
+        if len(level) == 1:
+            return level[0]
+
+
+_DIGEST = hashlib.sha256(b"leaf").hexdigest()
+_LEAF = st.one_of(
+    st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
+    st.sampled_from([
+        _DIGEST + "\n" + _DIGEST, "a" * 63, "a" * 65, "٠" * 64, _DIGEST + "\n",
+        _DIGEST.upper(), _DIGEST.encode(), None, "",
+    ]),
+)
+
+
+class TestMerkleLeafCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LEAF, max_size=9))
+    @example([])
+    @example([_DIGEST, _DIGEST + "\n" + _DIGEST])
+    @example(["a" * 63, "a" * 65])
+    @example(["٠" * 64])
+    @example([_DIGEST, _DIGEST + "\n"])
+    @example([_DIGEST.upper()])
+    @example([_DIGEST, _DIGEST.encode()])
+    @example([None, _DIGEST])
+    def test_accepts_exactly_when_every_leaf_is_hex64(self, leaves):
+        bad = [leaf for leaf in leaves if not is_hex64(leaf)]
+        if bad:
+            with pytest.raises(InvalidHexLeaf) as info:
+                build_merkle_tree(leaves)
+            assert str(info.value) == (
+                f"leaf {bad[0]!r} is not a 64-char lowercase hex digest"
+            )
+            return
+        tree = build_merkle_tree(leaves)
+        if not leaves:
+            assert tree == TreeInfo.empty()
+            return
+        assert tree.root == _reference_merkle_root(leaves) == tree.tree[-1]
+        assert tree.leaves == tuple(leaves)
+
+
+class TestSharedPassingVerdict:
+    def test_equals_a_fresh_passing_verdict(self):
+        assert Verdict.passing() == Verdict(VerdictStatus.PASS, ViolationKind.NONE)
+        assert Verdict.passing() is Verdict.passing()
+
+    def test_checks_return_it(self):
+        record = iot_records(b"\x41" * 32)[0]
+        assert check_record(record, ThresholdPolicy()) is Verdict.passing()
+
+
+class TestRouteFromWire:
+    def wire(self, **route):
+        obj = record_to_wire(iot_records(b"\x42" * 32)[0])
+        del obj["route"]
+        obj.update(route)
+        return obj
+
+    @pytest.mark.parametrize("kind", list(RouteKind))
+    def test_maps_both_routes(self, kind):
+        assert record_from_wire(self.wire(route=kind.value)).route is kind
+
+    @pytest.mark.parametrize("route", [{"route": "local"}, {"route": ["LOCAL"]},
+                                       {"route": None}, {"route": 1}, {}])
+    def test_bad_route_keeps_the_enum_message(self, route):
+        obj = self.wire(**route)
+        try:
+            RouteKind(obj["route"])
+        except (KeyError, ValueError) as exc:
+            expected = f"bad record object: {exc}"
+        with pytest.raises(ParseError) as info:
+            record_from_wire(obj)
+        assert str(info.value) == expected

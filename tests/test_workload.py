@@ -353,3 +353,12 @@ class TestEmit:
         lines = emit_platform_logs(batch.records)
         assert len(lines) == len(batch.records)
         assert all(line.startswith("REPORT traceid=") for line in lines)
+
+
+class TestTaskMap:
+    @pytest.mark.parametrize("app", [builtin_iot_app(), builtin_tree_app(3, 2)])
+    def test_one_read_only_mapping(self, app):
+        assert app.task_map is app.task_map
+        assert app.task_map == {t.name: t for t in app.tasks}
+        with pytest.raises(TypeError):
+            app.task_map["N0"] = app.tasks[0]
