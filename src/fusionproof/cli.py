@@ -81,6 +81,14 @@ _TOP_LEVEL_KEYS = {
 
 
 def config_from_dict(doc: Mapping) -> ScenarioConfig:
+    """Resolve a config document; a value of the wrong type is a ConfigError."""
+    try:
+        return _config_from_doc(doc)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {type(exc).__name__}: {exc}") from exc
+
+
+def _config_from_doc(doc: Mapping) -> ScenarioConfig:
     unknown = set(doc) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -312,7 +320,7 @@ def _report_to_wire(report: VerificationReport, corrupt: Mapping[str, str]) -> d
 
 
 def cmd_verify(config: ScenarioConfig) -> int:
-    """Re-check all stored proofs, pruning tampered blocks."""
+    """Re-check all stored proofs, pruning tampered records from group files."""
     store = FileStore(config.store_root)
     setups, corrupt = load_setups(store)
     report = verify_integrity(setups, store)
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, docs in (
         ("run", "execute a workload and persist filtered evidence"),
-        ("verify", "re-check stored proofs and prune tampered blocks"),
+        ("verify", "re-check stored proofs and prune tampered records"),
         ("optimize", "run the iterative verify-and-refine loop"),
         ("report", "aggregate optimize outputs into a per-load table"),
     ):

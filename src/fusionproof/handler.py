@@ -125,23 +125,14 @@ class RouteKind(Enum):
     REMOTE = "REMOTE"
 
 
-@dataclass(frozen=True)
-class CallRoute:
-    kind: RouteKind
-    target_group_index: int
-
-
-def route_call(setup: FusionSetup, caller: str, callee: str) -> CallRoute:
+def route_call(setup: FusionSetup, caller: str, callee: str) -> RouteKind:
     """Decide whether a call stays inside one deployed function.
 
-    Calls within a fusion group are LOCAL (plain function invocation) and
-    carry the shared group index; calls across groups are REMOTE and
-    carry the callee's group index.
+    Calls within a fusion group are LOCAL (plain function invocation);
+    calls across groups are REMOTE.
     """
-    caller_group = setup.group_index(caller)
-    callee_group = setup.group_index(callee)
-    kind = RouteKind.LOCAL if caller_group == callee_group else RouteKind.REMOTE
-    return CallRoute(kind, callee_group)
+    same = setup.group_index(caller) == setup.group_index(callee)
+    return RouteKind.LOCAL if same else RouteKind.REMOTE
 
 
 @dataclass(frozen=True)

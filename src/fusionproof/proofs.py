@@ -3,7 +3,7 @@
 Records flow through here on their way to the evidence store: parse the
 platform log lines, filter out traces that violate the threshold policy,
 hash the survivors canonically, build the Merkle tree over the hashes,
-and write blocks plus proof to the store.
+and write the records plus proof to the store as one group file.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
     """Single-line UTF-8 serialization with pinned field order, no whitespace.
 
     This exact byte string is what gets hashed into the tree and stored
-    as the record's block, so it must never drift.
+    in the group file, so it must never drift.
     """
     q = encode_basestring_ascii
     try:
@@ -342,13 +342,8 @@ def record_leaf_hashes(records: Sequence[InvocationRecord]) -> list[str]:
 
 @dataclass(frozen=True)
 class PersistReceipt:
-    block_keys: tuple[str, ...]
     group_key: str
     tree: TreeInfo
-
-
-def block_key(fusion_key: str, trace_id: str) -> str:
-    return f"{fusion_key}/{trace_id}.json"
 
 
 def group_key(fusion_key: str) -> str:
@@ -369,20 +364,13 @@ def group_file_bytes(records: Sequence[InvocationRecord], tree: TreeInfo) -> byt
 
 
 def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationRecord]) -> PersistReceipt:
-    """Write per-trace blocks and the group file with its Merkle proof.
+    """Write the group file: every record in hashing order, then its Merkle proof.
 
-    Each record is encoded once, and those bytes are hashed, stored and
-    joined into the group file.  Records of one trace share a block key,
-    so one block per trace is written, holding the trace's last record;
-    the group file keeps every record in hashing order and is the
-    authoritative input for verification.
+    Each record is encoded once, and those bytes are both hashed and
+    joined into the group file, the one object verification reads.
     """
     encoded = [canonical_record_bytes(r) for r in clean_records]
     tree = build_merkle_tree([calc_hash(data) for data in encoded])
-    blocks = dict(zip((r.trace_id for r in clean_records), encoded))
-    block_keys = tuple(block_key(fusion_key, trace_id) for trace_id in blocks)
-    for key, data in zip(block_keys, blocks.values()):
-        store.put(key, data)
     gkey = group_key(fusion_key)
     store.put(gkey, _join_group_file(encoded, tree))
-    return PersistReceipt(block_keys, gkey, tree)
+    return PersistReceipt(gkey, tree)

@@ -2,8 +2,8 @@
 
 Two interchangeable backends: an in-memory map for tests and fast runs,
 and a filesystem directory where "/" in keys maps to subdirectories.
-Keys look like `<fusion_key>/<trace_id>.json` (blocks) and
-`<fusion_key>.json` (group files).
+The pipeline writes one key per fusion group, `<fusion_key>.json` (the
+group file).
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def parse_group_file(data: bytes) -> GroupBlocks:
 def load_setups(store: EvidenceStore) -> tuple[dict[str, GroupBlocks], dict[str, str]]:
     """Load every group file into verification's input shape.
 
-    Returns (setups, corrupt): setups maps fusion_key to the block list
+    Returns (setups, corrupt): setups maps fusion_key to the record list
     whose last element is the TreeInfo; corrupt maps fusion_key to the
     failure reason for group files that would not parse.  A corrupt file
     never hides the remaining keys.
@@ -146,7 +146,7 @@ def load_setups(store: EvidenceStore) -> tuple[dict[str, GroupBlocks], dict[str,
     setups: dict[str, GroupBlocks] = {}
     corrupt: dict[str, str] = {}
     for key in store.list(""):
-        if "/" in key:
+        if "/" in key:  # a per-trace block left by an older layout
             continue
         fusion_key = key[: -len(".json")]
         try:

@@ -1,7 +1,7 @@
 """Proof verification, sampling-gated inspection, and fusion optimization.
 
-Closes the loop: rebuild each group's Merkle tree from its stored blocks,
-prune blocks that no longer match the proof, gate how often that check
+Closes the loop: rebuild each group's Merkle tree from its stored records,
+prune records that no longer match the proof, gate how often that check
 runs with a continuous sampling plan, aggregate verified measurements,
 and search for a cheaper fusion setup to run next.
 """
@@ -24,7 +24,6 @@ from .handler import (
 from .proofs import (
     ThresholdPolicy,
     TreeInfo,
-    block_key,
     build_merkle_tree,
     filter_batch,
     group_file_bytes,
@@ -51,7 +50,7 @@ def find_mismatch(
     """Positions where the recomputed leaf hashes disagree with the proof.
 
     Any length difference counts as mismatches over the whole tail: an
-    extra or missing block is tampering too.  Ascending order.
+    extra or missing record is tampering too.  Ascending order.
     """
     shared = min(len(recomputed_leaves), len(stored_leaves))
     out = [p for p in range(shared) if recomputed_leaves[p] != stored_leaves[p]]
@@ -72,49 +71,46 @@ def verify_integrity(
     setups: Mapping[str, Sequence[Union[InvocationRecord, TreeInfo]]],
     store: EvidenceStore,
 ) -> VerificationReport:
-    """Check every group's blocks against its stored proof, pruning on failure.
+    """Check every group's records against its stored proof, pruning on failure.
 
     Per group: an empty proof fails outright with nothing to prune;
-    otherwise the tree is rebuilt from the blocks' canonical bytes and
-    compared by root.  On mismatch the offending blocks are deleted from
-    the store (descending index, so pending positions stay valid), the
-    group file is rewritten over the survivors, and the survivors are
-    recorded in the report's survivors under the group's key.
+    otherwise the tree is rebuilt from the records' canonical bytes and
+    compared by root.  On mismatch the group file is rewritten over the
+    records whose leaves still match, and those survivors are recorded in
+    the report's survivors under the group's key.  Nothing is deleted.
     """
     group_results: dict[str, bool] = {}
     out_survivors: dict[str, tuple[InvocationRecord, ...]] = {}
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
-    for key, blocks_with_tree in setups.items():
-        blocks = list(blocks_with_tree)
-        if not blocks or not isinstance(blocks[-1], TreeInfo):
+    for key, entries in setups.items():
+        records = list(entries)
+        if not records or not isinstance(records[-1], TreeInfo):
             notes[key] = "group is missing its tree info"
             group_results[key] = False
             continue
-        tree_info: TreeInfo = blocks.pop()
+        tree_info: TreeInfo = records.pop()
         if not tree_info.root or not tree_info.tree:
             group_results[key] = False
             continue
-        recomputed = record_leaf_hashes(blocks)
+        recomputed = record_leaf_hashes(records)
         rebuilt = build_merkle_tree(recomputed)
         if rebuilt.root == tree_info.root:
             group_results[key] = True
             continue
         mismatched = find_mismatch(recomputed, tree_info.leaves)
-        deletable = [p for p in mismatched if p < len(blocks)]
-        removed = set(deletable)
-        survivors = tuple(b for p, b in enumerate(blocks) if p not in removed)
+        prunable = [p for p in mismatched if p < len(records)]
+        removed = set(prunable)
+        survivors = tuple(r for p, r in enumerate(records) if p not in removed)
+        new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
         try:
-            for p in reversed(deletable):
-                store.delete(block_key(key, blocks[p].trace_id))
-            new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
             store.put(group_key(key), group_file_bytes(survivors, new_tree))
         except StoreWriteFailed as exc:
             notes[key] = str(exc)
             group_results[key] = False
             continue
         out_survivors[key] = survivors
-        pruned[key] = tuple(blocks[p].trace_id for p in deletable)
+        pruned[key] = tuple(records[p].trace_id for p in prunable)
         group_results[key] = False
     return VerificationReport(
         integrity_verified=all(group_results.values()),

@@ -269,11 +269,11 @@ def execute_request(
         async_completions: list[float] = []
         for call in task.calls:
             route = route_call(setup, name, call.callee)
-            delay = overhead_for(route.kind)
+            delay = overhead_for(route)
             if call.mode is CallMode.SYNC:
-                now = visit(call.callee, name, now + delay, route.kind)
+                now = visit(call.callee, name, now + delay, route)
             else:
-                async_completions.append(visit(call.callee, name, start + delay, route.kind))
+                async_completions.append(visit(call.callee, name, start + delay, route))
         return max([now, *async_completions])
 
     # The entry task itself arrives through the platform's front door.

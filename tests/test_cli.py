@@ -107,6 +107,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"request_counts": counts})
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"iterations": "abc"},
+            {"attack": "dow"},
+            {"request_counts": 5},
+            {"seed": "x"},
+        ],
+    )
+    def test_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, override):
+        config = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad config value")
+
     def test_cli_overrides_beat_config(self, tmp_path):
         config_path = write_config(tmp_path)
         parser = build_parser()
@@ -177,6 +191,30 @@ class TestRunCommand:
         config = write_config(tmp_path, attack={"mode": "dow", "when": "always"})
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert "target_task" in capsys.readouterr().err
+
+
+class TestLongTaskNames:
+    def test_split_tree_4_2_runs_verifies_and_optimizes(self, tmp_path):
+        # 21 tasks: the split setup's name runs to hundreds of characters,
+        # and every trace id carries it.
+        config = str(
+            write_config(
+                tmp_path,
+                app="tree",
+                app_params={"fanout": 4, "depth": 2},
+                initial_setup="split",
+                request_counts=[2],
+                iterations=2,
+            )
+        )
+        root = tmp_path / "evidence"
+        assert main(["run", "--config", config]) == EXIT_OK
+        assert FileStore(root).list() == ["N0.json"]
+        assert main(["verify", "--config", config]) == EXIT_OK
+        assert main(["optimize", "--config", config]) == EXIT_OK
+        for it in ("iter000", "iter001"):
+            keys = FileStore(root / it).list()
+            assert keys and all("/" not in key for key in keys)
 
 
 class TestVerifyCommand:

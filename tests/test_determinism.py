@@ -20,7 +20,7 @@ from fusionproof.store import MemoryStore
 from fusionproof.verification import iteration_result_to_wire, run_optimization
 from fusionproof.workload import AttackPlan, builtin_tree_app
 
-STORES_SHA256 = "f3e56127894ba6c4821f138622382e83a6f96557bb89e1364e79660eb1cca375"
+STORES_SHA256 = "cd069a9dedae8e6ac18179ee22444b56b2aa977912b2c05f4afa2bb95852eaf2"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
 
 _BILLED = re.compile(rb'"billed":(\d+)')

@@ -18,7 +18,6 @@ from fusionproof.errors import (
     UnknownFunction,
 )
 from fusionproof.handler import (
-    CallRoute,
     FusionSetup,
     RouteKind,
     ensure_trace_id,
@@ -218,14 +217,14 @@ class TestParseAndEnsure:
 
 class TestRouting:
     def test_same_group_is_local(self):
-        assert route_call(SETUP, "A", "B") == CallRoute(RouteKind.LOCAL, 0)
+        assert route_call(SETUP, "A", "B") is RouteKind.LOCAL
 
     def test_cross_group_is_remote_with_callee_group(self):
-        assert route_call(SETUP, "A", "C") == CallRoute(RouteKind.REMOTE, 1)
+        assert route_call(SETUP, "A", "C") is RouteKind.REMOTE
 
     def test_singleton_routing(self):
         split = FusionSetup.fused([["A"], ["B"], ["C"]])
-        assert route_call(split, "B", "C") == CallRoute(RouteKind.REMOTE, 2)
+        assert route_call(split, "B", "C") is RouteKind.REMOTE
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownFunction):
@@ -234,7 +233,7 @@ class TestRouting:
             route_call(SETUP, "Z", "A")
 
     def test_self_call_is_local(self):
-        assert route_call(SETUP, "C", "C").kind is RouteKind.LOCAL
+        assert route_call(SETUP, "C", "C") is RouteKind.LOCAL
 
     def test_routing_is_pure(self):
         assert route_call(SETUP, "A", "C") == route_call(SETUP, "A", "C")

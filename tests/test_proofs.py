@@ -401,7 +401,6 @@ class TestPersistEvidence:
     def test_empty_batch_writes_empty_proof(self):
         store = MemoryStore()
         receipt = persist_evidence(store, "CW", [])
-        assert receipt.block_keys == ()
         assert receipt.tree == TreeInfo.empty()
         assert store.get("CW.json") == b'[{"root":"","tree":[],"leaf":[]}]'
 
@@ -410,24 +409,12 @@ class TestPersistEvidence:
         rec_a = iot_records(b"\x11" * 32)[0]
         rec_b = iot_records(b"\x12" * 32, origin=1000)[0]
         receipt = persist_evidence(store, "CW", [rec_a, rec_b])
-        assert receipt.block_keys == (
-            f"CW/{rec_a.trace_id}.json",
-            f"CW/{rec_b.trace_id}.json",
-        )
         assert receipt.group_key == "CW.json"
         body = json.loads(store.get("CW.json"))
         assert len(body) == 3
         expected_root = oracle_root(record_leaf_hashes([rec_a, rec_b]))
         assert body[-1]["root"] == expected_root
         assert receipt.tree.root == expected_root
-
-    def test_block_files_hold_canonical_bytes(self):
-        store = MemoryStore()
-        records = iot_records(b"\x13" * 32)
-        persist_evidence(store, "CW.SE.CS.CT.CA", records)
-        key = f"CW.SE.CS.CT.CA/{records[0].trace_id}.json"
-        # Records of one trace share the block key; the last one wins.
-        assert store.get(key) == canonical_record_bytes(records[-1])
 
     def test_idempotent(self):
         records = iot_records(b"\x14" * 32)
@@ -576,22 +563,18 @@ class TestPersistPutCount:
         return [*first[:2], *second[:3], *first[2:], *third, *second[3:]], [first, second, third]
 
     def test_one_put_per_trace_plus_group(self):
-        records, traces = self.interleaved_records()
+        records, _ = self.interleaved_records()
         store = _CountingStore()
-        receipt = persist_evidence(store, self.KEY, records)
-        assert len(store.puts) == len(traces) + 1
-        assert len(set(store.puts)) == len(store.puts)
-        assert store.puts[-1] == f"{self.KEY}.json"
-        assert receipt.block_keys == tuple(f"{self.KEY}/{t[0].trace_id}.json" for t in traces)
+        persist_evidence(store, self.KEY, records)
+        assert store.puts == [f"{self.KEY}.json"]
+        assert store.list() == [f"{self.KEY}.json"]
 
     def test_contents_equal_one_put_per_record(self):
         records, _ = self.interleaved_records()
         store = MemoryStore()
         persist_evidence(store, self.KEY, records)
-        # The store as a put of every record, in order, leaves it.
+        # The store holds the reference group file and nothing else.
         expected = MemoryStore()
-        for record in records:
-            expected.put(f"{self.KEY}/{record.trace_id}.json", _reference_record_bytes(record))
         tree = build_merkle_tree(record_leaf_hashes(records))
         expected.put(f"{self.KEY}.json", _reference_group_file(records, tree))
         assert store.list() == expected.list()

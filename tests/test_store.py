@@ -13,6 +13,7 @@ from fusionproof.handler import FusionSetup, generate_trace_id
 from fusionproof.proofs import (
     TreeInfo,
     build_merkle_tree,
+    canonical_record_bytes,
     persist_evidence,
     record_leaf_hashes,
 )
@@ -152,9 +153,14 @@ class TestLoadSetups:
 
     def test_ignores_block_files(self):
         store = MemoryStore()
-        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x23" * 32))
-        setups, _ = load_setups(store)
+        records = iot_records(b"\x23" * 32)
+        persist_evidence(store, "CW.SE.CS.CT.CA", records)
+        # A per-trace block as older versions wrote one beside the group file.
+        store.put(f"CW.SE.CS.CT.CA/{records[0].trace_id}.json", canonical_record_bytes(records[-1]))
+        setups, corrupt = load_setups(store)
         assert all("/" not in key for key in setups)
+        assert list(setups) == ["CW.SE.CS.CT.CA"]
+        assert corrupt == {}
 
     def test_corrupt_group_isolated(self):
         store = MemoryStore()
@@ -193,9 +199,10 @@ def rglob_keys(root, prefix: str = "") -> list[str]:
 class TestFileStoreListing:
     def populated(self, tmp_path):
         store = FileStore(tmp_path / "ev")
-        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x41" * 32))
-        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x42" * 32, origin=900))
-        persist_evidence(store, "CW", iot_records(b"\x43" * 32, origin=1800))
+        # Group files plus per-trace blocks as older versions wrote them.
+        for key, seed in (("CW.SE.CS.CT.CA", b"\x41"), ("CW.SE.CS.CT.CA", b"\x42"), ("CW", b"\x43")):
+            store.put(f"{key}.json", b"[]")
+            store.put(f"{key}/{iot_records(seed * 32)[0].trace_id}.json", b"{}")
         store.put("deep/er/nested.json", b"{}")
         (tmp_path / "ev" / "notes.txt").write_bytes(b"not a key")
         (tmp_path / "ev" / "CW" / "x.json").mkdir()

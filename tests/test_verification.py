@@ -15,6 +15,7 @@ from fusionproof.proofs import (
     ThresholdPolicy,
     TreeInfo,
     build_merkle_tree,
+    canonical_record_bytes,
     group_file_bytes,
     persist_evidence,
     record_leaf_hashes,
@@ -149,9 +150,29 @@ class TestVerifyIntegrity:
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
         assert report.survivors == {self.KEY: (records[0], records[2])}
-        # The tampered block is gone, survivors remain addressable.
-        assert f"{self.KEY}/{records[1].trace_id}.json" not in store.list()
-        assert f"{self.KEY}/{records[0].trace_id}.json" in store.list()
+
+    def test_old_layout_block_ignored_and_kept(self):
+        def verify_tampered(block_too: bool):
+            store = MemoryStore()
+            records = persist_distinct_blocks(store, 3)
+            tree = parse_group_file(store.get(f"{self.KEY}.json"))[-1]
+            tampered = dataclasses.replace(records[1], memory_used_mb=999)
+            store.put(f"{self.KEY}.json", group_file_bytes([records[0], tampered, records[2]], tree))
+            if block_too:
+                # A per-trace block as older versions wrote one beside the group file.
+                store.put(f"{self.KEY}/{records[1].trace_id}.json", canonical_record_bytes(records[1]))
+            setups, corrupt = load_setups(store)
+            assert corrupt == {}
+            return store, records, verify_integrity(setups, store)
+
+        plain_store, records, plain = verify_tampered(block_too=False)
+        store, _, report = verify_tampered(block_too=True)
+        assert plain.pruned == {self.KEY: (records[1].trace_id,)}
+        assert report == plain
+        block = f"{self.KEY}/{records[1].trace_id}.json"
+        assert store.list() == [f"{self.KEY}.json", block]
+        assert store.get(block) == canonical_record_bytes(records[1])
+        assert store.get(f"{self.KEY}.json") == plain_store.get(f"{self.KEY}.json")
 
     def test_prune_rewrites_group_over_survivors(self):
         store = MemoryStore()
