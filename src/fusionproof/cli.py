@@ -12,9 +12,10 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
@@ -45,125 +46,129 @@ EXIT_CORRUPT = 3
 
 
 class ConfigError(FusionProofError):
-    """The scenario config cannot be resolved to runnable inputs."""
+    """The scenario config cannot be resolved to runnable inputs or outputs."""
+
+
+@dataclass(frozen=True)
+class AppParams:
+    fanout: int = 2
+    depth: int = 1
+
+
+@dataclass(frozen=True)
+class AttackConfig:
+    mode: str = "none"
+    target_task: Optional[str] = None
+    inflated_duration_ms: float = 999999.0
+    swap: Optional[tuple[str, str]] = None
+    when: str = "odd_iterations"
+
+
+@dataclass(frozen=True)
+class PolicyConfig:
+    max_billed_ms: float = ThresholdPolicy.max_billed_ms
+    max_memory_mb: float = ThresholdPolicy.max_memory_mb
+    sequence_check: bool = True
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A config document resolved to typed values; fields mirror its keys."""
+
     app: str = "iot"
-    fanout: int = 2
-    depth: int = 1
+    app_params: AppParams = AppParams()
     initial_setup: Union[str, tuple[tuple[str, ...], ...]] = "fused"
     request_counts: tuple[int, ...] = (10,)
     iterations: int = 7
-    attack_mode: str = "none"
-    attack_target: Optional[str] = None
-    attack_inflated_ms: float = 999999.0
-    attack_swap: Optional[tuple[str, str]] = None
-    attack_when: str = "odd_iterations"
-    max_billed_ms: float = 90000.0
-    max_memory_mb: float = 128.0
-    sequence_check: bool = True
-    remote_overhead_ms: float = 50.0
-    local_overhead_ms: float = 0.0
-    memory_weight: float = 0.0
-    csp1_i: int = 10
-    csp1_f: float = 0.2
+    attack: AttackConfig = AttackConfig()
+    policy: PolicyConfig = PolicyConfig()
+    cost_model: CostModel = CostModel()
+    csp1: SamplingState = SamplingState()
     seed: Optional[int] = None
     store_root: str = "evidence"
     output_dir: str = "out"
 
 
-_TOP_LEVEL_KEYS = {
-    "app", "app_params", "initial_setup", "request_counts", "iterations",
-    "attack", "policy", "cost_model", "csp1", "seed", "store_root", "output_dir",
+def _initial_setup(raw) -> Union[str, tuple[tuple[str, ...], ...]]:
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, list):
+        return tuple(tuple(group) for group in raw)
+    raise ConfigError("initial_setup must be 'split', 'fused', or group lists")
+
+
+def _request_counts(raw) -> tuple[int, ...]:
+    counts = tuple(int(c) for c in raw)
+    if not counts or any(c < 1 for c in counts):
+        raise ConfigError("request_counts must be positive integers")
+    return counts
+
+
+def _boolean(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError(f"expected true or false, got {raw!r}")
+    return raw
+
+
+# Every accepted key with its converter.  A (type, keys) pair is a nested
+# section: its keys are the type's field names, and a null or empty
+# section leaves every field at the type's default.
+_SCHEMA: Mapping = {
+    "app": str,
+    "app_params": (AppParams, {"fanout": int, "depth": int}),
+    "initial_setup": _initial_setup,
+    "request_counts": _request_counts,
+    "iterations": int,
+    "attack": (
+        AttackConfig,
+        {
+            "mode": str,
+            "target_task": lambda raw: raw,
+            "inflated_duration_ms": float,
+            "swap": lambda raw: tuple(raw) if raw else None,
+            "when": str,
+        },
+    ),
+    "policy": (
+        PolicyConfig,
+        {"max_billed_ms": float, "max_memory_mb": float, "sequence_check": _boolean},
+    ),
+    "cost_model": (
+        CostModel,
+        {"remote_overhead_ms": float, "local_overhead_ms": float, "memory_weight": float},
+    ),
+    "csp1": (SamplingState, {"i": int, "f": float}),
+    "seed": lambda raw: None if raw is None else int(raw),
+    "store_root": str,
+    "output_dir": str,
 }
+
+
+def _convert(doc, schema: Mapping, path: str = "") -> dict:
+    """Convert doc's keys by schema, recursing into sections."""
+    if not isinstance(doc, Mapping):
+        raise TypeError(f"{path.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(path + key for key in set(doc) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, convert in schema.items():
+        if key not in doc:
+            continue
+        if isinstance(convert, tuple):
+            section, keys = convert
+            values[key] = section(**_convert(doc[key] or {}, keys, f"{path}{key}."))
+        else:
+            values[key] = convert(doc[key])
+    return values
 
 
 def config_from_dict(doc: Mapping) -> ScenarioConfig:
     """Resolve a config document; a value of the wrong type is a ConfigError."""
     try:
-        return _config_from_doc(doc)
+        return ScenarioConfig(**_convert(doc, _SCHEMA))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {type(exc).__name__}: {exc}") from exc
-
-
-def _config_from_doc(doc: Mapping) -> ScenarioConfig:
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    config = ScenarioConfig()
-    if "app" in doc:
-        config = replace(config, app=str(doc["app"]))
-    params = doc.get("app_params", {})
-    if params:
-        config = replace(
-            config,
-            fanout=int(params.get("fanout", config.fanout)),
-            depth=int(params.get("depth", config.depth)),
-        )
-    if "initial_setup" in doc:
-        raw = doc["initial_setup"]
-        if isinstance(raw, str):
-            config = replace(config, initial_setup=raw)
-        elif isinstance(raw, list):
-            config = replace(
-                config, initial_setup=tuple(tuple(group) for group in raw)
-            )
-        else:
-            raise ConfigError("initial_setup must be 'split', 'fused', or group lists")
-    if "request_counts" in doc:
-        counts = tuple(int(c) for c in doc["request_counts"])
-        if not counts or any(c < 1 for c in counts):
-            raise ConfigError("request_counts must be positive integers")
-        config = replace(config, request_counts=counts)
-    if "iterations" in doc:
-        config = replace(config, iterations=int(doc["iterations"]))
-    attack = doc.get("attack", {})
-    if attack:
-        swap = attack.get("swap")
-        config = replace(
-            config,
-            attack_mode=str(attack.get("mode", "none")),
-            attack_target=attack.get("target_task"),
-            attack_inflated_ms=float(attack.get("inflated_duration_ms", 999999.0)),
-            attack_swap=tuple(swap) if swap else None,
-            attack_when=str(attack.get("when", "odd_iterations")),
-        )
-    policy = doc.get("policy", {})
-    if policy:
-        config = replace(
-            config,
-            max_billed_ms=float(policy.get("max_billed_ms", config.max_billed_ms)),
-            max_memory_mb=float(policy.get("max_memory_mb", config.max_memory_mb)),
-            sequence_check=bool(policy.get("sequence_check", config.sequence_check)),
-        )
-    cost_model = doc.get("cost_model", {})
-    if cost_model:
-        config = replace(
-            config,
-            remote_overhead_ms=float(
-                cost_model.get("remote_overhead_ms", config.remote_overhead_ms)
-            ),
-            local_overhead_ms=float(
-                cost_model.get("local_overhead_ms", config.local_overhead_ms)
-            ),
-            memory_weight=float(cost_model.get("memory_weight", config.memory_weight)),
-        )
-    csp1 = doc.get("csp1", {})
-    if csp1:
-        config = replace(
-            config,
-            csp1_i=int(csp1.get("i", config.csp1_i)),
-            csp1_f=float(csp1.get("f", config.csp1_f)),
-        )
-    if "seed" in doc and doc["seed"] is not None:
-        config = replace(config, seed=int(doc["seed"]))
-    if "store_root" in doc:
-        config = replace(config, store_root=str(doc["store_root"]))
-    if "output_dir" in doc:
-        config = replace(config, output_dir=str(doc["output_dir"]))
-    return config
 
 
 def load_config_file(path: Union[str, Path]) -> ScenarioConfig:
@@ -184,7 +189,7 @@ def build_app(config: ScenarioConfig) -> AppSpec:
     if config.app == "iot":
         return builtin_iot_app()
     if config.app == "tree":
-        return builtin_tree_app(config.fanout, config.depth)
+        return builtin_tree_app(config.app_params.fanout, config.app_params.depth)
     path = Path(config.app)
     try:
         text = path.read_text(encoding="utf-8")
@@ -208,39 +213,30 @@ def build_setup(config: ScenarioConfig, app: AppSpec) -> FusionSetup:
 
 
 def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
-    if config.attack_when not in ATTACK_GATES:
+    attack = config.attack
+    if attack.when not in ATTACK_GATES:
         raise ConfigError(
-            f"bad attack.when {config.attack_when!r}; "
-            f"choose from {', '.join(sorted(ATTACK_GATES))}"
+            f"bad attack.when {attack.when!r}; choose from {', '.join(sorted(ATTACK_GATES))}"
         )
-    gate = ATTACK_GATES[config.attack_when]
-    if config.attack_mode == "none":
+    gate = ATTACK_GATES[attack.when]
+    if attack.mode == "none":
         return None
-    if config.attack_mode == "dow":
-        if not config.attack_target:
+    if attack.mode == "dow":
+        if not attack.target_task:
             raise ConfigError("attack mode 'dow' needs attack.target_task")
-        return AttackPlan.dow(config.attack_target, config.attack_inflated_ms, gate)
-    if config.attack_mode == "business_logic":
-        if not config.attack_swap:
+        return AttackPlan.dow(attack.target_task, attack.inflated_duration_ms, gate)
+    if attack.mode == "business_logic":
+        if not attack.swap:
             raise ConfigError("attack mode 'business_logic' needs attack.swap")
-        return AttackPlan.business_logic(config.attack_swap, gate)
-    raise ConfigError(f"bad attack mode {config.attack_mode!r}")
+        return AttackPlan.business_logic(attack.swap, gate)
+    raise ConfigError(f"bad attack mode {attack.mode!r}")
 
 
 def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:
-    expected = app.sync_chain() if config.sequence_check else ()
     return ThresholdPolicy(
-        max_billed_ms=config.max_billed_ms,
-        max_memory_mb=config.max_memory_mb,
-        expected_sequence=expected,
-    )
-
-
-def build_cost_model(config: ScenarioConfig) -> CostModel:
-    return CostModel(
-        remote_overhead_ms=config.remote_overhead_ms,
-        local_overhead_ms=config.local_overhead_ms,
-        memory_weight=config.memory_weight,
+        max_billed_ms=config.policy.max_billed_ms,
+        max_memory_mb=config.policy.max_memory_mb,
+        expected_sequence=app.sync_chain() if config.policy.sequence_check else (),
     )
 
 
@@ -264,17 +260,26 @@ def _record_row(record) -> list:
     ]
 
 
+@contextmanager
+def _output_file(path: Path) -> Iterator[TextIO]:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
+    with _output_file(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _output_file(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_run(config: ScenarioConfig) -> int:
@@ -291,8 +296,8 @@ def cmd_run(config: ScenarioConfig) -> int:
         attack,
         config.iterations,
         seed,
-        remote_overhead_ms=config.remote_overhead_ms,
-        local_overhead_ms=config.local_overhead_ms,
+        remote_overhead_ms=config.cost_model.remote_overhead_ms,
+        local_overhead_ms=config.cost_model.local_overhead_ms,
     )
     clean, flagged = filter_batch(batch.records, policy)
     store = FileStore(config.store_root)
@@ -337,18 +342,17 @@ def cmd_optimize(config: ScenarioConfig) -> int:
     setup = build_setup(config, app)
     attack = build_attack(config)
     policy = build_policy(config, app)
-    model = build_cost_model(config)
     store_root = Path(config.store_root)
     trace = run_optimization(
         app,
         setup,
         config.iterations,
-        model=model,
+        model=config.cost_model,
         policy=policy,
         attack=attack,
         seed=seed,
         request_counts=config.request_counts,
-        sampling=SamplingState(i=config.csp1_i, f=config.csp1_f),
+        sampling=config.csp1,
         store_factory=lambda it: FileStore(store_root / f"iter{it:03d}"),
     )
     out = Path(config.output_dir)
@@ -441,7 +445,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.iterations is not None:
         config = replace(config, iterations=args.iterations)
     if args.attack is not None:
-        config = replace(config, attack_mode=args.attack)
+        config = replace(config, attack=replace(config.attack, mode=args.attack))
     if args.store is not None:
         config = replace(config, store_root=args.store)
     if args.output is not None:

@@ -75,11 +75,6 @@ def parse_log_lines(lines: Iterable[str]) -> tuple[list[InvocationRecord], list[
 # ---------------------------------------------------------------------------
 # Threshold filtering
 
-class VerdictStatus(Enum):
-    PASS = "pass"
-    VIOLATION = "violation"
-
-
 class ViolationKind(Enum):
     NONE = "none"
     DURATION_EXCEEDED = "duration_exceeded"
@@ -89,13 +84,10 @@ class ViolationKind(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    status: VerdictStatus
+    """Outcome of one check; kind NONE means the check passed."""
+
     kind: ViolationKind
     detail: str = ""
-
-    def __post_init__(self) -> None:
-        if (self.status is VerdictStatus.PASS) != (self.kind is ViolationKind.NONE):
-            raise ParseError("verdict status and kind disagree")
 
     @classmethod
     def passing(cls) -> "Verdict":
@@ -103,11 +95,11 @@ class Verdict:
 
     @classmethod
     def violation(cls, kind: ViolationKind, detail: str) -> "Verdict":
-        return cls(VerdictStatus.VIOLATION, kind, detail)
+        return cls(kind, detail)
 
 
 # Verdicts are frozen, so every passing check can share one instance.
-_PASSING = Verdict(VerdictStatus.PASS, ViolationKind.NONE)
+_PASSING = Verdict(ViolationKind.NONE)
 
 
 @dataclass(frozen=True)
@@ -174,12 +166,12 @@ def filter_batch(
         trigger: Optional[Verdict] = None
         for record in trace_records:
             verdict = check_record(record, policy)
-            if verdict.status is VerdictStatus.VIOLATION:
+            if verdict.kind is not ViolationKind.NONE:
                 record_verdicts[id(record)] = verdict
                 if trigger is None:
                     trigger = verdict
         sequence_verdict = check_chain_sequence(trace_records, policy)
-        if trigger is None and sequence_verdict.status is VerdictStatus.VIOLATION:
+        if trigger is None and sequence_verdict.kind is not ViolationKind.NONE:
             trigger = sequence_verdict
         trace_verdicts[trace_id] = trigger
 

@@ -73,7 +73,10 @@ class FileStore:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StoreWriteFailed(f"cannot create store root: {exc}") from exc
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:

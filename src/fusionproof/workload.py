@@ -27,7 +27,6 @@ from .handler import (
     FusionSetup,
     RouteKind,
     TraceID,
-    entry_fusion_key,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -135,7 +134,6 @@ def _check_acyclic(by_name: Mapping[str, TaskSpec]) -> None:
 
 
 class AttackMode(Enum):
-    NONE = "none"
     DOW = "dow"
     BUSINESS_LOGIC = "business_logic"
 
@@ -157,7 +155,7 @@ class AttackPlan:
     fires; the default alternates clean and malicious iterations.
     """
 
-    mode: AttackMode = AttackMode.NONE
+    mode: AttackMode
     target_task: Optional[str] = None
     inflated_duration_ms: float = 0.0
     swap: Optional[tuple[str, str]] = None
@@ -174,10 +172,6 @@ class AttackPlan:
         if self.mode is AttackMode.BUSINESS_LOGIC:
             if not self.swap or len(self.swap) != 2 or self.swap[0] == self.swap[1]:
                 raise InvalidAttack("reorder attack needs two distinct swap tasks")
-
-    @classmethod
-    def none(cls) -> "AttackPlan":
-        return cls(AttackMode.NONE)
 
     @classmethod
     def dow(
@@ -279,7 +273,7 @@ def execute_request(
     # The entry task itself arrives through the platform's front door.
     visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
 
-    if attack is not None and attack.mode is not AttackMode.NONE:
+    if attack is not None:
         records = _apply_attack(app, records, attack)
     return records
 
@@ -353,7 +347,6 @@ class RequestOutcome:
 @dataclass(frozen=True)
 class LogBatch:
     records: tuple[InvocationRecord, ...]
-    by_fusion_key: Mapping[str, tuple[InvocationRecord, ...]]
     outcomes: tuple[RequestOutcome, ...]
 
     @property
@@ -384,7 +377,6 @@ def run_workload(
     master = random.Random(seed)
     records: list[InvocationRecord] = []
     outcomes: list[RequestOutcome] = []
-    fusion_key = entry_fusion_key(setup, app.entry_task)
     serial = 0
     for local_iter in range(iterations):
         iteration = iteration_offset + local_iter
@@ -393,11 +385,7 @@ def run_workload(
                 randomness = master.randbytes(32)
                 request_seed = master.getrandbits(64)
                 trace = generate_trace_id(setup, app.entry_task, randomness)
-                attacked = (
-                    attack is not None
-                    and attack.mode is not AttackMode.NONE
-                    and attack.apply_on(iteration, request_index)
-                )
+                attacked = attack is not None and attack.apply_on(iteration, request_index)
                 request_records = execute_request(
                     app,
                     setup,
@@ -413,11 +401,7 @@ def run_workload(
                     RequestOutcome(iteration, load, request_index, trace.full, attacked)
                 )
                 serial += 1
-    return LogBatch(
-        records=tuple(records),
-        by_fusion_key={fusion_key: tuple(records)},
-        outcomes=tuple(outcomes),
-    )
+    return LogBatch(records=tuple(records), outcomes=tuple(outcomes))
 
 
 def emit_platform_logs(records: Iterable[InvocationRecord]) -> list[str]:

@@ -16,14 +16,18 @@ from fusionproof.cli import (
     ConfigError,
     ScenarioConfig,
     build_parser,
+    build_policy,
     build_setup,
     config_from_dict,
     main,
     resolve_config,
 )
-from fusionproof.proofs import group_file_bytes
+from fusionproof.proofs import ThresholdPolicy, group_file_bytes
 from fusionproof.store import FileStore, parse_group_file
+from fusionproof.verification import CostModel, SamplingState
 from fusionproof.workload import builtin_iot_app
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path:
@@ -83,14 +87,49 @@ class TestConfig:
                 "seed": 3,
             }
         )
-        assert (config.fanout, config.depth) == (3, 2)
-        assert config.attack_mode == "dow"
-        assert config.attack_when == "always"
-        assert config.max_billed_ms == 500.0
-        assert config.sequence_check is False
-        assert config.memory_weight == 0.5
-        assert (config.csp1_i, config.csp1_f) == (4, 0.5)
+        assert (config.app_params.fanout, config.app_params.depth) == (3, 2)
+        assert config.attack.mode == "dow"
+        assert config.attack.when == "always"
+        assert config.policy.max_billed_ms == 500.0
+        assert config.policy.sequence_check is False
+        assert config.cost_model.memory_weight == 0.5
+        assert (config.csp1.i, config.csp1.f) == (4, 0.5)
         assert config.seed == 3
+
+    @pytest.mark.parametrize(
+        "section", ["app_params", "attack", "policy", "cost_model", "csp1"]
+    )
+    def test_unknown_nested_key_names_its_path(self, section):
+        with pytest.raises(ConfigError, match=rf"^unknown config keys: {section}\.bogus$"):
+            config_from_dict({section: {"bogus": 1}})
+
+    def test_defaults_are_the_pipeline_defaults(self):
+        app = builtin_iot_app()
+        config = ScenarioConfig()
+        assert build_policy(config, app) == ThresholdPolicy(expected_sequence=app.sync_chain())
+        assert config.cost_model == CostModel()
+        assert config.csp1 == SamplingState()
+
+    def test_readme_example_loads(self):
+        text = README.read_text(encoding="utf-8")
+        schema = text[text.index("### Config schema"):]
+        block = schema[schema.index("```json") + len("```json"):]
+        doc = json.loads(block[: block.index("```")])
+        config = config_from_dict(doc)
+        assert config.attack.target_task == doc["attack"]["target_task"]
+        assert config.csp1 == SamplingState(i=doc["csp1"]["i"], f=doc["csp1"]["f"])
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_sequence_check_must_be_a_boolean(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, policy={"sequence_check": value})
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad config value")
+
+    @pytest.mark.parametrize("command", ["run", "verify", "report"])
+    def test_out_of_range_csp1_fails_at_load(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, csp1={"i": 0})
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert "clearance number i must be >= 1" in capsys.readouterr().err
 
     def test_explicit_groups(self):
         config = config_from_dict({"initial_setup": [["CW", "SE"], ["CS", "CT", "CA"]]})
@@ -215,6 +254,18 @@ class TestLongTaskNames:
         for it in ("iter000", "iter001"):
             keys = FileStore(root / it).list()
             assert keys and all("/" not in key for key in keys)
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("key", ["store_root", "output_dir"])
+    def test_path_below_a_regular_file_is_usage_error(self, tmp_path, capsys, key):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        config = str(write_config(tmp_path, **{key: str(blocker / "sub")}))
+        for command in ("run", "verify"):
+            assert main([command, "--config", config]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Not a directory" in err
 
 
 class TestVerifyCommand:

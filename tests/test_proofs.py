@@ -16,7 +16,6 @@ from fusionproof.proofs import (
     ThresholdPolicy,
     TreeInfo,
     Verdict,
-    VerdictStatus,
     ViolationKind,
     build_merkle_tree,
     calc_hash,
@@ -301,12 +300,10 @@ class TestCheckRecord:
 
     def test_inflated_duration_flagged(self):
         verdict = check_record(self.make(billed=999999), ThresholdPolicy(max_billed_ms=90000))
-        assert verdict.status is VerdictStatus.VIOLATION
         assert verdict.kind is ViolationKind.DURATION_EXCEEDED
 
     def test_normal_record_passes(self):
         verdict = check_record(self.make(), ThresholdPolicy())
-        assert verdict.status is VerdictStatus.PASS
         assert verdict.kind is ViolationKind.NONE
 
     def test_duration_outranks_memory(self):
@@ -318,15 +315,11 @@ class TestCheckRecord:
         verdict = check_record(self.make(mem=256), ThresholdPolicy(max_memory_mb=128))
         assert verdict.kind is ViolationKind.MEMORY_EXCEEDED
 
-    def test_verdict_consistency_enforced(self):
-        with pytest.raises(Exception):
-            Verdict(VerdictStatus.PASS, ViolationKind.DURATION_EXCEEDED)
-
 
 class TestChainSequence:
     def test_in_order_passes(self):
         records = iot_records(b"\x03" * 32)
-        assert check_chain_sequence(records, POLICY).status is VerdictStatus.PASS
+        assert check_chain_sequence(records, POLICY).kind is ViolationKind.NONE
 
     def test_swap_detected(self):
         records = iot_records(b"\x03" * 32, attack=AttackPlan.business_logic(("CT", "CA")))
@@ -335,7 +328,7 @@ class TestChainSequence:
 
     def test_sorts_by_chain_index(self):
         records = list(reversed(iot_records(b"\x03" * 32)))
-        assert check_chain_sequence(records, POLICY).status is VerdictStatus.PASS
+        assert check_chain_sequence(records, POLICY).kind is ViolationKind.NONE
 
     def test_length_mismatch_detected(self):
         records = iot_records(b"\x03" * 32)[:4]
@@ -344,7 +337,7 @@ class TestChainSequence:
 
     def test_empty_expected_disables_check(self):
         records = iot_records(b"\x03" * 32, attack=AttackPlan.business_logic(("CT", "CA")))
-        assert check_chain_sequence(records, ThresholdPolicy()).status is VerdictStatus.PASS
+        assert check_chain_sequence(records, ThresholdPolicy()).kind is ViolationKind.NONE
 
 
 class TestFilterBatch:
@@ -633,7 +626,7 @@ class TestMerkleLeafCheck:
 
 class TestSharedPassingVerdict:
     def test_equals_a_fresh_passing_verdict(self):
-        assert Verdict.passing() == Verdict(VerdictStatus.PASS, ViolationKind.NONE)
+        assert Verdict.passing() == Verdict(ViolationKind.NONE)
         assert Verdict.passing() is Verdict.passing()
 
     def test_checks_return_it(self):

@@ -10,7 +10,7 @@ import pytest
 
 import fusionproof.verification as verification
 from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError
-from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
+from fusionproof.handler import FusionSetup, RouteKind, entry_fusion_key, generate_trace_id
 from fusionproof.proofs import (
     ThresholdPolicy,
     TreeInfo,
@@ -62,7 +62,7 @@ def fused_records(randomness: bytes, origin=0):
 def iot_metrics(setup: FusionSetup, requests: int = 3) -> AnnotatedMetrics:
     batch = run_workload(IOT, setup, [requests], None, 1, seed=11)
     clean, flagged = filter_batch_checked(batch.records)
-    key = next(iter(batch.by_fusion_key))
+    key = entry_fusion_key(setup, IOT.entry_task)
     return annotate_metrics(clean, key, IOT)
 
 
@@ -404,7 +404,7 @@ class TestEstimateCost:
         setup = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, setup, [2], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, next(iter(batch.by_fusion_key)), tree
+            batch.records, entry_fusion_key(setup, tree.entry_task), tree
         )
         # Leaves run from the entry's start, so the slowest branch wins.
         assert estimate_cost(setup, metrics, CostModel()) == pytest.approx(80.0)
@@ -414,7 +414,7 @@ class TestEstimateCost:
         fused = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, fused, [2], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, next(iter(batch.by_fusion_key)), tree
+            batch.records, entry_fusion_key(fused, tree.entry_task), tree
         )
         model = CostModel(memory_weight=0.01)
         # Memory means: N0 10, leaves 64 each; durations 20, 80, 80.
@@ -482,7 +482,7 @@ class TestProposeCandidates:
         fused = FusionSetup.fused([tree.task_names()])
         batch = run_workload(tree, fused, [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, next(iter(batch.by_fusion_key)), tree
+            batch.records, entry_fusion_key(fused, tree.entry_task), tree
         )
         parts = {c.setup_part for c in propose_candidates(fused, metrics)}
         assert parts == {"N0.N0_1,N0_0", "N0.N0_0,N0_1"}
@@ -492,7 +492,7 @@ class TestProposeCandidates:
         split = FusionSetup.singletons(tree.task_names())
         batch = run_workload(tree, split, [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, next(iter(batch.by_fusion_key)), tree
+            batch.records, entry_fusion_key(split, tree.entry_task), tree
         )
         assert propose_candidates(split, metrics) == []
 
@@ -501,7 +501,9 @@ class TestProposeCandidates:
         setup = FusionSetup.fused([["N0", "N0_0"], ["N0_1"]])
         batch = run_workload(tree, FusionSetup.fused([tree.task_names()]), [1], None, 1, seed=5)
         metrics = annotate_metrics(
-            batch.records, next(iter(batch.by_fusion_key)), tree
+            batch.records,
+            entry_fusion_key(FusionSetup.fused([tree.task_names()]), tree.entry_task),
+            tree,
         )
         parts = {c.setup_part for c in propose_candidates(setup, metrics)}
         assert parts == {"N0,N0_1,N0_0"}

@@ -308,13 +308,6 @@ class TestRunWorkload:
         batch = run_workload(IOT, FUSED, [1], attack, 1, seed=3, iteration_offset=1)
         assert [o.attacked for o in batch.outcomes] == [True]
 
-    def test_grouped_by_entry_fusion_key(self):
-        batch = run_workload(IOT, FUSED, [2], None, 1, seed=3)
-        assert set(batch.by_fusion_key) == {"CW.SE.CS.CT.CA"}
-        assert batch.by_fusion_key["CW.SE.CS.CT.CA"] == batch.records
-        split_batch = run_workload(IOT, SPLIT, [1], None, 1, seed=3)
-        assert set(split_batch.by_fusion_key) == {"CW"}
-
     def test_requests_spaced_on_virtual_clock(self):
         batch = run_workload(IOT, FUSED, [3], None, 1, seed=3)
         starts = [r.start_ms for r in batch.records if r.task == "CW"]
