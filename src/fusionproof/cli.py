@@ -104,17 +104,26 @@ def _request_counts(raw) -> tuple[int, ...]:
     return counts
 
 
-def _boolean(raw) -> bool:
-    if not isinstance(raw, bool):
-        raise TypeError(f"expected true or false, got {raw!r}")
-    return raw
+def _exactly(kind, name: str):
+    """A converter that passes values of kind through and rejects the rest."""
+
+    def check(raw):
+        if not isinstance(raw, kind):
+            raise TypeError(f"expected {name}, got {raw!r}")
+        return raw
+    return check
+
+
+_boolean = _exactly(bool, "true or false")
+_string = _exactly(str, "a string")
+_section = _exactly((Mapping, type(None)), "a JSON object or null")
 
 
 # Every accepted key with its converter.  A (type, keys) pair is a nested
-# section: its keys are the type's field names, and a null or empty
-# section leaves every field at the type's default.
+# section: its keys are the type's field names, and a null section leaves
+# every field at the type's default.
 _SCHEMA: Mapping = {
-    "app": str,
+    "app": _string,
     "app_params": (AppParams, {"fanout": int, "depth": int}),
     "initial_setup": _initial_setup,
     "request_counts": _request_counts,
@@ -122,11 +131,11 @@ _SCHEMA: Mapping = {
     "attack": (
         AttackConfig,
         {
-            "mode": str,
+            "mode": _string,
             "target_task": lambda raw: raw,
             "inflated_duration_ms": float,
             "swap": lambda raw: tuple(raw) if raw else None,
-            "when": str,
+            "when": _string,
         },
     ),
     "policy": (
@@ -139,15 +148,13 @@ _SCHEMA: Mapping = {
     ),
     "csp1": (SamplingState, {"i": int, "f": float}),
     "seed": lambda raw: None if raw is None else int(raw),
-    "store_root": str,
-    "output_dir": str,
+    "store_root": _string,
+    "output_dir": _string,
 }
 
 
-def _convert(doc, schema: Mapping, path: str = "") -> dict:
-    """Convert doc's keys by schema, recursing into sections."""
-    if not isinstance(doc, Mapping):
-        raise TypeError(f"{path.rstrip('.') or 'config'} must be a JSON object")
+def _convert(doc: Mapping, schema: Mapping, path: str = "") -> dict:
+    """Convert doc's keys by schema, recursing into sections; errors name the key."""
     unknown = sorted(path + key for key in set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -155,20 +162,22 @@ def _convert(doc, schema: Mapping, path: str = "") -> dict:
     for key, convert in schema.items():
         if key not in doc:
             continue
-        if isinstance(convert, tuple):
-            section, keys = convert
-            values[key] = section(**_convert(doc[key] or {}, keys, f"{path}{key}."))
-        else:
-            values[key] = convert(doc[key])
+        try:
+            if isinstance(convert, tuple):
+                section, keys = convert
+                values[key] = section(**_convert(_section(doc[key]) or {}, keys, f"{path}{key}."))
+            else:
+                values[key] = convert(doc[key])
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config value: {path}{key}: {type(exc).__name__}: {exc}") from exc
     return values
 
 
 def config_from_dict(doc: Mapping) -> ScenarioConfig:
-    """Resolve a config document; a value of the wrong type is a ConfigError."""
-    try:
-        return ScenarioConfig(**_convert(doc, _SCHEMA))
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad config value: {type(exc).__name__}: {exc}") from exc
+    """Resolve a config document, which must be a JSON object, to typed values."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    return ScenarioConfig(**_convert(doc, _SCHEMA))
 
 
 def load_config_file(path: Union[str, Path]) -> ScenarioConfig:
@@ -180,8 +189,6 @@ def load_config_file(path: Union[str, Path]) -> ScenarioConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
     return config_from_dict(doc)
 
 
@@ -315,7 +322,6 @@ def cmd_run(config: ScenarioConfig) -> int:
 def _report_to_wire(report: VerificationReport, corrupt: Mapping[str, str]) -> dict:
     return {
         "integrity_verified": report.integrity_verified,
-        "results": list(report.group_results.values()),
         "group_results": dict(report.group_results),
         "pruned": {key: list(ids) for key, ids in report.pruned.items()},
         "surviving_counts": {key: len(records) for key, records in report.survivors.items()},

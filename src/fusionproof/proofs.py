@@ -93,10 +93,6 @@ class Verdict:
     def passing(cls) -> "Verdict":
         return _PASSING
 
-    @classmethod
-    def violation(cls, kind: ViolationKind, detail: str) -> "Verdict":
-        return cls(kind, detail)
-
 
 # Verdicts are frozen, so every passing check can share one instance.
 _PASSING = Verdict(ViolationKind.NONE)
@@ -117,13 +113,13 @@ class ThresholdPolicy:
 def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Verdict:
     """Threshold check for one record; duration outranks memory."""
     if record.billed_duration_ms > policy.max_billed_ms:
-        return Verdict.violation(
+        return Verdict(
             ViolationKind.DURATION_EXCEEDED,
             f"task {record.task}: billed {record.billed_duration_ms} ms "
             f"> limit {policy.max_billed_ms:g} ms",
         )
     if record.memory_used_mb > policy.max_memory_mb:
-        return Verdict.violation(
+        return Verdict(
             ViolationKind.MEMORY_EXCEEDED,
             f"task {record.task}: memory {record.memory_used_mb} MB "
             f"> limit {policy.max_memory_mb:g} MB",
@@ -140,7 +136,7 @@ def check_chain_sequence(
     ordered = sorted(records_of_one_trace, key=lambda r: r.chain_index)
     observed = tuple(r.task for r in ordered)
     if observed != policy.expected_sequence:
-        return Verdict.violation(
+        return Verdict(
             ViolationKind.SEQUENCE_VIOLATION,
             f"observed {','.join(observed)}; expected {','.join(policy.expected_sequence)}",
         )
@@ -266,36 +262,35 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
 
 @dataclass(frozen=True)
 class TreeInfo:
-    """Merkle proof triple.
+    """Merkle proof: the root and the leaf hashes it was built over.
 
-    tree lists the original leaves followed by every combined hash in
-    construction order, so the root is the last element; leaves repeats
-    the input hashes before any odd-padding.
+    leaves are the input hashes before any odd-padding; every interior
+    node can be rebuilt from them.
     """
 
     root: str
-    tree: tuple[str, ...]
     leaves: tuple[str, ...]
 
     @classmethod
     def empty(cls) -> "TreeInfo":
-        return cls("", (), ())
+        return cls("", ())
 
 
 def treeinfo_to_wire(info: TreeInfo) -> dict:
-    return {"root": info.root, "tree": list(info.tree), "leaf": list(info.leaves)}
+    return {"root": info.root, "leaf": list(info.leaves)}
 
 
 def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
+    """Read root and leaf; any other key, such as the interior-node list
+    "tree" that older group files carry, is ignored."""
     try:
         root = obj["root"]
-        tree = tuple(obj["tree"])
         leaves = tuple(obj["leaf"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad tree object: {exc}") from exc
     if not isinstance(root, str):
         raise ParseError("tree root must be a string")
-    return TreeInfo(root, tree, leaves)
+    return TreeInfo(root, leaves)
 
 
 def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
@@ -311,18 +306,16 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     if not leaf_hashes:
         return TreeInfo.empty()
     sha256 = hashlib.sha256
-    tree: list[str] = list(leaf_hashes)
-    level = tree
+    level = list(leaf_hashes)
     while True:
         if len(level) % 2 == 1:
-            level = [*level, level[-1]]
+            level.append(level[-1])
         # A parent hashes the UTF-8 concatenation of its two children's
         # hex strings, not their raw digest bytes.
         level = [sha256((left + right).encode()).hexdigest()
                  for left, right in zip(level[::2], level[1::2])]
-        tree.extend(level)
         if len(level) == 1:
-            return TreeInfo(root=level[0], tree=tuple(tree), leaves=tuple(leaf_hashes))
+            return TreeInfo(root=level[0], leaves=tuple(leaf_hashes))
 
 
 def record_leaf_hashes(records: Sequence[InvocationRecord]) -> list[str]:

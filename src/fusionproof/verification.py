@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import MissingMetric, NoVerifiedData, ParseError, StoreWriteFailed
+from .errors import InvalidHexLeaf, MissingMetric, NoVerifiedData, ParseError, StoreWriteFailed
 from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
@@ -73,11 +73,12 @@ def verify_integrity(
 ) -> VerificationReport:
     """Check every group's records against its stored proof, pruning on failure.
 
-    Per group: an empty proof fails outright with nothing to prune;
-    otherwise the tree is rebuilt from the records' canonical bytes and
-    compared by root.  On mismatch the group file is rewritten over the
-    records whose leaves still match, and those survivors are recorded in
-    the report's survivors under the group's key.  Nothing is deleted.
+    Per group: a proof with an empty root fails outright with nothing to
+    prune; otherwise the tree is rebuilt from the records' canonical bytes
+    and compared by root.  On mismatch the group file is rewritten over the
+    records whose leaves still match the stored leaves, which count only if
+    they rebuild the stored root (else no record survives); the survivors
+    are reported under the group's key.  Nothing is deleted.
     """
     group_results: dict[str, bool] = {}
     out_survivors: dict[str, tuple[InvocationRecord, ...]] = {}
@@ -90,7 +91,7 @@ def verify_integrity(
             group_results[key] = False
             continue
         tree_info: TreeInfo = records.pop()
-        if not tree_info.root or not tree_info.tree:
+        if not tree_info.root:
             group_results[key] = False
             continue
         recomputed = record_leaf_hashes(records)
@@ -98,7 +99,11 @@ def verify_integrity(
         if rebuilt.root == tree_info.root:
             group_results[key] = True
             continue
-        mismatched = find_mismatch(recomputed, tree_info.leaves)
+        try:
+            vouched = build_merkle_tree(tree_info.leaves).root == tree_info.root
+        except InvalidHexLeaf:
+            vouched = False
+        mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
         prunable = [p for p in mismatched if p < len(records)]
         removed = set(prunable)
         survivors = tuple(r for p, r in enumerate(records) if p not in removed)

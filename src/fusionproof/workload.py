@@ -509,9 +509,3 @@ def builtin_tree_app(fanout: int = 2, depth: int = 1) -> AppSpec:
         for name, calls in tasks.items()
     )
     return AppSpec(name="tree", entry_task="N0", tasks=specs)
-
-
-BUILTIN_APPS: Mapping[str, Callable[[], AppSpec]] = {
-    "iot": builtin_iot_app,
-    "tree": builtin_tree_app,
-}

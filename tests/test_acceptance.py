@@ -170,7 +170,7 @@ def test_acceptance_2_exhaustive_tampering():
             else:
                 # Nothing survived: the rewritten group holds the empty
                 # proof, which can never verify and prunes nothing more.
-                assert store.get(f"{KEY}.json") == b'[{"root":"","tree":[],"leaf":[]}]'
+                assert store.get(f"{KEY}.json") == b'[{"root":"","leaf":[]}]'
                 assert second.integrity_verified is False
                 assert second.pruned == {}
     assert time.monotonic() - started < 10.0

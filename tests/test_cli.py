@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,56 @@ class TestConfig:
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bad config value")
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"iterations": "abc"}, "iterations: ValueError"),
+            ({"seed": "x"}, "seed: ValueError"),
+            ({"policy": {"sequence_check": "false"}}, "policy.sequence_check: TypeError"),
+            ({"csp1": {"f": "half"}}, "csp1.f: ValueError"),
+            ({"app_params": {"fanout": [2]}}, "app_params.fanout: TypeError"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, doc, named):
+        with pytest.raises(ConfigError, match=rf"^bad config value: {re.escape(named)}: "):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"store_root": None},
+            {"output_dir": None},
+            {"app": None},
+            {"app": 3},
+            {"attack": {"mode": None}},
+            {"attack": {"when": 1}},
+            {"policy": 0},
+            {"attack": []},
+            {"csp1": ""},
+            {"app_params": False},
+            {"cost_model": [1]},
+        ],
+    )
+    def test_non_string_text_or_non_object_section_is_usage_error(
+        self, tmp_path, capsys, override
+    ):
+        config = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bad config value")
+
+    @pytest.mark.parametrize("doc", [[], "iot", None, 3])
+    def test_config_must_be_an_object(self, tmp_path, capsys, doc):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            config_from_dict(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_null_section_means_defaults(self):
+        sections = ["app_params", "attack", "policy", "cost_model", "csp1"]
+        assert config_from_dict(dict.fromkeys(sections)) == ScenarioConfig()
+
     def test_cli_overrides_beat_config(self, tmp_path):
         config_path = write_config(tmp_path)
         parser = build_parser()
@@ -283,6 +334,13 @@ class TestVerifyCommand:
         assert payload["integrity_verified"] is True
         assert payload["group_results"] == {"CW.SE.CS.CT.CA": True}
         assert payload["pruned"] == {}
+
+    def test_report_fields(self, tmp_path):
+        _, out = self.run_then_verify(tmp_path, mutate=tamper_group_file)
+        payload = json.loads((out / "verification.json").read_text())
+        assert set(payload) == {
+            "integrity_verified", "group_results", "pruned", "surviving_counts", "notes", "corrupt"
+        }
 
     def test_tampered_store_fails_and_prunes(self, tmp_path):
         code, out = self.run_then_verify(tmp_path, mutate=tamper_group_file)

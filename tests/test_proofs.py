@@ -151,7 +151,7 @@ class TestCanonicalBytes:
 
 class TestMerkleTree:
     def test_empty(self):
-        assert build_merkle_tree([]) == TreeInfo("", (), ())
+        assert build_merkle_tree([]) == TreeInfo("", ())
 
     def test_single_leaf_duplicates_then_combines(self):
         h = sha_hex("leaf0")
@@ -162,7 +162,6 @@ class TestMerkleTree:
             "e6acb23132a4f308a9ad6f5fd1021e8b4ef0238f55eec7b2e92726801aaba583"
         )
         assert info.leaves == (h,)
-        assert info.tree == (h, info.root)
 
     def test_three_leaves_pad_level_one(self):
         h1, h2, h3 = sha_hex("a"), sha_hex("b"), sha_hex("c")
@@ -172,7 +171,6 @@ class TestMerkleTree:
         assert info.root == (
             "0bdf27bf7ec894ca7cadfe491ec1a3ece840f117989e8c5e9bd7086467bf6c38"
         )
-        assert info.tree == (h1, h2, h3, a, b, info.root)
         assert info.leaves == (h1, h2, h3)
 
     @pytest.mark.parametrize("count", range(17))
@@ -185,16 +183,13 @@ class TestMerkleTree:
         # 5 leaves -> padded level of 6 -> 3 combined -> padded 4 -> 2 -> 1.
         leaves = random_leaves(5, seed=5)
         info = build_merkle_tree(leaves)
-        assert len(info.tree) == 5 + 3 + 2 + 1
-        assert info.root == info.tree[-1]
+        assert info.leaves == tuple(leaves)
 
     def test_structure_invariants(self):
         for count in range(1, 12):
             leaves = random_leaves(count, seed=100 + count)
             info = build_merkle_tree(leaves)
-            assert info.root == info.tree[-1]
-            assert len(info.tree) >= len(info.leaves)
-            assert info.tree[: len(leaves)] == tuple(leaves)
+            assert info.leaves == tuple(leaves)
 
     @pytest.mark.parametrize("bad", ["xyz", "AB" * 32, "0" * 63, "0" * 65, ""])
     def test_rejects_non_hex_leaves(self, bad):
@@ -229,7 +224,7 @@ class TestMerkleTree:
     def test_treeinfo_wire_round_trip(self):
         info = build_merkle_tree(random_leaves(4, seed=4))
         wire = treeinfo_to_wire(info)
-        assert set(wire) == {"root", "tree", "leaf"}
+        assert set(wire) == {"root", "leaf"}
         assert treeinfo_from_wire(wire) == info
 
 
@@ -395,7 +390,7 @@ class TestPersistEvidence:
         store = MemoryStore()
         receipt = persist_evidence(store, "CW", [])
         assert receipt.tree == TreeInfo.empty()
-        assert store.get("CW.json") == b'[{"root":"","tree":[],"leaf":[]}]'
+        assert store.get("CW.json") == b'[{"root":"","leaf":[]}]'
 
     def test_two_records_two_blocks_one_group(self):
         store = MemoryStore()
@@ -505,7 +500,7 @@ class TestEncoderMatchesJsonDumps:
         assert group_file_bytes(records, tree) == _reference_group_file(records, tree)
 
     def test_empty_group(self):
-        expected = b'[{"root":"","tree":[],"leaf":[]}]'
+        expected = b'[{"root":"","leaf":[]}]'
         assert group_file_bytes([], TreeInfo.empty()) == expected
         assert _reference_group_file([], TreeInfo.empty()) == expected
 
@@ -620,7 +615,7 @@ class TestMerkleLeafCheck:
         if not leaves:
             assert tree == TreeInfo.empty()
             return
-        assert tree.root == _reference_merkle_root(leaves) == tree.tree[-1]
+        assert tree.root == _reference_merkle_root(leaves)
         assert tree.leaves == tuple(leaves)
 
 

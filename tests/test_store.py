@@ -130,6 +130,12 @@ class TestParseGroupFile:
     def test_empty_group(self):
         assert parse_group_file(b'[{"root":"","tree":[],"leaf":[]}]') == [TreeInfo.empty()]
 
+    def test_proof_without_interior_nodes_parses(self):
+        assert parse_group_file(b'[{"root":"","leaf":[]}]') == [TreeInfo.empty()]
+        leaf = "0" * 64
+        data = b'[{"root":"r","leaf":["%s"]}]' % leaf.encode()
+        assert parse_group_file(data) == [TreeInfo("r", (leaf,))]
+
     @pytest.mark.parametrize(
         "payload",
         [b"", b"not json", b"{}", b"[]", b'[{"task":"CW"}]', b'[1,2,3]'],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -259,6 +260,46 @@ class TestVerifyIntegrity:
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
+
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_older_layout_with_interior_nodes_verifies_the_same(self, tampered):
+        records = [fused_records(bytes([0x50 + k]) * 32, origin=1000 * k)[k % 5] for k in range(7)]
+        tree = build_merkle_tree(record_leaf_hashes(records))
+        if tampered:
+            records[3] = dataclasses.replace(records[3], memory_used_mb=99)
+        outcomes = []
+        for data in (older_layout_group_file(records, tree), group_file_bytes(records, tree)):
+            store = MemoryStore()
+            store.put(f"{self.KEY}.json", data)
+            setups, corrupt = load_setups(store)
+            assert corrupt == {}
+            report = verify_integrity(setups, store)
+            outcomes.append((setups, report, store.get(f"{self.KEY}.json")))
+        assert b'"tree":' in older_layout_group_file(records, tree)
+        assert outcomes[0][0] == outcomes[1][0] == {self.KEY: [*records, tree]}
+        assert outcomes[0][1] == outcomes[1][1]
+        assert outcomes[0][1].integrity_verified is not tampered
+        if tampered:  # the pruned group is rewritten in the current layout either way
+            assert outcomes[0][2] == outcomes[1][2]
+
+
+def older_layout_group_file(records, tree: TreeInfo) -> bytes:
+    """A group file as earlier versions wrote it: the proof also lists the
+    leaves and every interior node, in construction order, as "tree"."""
+    nodes, level = list(tree.leaves), list(tree.leaves)
+    while level:
+        if len(level) % 2:
+            level.append(level[-1])
+        level = [
+            hashlib.sha256((a + b).encode()).hexdigest() for a, b in zip(level[::2], level[1::2])
+        ]
+        nodes.extend(level)
+        if len(level) == 1:
+            break
+    proof = {"root": tree.root, "tree": nodes, "leaf": list(tree.leaves)}
+    parts = [canonical_record_bytes(r) for r in records]
+    parts.append(json.dumps(proof, separators=(",", ":")).encode())
+    return b"[" + b",".join(parts) + b"]"
 
 
 class TestCsp1:
@@ -583,6 +624,23 @@ def retype_first_record(iteration: int, store) -> None:
         store.put(key, json.dumps(body, separators=(",", ":")).encode())
 
 
+def forge_leaf_list(leaf_of_record_1):
+    """Tamper hook: inflate record 1 and rewrite its entry in the stored
+    leaf list, leaving the stored root alone."""
+
+    def tamper(iteration: int, store) -> None:
+        key = "CW.SE.CS.CT.CA.json"
+        blocks = parse_group_file(store.get(key))
+        tree, records = blocks[-1], blocks[:-1]
+        records[1] = dataclasses.replace(records[1], billed_duration_ms=80000)
+        leaves = list(tree.leaves)
+        leaves[1] = leaf_of_record_1(records[1])
+        forged = dataclasses.replace(tree, leaves=tuple(leaves))
+        store.put(key, group_file_bytes(records, forged))
+
+    return tamper
+
+
 def corrupt_group_file(iteration: int, store) -> None:
     store.put("CW.SE.CS.CT.CA.json", b"not json")
 
@@ -687,6 +745,32 @@ class TestRunOptimization:
         assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
         assert result.reverted is False
         assert result.estimated_cost_ms == pytest.approx(282.0)
+
+    @pytest.mark.parametrize(
+        "leaf_of_record_1",
+        [
+            lambda record: record_leaf_hashes([record])[0],
+            lambda record: "zz",
+            lambda record: "AB" * 32,
+            lambda record: 5,
+        ],
+        ids=["rehashed", "non_hex", "upper_hex", "not_a_string"],
+    )
+    def test_leaf_list_the_root_does_not_vouch_for_prunes_everything(self, leaf_of_record_1):
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=3,
+            request_counts=(4,),
+            tamper=forge_leaf_list(leaf_of_record_1),
+        )
+        result = trace.iterations[0]
+        assert result.integrity_verified is False
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 20}
+        assert result.reverted is True
+        assert result.estimated_cost_ms is None
 
     def test_corrupt_group_file_fails_integrity(self):
         trace = run_optimization(
