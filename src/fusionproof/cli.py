@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -119,6 +120,21 @@ _string = _exactly(str, "a string")
 _section = _exactly((Mapping, type(None)), "a JSON object or null")
 
 
+def _swap(raw) -> Optional[tuple[str, str]]:
+    if raw is None:
+        return None
+    if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(t, str) for t in raw):
+        raise TypeError(f"expected null or a list of two strings, got {raw!r}")
+    return tuple(raw)
+
+
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 # Every accepted key with its converter.  A (type, keys) pair is a nested
 # section: its keys are the type's field names, and a null section leaves
 # every field at the type's default.
@@ -132,9 +148,9 @@ _SCHEMA: Mapping = {
         AttackConfig,
         {
             "mode": _string,
-            "target_task": lambda raw: raw,
-            "inflated_duration_ms": float,
-            "swap": lambda raw: tuple(raw) if raw else None,
+            "target_task": _string,
+            "inflated_duration_ms": _finite,
+            "swap": _swap,
             "when": _string,
         },
     ),

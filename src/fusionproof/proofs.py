@@ -250,9 +250,8 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
             record.route.value, record.setup_version,
         )
     except TypeError:
-        # A text field that is not a str, as a tampered group file can
-        # carry: encode it the reference way, so its leaf hash mismatches
-        # and verification prunes the record.
+        # A text field that is not a str, as a record parsed from a
+        # tampered group file can carry: encode it the reference way.
         return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
     return line.encode("ascii")
 
@@ -318,8 +317,9 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
             return TreeInfo(root=level[0], leaves=tuple(leaf_hashes))
 
 
-def record_leaf_hashes(records: Sequence[InvocationRecord]) -> list[str]:
-    return [calc_hash(canonical_record_bytes(r)) for r in records]
+def record_leaf_hashes(encoded: Sequence[bytes]) -> list[str]:
+    """The leaf hash of each record's bytes, as persisted or as stored."""
+    return [calc_hash(data) for data in encoded]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationR
     joined into the group file, the one object verification reads.
     """
     encoded = [canonical_record_bytes(r) for r in clean_records]
-    tree = build_merkle_tree([calc_hash(data) for data in encoded])
+    tree = build_merkle_tree(record_leaf_hashes(encoded))
     gkey = group_key(fusion_key)
     store.put(gkey, _join_group_file(encoded, tree))
     return PersistReceipt(gkey, tree)

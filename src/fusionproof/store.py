@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Union
+from typing import Optional, Protocol, Union
 
 from .errors import CorruptGroupFile, NotFound, ParseError, StoreWriteFailed
 from .proofs import TreeInfo, record_from_wire, treeinfo_from_wire
@@ -118,19 +120,67 @@ class FileStore:
         return sorted(keys)
 
 
-def parse_group_file(data: bytes) -> GroupBlocks:
-    """Decode a group file into records plus a trailing TreeInfo."""
+# JSON's insignificant whitespace, the same set the decoder skips.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_decode = json.JSONDecoder().raw_decode
+
+
+@dataclass(frozen=True)
+class StoredGroup:
+    """A group file as stored: every record element's exact bytes, then the proof."""
+
+    records: tuple[bytes, ...]
+    proof: TreeInfo
+
+
+def _scan_group_file(data: bytes, record_objs: Optional[list] = None) -> StoredGroup:
+    """Split a group file into each record element's stored bytes and the
+    proof, in one pass of the JSON decoder.  Each record element's decoded
+    object is appended to record_objs when it is given, and dropped as soon
+    as it is checked otherwise."""
     try:
-        body = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
-    if not isinstance(body, list) or not body:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptGroupFile(f"group file is not valid UTF-8: {exc}") from exc
+    pos = _WHITESPACE.match(text).end()
+    first = _WHITESPACE.match(text, pos + 1).end()
+    if not text.startswith("[", pos) or text.startswith("]", first):
         raise CorruptGroupFile("group file must be a non-empty JSON array")
-    *record_objs, tree_obj = body
-    if not isinstance(tree_obj, dict) or "root" not in tree_obj:
+    spans = []
+    while text.startswith("," if spans else "[", pos):
+        if spans:  # an element follows, so the one before it is a record
+            if not (isinstance(obj, dict) and "traceid" in obj):
+                raise CorruptGroupFile("group file's records must be objects with a traceid")
+            if record_objs is not None:
+                record_objs.append(obj)
+        start = _WHITESPACE.match(text, pos + 1).end()
+        try:
+            obj, end = _decode(text, start)
+        except json.JSONDecodeError as exc:
+            raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
+        spans.append((start, end))
+        pos = _WHITESPACE.match(text, end).end()
+    if not text.startswith("]", pos) or _WHITESPACE.match(text, pos + 1).end() != len(text):
+        raise CorruptGroupFile(f"group file's JSON array does not end at char {pos}")
+    if not isinstance(obj, dict) or "root" not in obj:
         raise CorruptGroupFile("group file's last element must carry the tree")
     try:
-        tree = treeinfo_from_wire(tree_obj)
+        tree = treeinfo_from_wire(obj)
+    except ParseError as exc:
+        raise CorruptGroupFile(str(exc)) from exc
+    # Character offsets are byte offsets only when every character is one byte.
+    if data.isascii():
+        records = tuple(data[s:e] for s, e in spans[:-1])
+    else:
+        records = tuple(text[s:e].encode("utf-8") for s, e in spans[:-1])
+    return StoredGroup(records, tree)
+
+
+def parse_group_file(data: bytes) -> GroupBlocks:
+    """Decode a group file into records plus a trailing TreeInfo."""
+    record_objs: list = []
+    tree = _scan_group_file(data, record_objs).proof
+    try:
         blocks: GroupBlocks = [record_from_wire(obj) for obj in record_objs]
     except ParseError as exc:
         raise CorruptGroupFile(str(exc)) from exc
@@ -138,22 +188,23 @@ def parse_group_file(data: bytes) -> GroupBlocks:
     return blocks
 
 
-def load_setups(store: EvidenceStore) -> tuple[dict[str, GroupBlocks], dict[str, str]]:
-    """Load every group file into verification's input shape.
+def load_setups(store: EvidenceStore) -> tuple[dict[str, StoredGroup], dict[str, str]]:
+    """Load every group file, as stored, into verification's input shape.
 
-    Returns (setups, corrupt): setups maps fusion_key to the record list
-    whose last element is the TreeInfo; corrupt maps fusion_key to the
-    failure reason for group files that would not parse.  A corrupt file
-    never hides the remaining keys.
+    Returns (setups, corrupt): setups maps fusion_key to the group's
+    record element bytes and proof; corrupt maps fusion_key to the
+    failure reason for group files that would not parse.  No record is
+    decoded into an InvocationRecord.  A corrupt file never hides the
+    remaining keys.
     """
-    setups: dict[str, GroupBlocks] = {}
+    setups: dict[str, StoredGroup] = {}
     corrupt: dict[str, str] = {}
     for key in store.list(""):
         if "/" in key:  # a per-trace block left by an older layout
             continue
         fusion_key = key[: -len(".json")]
         try:
-            setups[fusion_key] = parse_group_file(store.get(key))
+            setups[fusion_key] = _scan_group_file(store.get(key))
         except CorruptGroupFile as exc:
             corrupt[fusion_key] = str(exc)
     return setups, corrupt

@@ -8,10 +8,11 @@ and search for a cheaper fusion setup to run next.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InvalidHexLeaf, MissingMetric, NoVerifiedData, ParseError, StoreWriteFailed
 from .handler import (
@@ -23,15 +24,14 @@ from .handler import (
 )
 from .proofs import (
     ThresholdPolicy,
-    TreeInfo,
+    _join_group_file,
     build_merkle_tree,
     filter_batch,
-    group_file_bytes,
     group_key,
     persist_evidence,
     record_leaf_hashes,
 )
-from .store import EvidenceStore, MemoryStore, load_setups
+from .store import EvidenceStore, MemoryStore, StoredGroup, load_setups
 from .workload import (
     AppSpec,
     AttackPlan,
@@ -62,35 +62,29 @@ def find_mismatch(
 class VerificationReport:
     integrity_verified: bool
     group_results: Mapping[str, bool]
-    survivors: Mapping[str, tuple[InvocationRecord, ...]]
+    survivors: Mapping[str, tuple[bytes, ...]]
     pruned: Mapping[str, tuple[str, ...]]
     notes: Mapping[str, str] = field(default_factory=dict)
 
 
-def verify_integrity(
-    setups: Mapping[str, Sequence[Union[InvocationRecord, TreeInfo]]],
-    store: EvidenceStore,
-) -> VerificationReport:
-    """Check every group's records against its stored proof, pruning on failure.
+def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) -> VerificationReport:
+    """Check every group's stored records against its proof, pruning on failure.
 
     Per group: a proof with an empty root fails outright with nothing to
-    prune; otherwise the tree is rebuilt from the records' canonical bytes
-    and compared by root.  On mismatch the group file is rewritten over the
-    records whose leaves still match the stored leaves, which count only if
-    they rebuild the stored root (else no record survives); the survivors
-    are reported under the group's key.  Nothing is deleted.
+    prune; otherwise the tree is rebuilt from each record element's bytes
+    exactly as stored and compared by root.  On mismatch the group file is
+    rewritten over the elements whose leaves still match the stored
+    leaves, which count only if they rebuild the stored root (else no
+    record survives); the survivors' bytes are reported under the group's
+    key, and the trace ids of the pruned elements under pruned.  Nothing
+    is deleted.
     """
     group_results: dict[str, bool] = {}
-    out_survivors: dict[str, tuple[InvocationRecord, ...]] = {}
+    out_survivors: dict[str, tuple[bytes, ...]] = {}
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
-    for key, entries in setups.items():
-        records = list(entries)
-        if not records or not isinstance(records[-1], TreeInfo):
-            notes[key] = "group is missing its tree info"
-            group_results[key] = False
-            continue
-        tree_info: TreeInfo = records.pop()
+    for key, group in setups.items():
+        records, tree_info = group.records, group.proof
         if not tree_info.root:
             group_results[key] = False
             continue
@@ -109,13 +103,13 @@ def verify_integrity(
         survivors = tuple(r for p, r in enumerate(records) if p not in removed)
         new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
         try:
-            store.put(group_key(key), group_file_bytes(survivors, new_tree))
+            store.put(group_key(key), _join_group_file(survivors, new_tree))
         except StoreWriteFailed as exc:
             notes[key] = str(exc)
             group_results[key] = False
             continue
         out_survivors[key] = survivors
-        pruned[key] = tuple(records[p].trace_id for p in prunable)
+        pruned[key] = tuple(json.loads(records[p])["traceid"] for p in prunable)
         group_results[key] = False
     return VerificationReport(
         integrity_verified=all(group_results.values()),
@@ -441,9 +435,11 @@ def run_optimization(
     Each iteration runs the workload under the current setup, persists
     filtered evidence to a fresh store, verifies it once when the sampling
     plan says so (pruning on failure), and feeds the entry group's
-    verified or surviving measurements to the optimizer.  A group file
-    that will not parse fails the iteration's integrity.  When nothing
-    survives the setup reverts to initial_setup for the next iteration.
+    verified or surviving measurements to the optimizer: a survivor counts
+    as the persisted record it hashes to, and not at all if it hashes to
+    none.  A group file that will not parse fails the iteration's
+    integrity.  When nothing survives the setup reverts to initial_setup
+    for the next iteration.
     The optional tamper hook mutates the store between persist and verify,
     simulating an attacker with storage access.
     """
@@ -487,7 +483,7 @@ def run_optimization(
 
         store = store_factory(it) if store_factory is not None else MemoryStore()
         fusion_key = entry_fusion_key(current, app.entry_task)
-        persist_evidence(store, fusion_key, clean)
+        receipt = persist_evidence(store, fusion_key, clean)
         if tamper is not None:
             tamper(it, store)
 
@@ -508,7 +504,16 @@ def run_optimization(
                 InspectionOutcome.CONFORMING if integrity else InspectionOutcome.NONCONFORMING
             )
             if not group_results.get(fusion_key, False):
-                usable_records = report.survivors.get(fusion_key, ())
+                persisted = dict(zip(receipt.tree.leaves, clean))
+                survivors = report.survivors.get(fusion_key, ())
+                usable_records = [
+                    persisted[h] for h in record_leaf_hashes(survivors) if h in persisted
+                ]
+                del persisted, survivors
+            # Drop the loaded evidence now rather than when the next
+            # iteration's load replaces it, so that two iterations' evidence
+            # is never held at once.
+            del setups, report
 
         reverted = False
         cost: Optional[float] = None

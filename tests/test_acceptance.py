@@ -24,13 +24,14 @@ from fusionproof.proofs import (
     ThresholdPolicy,
     ViolationKind,
     build_merkle_tree,
+    canonical_record_bytes,
     filter_batch,
     group_file_bytes,
     parse_log_lines,
     persist_evidence,
     record_leaf_hashes,
 )
-from fusionproof.store import FileStore, MemoryStore, load_setups, parse_group_file
+from fusionproof.store import FileStore, MemoryStore, StoredGroup, load_setups, parse_group_file
 from fusionproof.verification import (
     InspectionOutcome,
     SamplingMode,
@@ -154,14 +155,17 @@ def test_acceptance_2_exhaustive_tampering():
                 else r
                 for p, r in enumerate(records)
             ]
+            encoded = tuple(map(canonical_record_bytes, mutated))
             assert find_mismatch(
-                record_leaf_hashes(mutated), stored_tree.leaves
+                record_leaf_hashes(encoded), stored_tree.leaves
             ) == list(positions)
-            report = verify_integrity({KEY: mutated + [stored_tree]}, store)
+            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, store)
             assert report.integrity_verified is False
             assert report.group_results[KEY] is False
             assert report.pruned[KEY] == tuple(records[p].trace_id for p in positions)
-            survivors = tuple(r for p, r in enumerate(records) if p not in positions)
+            survivors = tuple(
+                canonical_record_bytes(r) for p, r in enumerate(records) if p not in positions
+            )
             assert report.survivors[KEY] == survivors
             reloaded, _ = load_setups(store)
             second = verify_integrity(reloaded, store)
@@ -365,11 +369,12 @@ def test_acceptance_9_determinism_and_round_trips(tmp_path):
     persist_evidence(store, "RT", records)
     blocks = parse_group_file(store.get("RT.json"))
     assert blocks[:-1] == records
-    assert blocks[-1] == build_merkle_tree(record_leaf_hashes(records))
+    encoded = list(map(canonical_record_bytes, records))
+    assert blocks[-1] == build_merkle_tree(record_leaf_hashes(encoded))
 
     disk = FileStore(tmp_path / "rt")
     sample = records[:1000]
     persist_evidence(disk, "RT", sample)
     reloaded, corrupt = load_setups(disk)
     assert corrupt == {}
-    assert reloaded["RT"][:-1] == sample
+    assert reloaded["RT"].records == tuple(map(canonical_record_bytes, sample))

@@ -45,9 +45,11 @@ def test_every_wrapped_boundary_exists():
 def test_wrapped_boundaries_see_every_call(monkeypatch):
     """The benchmark's counters sit on these names; the work must pass them.
 
-    A group of odd size n with one tampered record costs n encodes in
-    persist, n in verification's re-hash and n - 1 in the survivors'
-    rewrite; one Merkle build in persist and two in verification.
+    A group of odd size n with one tampered record costs n encodes, all
+    in persist: verification hashes and rewrites the stored bytes and
+    encodes nothing.  One Merkle build in persist, and three in
+    verification: the stored records, the stored leaf list, and the
+    survivors.
     """
     calls = {}
 
@@ -86,7 +88,7 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
     assert not corrupt and not report.integrity_verified
     assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 1
     assert calls == {
-        "fusionproof.proofs.canonical_record_bytes": n + n + (n - 1),
+        "fusionproof.proofs.canonical_record_bytes": n,
         "fusionproof.proofs.build_merkle_tree": 1,
         "fusionproof.verification.build_merkle_tree": 3,
         "fusionproof.verification.record_leaf_hashes": 1,

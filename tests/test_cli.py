@@ -198,6 +198,43 @@ class TestConfig:
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bad config value")
 
+    @pytest.mark.parametrize(
+        "attack, named",
+        [
+            ({"mode": "dow", "target_task": ["SE"], "when": "always"}, "attack.target_task"),
+            ({"mode": "dow", "target_task": 1, "when": "always"}, "attack.target_task"),
+            ({"mode": "business_logic", "swap": [["CT"], "CA"], "when": "always"}, "attack.swap"),
+            ({"mode": "business_logic", "swap": ["CT", 4], "when": "always"}, "attack.swap"),
+            ({"mode": "business_logic", "swap": ["CT", "CA", "CS"]}, "attack.swap"),
+            ({"mode": "business_logic", "swap": "CT", "when": "always"}, "attack.swap"),
+            ({"mode": "business_logic", "swap": [], "when": "always"}, "attack.swap"),
+        ],
+    )
+    def test_malformed_attack_target_or_swap_is_usage_error(
+        self, tmp_path, capsys, attack, named
+    ):
+        config = write_config(tmp_path, attack=attack)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: bad config value: {named}: TypeError")
+
+    def test_attack_swap_is_null_or_two_strings(self):
+        assert config_from_dict({"attack": {"swap": None}}).attack.swap is None
+        assert config_from_dict({"attack": {"swap": ["CT", "CA"]}}).attack.swap == ("CT", "CA")
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "NaN"])
+    def test_non_finite_inflated_duration_is_usage_error(self, tmp_path, capsys, number):
+        config = write_config(
+            tmp_path, attack={"mode": "dow", "target_task": "SE", "inflated_duration_ms": 0}
+        )
+        text = config.read_text(encoding="utf-8")
+        config.write_text(
+            text.replace('"inflated_duration_ms": 0', f'"inflated_duration_ms": {number}')
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: bad config value: attack.inflated_duration_ms: ValueError"
+        )
+
     @pytest.mark.parametrize("doc", [[], "iot", None, 3])
     def test_config_must_be_an_object(self, tmp_path, capsys, doc):
         with pytest.raises(ConfigError, match="config must be a JSON object"):

@@ -77,6 +77,10 @@ FUSED = FusionSetup.fused([["CW", "SE", "CS", "CT", "CA"]])
 POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
 
 
+def leaf_hashes(records) -> list[str]:
+    return record_leaf_hashes([canonical_record_bytes(r) for r in records])
+
+
 def iot_records(randomness: bytes, attack=None, seed=3, origin=0):
     trace = generate_trace_id(FUSED, "CW", randomness)
     return execute_request(IOT, FUSED, trace, attack, seed, origin)
@@ -365,7 +369,7 @@ class TestFilterBatch:
         clean, flagged = filter_batch(a + b, POLICY)
         assert clean == []
         assert len(flagged) == 10
-        assert build_merkle_tree(record_leaf_hashes(clean)) == TreeInfo.empty()
+        assert build_merkle_tree(leaf_hashes(clean)) == TreeInfo.empty()
 
     def test_clean_preserves_interleaved_order(self):
         a = iot_records(b"\x0b" * 32)
@@ -400,7 +404,7 @@ class TestPersistEvidence:
         assert receipt.group_key == "CW.json"
         body = json.loads(store.get("CW.json"))
         assert len(body) == 3
-        expected_root = oracle_root(record_leaf_hashes([rec_a, rec_b]))
+        expected_root = oracle_root(leaf_hashes([rec_a, rec_b]))
         assert body[-1]["root"] == expected_root
         assert receipt.tree.root == expected_root
 
@@ -496,7 +500,7 @@ class TestEncoderMatchesJsonDumps:
     @given(st.lists(_RECORDS, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_group_file_bytes(self, records):
-        tree = build_merkle_tree(record_leaf_hashes(records))
+        tree = build_merkle_tree(leaf_hashes(records))
         assert group_file_bytes(records, tree) == _reference_group_file(records, tree)
 
     def test_empty_group(self):
@@ -563,7 +567,7 @@ class TestPersistPutCount:
         persist_evidence(store, self.KEY, records)
         # The store holds the reference group file and nothing else.
         expected = MemoryStore()
-        tree = build_merkle_tree(record_leaf_hashes(records))
+        tree = build_merkle_tree(leaf_hashes(records))
         expected.put(f"{self.KEY}.json", _reference_group_file(records, tree))
         assert store.list() == expected.list()
         for key in expected.list():

@@ -17,7 +17,7 @@ from fusionproof.proofs import (
     persist_evidence,
     record_leaf_hashes,
 )
-from fusionproof.store import FileStore, MemoryStore, load_setups, parse_group_file
+from fusionproof.store import FileStore, MemoryStore, StoredGroup, load_setups, parse_group_file
 from fusionproof.workload import builtin_iot_app, execute_request
 
 IOT = builtin_iot_app()
@@ -153,9 +153,10 @@ class TestLoadSetups:
         setups, corrupt = load_setups(store)
         assert corrupt == {}
         assert list(setups) == ["CW.SE.CS.CT.CA"]
-        blocks = setups["CW.SE.CS.CT.CA"]
-        assert blocks[:-1] == list(records)
-        assert blocks[-1] == build_merkle_tree(record_leaf_hashes(records))
+        encoded = tuple(map(canonical_record_bytes, records))
+        assert setups["CW.SE.CS.CT.CA"] == StoredGroup(
+            encoded, build_merkle_tree(record_leaf_hashes(encoded))
+        )
 
     def test_ignores_block_files(self):
         store = MemoryStore()

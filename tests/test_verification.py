@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -19,9 +20,10 @@ from fusionproof.proofs import (
     canonical_record_bytes,
     group_file_bytes,
     persist_evidence,
+    record_from_wire,
     record_leaf_hashes,
 )
-from fusionproof.store import MemoryStore, load_setups, parse_group_file
+from fusionproof.store import MemoryStore, StoredGroup, load_setups, parse_group_file
 from fusionproof.verification import (
     AnnotatedMetrics,
     CostModel,
@@ -133,12 +135,6 @@ class TestVerifyIntegrity:
         assert report.pruned == {}
         assert store.get(f"{self.KEY}.json") == before
 
-    def test_missing_tree_info_noted(self):
-        records = fused_records(b"\x32" * 32)
-        report = verify_integrity({self.KEY: list(records)}, MemoryStore())
-        assert report.group_results == {self.KEY: False}
-        assert self.KEY in report.notes
-
     def test_tampered_block_pruned(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 3)
@@ -146,11 +142,11 @@ class TestVerifyIntegrity:
         tampered = dataclasses.replace(
             records[1], billed_duration_ms=records[1].billed_duration_ms + 7
         )
-        setups = {self.KEY: [records[0], tampered, records[2], blocks[-1]]}
+        setups = {self.KEY: stored_group([records[0], tampered, records[2]], blocks[-1])}
         report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
-        assert report.survivors == {self.KEY: (records[0], records[2])}
+        assert report.survivors == {self.KEY: encoded(records[0], records[2])}
 
     def test_old_layout_block_ignored_and_kept(self):
         def verify_tampered(block_too: bool):
@@ -180,23 +176,23 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[0], memory_used_mb=999)
-        setups = {self.KEY: [tampered, records[1], records[2], blocks[-1]]}
+        setups = {self.KEY: stored_group([tampered, records[1], records[2]], blocks[-1])}
         verify_integrity(setups, store)
         rewritten = parse_group_file(store.get(f"{self.KEY}.json"))
         survivors = [records[1], records[2]]
         assert rewritten[:-1] == survivors
-        assert rewritten[-1] == build_merkle_tree(record_leaf_hashes(survivors))
+        assert rewritten[-1] == build_merkle_tree(record_leaf_hashes(encoded(*survivors)))
 
     def test_reverify_after_prune_passes(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 4)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[2], billed_duration_ms=1)
-        setups = {self.KEY: [records[0], records[1], tampered, records[3], blocks[-1]]}
-        first = verify_integrity(setups, store)
+        group = stored_group([records[0], records[1], tampered, records[3]], blocks[-1])
+        first = verify_integrity({self.KEY: group}, store)
         assert first.integrity_verified is False
         reloaded, _ = load_setups(store)
-        assert reloaded[self.KEY][:-1] == list(first.survivors[self.KEY])
+        assert reloaded[self.KEY].records == first.survivors[self.KEY]
         second = verify_integrity(reloaded, store)
         assert second.integrity_verified is True
         assert second.survivors == {}
@@ -215,12 +211,12 @@ class TestVerifyIntegrity:
                 else r
                 for p, r in enumerate(records)
             ]
-            report = verify_integrity({self.KEY: mutated + [blocks[-1]]}, store)
+            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, store)
             assert report.pruned[self.KEY] == tuple(
                 records[p].trace_id for p in positions
             )
-            assert report.survivors[self.KEY] == tuple(
-                r for p, r in enumerate(records) if p not in positions
+            assert report.survivors[self.KEY] == encoded(
+                *(r for p, r in enumerate(records) if p not in positions)
             )
 
     def test_extra_appended_block_pruned(self):
@@ -228,16 +224,16 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 2)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         extra = fused_records(b"\x39" * 32, origin=9000)[0]
-        setups = {self.KEY: list(records) + [extra, blocks[-1]]}
+        setups = {self.KEY: stored_group([*records, extra], blocks[-1])}
         report = verify_integrity(setups, store)
         assert report.pruned == {self.KEY: (extra.trace_id,)}
-        assert report.survivors[self.KEY] == tuple(records)
+        assert report.survivors[self.KEY] == encoded(*records)
 
     def test_reordered_blocks_detected(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
-        swapped = [records[1], records[0], records[2], blocks[-1]]
+        swapped = stored_group([records[1], records[0], records[2]], blocks[-1])
         report = verify_integrity({self.KEY: swapped}, store)
         assert report.integrity_verified is False
         assert set(report.pruned[self.KEY]) == {records[0].trace_id, records[1].trace_id}
@@ -250,12 +246,15 @@ class TestVerifyIntegrity:
         split_records = execute_request(IOT, SPLIT, split_trace, None, 3, 0)
         persist_evidence(store, "CW", split_records)
         setups, _ = load_setups(store)
-        setups["CW"] = [
-            dataclasses.replace(b, billed_duration_ms=b.billed_duration_ms + 1)
-            if p == 0
-            else b
-            for p, b in enumerate(setups["CW"])
-        ]
+        setups["CW"] = stored_group(
+            [
+                dataclasses.replace(r, billed_duration_ms=r.billed_duration_ms + 1)
+                if p == 0
+                else r
+                for p, r in enumerate(split_records)
+            ],
+            setups["CW"].proof,
+        )
         report = verify_integrity(setups, store)
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
@@ -264,7 +263,7 @@ class TestVerifyIntegrity:
     @pytest.mark.parametrize("tampered", [False, True])
     def test_older_layout_with_interior_nodes_verifies_the_same(self, tampered):
         records = [fused_records(bytes([0x50 + k]) * 32, origin=1000 * k)[k % 5] for k in range(7)]
-        tree = build_merkle_tree(record_leaf_hashes(records))
+        tree = build_merkle_tree(record_leaf_hashes(encoded(*records)))
         if tampered:
             records[3] = dataclasses.replace(records[3], memory_used_mb=99)
         outcomes = []
@@ -276,11 +275,101 @@ class TestVerifyIntegrity:
             report = verify_integrity(setups, store)
             outcomes.append((setups, report, store.get(f"{self.KEY}.json")))
         assert b'"tree":' in older_layout_group_file(records, tree)
-        assert outcomes[0][0] == outcomes[1][0] == {self.KEY: [*records, tree]}
+        assert outcomes[0][0] == outcomes[1][0] == {self.KEY: stored_group(records, tree)}
         assert outcomes[0][1] == outcomes[1][1]
         assert outcomes[0][1].integrity_verified is not tampered
         if tampered:  # the pruned group is rewritten in the current layout either way
             assert outcomes[0][2] == outcomes[1][2]
+
+
+class TestStoredBytes:
+    """Verification hashes each record element exactly as stored."""
+
+    KEY = "CW.SE.CS.CT.CA"
+
+    def persisted(self, n: int = 3):
+        store = MemoryStore()
+        records = persist_distinct_blocks(store, n)
+        return store, records, store.get(f"{self.KEY}.json")
+
+    def verify(self, store):
+        setups, corrupt = load_setups(store)
+        assert corrupt == {}
+        return verify_integrity(setups, store)
+
+    def test_whitespace_between_elements_verifies(self):
+        store, records, data = self.persisted()
+        elements = [*encoded(*records), data[data.rindex(b',{"root"') + 1 : -1]]
+        store.put(f"{self.KEY}.json", b" [\n  " + b" ,\n  ".join(elements) + b"\n]\n")
+        report = self.verify(store)
+        assert report.integrity_verified is True
+        assert report.pruned == {}
+
+    @pytest.mark.parametrize("idx", [b'"idx": 0', b'"idx":"0"'])
+    def test_reformatted_record_is_pruned(self, idx):
+        store, records, data = self.persisted()
+        element = canonical_record_bytes(records[1])
+        assert b'"idx":0,' in element
+        store.put(f"{self.KEY}.json", data.replace(element, element.replace(b'"idx":0', idx)))
+        report = self.verify(store)
+        assert report.integrity_verified is False
+        assert report.pruned == {self.KEY: (records[1].trace_id,)}
+        assert report.survivors == {self.KEY: encoded(records[0], records[2])}
+        assert self.verify(store).integrity_verified is True
+
+    def test_multibyte_character_keeps_later_offsets(self):
+        store, records, data = self.persisted()
+        element = canonical_record_bytes(records[0])
+        edited = element.replace(b'"task":"CW"', '"task":"CWé"'.encode())
+        assert edited != element
+        store.put(f"{self.KEY}.json", data.replace(element, edited))
+        report = self.verify(store)
+        assert report.pruned == {self.KEY: (records[0].trace_id,)}
+        assert report.survivors == {self.KEY: encoded(records[1], records[2])}
+        assert self.verify(store).integrity_verified is True
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda element: element.replace(b'"mem":', b'"memory":'),
+            lambda element: re.sub(rb'"billed":\d+', b'"billed":Infinity', element),
+        ],
+        ids=["field_renamed", "infinity"],
+    )
+    def test_unreadable_record_is_pruned_not_corrupt(self, edit):
+        store, records, data = self.persisted()
+        element = canonical_record_bytes(records[2])
+        assert edit(element) != element
+        store.put(f"{self.KEY}.json", data.replace(element, edit(element)))
+        report = self.verify(store)
+        assert report.pruned == {self.KEY: (records[2].trace_id,)}
+        assert report.survivors == {self.KEY: encoded(records[0], records[1])}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda element: element.replace(b'"traceid":', b'"trace":'),
+            lambda element: b"[" + element + b"]",
+            lambda element: b"7",
+        ],
+        ids=["no_traceid", "array", "number"],
+    )
+    def test_element_that_is_not_a_record_is_corrupt(self, edit):
+        store, records, data = self.persisted()
+        element = canonical_record_bytes(records[1])
+        store.put(f"{self.KEY}.json", data.replace(element, edit(element)))
+        setups, corrupt = load_setups(store)
+        assert setups == {}
+        assert list(corrupt) == [self.KEY]
+
+
+def encoded(*records) -> tuple[bytes, ...]:
+    return tuple(map(canonical_record_bytes, records))
+
+
+def stored_group(records, tree: TreeInfo) -> StoredGroup:
+    """The group as load_setups gives it when records are stored canonically."""
+    return StoredGroup(encoded(*records), tree)
 
 
 def older_layout_group_file(records, tree: TreeInfo) -> bytes:
@@ -641,6 +730,19 @@ def forge_leaf_list(leaf_of_record_1):
     return tamper
 
 
+def forge_proof_then_tamper(iteration: int, store) -> None:
+    """Tamper hook: inflate record 1 and reseal the group over it, then
+    edit record 2 without resealing, so that verification prunes record 2
+    and the proof vouches for the inflated record."""
+    key = "CW.SE.CS.CT.CA.json"
+    records = parse_group_file(store.get(key))[:-1]
+    records[1] = dataclasses.replace(records[1], billed_duration_ms=80000)
+    forged = build_merkle_tree(record_leaf_hashes(encoded(*records)))
+    billed = records[2].billed_duration_ms + 1
+    records[2] = dataclasses.replace(records[2], billed_duration_ms=billed)
+    store.put(key, group_file_bytes(records, forged))
+
+
 def corrupt_group_file(iteration: int, store) -> None:
     store.put("CW.SE.CS.CT.CA.json", b"not json")
 
@@ -730,6 +832,28 @@ class TestRunOptimization:
         assert result.reverted is False
         assert result.estimated_cost_ms == pytest.approx(282.0)
 
+    def test_survivors_of_a_forged_proof_stay_out_of_metrics(self, monkeypatch):
+        seen = []
+
+        def recording(records, fusion_key, app):
+            seen.extend(records)
+            return annotate_metrics(records, fusion_key, app)
+
+        monkeypatch.setattr(verification, "annotate_metrics", recording)
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=3,
+            request_counts=(4,),
+            tamper=forge_proof_then_tamper,
+        )
+        result = trace.iterations[0]
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert seen and all(r.billed_duration_ms != 80000 for r in seen)
+        assert result.estimated_cost_ms == pytest.approx(282.0)
+
     def test_non_string_task_prunes_and_continues(self):
         trace = run_optimization(
             IOT,
@@ -749,7 +873,7 @@ class TestRunOptimization:
     @pytest.mark.parametrize(
         "leaf_of_record_1",
         [
-            lambda record: record_leaf_hashes([record])[0],
+            lambda record: record_leaf_hashes(encoded(record))[0],
             lambda record: "zz",
             lambda record: "AB" * 32,
             lambda record: 5,
@@ -829,7 +953,8 @@ class TestRunOptimization:
         }
         (report,) = calls["verify_integrity"]
         key = "CW.SE.CS.CT.CA"
-        assert calls["annotate_metrics"] == [annotate_metrics(report.survivors[key], key, IOT)]
+        survivors = [record_from_wire(json.loads(data)) for data in report.survivors[key]]
+        assert calls["annotate_metrics"] == [annotate_metrics(survivors, key, IOT)]
 
     def test_attacked_iteration_reverts_on_empty_evidence(self):
         trace = run_optimization(
