@@ -276,11 +276,8 @@ _RECORD_COLUMNS = [
 
 
 def _record_row(record) -> list:
-    wire = record_to_wire(record)
-    return [
-        wire["traceid"], wire["task"], wire["idx"], wire["caller"], wire["start"],
-        wire["billed"], wire["mem"], wire["route"], wire["setupv"],
-    ]
+    # The wire dict's pinned field order is the CSV column order.
+    return list(record_to_wire(record).values())
 
 
 @contextmanager

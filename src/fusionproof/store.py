@@ -14,7 +14,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Union
+from typing import Protocol, Union
 
 from .errors import CorruptGroupFile, NotFound, ParseError, StoreWriteFailed
 from .proofs import TreeInfo, record_from_wire, treeinfo_from_wire
@@ -133,11 +133,10 @@ class StoredGroup:
     proof: TreeInfo
 
 
-def _scan_group_file(data: bytes, record_objs: Optional[list] = None) -> StoredGroup:
+def _scan_group_file(data: bytes) -> StoredGroup:
     """Split a group file into each record element's stored bytes and the
     proof, in one pass of the JSON decoder.  Each record element's decoded
-    object is appended to record_objs when it is given, and dropped as soon
-    as it is checked otherwise."""
+    object is dropped as soon as it is checked."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -151,8 +150,6 @@ def _scan_group_file(data: bytes, record_objs: Optional[list] = None) -> StoredG
         if spans:  # an element follows, so the one before it is a record
             if not (isinstance(obj, dict) and "traceid" in obj):
                 raise CorruptGroupFile("group file's records must be objects with a traceid")
-            if record_objs is not None:
-                record_objs.append(obj)
         start = _WHITESPACE.match(text, pos + 1).end()
         try:
             obj, end = _decode(text, start)
@@ -178,14 +175,12 @@ def _scan_group_file(data: bytes, record_objs: Optional[list] = None) -> StoredG
 
 def parse_group_file(data: bytes) -> GroupBlocks:
     """Decode a group file into records plus a trailing TreeInfo."""
-    record_objs: list = []
-    tree = _scan_group_file(data, record_objs).proof
+    group = _scan_group_file(data)
     try:
-        blocks: GroupBlocks = [record_from_wire(obj) for obj in record_objs]
+        records = [record_from_wire(json.loads(r)) for r in group.records]
     except ParseError as exc:
         raise CorruptGroupFile(str(exc)) from exc
-    blocks.append(tree)
-    return blocks
+    return [*records, group.proof]
 
 
 def load_setups(store: EvidenceStore) -> tuple[dict[str, StoredGroup], dict[str, str]]:

@@ -1,9 +1,9 @@
 """Proof verification, sampling-gated inspection, and fusion optimization.
 
-Closes the loop: rebuild each group's Merkle tree from its stored records,
-prune records that no longer match the proof, gate how often that check
-runs with a continuous sampling plan, aggregate verified measurements,
-and search for a cheaper fusion setup to run next.
+Closes the loop: check each group's stored records against the leaf
+list its Merkle root vouches for, prune records that do not match, gate
+how often that check runs with a continuous sampling plan, aggregate
+verified measurements, and search for a cheaper fusion setup to run next.
 """
 
 from __future__ import annotations
@@ -71,13 +71,13 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
     """Check every group's stored records against its proof, pruning on failure.
 
     Per group: a proof with an empty root fails outright with nothing to
-    prune; otherwise the tree is rebuilt from each record element's bytes
-    exactly as stored and compared by root.  On mismatch the group file is
-    rewritten over the elements whose leaves still match the stored
-    leaves, which count only if they rebuild the stored root (else no
-    record survives); the survivors' bytes are reported under the group's
-    key, and the trace ids of the pruned elements under pruned.  Nothing
-    is deleted.
+    prune.  Otherwise the stored leaf list counts only if it rebuilds the
+    stored root; a list that does not count compares as empty.  The group
+    passes when it counts and the leaf hash of each record element's bytes,
+    exactly as stored, matches it position by position.  Else the group
+    file is rewritten over the elements whose leaves still match; the
+    survivors' bytes are reported under the group's key, and the trace ids
+    of the pruned elements under pruned.  Nothing is deleted.
     """
     group_results: dict[str, bool] = {}
     out_survivors: dict[str, tuple[bytes, ...]] = {}
@@ -88,16 +88,15 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
         if not tree_info.root:
             group_results[key] = False
             continue
-        recomputed = record_leaf_hashes(records)
-        rebuilt = build_merkle_tree(recomputed)
-        if rebuilt.root == tree_info.root:
-            group_results[key] = True
-            continue
         try:
             vouched = build_merkle_tree(tree_info.leaves).root == tree_info.root
         except InvalidHexLeaf:
             vouched = False
+        recomputed = record_leaf_hashes(records)
         mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
+        if vouched and not mismatched:
+            group_results[key] = True
+            continue
         prunable = [p for p in mismatched if p < len(records)]
         removed = set(prunable)
         survivors = tuple(r for p, r in enumerate(records) if p not in removed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -288,17 +288,7 @@ def _apply_attack(
         out = []
         for rec in records:
             if rec.task == attack.target_task:
-                rec = InvocationRecord(
-                    trace_id=rec.trace_id,
-                    task=rec.task,
-                    chain_index=rec.chain_index,
-                    caller=rec.caller,
-                    start_ms=rec.start_ms,
-                    billed_duration_ms=_quantize(attack.inflated_duration_ms),
-                    memory_used_mb=rec.memory_used_mb,
-                    route=rec.route,
-                    setup_version=rec.setup_version,
-                )
+                rec = replace(rec, billed_duration_ms=_quantize(attack.inflated_duration_ms))
             out.append(rec)
         return out
 
@@ -322,10 +312,8 @@ def _apply_attack(
     out[p], out[q] = out[q], out[p]
     # Emission position dictates chain_index, so the swapped pair trade indices.
     a, b = out[p], out[q]
-    out[p] = InvocationRecord(a.trace_id, a.task, b.chain_index, a.caller, a.start_ms,
-                              a.billed_duration_ms, a.memory_used_mb, a.route, a.setup_version)
-    out[q] = InvocationRecord(b.trace_id, b.task, a.chain_index, b.caller, b.start_ms,
-                              b.billed_duration_ms, b.memory_used_mb, b.route, b.setup_version)
+    out[p] = replace(a, chain_index=b.chain_index)
+    out[q] = replace(b, chain_index=a.chain_index)
     return out
 
 

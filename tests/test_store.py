@@ -138,7 +138,10 @@ class TestParseGroupFile:
 
     @pytest.mark.parametrize(
         "payload",
-        [b"", b"not json", b"{}", b"[]", b'[{"task":"CW"}]', b'[1,2,3]'],
+        [
+            b"", b"not json", b"{}", b"[]", b'[{"task":"CW"}]', b'[1,2,3]',
+            b'[{"traceid":"t"},{"root":"","leaf":[]}]',
+        ],
     )
     def test_corrupt_payloads(self, payload):
         with pytest.raises(CorruptGroupFile):

@@ -229,6 +229,42 @@ class TestVerifyIntegrity:
         assert report.pruned == {self.KEY: (extra.trace_id,)}
         assert report.survivors[self.KEY] == encoded(*records)
 
+    def test_appended_copy_of_last_record_is_pruned(self):
+        # An odd leaf count pads its last leaf, so the stored root also
+        # rebuilds over a copy of the last record; the leaf list does not.
+        store = MemoryStore()
+        records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
+        assert len(records) == 15
+        persist_evidence(store, self.KEY, records)
+        sealed = store.get(f"{self.KEY}.json")
+        append_copy_of_last_record(0, store)
+        setups, _ = load_setups(store)
+        assert setups[self.KEY].records == encoded(*records, records[-1])
+        report = verify_integrity(setups, store)
+        assert report.integrity_verified is False
+        assert report.pruned == {self.KEY: (records[-1].trace_id,)}
+        assert report.survivors == {self.KEY: encoded(*records)}
+        assert store.get(f"{self.KEY}.json") == sealed
+        assert verify_integrity(load_setups(store)[0], store).integrity_verified is True
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda leaves: [leaves[1], leaves[0], *leaves[2:]],
+            lambda leaves: [leaves[0], "zz", *leaves[2:]],
+        ],
+        ids=["swapped", "non_hex"],
+    )
+    def test_records_that_rebuild_the_root_fail_under_a_forged_leaf_list(self, edit):
+        store = MemoryStore()
+        records = persist_distinct_blocks(store, 3)
+        tree = parse_group_file(store.get(f"{self.KEY}.json"))[-1]
+        forged = dataclasses.replace(tree, leaves=tuple(edit(list(tree.leaves))))
+        report = verify_integrity({self.KEY: stored_group(records, forged)}, store)
+        assert report.integrity_verified is False
+        assert report.pruned == {self.KEY: tuple(r.trace_id for r in records)}
+        assert report.survivors == {self.KEY: ()}
+
     def test_reordered_blocks_detected(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 3)
@@ -730,6 +766,14 @@ def forge_leaf_list(leaf_of_record_1):
     return tamper
 
 
+def append_copy_of_last_record(iteration: int, store) -> None:
+    """Tamper hook: append a copy of the last record, proof untouched."""
+    key = "CW.SE.CS.CT.CA.json"
+    blocks = parse_group_file(store.get(key))
+    tree, records = blocks[-1], blocks[:-1]
+    store.put(key, group_file_bytes([*records, records[-1]], tree))
+
+
 def forge_proof_then_tamper(iteration: int, store) -> None:
     """Tamper hook: inflate record 1 and reseal the group over it, then
     edit record 2 without resealing, so that verification prunes record 2
@@ -852,6 +896,29 @@ class TestRunOptimization:
         result = trace.iterations[0]
         assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
         assert seen and all(r.billed_duration_ms != 80000 for r in seen)
+        assert result.estimated_cost_ms == pytest.approx(282.0)
+
+    def test_appended_copy_of_last_record_is_pruned(self, monkeypatch):
+        seen = []
+
+        def recording(records, fusion_key, app):
+            seen.extend(records)
+            return annotate_metrics(records, fusion_key, app)
+
+        monkeypatch.setattr(verification, "annotate_metrics", recording)
+        trace = run_optimization(
+            IOT,
+            FUSED,
+            1,
+            policy=POLICY,
+            seed=3,
+            request_counts=(3,),
+            tamper=append_copy_of_last_record,
+        )
+        result = trace.iterations[0]
+        assert result.integrity_verified is False
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert len(seen) == 15
         assert result.estimated_cost_ms == pytest.approx(282.0)
 
     def test_non_string_task_prunes_and_continues(self):
