@@ -10,11 +10,10 @@ stale setup can be rejected.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     InvalidName,
@@ -27,8 +26,6 @@ from .errors import (
 # Reserved by the trace and storage encodings: "-" separates trace parts,
 # "." joins tasks within a group, "," joins groups, "/" builds store keys.
 _FORBIDDEN = set("-,./")
-
-_HEX64 = re.compile(r"[0-9a-f]{64}")
 
 RANDOM_PART_BYTES = 32
 
@@ -54,9 +51,21 @@ def calc_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def all_hex64(values: Sequence[str]) -> bool:
+    """True when every value is a str of exactly 64 lowercase hex digits: a
+    SHA-256 hexdigest.  One check over the joined values, which must read
+    back unchanged from their bytes; that rejects uppercase, the whitespace
+    that bytes.fromhex skips, and anything that is not ASCII hex."""
+    try:
+        joined = "".join(values)
+        return {*map(len, values)} <= {64} and bytes.fromhex(joined).hex() == joined
+    except (TypeError, ValueError):  # a value that is not a str, or not hex
+        return False
+
+
 def is_hex64(value: str) -> bool:
     """True for a str of exactly 64 lowercase hex digits: a SHA-256 hexdigest."""
-    return isinstance(value, str) and _HEX64.fullmatch(value) is not None
+    return all_hex64((value,))
 
 
 @dataclass(frozen=True)
@@ -189,10 +198,9 @@ def split_trace_id(value: str) -> TraceID:
     setup_part, function_name, random_part, hash_part = parts
     if not setup_part or not function_name:
         raise MalformedTraceID(f"trace ID {value!r} has empty parts")
-    if not is_hex64(random_part):
-        raise MalformedTraceID(f"trace ID {value!r} has a bad random part")
-    if not is_hex64(hash_part):
-        raise MalformedTraceID(f"trace ID {value!r} has a bad hash part")
+    if not all_hex64((random_part, hash_part)):
+        bad = "hash" if is_hex64(random_part) else "random"
+        raise MalformedTraceID(f"trace ID {value!r} has a bad {bad} part")
     return TraceID(setup_part, function_name, random_part, hash_part)
 
 

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidHexLeaf, ParseError
-from .handler import _HEX64, RouteKind, calc_hash, is_hex64
+from .handler import RouteKind, all_hex64, calc_hash, is_hex64
 from .workload import InvocationRecord
 
 
@@ -295,11 +295,7 @@ def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
 def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     """Build the proof over leaf hashes, duplicating the last element of
     every odd level so no leaf ever drops out of the tree."""
-    try:
-        valid = all(map(_HEX64.fullmatch, leaf_hashes))
-    except TypeError:  # a leaf that is not a str
-        valid = False
-    if not valid:
+    if not all_hex64(leaf_hashes):
         bad = next(leaf for leaf in leaf_hashes if not is_hex64(leaf))
         raise InvalidHexLeaf(f"leaf {bad!r} is not a 64-char lowercase hex digest")
     if not leaf_hashes:
@@ -319,7 +315,8 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
 
 def record_leaf_hashes(encoded: Sequence[bytes]) -> list[str]:
     """The leaf hash of each record's bytes, as persisted or as stored."""
-    return [calc_hash(data) for data in encoded]
+    sha256 = hashlib.sha256
+    return [sha256(data).hexdigest() for data in encoded]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Protocol, Union
 
 from .errors import CorruptGroupFile, NotFound, ParseError, StoreWriteFailed
-from .proofs import TreeInfo, record_from_wire, treeinfo_from_wire
+from .proofs import _RECORD_LINE, TreeInfo, record_from_wire, treeinfo_from_wire
 from .workload import InvocationRecord
 
 GroupBlocks = list[Union[InvocationRecord, TreeInfo]]
@@ -124,6 +124,19 @@ class FileStore:
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _decode = json.JSONDecoder().raw_decode
 
+# The exact layout canonical_record_bytes writes, taken from its template,
+# so a scan can take a record element's span without decoding it.
+# Everything it matches is a JSON object with a traceid that the decoder
+# reads to the same end.  A string is unrolled (plain characters, then an
+# escape, and so on) and neither part can start the other, so a match takes
+# linear time.  Integers have at most 640 digits, the lowest limit Python's
+# int conversion can be set to, so the decoder refuses none of them.
+_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
+_INTEGER = r"-?(?:0|[1-9][0-9]{0,639})"
+_CANONICAL_RECORD = re.compile(
+    re.escape(_RECORD_LINE.replace('"%s"', "%s")).replace("%s", _STRING).replace("%d", _INTEGER)
+)
+
 
 @dataclass(frozen=True)
 class StoredGroup:
@@ -135,8 +148,9 @@ class StoredGroup:
 
 def _scan_group_file(data: bytes) -> StoredGroup:
     """Split a group file into each record element's stored bytes and the
-    proof, in one pass of the JSON decoder.  Each record element's decoded
-    object is dropped as soon as it is checked."""
+    proof, in one pass.  An element in the canonical record layout is
+    recognized without being decoded; any other goes through the JSON
+    decoder, and its object is dropped as soon as it is checked."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -147,14 +161,21 @@ def _scan_group_file(data: bytes) -> StoredGroup:
         raise CorruptGroupFile("group file must be a non-empty JSON array")
     spans = []
     while text.startswith("," if spans else "[", pos):
-        if spans:  # an element follows, so the one before it is a record
-            if not (isinstance(obj, dict) and "traceid" in obj):
-                raise CorruptGroupFile("group file's records must be objects with a traceid")
+        # An element follows, so the one before it is a record.
+        if spans and not is_record:
+            raise CorruptGroupFile("group file's records must be objects with a traceid")
         start = _WHITESPACE.match(text, pos + 1).end()
-        try:
-            obj, end = _decode(text, start)
-        except json.JSONDecodeError as exc:
-            raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
+        match = _CANONICAL_RECORD.match(text, start)
+        if match is not None:
+            obj, end, is_record = None, match.end(), True
+        else:
+            try:
+                obj, end = _decode(text, start)
+            except json.JSONDecodeError as exc:
+                raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:  # too many digits, too deep
+                raise CorruptGroupFile(f"group file cannot be decoded: {exc}") from exc
+            is_record = isinstance(obj, dict) and "traceid" in obj
         spans.append((start, end))
         pos = _WHITESPACE.match(text, end).end()
     if not text.startswith("]", pos) or _WHITESPACE.match(text, pos + 1).end() != len(text):
@@ -188,9 +209,9 @@ def load_setups(store: EvidenceStore) -> tuple[dict[str, StoredGroup], dict[str,
 
     Returns (setups, corrupt): setups maps fusion_key to the group's
     record element bytes and proof; corrupt maps fusion_key to the
-    failure reason for group files that would not parse.  No record is
-    decoded into an InvocationRecord.  A corrupt file never hides the
-    remaining keys.
+    failure reason for listed group files that could not be read or would
+    not parse.  No record is decoded into an InvocationRecord.  A corrupt
+    file never hides the remaining keys.
     """
     setups: dict[str, StoredGroup] = {}
     corrupt: dict[str, str] = {}
@@ -200,6 +221,6 @@ def load_setups(store: EvidenceStore) -> tuple[dict[str, StoredGroup], dict[str,
         fusion_key = key[: -len(".json")]
         try:
             setups[fusion_key] = _scan_group_file(store.get(key))
-        except CorruptGroupFile as exc:
+        except (NotFound, CorruptGroupFile) as exc:
             corrupt[fusion_key] = str(exc)
     return setups, corrupt

@@ -416,6 +416,16 @@ class TestVerifyCommand:
         payload = json.loads((out / "verification.json").read_text())
         assert "BROKEN" in payload["corrupt"]
 
+    def test_unreadable_group_file_is_reported_and_the_rest_verified(self, tmp_path):
+        def dangle(root: Path):
+            (root / "ZZ.json").symlink_to(root / "missing.json")
+
+        code, out = self.run_then_verify(tmp_path, mutate=dangle)
+        assert code == EXIT_CORRUPT
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["corrupt"] == {"ZZ": "no object at 'ZZ.json'"}
+        assert payload["group_results"] == {"CW.SE.CS.CT.CA": True}
+
     def test_empty_store_is_vacuously_verified(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["verify", "--config", str(config)]) == EXIT_OK

@@ -261,12 +261,12 @@ class TestHexValidator:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_split_trace_id_rejects_bad_random_part(self, bad):
-        with pytest.raises(MalformedTraceID):
+        with pytest.raises(MalformedTraceID, match="bad random part"):
             split_trace_id(f"A.B,C-A-{bad}-{self.GOOD}")
 
     @pytest.mark.parametrize("bad", BAD)
     def test_split_trace_id_rejects_bad_hash_part(self, bad):
-        with pytest.raises(MalformedTraceID):
+        with pytest.raises(MalformedTraceID, match="bad hash part"):
             split_trace_id(f"A.B,C-A-{self.GOOD}-{bad}")
 
     @pytest.mark.parametrize("bad", [*BAD, b"a" * 64, None])

@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionproof.errors import InvalidHexLeaf, ParseError
-from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id, is_hex64
+from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
     ThresholdPolicy,
     TreeInfo,
@@ -32,7 +33,8 @@ from fusionproof.proofs import (
     treeinfo_from_wire,
     treeinfo_to_wire,
 )
-from fusionproof.store import MemoryStore
+from fusionproof.store import MemoryStore, StoredGroup, load_setups
+from fusionproof.verification import verify_integrity
 from fusionproof.workload import (
     AttackPlan,
     InvocationRecord,
@@ -586,11 +588,24 @@ def _reference_merkle_root(leaves):
 
 
 _DIGEST = hashlib.sha256(b"leaf").hexdigest()
+# 64 characters each, and hex once the whitespace bytes.fromhex skips is gone.
+_SPACED = _DIGEST[:30] + " " + _DIGEST[31:]
+_TABBED = _DIGEST[:32] + "\t" + _DIGEST[33:]
+_ARABIC_DIGIT = _DIGEST[:63] + "٣"
+# Leaves that are not SHA-256 hex digests; the one-call check must reject each.
+_BAD_LEAVES = [
+    _SPACED, _TABBED, _DIGEST.upper(), _ARABIC_DIGIT, _DIGEST.encode(), None, 5,
+]
+def _reference_is_hex64(leaf) -> bool:
+    """The per-leaf rule as a regex, independent of the batch check."""
+    return isinstance(leaf, str) and re.fullmatch("[0-9a-f]{64}", leaf) is not None
+
+
 _LEAF = st.one_of(
     st.text(alphabet="0123456789abcdef", min_size=64, max_size=64),
     st.sampled_from([
-        _DIGEST + "\n" + _DIGEST, "a" * 63, "a" * 65, "٠" * 64, _DIGEST + "\n",
-        _DIGEST.upper(), _DIGEST.encode(), None, "",
+        _DIGEST + "\n" + _DIGEST, "a" * 63, "a" * 65, "٠" * 64, _DIGEST + "\n", "",
+        *_BAD_LEAVES,
     ]),
 )
 
@@ -606,8 +621,14 @@ class TestMerkleLeafCheck:
     @example([_DIGEST.upper()])
     @example([_DIGEST, _DIGEST.encode()])
     @example([None, _DIGEST])
+    @example([_DIGEST, _SPACED])
+    @example([_TABBED, _DIGEST])
+    @example([_DIGEST, "a" * 63, "a" * 65])
+    @example([_DIGEST, _DIGEST.upper()])
+    @example([_ARABIC_DIGIT])
+    @example([_DIGEST, 5])
     def test_accepts_exactly_when_every_leaf_is_hex64(self, leaves):
-        bad = [leaf for leaf in leaves if not is_hex64(leaf)]
+        bad = [leaf for leaf in leaves if not _reference_is_hex64(leaf)]
         if bad:
             with pytest.raises(InvalidHexLeaf) as info:
                 build_merkle_tree(leaves)
@@ -621,6 +642,23 @@ class TestMerkleLeafCheck:
             return
         assert tree.root == _reference_merkle_root(leaves)
         assert tree.leaves == tuple(leaves)
+
+    @pytest.mark.parametrize(
+        "bad", _BAD_LEAVES, ids=["space", "tab", "upper", "arabic_digit", "bytes", "none", "int"]
+    )
+    def test_stored_leaf_list_holding_one_compares_as_forged(self, bad):
+        store = MemoryStore()
+        records = [*iot_records(b"\x61" * 32), *iot_records(b"\x62" * 32)]
+        persist_evidence(store, "CW.SE.CS.CT.CA", records)
+        group = load_setups(store)[0]["CW.SE.CS.CT.CA"]
+        forged = TreeInfo(group.proof.root, (*group.proof.leaves[:1], bad, *group.proof.leaves[2:]))
+        with pytest.raises(InvalidHexLeaf) as info:
+            build_merkle_tree(forged.leaves)
+        assert str(info.value) == f"leaf {bad!r} is not a 64-char lowercase hex digest"
+        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, store)
+        assert report.integrity_verified is False
+        assert report.pruned == {"CW.SE.CS.CT.CA": tuple(r.trace_id for r in records)}
+        assert report.survivors == {"CW.SE.CS.CT.CA": ()}
 
 
 class TestSharedPassingVerdict:

@@ -3,22 +3,34 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusionproof import store as store_module
 from fusionproof.errors import CorruptGroupFile, NotFound, StoreWriteFailed
-from fusionproof.handler import FusionSetup, generate_trace_id
+from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
     TreeInfo,
     build_merkle_tree,
     canonical_record_bytes,
+    group_file_bytes,
     persist_evidence,
     record_leaf_hashes,
 )
-from fusionproof.store import FileStore, MemoryStore, StoredGroup, load_setups, parse_group_file
-from fusionproof.workload import builtin_iot_app, execute_request
+from fusionproof.store import (
+    _CANONICAL_RECORD,
+    FileStore,
+    MemoryStore,
+    StoredGroup,
+    load_setups,
+    parse_group_file,
+)
+from fusionproof.workload import InvocationRecord, builtin_iot_app, execute_request
 
 IOT = builtin_iot_app()
 FUSED = FusionSetup.fused([["CW", "SE", "CS", "CT", "CA"]])
@@ -147,6 +159,19 @@ class TestParseGroupFile:
         with pytest.raises(CorruptGroupFile):
             parse_group_file(payload)
 
+    def test_number_the_decoder_refuses_is_corrupt(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int conversion has no digit limit")
+        data = group_file_bytes(iot_records(b"\x27" * 32), TreeInfo.empty())
+        data = data.replace(b'"idx":0', b'"idx":' + b"1" * (limit + 1), 1)
+        with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
+            parse_group_file(data)
+
+    def test_nesting_too_deep_for_the_decoder_is_corrupt(self):
+        with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
+            parse_group_file(b"[" * 100_000)
+
 
 class TestLoadSetups:
     def test_round_trip(self):
@@ -193,6 +218,122 @@ class TestLoadSetups:
 
     def test_empty_store(self):
         assert load_setups(MemoryStore()) == ({}, {})
+
+    def test_unreadable_group_file_isolated(self, tmp_path):
+        store = FileStore(tmp_path / "ev")
+        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x28" * 32))
+        (tmp_path / "ev" / "ZZ.json").symlink_to(tmp_path / "missing.json")
+        setups, corrupt = load_setups(store)
+        assert list(setups) == ["CW.SE.CS.CT.CA"]
+        assert corrupt == {"ZZ": "no object at 'ZZ.json'"}
+
+
+def _scan(data: bytes):
+    try:
+        return store_module._scan_group_file(data)
+    except CorruptGroupFile as exc:
+        return str(exc)
+
+
+def _scan_by_decoder(data: bytes):
+    """The scan with the canonical-record recognizer disabled, so every
+    element goes through the JSON decoder."""
+    with mock.patch.object(store_module, "_CANONICAL_RECORD", re.compile(r"(?!)")):
+        return _scan(data)
+
+
+def _pipeline_group_files() -> list[bytes]:
+    files = []
+    for seed in (b"\x31", b"\x32"):
+        store = MemoryStore()
+        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(seed * 32))
+        files.append(store.get("CW.SE.CS.CT.CA.json"))
+    return files
+
+
+_GROUP_FILES = _pipeline_group_files()
+_FIRST = _GROUP_FILES[0]
+_JSON_BYTES = [bytes([c]) for c in b'"{}[],:\\0123456789']
+_EDIT = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0),
+    st.one_of(st.sampled_from(_JSON_BYTES), st.binary(min_size=1, max_size=3)),
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, at, chunk in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data = data[:at] + chunk + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + len(chunk):]
+        else:
+            data = data[:at] + chunk + data[at + len(chunk):]
+    return data
+
+
+# Edits to the first record of _FIRST, as (old, new) bytes.
+_FIRST_RECORD_EDITS = {
+    "leading_zero": (b'"idx":0', b'"idx":01'),
+    "double_zero": (b'"idx":0', b'"idx":00'),
+    "arabic_digit": (b'"idx":0', '"idx":٣'.encode()),
+    "arabic_digit_after_1": (b'"idx":0', '"idx":1٣'.encode()),
+    "fraction": (b'"idx":0', b'"idx":1.0'),
+    "exponent": (b'"idx":0', b'"idx":1e3'),
+    "minus_zero": (b'"idx":0', b'"idx":-0'),
+    "640_digits": (b'"idx":0', b'"idx":' + b"1" * 640),
+    "641_digits": (b'"idx":0', b'"idx":' + b"1" * 641),
+    "raw_control": (b'"task":"CW"', b'"task":"C\x1fW"'),
+    "raw_control_after_escape": (b'"task":"CW"', b'"task":"C\\n\x1fW"'),
+    "raw_del": (b'"task":"CW"', b'"task":"C\x7fW"'),
+    "raw_non_ascii": (b'"task":"CW"', '"task":"CWé"'.encode()),
+    "escaped_non_ascii": (b'"task":"CW"', b'"task":"CW\\u00e9"'),
+    "ends_in_backslash": (b'"task":"CW"', b'"task":"CW\\\\"'),
+    "escaped_quote": (b'"task":"CW"', b'"task":"CW\\"'),
+    "bad_escape": (b'"task":"CW"', b'"task":"CW\\x"'),
+    "bad_unicode_escape": (b'"task":"CW"', b'"task":"CW\\u00g9"'),
+    "reordered_keys": (b'"task":"CW","idx":0', b'"idx":0,"task":"CW"'),
+    "space_after_colon": (b'"task":"CW"', b'"task": "CW"'),
+    "space_before_comma": (b'"task":"CW"', b'"task":"CW" '),
+}
+
+
+class TestCanonicalRecordRecognizer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_GROUP_FILES), st.lists(_EDIT, min_size=1, max_size=4))
+    def test_scan_agrees_with_the_decoder_on_mutated_files(self, data, edits):
+        mutated = _mutate(data, edits)
+        assert _scan(mutated) == _scan_by_decoder(mutated)
+
+    def test_scan_agrees_with_the_decoder_on_pipeline_files(self):
+        for data in _GROUP_FILES:
+            assert isinstance(_scan(data), StoredGroup)
+            assert _scan(data) == _scan_by_decoder(data)
+
+    @pytest.mark.parametrize(
+        "old, new", list(_FIRST_RECORD_EDITS.values()), ids=list(_FIRST_RECORD_EDITS)
+    )
+    def test_scan_agrees_with_the_decoder_on_edited_record(self, old, new):
+        assert old in _FIRST
+        data = _FIRST.replace(old, new, 1)
+        assert _scan(data) == _scan_by_decoder(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(st.characters(blacklist_categories=())), min_size=3, max_size=3),
+        st.lists(st.integers(-(10**640) + 1, 10**640 - 1), min_size=5, max_size=5),
+        st.sampled_from(RouteKind),
+    )
+    @example(['"', "\\", "\x00\x1f\x7f"], [-1, 0, 10**639, -(10**640) + 1, 2**63], RouteKind.LOCAL)
+    @example(["é\ud83d\ude00", "\ud800", 'a\\"\\'], [0, 0, 0, 0, 0], RouteKind.REMOTE)
+    def test_every_encoded_record_is_recognized(self, texts, ints, route):
+        """A change to the encoder that leaves this layout sends every
+        record element back to the decoder; this test catches it."""
+        trace_id, task, caller = texts
+        idx, start, billed, mem, setupv = ints
+        record = InvocationRecord(trace_id, task, idx, caller, start, billed, mem, route, setupv)
+        assert _CANONICAL_RECORD.fullmatch(canonical_record_bytes(record).decode("ascii"))
 
 
 def rglob_keys(root, prefix: str = "") -> list[str]:
