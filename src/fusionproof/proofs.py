@@ -25,9 +25,9 @@ from .workload import InvocationRecord
 # Log parsing
 
 _REPORT_RE = re.compile(
-    r"^REPORT traceid=(?P<traceid>\S+) task=(?P<task>\S+) idx=(?P<idx>\d+) "
-    r"caller=(?P<caller>\S+) start=(?P<start>\d+) billed=(?P<billed>\d+) "
-    r"mem=(?P<mem>\d+) route=(?P<route>LOCAL|REMOTE) setupv=(?P<setupv>\d+)$"
+    r"^REPORT traceid=(?P<traceid>\S+) task=(?P<task>\S+) idx=(?P<idx>[0-9]+) "
+    r"caller=(?P<caller>\S+) start=(?P<start>[0-9]+) billed=(?P<billed>[0-9]+) "
+    r"mem=(?P<mem>[0-9]+) route=(?P<route>LOCAL|REMOTE) setupv=(?P<setupv>[0-9]+)$"
 )
 
 

@@ -13,14 +13,15 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from pathlib import Path
-from typing import Protocol, Union
+from typing import Optional, Protocol, Union
 
+from . import proofs
 from .errors import CorruptGroupFile, NotFound, ParseError, StoreWriteFailed
-from .proofs import _RECORD_LINE, TreeInfo, record_from_wire, treeinfo_from_wire
+from .proofs import TreeInfo, record_from_wire, treeinfo_from_wire
 from .workload import InvocationRecord
-
-GroupBlocks = list[Union[InvocationRecord, TreeInfo]]
 
 
 def _validate_key(key: str) -> str:
@@ -124,18 +125,10 @@ class FileStore:
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _decode = json.JSONDecoder().raw_decode
 
-# The exact layout canonical_record_bytes writes, taken from its template,
-# so a scan can take a record element's span without decoding it.
-# Everything it matches is a JSON object with a traceid that the decoder
-# reads to the same end.  A string is unrolled (plain characters, then an
-# escape, and so on) and neither part can start the other, so a match takes
-# linear time.  Integers have at most 640 digits, the lowest limit Python's
-# int conversion can be set to, so the decoder refuses none of them.
-_STRING = r'"[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"'
-_INTEGER = r"-?(?:0|[1-9][0-9]{0,639})"
-_CANONICAL_RECORD = re.compile(
-    re.escape(_RECORD_LINE.replace('"%s"', "%s")).replace("%s", _STRING).replace("%d", _INTEGER)
-)
+# Where one record element ends and the next begins in the layout the
+# pipeline writes.  A canonical record escapes every '"' inside its
+# strings, so these bytes never occur within one.
+_RECORD_BOUNDARY = re.compile(rb'\},\{"traceid":')
 
 
 @dataclass(frozen=True)
@@ -146,11 +139,46 @@ class StoredGroup:
     proof: TreeInfo
 
 
-def _scan_group_file(data: bytes) -> StoredGroup:
+def _whole_object(piece: bytes, key: str) -> Optional[dict]:
+    """The JSON object with key that is all of the ASCII piece, else None."""
+    text = piece.decode("ascii")
+    try:
+        obj, end = _decode(text)
+    except (ValueError, RecursionError):
+        return None
+    return obj if end == len(text) and isinstance(obj, dict) and key in obj else None
+
+
+def _split_group_file(data: bytes) -> Optional[StoredGroup]:
+    """Split a group file in the layout the pipeline writes at its record
+    boundaries, decoding only the proof and the record elements whose
+    hash is not the stored leaf at their position.  None when the file
+    is not in that layout or any piece fails its check."""
+    if not (data.isascii() and data.startswith(b'[{"traceid":') and data.endswith(b"}]")):
+        return None
+    cut = data.rfind(b'},{"root":')
+    obj = _whole_object(data[cut + 2 : -1], "root") if cut > 0 else None
+    if obj is None:
+        return None
+    try:
+        tree = treeinfo_from_wire(obj)
+    except ParseError:
+        return None
+    # The "[" or "," before each record element, then the "," before the proof.
+    commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut + 1]
+    records = [data[s + 1 : e] for s, e in zip(commas, commas[1:])]
+    # Looked up on the module, so a wrapper set there sees this call too.
+    hashes = proofs.record_leaf_hashes(records)
+    unsealed = [*compress(records, map(ne, hashes, tree.leaves)), *records[len(tree.leaves) :]]
+    if not all(_whole_object(piece, "traceid") for piece in unsealed):
+        return None
+    return StoredGroup(tuple(records), tree)
+
+
+def _decode_group_file(data: bytes) -> StoredGroup:
     """Split a group file into each record element's stored bytes and the
-    proof, in one pass.  An element in the canonical record layout is
-    recognized without being decoded; any other goes through the JSON
-    decoder, and its object is dropped as soon as it is checked."""
+    proof by running the JSON decoder over every element; each object is
+    dropped as soon as it is checked."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -162,20 +190,15 @@ def _scan_group_file(data: bytes) -> StoredGroup:
     spans = []
     while text.startswith("," if spans else "[", pos):
         # An element follows, so the one before it is a record.
-        if spans and not is_record:
+        if spans and not (isinstance(obj, dict) and "traceid" in obj):
             raise CorruptGroupFile("group file's records must be objects with a traceid")
         start = _WHITESPACE.match(text, pos + 1).end()
-        match = _CANONICAL_RECORD.match(text, start)
-        if match is not None:
-            obj, end, is_record = None, match.end(), True
-        else:
-            try:
-                obj, end = _decode(text, start)
-            except json.JSONDecodeError as exc:
-                raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
-            except (ValueError, RecursionError) as exc:  # too many digits, too deep
-                raise CorruptGroupFile(f"group file cannot be decoded: {exc}") from exc
-            is_record = isinstance(obj, dict) and "traceid" in obj
+        try:
+            obj, end = _decode(text, start)
+        except json.JSONDecodeError as exc:
+            raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise CorruptGroupFile(f"group file cannot be decoded: {exc}") from exc
         spans.append((start, end))
         pos = _WHITESPACE.match(text, end).end()
     if not text.startswith("]", pos) or _WHITESPACE.match(text, pos + 1).end() != len(text):
@@ -194,9 +217,18 @@ def _scan_group_file(data: bytes) -> StoredGroup:
     return StoredGroup(records, tree)
 
 
-def parse_group_file(data: bytes) -> GroupBlocks:
+def _scan_group_file(data: bytes) -> StoredGroup:
+    """Split a group file into each record element's stored bytes and the
+    proof.  A file in the pipeline's layout is split at its record
+    boundaries; any other file, or one with a piece that fails its check,
+    goes through the decoder element by element, which gives the verdict."""
+    group = _split_group_file(data)
+    return group if group is not None else _decode_group_file(data)
+
+
+def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
     """Decode a group file into records plus a trailing TreeInfo."""
-    group = _scan_group_file(data)
+    group = _decode_group_file(data)
     try:
         records = [record_from_wire(json.loads(r)) for r in group.records]
     except ParseError as exc:

@@ -252,6 +252,19 @@ class TestParseLogLines:
         assert rejects[0].line_number == 1
         assert "grammar" in rejects[0].reason
 
+    @pytest.mark.parametrize("field", ["idx", "start", "billed", "mem", "setupv"])
+    def test_non_ascii_digits_rejected(self, field):
+        """Only ASCII digits are numbers in the grammar: int() would read
+        an Arabic-Indic or fullwidth digit as its value."""
+        good = "REPORT traceid=t task=CW idx=0 caller=I start=0 billed=1 mem=1 route=REMOTE setupv=1"
+        assert parse_log_lines([good])[1] == []
+        for digit in ("\u0660", "\u0661", "\uff11", "1\u0663"):
+            line = re.sub(rf"(?<= {field}=)[0-9]+", digit, good)
+            assert line != good
+            records, rejects = parse_log_lines([line])
+            assert records == []
+            assert [r.reason for r in rejects] == ["does not match REPORT grammar"]
+
     def test_zero_billed_rejected(self):
         line = (
             "REPORT traceid=t task=CW idx=0 caller=I start=0 billed=0 "

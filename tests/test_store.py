@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
-import re
 import sys
 from unittest import mock
 
@@ -23,7 +23,6 @@ from fusionproof.proofs import (
     record_leaf_hashes,
 )
 from fusionproof.store import (
-    _CANONICAL_RECORD,
     FileStore,
     MemoryStore,
     StoredGroup,
@@ -228,18 +227,20 @@ class TestLoadSetups:
         assert corrupt == {"ZZ": "no object at 'ZZ.json'"}
 
 
-def _scan(data: bytes):
+def _outcome(scan, data: bytes):
     try:
-        return store_module._scan_group_file(data)
+        return scan(data)
     except CorruptGroupFile as exc:
         return str(exc)
 
 
+def _scan(data: bytes):
+    return _outcome(store_module._scan_group_file, data)
+
+
 def _scan_by_decoder(data: bytes):
-    """The scan with the canonical-record recognizer disabled, so every
-    element goes through the JSON decoder."""
-    with mock.patch.object(store_module, "_CANONICAL_RECORD", re.compile(r"(?!)")):
-        return _scan(data)
+    """The scan that sends every element through the JSON decoder."""
+    return _outcome(store_module._decode_group_file, data)
 
 
 def _pipeline_group_files() -> list[bytes]:
@@ -299,7 +300,7 @@ _FIRST_RECORD_EDITS = {
 }
 
 
-class TestCanonicalRecordRecognizer:
+class TestRecordBoundarySplit:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_GROUP_FILES), st.lists(_EDIT, min_size=1, max_size=4))
     def test_scan_agrees_with_the_decoder_on_mutated_files(self, data, edits):
@@ -308,7 +309,7 @@ class TestCanonicalRecordRecognizer:
 
     def test_scan_agrees_with_the_decoder_on_pipeline_files(self):
         for data in _GROUP_FILES:
-            assert isinstance(_scan(data), StoredGroup)
+            assert isinstance(store_module._split_group_file(data), StoredGroup)
             assert _scan(data) == _scan_by_decoder(data)
 
     @pytest.mark.parametrize(
@@ -319,6 +320,111 @@ class TestCanonicalRecordRecognizer:
         data = _FIRST.replace(old, new, 1)
         assert _scan(data) == _scan_by_decoder(data)
 
+    def test_one_record_file_is_split(self):
+        records = iot_records(b"\x33" * 32)[:1]
+        store = MemoryStore()
+        receipt = persist_evidence(store, "CW", records)
+        data = store.get("CW.json")
+        expected = StoredGroup((canonical_record_bytes(records[0]),), receipt.tree)
+        assert store_module._split_group_file(data) == expected
+        assert _scan_by_decoder(data) == expected
+
+    def test_proof_that_still_carries_the_tree_is_split(self):
+        data = _FIRST
+        tree = _scan_by_decoder(data).proof
+        older = data.replace(b',"leaf":[', b',"tree":["%s"],"leaf":[' % tree.root.encode(), 1)
+        assert older != data
+        assert store_module._split_group_file(older) == _scan_by_decoder(data)
+        assert _scan_by_decoder(older) == _scan_by_decoder(data)
+
+    @pytest.mark.parametrize("separator", [b'},{"traceid":', b'},{"root":'])
+    def test_whitespace_after_a_separator_goes_to_the_decoder(self, separator):
+        spaced = separator.replace(b",", b", \n")
+        data = _FIRST.replace(separator, spaced, 1)
+        assert data != _FIRST
+        assert store_module._split_group_file(data) is None
+        assert _scan(data) == _scan_by_decoder(_FIRST)
+
+    def test_file_without_a_proof_boundary_goes_to_the_decoder(self):
+        """One element that is both a record and the proof, with a leaf
+        that is the hash of no bytes: the split finds no proof boundary."""
+        empty_hash = hashlib.sha256(b"").hexdigest()
+        data = b'[{"traceid":"t","root":"r","leaf":["%s"]}]' % empty_hash.encode()
+        assert store_module._split_group_file(data) is None
+        assert _scan(data) == StoredGroup((), TreeInfo("r", (empty_hash,)))
+
+    def test_non_ascii_record_goes_to_the_decoder(self):
+        data = _FIRST.replace(b'"task":"CW"', '"task":"CWé"'.encode(), 1)
+        assert store_module._split_group_file(data) is None
+        group = _scan(data)
+        assert group == _scan_by_decoder(data)
+        assert '"task":"CWé"'.encode() in group.records[0]
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"billed":', b'"billed":x', "Expecting value: line 1 column 215 (char 214)"),
+            (b'"mem":', b'"mem" ', "Expecting ':' delimiter: line 1 column 224 (char 223)"),
+            # A piece after the last record, which no leaf covers.
+            (
+                b'},{"root":',
+                b'},{"traceid":"t",},{"root":',
+                "Expecting property name enclosed in double quotes: line 1 column 1293 (char 1292)",
+            ),
+        ],
+    )
+    def test_tampered_piece_that_does_not_decode_is_corrupt_as_before(self, old, new, message):
+        data = _FIRST.replace(old, new, 3)
+        assert store_module._split_group_file(data) is None
+        assert _scan(data) == f"group file is not valid JSON: {message}"
+        store = MemoryStore()
+        store.put("CW.json", data)
+        assert load_setups(store) == ({}, {"CW": f"group file is not valid JSON: {message}"})
+
+    def test_leaf_list_forged_over_a_malformed_piece(self):
+        """The split takes a piece whose hash is its stored leaf without
+        decoding it, so a leaf list forged over malformed bytes passes
+        the load; parse_group_file decodes every element and refuses it."""
+        pieces = list(_scan_by_decoder(_FIRST).records)
+        pieces[0] = pieces[0].replace(b'"idx":0', b'"idx":01')
+        forged_tree = build_merkle_tree(record_leaf_hashes(pieces))
+        proof = json.dumps({"root": forged_tree.root, "leaf": forged_tree.leaves}, separators=(",", ":"))
+        data = b"[" + b",".join([*pieces, proof.encode()]) + b"]"
+        assert store_module._split_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
+        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
+        assert _scan_by_decoder(data) == message
+        with pytest.raises(CorruptGroupFile) as raised:
+            parse_group_file(data)
+        assert str(raised.value) == message
+
+    def test_empty_root_file_is_unchanged(self):
+        store = MemoryStore()
+        persist_evidence(store, "CW", [])
+        data = store.get("CW.json")
+        assert data == b'[{"root":"","leaf":[]}]'
+        assert _scan(data) == StoredGroup((), TreeInfo.empty())
+
+    @pytest.mark.parametrize("tampered", [0, 1, 3])
+    def test_only_the_proof_and_tampered_records_are_decoded(self, tampered):
+        """An untampered file decodes one element, its proof; each record
+        whose bytes no longer match its leaf adds one."""
+        records = [r for seed in (b"\x34", b"\x35", b"\x36") for r in iot_records(seed * 32)]
+        store = MemoryStore()
+        persist_evidence(store, "CW.SE.CS.CT.CA", records)
+        data = store.get("CW.SE.CS.CT.CA.json")
+        store.put("CW.SE.CS.CT.CA.json", data.replace(b'"route":"', b'"route":"X', tampered))
+        decoded = []
+        decode = store_module._decode
+
+        def counting_decode(*args):
+            decoded.append(args)
+            return decode(*args)
+
+        with mock.patch.object(store_module, "_decode", counting_decode):
+            setups, corrupt = load_setups(store)
+        assert corrupt == {} and len(setups["CW.SE.CS.CT.CA"].records) == len(records)
+        assert len(decoded) == tampered + 1
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.text(st.characters(blacklist_categories=())), min_size=3, max_size=3),
@@ -327,13 +433,16 @@ class TestCanonicalRecordRecognizer:
     )
     @example(['"', "\\", "\x00\x1f\x7f"], [-1, 0, 10**639, -(10**640) + 1, 2**63], RouteKind.LOCAL)
     @example(["é\ud83d\ude00", "\ud800", 'a\\"\\'], [0, 0, 0, 0, 0], RouteKind.REMOTE)
-    def test_every_encoded_record_is_recognized(self, texts, ints, route):
-        """A change to the encoder that leaves this layout sends every
-        record element back to the decoder; this test catches it."""
+    def test_no_encoded_record_holds_a_boundary(self, texts, ints, route):
+        """A change to the encoder that writes a record boundary inside a
+        record sends every group file back to the decoder; this test
+        catches it."""
         trace_id, task, caller = texts
         idx, start, billed, mem, setupv = ints
         record = InvocationRecord(trace_id, task, idx, caller, start, billed, mem, route, setupv)
-        assert _CANONICAL_RECORD.fullmatch(canonical_record_bytes(record).decode("ascii"))
+        encoded = canonical_record_bytes(record)
+        assert encoded.startswith(b'{"traceid":') and encoded.endswith(b"}")
+        assert b'},{"traceid":' not in encoded and b'},{"root":' not in encoded
 
 
 def rglob_keys(root, prefix: str = "") -> list[str]:
