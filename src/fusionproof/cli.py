@@ -348,6 +348,7 @@ def cmd_verify(config: ScenarioConfig) -> int:
     store = FileStore(config.store_root)
     setups, corrupt = load_setups(store)
     report = verify_integrity(setups, store)
+    corrupt = {**corrupt, **report.corrupt}
     _write_json(Path(config.output_dir) / "verification.json", _report_to_wire(report, corrupt))
     if corrupt:
         return EXIT_CORRUPT

@@ -13,12 +13,9 @@ import os
 import re
 import threading
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from pathlib import Path
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol, Sequence, Union
 
-from . import proofs
 from .errors import CorruptGroupFile, NotFound, ParseError, StoreWriteFailed
 from .proofs import TreeInfo, record_from_wire, treeinfo_from_wire
 from .workload import InvocationRecord
@@ -140,20 +137,22 @@ class StoredGroup:
 
 
 def _whole_object(piece: bytes, key: str) -> Optional[dict]:
-    """The JSON object with key that is all of the ASCII piece, else None."""
-    text = piece.decode("ascii")
+    """The JSON object with key that is all of the UTF-8 piece, else None."""
     try:
+        text = piece.decode("utf-8")
         obj, end = _decode(text)
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     return obj if end == len(text) and isinstance(obj, dict) and key in obj else None
 
 
 def _split_group_file(data: bytes) -> Optional[StoredGroup]:
     """Split a group file in the layout the pipeline writes at its record
-    boundaries, decoding only the proof and the record elements whose
-    hash is not the stored leaf at their position.  None when the file
-    is not in that layout or any piece fails its check."""
+    boundaries, decoding only the proof.  None when the file is not in
+    that layout, its proof has no root, or it does not split into one
+    piece per leaf.  No piece is decoded here: verification decodes every
+    piece it prunes, and reads the file with the decoder when one is not
+    a record (read_group_file)."""
     if not (data.isascii() and data.startswith(b'[{"traceid":') and data.endswith(b"}]")):
         return None
     cut = data.rfind(b'},{"root":')
@@ -166,13 +165,9 @@ def _split_group_file(data: bytes) -> Optional[StoredGroup]:
         return None
     # The "[" or "," before each record element, then the "," before the proof.
     commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut + 1]
-    records = [data[s + 1 : e] for s, e in zip(commas, commas[1:])]
-    # Looked up on the module, so a wrapper set there sees this call too.
-    hashes = proofs.record_leaf_hashes(records)
-    unsealed = [*compress(records, map(ne, hashes, tree.leaves)), *records[len(tree.leaves) :]]
-    if not all(_whole_object(piece, "traceid") for piece in unsealed):
+    if not tree.root or len(commas) - 1 != len(tree.leaves):
         return None
-    return StoredGroup(tuple(records), tree)
+    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:])), tree)
 
 
 def _decode_group_file(data: bytes) -> StoredGroup:
@@ -220,10 +215,25 @@ def _decode_group_file(data: bytes) -> StoredGroup:
 def _scan_group_file(data: bytes) -> StoredGroup:
     """Split a group file into each record element's stored bytes and the
     proof.  A file in the pipeline's layout is split at its record
-    boundaries; any other file, or one with a piece that fails its check,
-    goes through the decoder element by element, which gives the verdict."""
+    boundaries; any other file goes through the decoder element by
+    element, which gives the verdict."""
     group = _split_group_file(data)
     return group if group is not None else _decode_group_file(data)
+
+
+def read_group_file(store: EvidenceStore, key: str) -> StoredGroup:
+    """The group file at key, every element read by the JSON decoder."""
+    return _decode_group_file(store.get(key))
+
+
+def record_trace_ids(records: Sequence[bytes]) -> Optional[list]:
+    """The traceid of each record element, or None when one is not a
+    whole JSON object with a traceid: a piece the record-boundary split
+    cut from a tampered file need not be one record."""
+    objects = [_whole_object(piece, "traceid") for piece in records]
+    if None in objects:
+        return None
+    return [obj["traceid"] for obj in objects]
 
 
 def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
@@ -243,7 +253,9 @@ def load_setups(store: EvidenceStore) -> tuple[dict[str, StoredGroup], dict[str,
     record element bytes and proof; corrupt maps fusion_key to the
     failure reason for listed group files that could not be read or would
     not parse.  No record is decoded into an InvocationRecord.  A corrupt
-    file never hides the remaining keys.
+    file never hides the remaining keys.  A file split at its record
+    boundaries may still hold a piece that is not a record; verify_integrity
+    reports that file as corrupt if it would have to prune the piece.
     """
     setups: dict[str, StoredGroup] = {}
     corrupt: dict[str, str] = {}

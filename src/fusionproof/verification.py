@@ -8,13 +8,20 @@ verified measurements, and search for a cheaper fusion setup to run next.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import InvalidHexLeaf, MissingMetric, NoVerifiedData, ParseError, StoreWriteFailed
+from .errors import (
+    CorruptGroupFile,
+    InvalidHexLeaf,
+    MissingMetric,
+    NoVerifiedData,
+    NotFound,
+    ParseError,
+    StoreWriteFailed,
+)
 from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
@@ -31,7 +38,14 @@ from .proofs import (
     persist_evidence,
     record_leaf_hashes,
 )
-from .store import EvidenceStore, MemoryStore, StoredGroup, load_setups
+from .store import (
+    EvidenceStore,
+    MemoryStore,
+    StoredGroup,
+    load_setups,
+    read_group_file,
+    record_trace_ids,
+)
 from .workload import (
     AppSpec,
     AttackPlan,
@@ -65,6 +79,24 @@ class VerificationReport:
     survivors: Mapping[str, tuple[bytes, ...]]
     pruned: Mapping[str, tuple[str, ...]]
     notes: Mapping[str, str] = field(default_factory=dict)
+    corrupt: Mapping[str, str] = field(default_factory=dict)
+
+
+def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[int]]:
+    """The group's verdict when it needs no rewrite (else None), the leaf
+    hash of each record element as stored, and the positions to prune."""
+    records, tree_info = group.records, group.proof
+    if not tree_info.root:
+        return False, [], []
+    try:
+        vouched = build_merkle_tree(tree_info.leaves).root == tree_info.root
+    except InvalidHexLeaf:
+        vouched = False
+    recomputed = record_leaf_hashes(records)
+    mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
+    if vouched and not mismatched:
+        return True, recomputed, []
+    return None, recomputed, [p for p in mismatched if p < len(records)]
 
 
 def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) -> VerificationReport:
@@ -78,28 +110,34 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
     file is rewritten over the elements whose leaves still match; the
     survivors' bytes are reported under the group's key, and the trace ids
     of the pruned elements under pruned.  Nothing is deleted.
+
+    Every element to be pruned is decoded before anything is written.  If
+    one is not a whole record (load_setups takes the record pieces of a
+    file in the pipeline's layout undecoded), the group file is read
+    again by the decoder and checked as read; a file the decoder refuses
+    is reported under corrupt, with no verdict and nothing rewritten.
     """
     group_results: dict[str, bool] = {}
     out_survivors: dict[str, tuple[bytes, ...]] = {}
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
+    corrupt: dict[str, str] = {}
     for key, group in setups.items():
-        records, tree_info = group.records, group.proof
-        if not tree_info.root:
-            group_results[key] = False
+        verdict, recomputed, prunable = _check_group(group)
+        trace_ids = record_trace_ids([group.records[p] for p in prunable])
+        if trace_ids is None:
+            try:
+                group = read_group_file(store, group_key(key))
+            except (NotFound, CorruptGroupFile) as exc:
+                corrupt[key] = str(exc)
+                continue
+            verdict, recomputed, prunable = _check_group(group)
+            trace_ids = record_trace_ids([group.records[p] for p in prunable])
+        if verdict is not None:
+            group_results[key] = verdict
             continue
-        try:
-            vouched = build_merkle_tree(tree_info.leaves).root == tree_info.root
-        except InvalidHexLeaf:
-            vouched = False
-        recomputed = record_leaf_hashes(records)
-        mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
-        if vouched and not mismatched:
-            group_results[key] = True
-            continue
-        prunable = [p for p in mismatched if p < len(records)]
         removed = set(prunable)
-        survivors = tuple(r for p, r in enumerate(records) if p not in removed)
+        survivors = tuple(r for p, r in enumerate(group.records) if p not in removed)
         new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
         try:
             store.put(group_key(key), _join_group_file(survivors, new_tree))
@@ -108,7 +146,7 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
             group_results[key] = False
             continue
         out_survivors[key] = survivors
-        pruned[key] = tuple(json.loads(records[p])["traceid"] for p in prunable)
+        pruned[key] = tuple(trace_ids)
         group_results[key] = False
     return VerificationReport(
         integrity_verified=all(group_results.values()),
@@ -116,6 +154,7 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
         survivors=out_survivors,
         pruned=pruned,
         notes=notes,
+        corrupt=corrupt,
     )
 
 
@@ -496,6 +535,7 @@ def run_optimization(
         if inspect_this:
             setups, corrupt = load_setups(store)
             report = verify_integrity(setups, store)
+            corrupt = {**corrupt, **report.corrupt}
             integrity = report.integrity_verified and not corrupt
             group_results = {**report.group_results, **dict.fromkeys(corrupt, False)}
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -415,6 +416,38 @@ class TestVerifyCommand:
         assert code == EXIT_CORRUPT
         payload = json.loads((out / "verification.json").read_text())
         assert "BROKEN" in payload["corrupt"]
+
+    def test_leaf_forged_over_a_malformed_record_is_corrupt_and_kept(self, tmp_path):
+        """One leaf replaced by the hash of a record edited into invalid
+        JSON, the root left as it was: the leaf list no longer rebuilds
+        the root, so every record would be pruned, and the one that does
+        not decode makes the file corrupt before anything is rewritten."""
+        stored = {}
+
+        def forge_leaf(root: Path):
+            store = FileStore(root)
+            key = next(k for k in store.list() if "/" not in k)
+            data = store.get(key)
+            first = data[1 : data.index(b'},{"traceid":') + 1]
+            edited = first.replace(b'"idx":0', b'"idx":01', 1)
+            assert edited != first
+            old_leaf = hashlib.sha256(first).hexdigest().encode()
+            new_leaf = hashlib.sha256(edited).hexdigest().encode()
+            forged = data.replace(first, edited, 1).replace(old_leaf, new_leaf, 1)
+            assert forged.count(new_leaf) == 1
+            store.put(key, forged)
+            stored[key] = forged
+
+        code, out = self.run_then_verify(tmp_path, mutate=forge_leaf)
+        assert code == EXIT_CORRUPT
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["group_results"] == {} and payload["pruned"] == {}
+        [(key, forged)] = stored.items()
+        assert payload["corrupt"] == {
+            key[: -len(".json")]: "group file is not valid JSON: "
+            "Expecting ',' delimiter: line 1 column 182 (char 181)"
+        }
+        assert FileStore(tmp_path / "evidence").get(key) == forged
 
     def test_unreadable_group_file_is_reported_and_the_rest_verified(self, tmp_path):
         def dangle(root: Path):

@@ -29,6 +29,7 @@ from fusionproof.store import (
     load_setups,
     parse_group_file,
 )
+from fusionproof.verification import verify_integrity
 from fusionproof.workload import InvocationRecord, builtin_iot_app, execute_request
 
 IOT = builtin_iot_app()
@@ -243,6 +244,30 @@ def _scan_by_decoder(data: bytes):
     return _outcome(store_module._decode_group_file, data)
 
 
+def _verified(data: bytes):
+    """What load_setups then verify_integrity make of a store holding one
+    group file: the corrupt reasons of both, the report's verdicts, and
+    the file's bytes afterwards."""
+    store = MemoryStore()
+    store.put("CW.json", data)
+    setups, corrupt = load_setups(store)
+    report = verify_integrity(setups, store)
+    return (
+        {**corrupt, **report.corrupt},
+        report.group_results,
+        report.pruned,
+        report.survivors,
+        report.notes,
+        store.get("CW.json"),
+    )
+
+
+def _verified_by_decoder(data: bytes):
+    """_verified with every group file read by the JSON decoder alone."""
+    with mock.patch.object(store_module, "_split_group_file", lambda data: None):
+        return _verified(data)
+
+
 def _pipeline_group_files() -> list[bytes]:
     files = []
     for seed in (b"\x31", b"\x32"):
@@ -303,22 +328,23 @@ _FIRST_RECORD_EDITS = {
 class TestRecordBoundarySplit:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_GROUP_FILES), st.lists(_EDIT, min_size=1, max_size=4))
-    def test_scan_agrees_with_the_decoder_on_mutated_files(self, data, edits):
+    def test_split_agrees_with_the_decoder_on_mutated_files(self, data, edits):
         mutated = _mutate(data, edits)
-        assert _scan(mutated) == _scan_by_decoder(mutated)
+        assert _verified(mutated) == _verified_by_decoder(mutated)
 
-    def test_scan_agrees_with_the_decoder_on_pipeline_files(self):
+    def test_split_agrees_with_the_decoder_on_pipeline_files(self):
         for data in _GROUP_FILES:
             assert isinstance(store_module._split_group_file(data), StoredGroup)
             assert _scan(data) == _scan_by_decoder(data)
+            assert _verified(data) == _verified_by_decoder(data)
 
     @pytest.mark.parametrize(
         "old, new", list(_FIRST_RECORD_EDITS.values()), ids=list(_FIRST_RECORD_EDITS)
     )
-    def test_scan_agrees_with_the_decoder_on_edited_record(self, old, new):
+    def test_split_agrees_with_the_decoder_on_edited_record(self, old, new):
         assert old in _FIRST
         data = _FIRST.replace(old, new, 1)
-        assert _scan(data) == _scan_by_decoder(data)
+        assert _verified(data) == _verified_by_decoder(data)
 
     def test_one_record_file_is_split(self):
         records = iot_records(b"\x33" * 32)[:1]
@@ -353,6 +379,17 @@ class TestRecordBoundarySplit:
         assert store_module._split_group_file(data) is None
         assert _scan(data) == StoredGroup((), TreeInfo("r", (empty_hash,)))
 
+    def test_proof_without_a_root_goes_to_the_decoder(self):
+        """verify_integrity decodes nothing in a group whose proof has no
+        root, so the decoder must have read its records."""
+        root = _scan_by_decoder(_FIRST).proof.root
+        data = _FIRST.replace(b'"root":"%s"' % root.encode(), b'"root":""', 1)
+        assert data != _FIRST
+        assert store_module._split_group_file(data) is None
+        assert _verified(data) == _verified_by_decoder(data)
+        malformed = data.replace(b'"idx":0', b'"idx":01', 1)
+        assert _verified(malformed)[0] == {"CW": _scan_by_decoder(malformed)}
+
     def test_non_ascii_record_goes_to_the_decoder(self):
         data = _FIRST.replace(b'"task":"CW"', '"task":"CWé"'.encode(), 1)
         assert store_module._split_group_file(data) is None
@@ -374,28 +411,64 @@ class TestRecordBoundarySplit:
         ],
     )
     def test_tampered_piece_that_does_not_decode_is_corrupt_as_before(self, old, new, message):
+        """The file is reported corrupt with the decoder's message, by
+        load_setups or by verify_integrity, and nothing is rewritten."""
         data = _FIRST.replace(old, new, 3)
-        assert store_module._split_group_file(data) is None
-        assert _scan(data) == f"group file is not valid JSON: {message}"
-        store = MemoryStore()
-        store.put("CW.json", data)
-        assert load_setups(store) == ({}, {"CW": f"group file is not valid JSON: {message}"})
+        assert _scan_by_decoder(data) == f"group file is not valid JSON: {message}"
+        reason = f"group file is not valid JSON: {message}"
+        assert _verified(data) == ({"CW": reason}, {}, {}, {}, {}, data)
+
+    def test_leaf_forged_without_the_root_is_corrupt(self):
+        """One leaf replaced by the hash of a malformed piece, the root left
+        as it was: the leaf list is not vouched for, every piece is to be
+        pruned, and the one that does not decode sends the file to the
+        decoder, which refuses it before anything is rewritten."""
+        group = _scan_by_decoder(_FIRST)
+        edited = group.records[0].replace(b'"idx":0', b'"idx":01')
+        old_leaf, new_leaf = group.proof.leaves[0], record_leaf_hashes([edited])[0]
+        data = _FIRST.replace(group.records[0], edited, 1)
+        data = data.replace(old_leaf.encode(), new_leaf.encode(), 1)
+        assert isinstance(store_module._split_group_file(data), StoredGroup)
+        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
+        assert _verified(data) == ({"CW": message}, {}, {}, {}, {}, data)
 
     def test_leaf_list_forged_over_a_malformed_piece(self):
-        """The split takes a piece whose hash is its stored leaf without
-        decoding it, so a leaf list forged over malformed bytes passes
-        the load; parse_group_file decodes every element and refuses it."""
+        """A piece whose hash is a leaf of a list that rebuilds the root is
+        never decoded, so a leaf list and root rebuilt together over
+        malformed bytes pass; parse_group_file decodes every element and
+        refuses the file."""
         pieces = list(_scan_by_decoder(_FIRST).records)
         pieces[0] = pieces[0].replace(b'"idx":0', b'"idx":01')
         forged_tree = build_merkle_tree(record_leaf_hashes(pieces))
         proof = json.dumps({"root": forged_tree.root, "leaf": forged_tree.leaves}, separators=(",", ":"))
         data = b"[" + b",".join([*pieces, proof.encode()]) + b"]"
         assert store_module._split_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
+        assert _verified(data) == ({}, {"CW": True}, {}, {}, {}, data)
         message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
         assert _scan_by_decoder(data) == message
         with pytest.raises(CorruptGroupFile) as raised:
             parse_group_file(data)
         assert str(raised.value) == message
+
+    def test_pieces_cut_inside_a_record_are_read_by_the_decoder(self):
+        """A record that holds a record boundary in valid JSON, and one
+        whose traceid is not its first key: the split cuts one piece too
+        many and one too few, so the piece count still matches.  The cut
+        pieces do not decode, so verify_integrity reads the file with the
+        decoder and prunes the two records as read there."""
+        group = _scan_by_decoder(_FIRST)
+        first, second = group.records[0], group.records[1]
+        nested = first[:-1] + b',"x":[{},{"traceid":0}]}'
+        reordered = b'{"task":"x",' + second[1:]
+        data = _FIRST.replace(first, nested, 1).replace(second, reordered, 1)
+        split = store_module._split_group_file(data)
+        assert len(split.records) == len(group.records) and split.records[0] != nested
+        assert _scan_by_decoder(data).records[:2] == (nested, reordered)
+        outcome = _verified(data)
+        assert outcome == _verified_by_decoder(data)
+        trace_ids = [json.loads(r)["traceid"] for r in (first, second)]
+        assert outcome[2] == {"CW": tuple(trace_ids)}
+        assert outcome[3] == {"CW": group.records[2:]}
 
     def test_empty_root_file_is_unchanged(self):
         store = MemoryStore()
@@ -406,8 +479,9 @@ class TestRecordBoundarySplit:
 
     @pytest.mark.parametrize("tampered", [0, 1, 3])
     def test_only_the_proof_and_tampered_records_are_decoded(self, tampered):
-        """An untampered file decodes one element, its proof; each record
-        whose bytes no longer match its leaf adds one."""
+        """Loading and verifying an untampered file decodes one element,
+        its proof; each record whose bytes no longer match its leaf, and
+        so is pruned, adds one."""
         records = [r for seed in (b"\x34", b"\x35", b"\x36") for r in iot_records(seed * 32)]
         store = MemoryStore()
         persist_evidence(store, "CW.SE.CS.CT.CA", records)
@@ -422,7 +496,9 @@ class TestRecordBoundarySplit:
 
         with mock.patch.object(store_module, "_decode", counting_decode):
             setups, corrupt = load_setups(store)
-        assert corrupt == {} and len(setups["CW.SE.CS.CT.CA"].records) == len(records)
+            report = verify_integrity(setups, store)
+        assert corrupt == {} and report.corrupt == {}
+        assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == tampered
         assert len(decoded) == tampered + 1
 
     @settings(max_examples=300, deadline=None)
