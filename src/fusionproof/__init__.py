@@ -1,8 +1,8 @@
 """Deterministic serverless-workload simulator with tamper-evident logging.
 
 Subpackages by pipeline stage: handler (identity and routing), workload
-(simulation and attacks), proofs (filtering, hashing, Merkle trees,
-persistence), store (evidence backends), verification (proof checking,
+(simulation and attacks), proofs (filtering, hashing, Merkle trees, and
+the group file), store (evidence backends), verification (proof checking,
 sampling, and fusion optimization), cli (scenario runner).
 """
 
@@ -23,10 +23,11 @@ from .proofs import (
     calc_hash,
     canonical_record_bytes,
     filter_batch,
+    load_setups,
     parse_log_lines,
     persist_evidence,
 )
-from .store import FileStore, MemoryStore, load_setups
+from .store import FileStore, MemoryStore
 from .verification import (
     AnnotatedMetrics,
     CostModel,

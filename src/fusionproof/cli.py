@@ -20,8 +20,8 @@ from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
-from .proofs import ThresholdPolicy, filter_batch, persist_evidence, record_to_wire
-from .store import FileStore, load_setups
+from .proofs import ThresholdPolicy, filter_batch, load_setups, persist_evidence, record_to_wire
+from .store import FileStore
 from .verification import (
     CostModel,
     SamplingState,

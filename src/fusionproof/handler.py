@@ -24,8 +24,9 @@ from .errors import (
 )
 
 # Reserved by the trace and storage encodings: "-" separates trace parts,
-# "." joins tasks within a group, "," joins groups, "/" builds store keys.
-_FORBIDDEN = set("-,./")
+# "." joins tasks within a group, "," joins groups, "/" builds store keys,
+# and no file name can hold a NUL.
+_FORBIDDEN = set("-,./\0")
 
 RANDOM_PART_BYTES = 32
 

@@ -1,9 +1,11 @@
-"""Log filtering, canonical hashing, Merkle proofs, and evidence persistence.
+"""Log filtering, canonical hashing, Merkle proofs, and the group file.
 
 Records flow through here on their way to the evidence store: parse the
 platform log lines, filter out traces that violate the threshold policy,
 hash the survivors canonically, build the Merkle tree over the hashes,
-and write the records plus proof to the store as one group file.
+and write the records plus proof to the store as one group file.  The
+group file's key, layout, writer and readers all live here; the store
+only holds its bytes.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InvalidHexLeaf, ParseError
+from .errors import CorruptGroupFile, InvalidHexLeaf, NotFound, ParseError
 from .handler import RouteKind, all_hex64, calc_hash, is_hex64
 from .workload import InvocationRecord
 
@@ -200,17 +202,6 @@ def record_to_wire(record: InvocationRecord) -> dict:
     }
 
 
-# RouteKind(value) goes through EnumMeta.__call__, far slower than a dict hit.
-_ROUTES = {kind.value: kind for kind in RouteKind}
-
-
-def _route_from_wire(value) -> RouteKind:
-    try:
-        return _ROUTES[value]
-    except (KeyError, TypeError):
-        return RouteKind(value)  # raises ValueError, naming the value
-
-
 def record_from_wire(obj: Mapping) -> InvocationRecord:
     try:
         return InvocationRecord(
@@ -221,7 +212,7 @@ def record_from_wire(obj: Mapping) -> InvocationRecord:
             start_ms=int(obj["start"]),
             billed_duration_ms=int(obj["billed"]),
             memory_used_mb=int(obj["mem"]),
-            route=_route_from_wire(obj["route"]),
+            route=RouteKind(obj["route"]),
             setup_version=int(obj["setupv"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -320,7 +311,23 @@ def record_leaf_hashes(encoded: Sequence[bytes]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Persistence
+# The group file: one store key per fusion group, `<fusion_key>.json`,
+# holding a JSON array of the records' canonical bytes, then the proof.
+
+_GROUP_SUFFIX = ".json"
+
+# The bytes that open a record element and the proof element, each with
+# its first key, in the layout join_group_file writes.  A canonical record
+# escapes every '"' inside its strings, so "}," followed by either never
+# occurs within one.
+_RECORD_START = _RECORD_LINE[: _RECORD_LINE.index("%")].encode("ascii")
+_PROOF_START = b'{"%s":' % next(iter(treeinfo_to_wire(TreeInfo.empty()))).encode("ascii")
+_RECORD_BOUNDARY = re.compile(re.escape(b"}," + _RECORD_START))
+
+# JSON's insignificant whitespace, the same set the decoder skips.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_decode = json.JSONDecoder().raw_decode
+
 
 @dataclass(frozen=True)
 class PersistReceipt:
@@ -328,11 +335,20 @@ class PersistReceipt:
     tree: TreeInfo
 
 
+@dataclass(frozen=True)
+class StoredGroup:
+    """A group file as stored: every record element's exact bytes, then the proof."""
+
+    records: tuple[bytes, ...]
+    proof: TreeInfo
+
+
 def group_key(fusion_key: str) -> str:
-    return f"{fusion_key}.json"
+    return fusion_key + _GROUP_SUFFIX
 
 
-def _join_group_file(encoded: Sequence[bytes], tree: TreeInfo) -> bytes:
+def join_group_file(encoded: Sequence[bytes], tree: TreeInfo) -> bytes:
+    """The group file over records already encoded, then the proof."""
     # A single join, so no intermediate copy of the whole body is made.
     proof = json.dumps(treeinfo_to_wire(tree), separators=(",", ":")) + "]"
     parts = [*encoded, proof.encode("utf-8")]
@@ -342,7 +358,7 @@ def _join_group_file(encoded: Sequence[bytes], tree: TreeInfo) -> bytes:
 
 def group_file_bytes(records: Sequence[InvocationRecord], tree: TreeInfo) -> bytes:
     """Compact JSON array of the records' canonical lines, then the proof."""
-    return _join_group_file([canonical_record_bytes(r) for r in records], tree)
+    return join_group_file([canonical_record_bytes(r) for r in records], tree)
 
 
 def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationRecord]) -> PersistReceipt:
@@ -354,5 +370,129 @@ def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationR
     encoded = [canonical_record_bytes(r) for r in clean_records]
     tree = build_merkle_tree(record_leaf_hashes(encoded))
     gkey = group_key(fusion_key)
-    store.put(gkey, _join_group_file(encoded, tree))
+    store.put(gkey, join_group_file(encoded, tree))
     return PersistReceipt(gkey, tree)
+
+
+def _whole_object(piece: bytes, key: str) -> Optional[dict]:
+    """The JSON object with key that is all of the UTF-8 piece, else None."""
+    try:
+        text = piece.decode("utf-8")
+        obj, end = _decode(text)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    return obj if end == len(text) and isinstance(obj, dict) and key in obj else None
+
+
+def _split_group_file(data: bytes) -> Optional[StoredGroup]:
+    """Split a group file in the layout join_group_file writes at its
+    record boundaries, decoding only the proof.  None when the file is not
+    in that layout, its proof has no root, or it does not split into one
+    piece per leaf.  No piece is decoded here: verification decodes every
+    piece it prunes, and reads the file with decode_group_file when one is
+    not a record."""
+    if not (data.isascii() and data.startswith(b"[" + _RECORD_START) and data.endswith(b"}]")):
+        return None
+    cut = data.rfind(b"}," + _PROOF_START)
+    obj = _whole_object(data[cut + 2 : -1], "root") if cut > 0 else None
+    if obj is None:
+        return None
+    try:
+        tree = treeinfo_from_wire(obj)
+    except ParseError:
+        return None
+    # The "[" or "," before each record element, then the "," before the proof.
+    commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut + 1]
+    if not tree.root or len(commas) - 1 != len(tree.leaves):
+        return None
+    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:])), tree)
+
+
+def decode_group_file(data: bytes) -> StoredGroup:
+    """Split a group file into each record element's stored bytes and the
+    proof by running the JSON decoder over every element; each object is
+    dropped as soon as it is checked."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptGroupFile(f"group file is not valid UTF-8: {exc}") from exc
+    pos = _WHITESPACE.match(text).end()
+    first = _WHITESPACE.match(text, pos + 1).end()
+    if not text.startswith("[", pos) or text.startswith("]", first):
+        raise CorruptGroupFile("group file must be a non-empty JSON array")
+    spans = []
+    while text.startswith("," if spans else "[", pos):
+        # An element follows, so the one before it is a record.
+        if spans and not (isinstance(obj, dict) and "traceid" in obj):
+            raise CorruptGroupFile("group file's records must be objects with a traceid")
+        start = _WHITESPACE.match(text, pos + 1).end()
+        try:
+            obj, end = _decode(text, start)
+        except json.JSONDecodeError as exc:
+            raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            raise CorruptGroupFile(f"group file cannot be decoded: {exc}") from exc
+        spans.append((start, end))
+        pos = _WHITESPACE.match(text, end).end()
+    if not text.startswith("]", pos) or _WHITESPACE.match(text, pos + 1).end() != len(text):
+        raise CorruptGroupFile(f"group file's JSON array does not end at char {pos}")
+    if not isinstance(obj, dict) or "root" not in obj:
+        raise CorruptGroupFile("group file's last element must carry the tree")
+    try:
+        tree = treeinfo_from_wire(obj)
+    except ParseError as exc:
+        raise CorruptGroupFile(str(exc)) from exc
+    return StoredGroup(tuple(text[s:e].encode("utf-8") for s, e in spans[:-1]), tree)
+
+
+def load_group_file(data: bytes) -> StoredGroup:
+    """Split a group file into each record element's stored bytes and the
+    proof.  A file in the layout join_group_file writes is split at its
+    record boundaries; any other file goes through decode_group_file,
+    which gives the verdict."""
+    group = _split_group_file(data)
+    return group if group is not None else decode_group_file(data)
+
+
+def record_trace_ids(records: Sequence[bytes]) -> Optional[list]:
+    """The traceid of each record element, or None when one is not a
+    whole JSON object with a traceid: a piece the record-boundary split
+    cut from a tampered file need not be one record."""
+    objects = [_whole_object(piece, "traceid") for piece in records]
+    if None in objects:
+        return None
+    return [obj["traceid"] for obj in objects]
+
+
+def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
+    """Decode a group file into records plus a trailing TreeInfo."""
+    group = decode_group_file(data)
+    try:
+        records = [record_from_wire(json.loads(r)) for r in group.records]
+    except ParseError as exc:
+        raise CorruptGroupFile(str(exc)) from exc
+    return [*records, group.proof]
+
+
+def load_setups(store) -> tuple[dict[str, StoredGroup], dict[str, str]]:
+    """Load every group file, as stored, into verification's input shape.
+
+    Returns (setups, corrupt): setups maps fusion_key to the group's
+    record element bytes and proof; corrupt maps fusion_key to the
+    failure reason for listed group files that could not be read or would
+    not parse.  No record is decoded into an InvocationRecord.  A corrupt
+    file never hides the remaining keys.  A file split at its record
+    boundaries may still hold a piece that is not a record; verify_integrity
+    reports that file as corrupt if it would have to prune the piece.
+    """
+    setups: dict[str, StoredGroup] = {}
+    corrupt: dict[str, str] = {}
+    for key in store.list(""):
+        if "/" in key:  # a per-trace block left by an older layout
+            continue
+        fusion_key = key[: -len(_GROUP_SUFFIX)]
+        try:
+            setups[fusion_key] = load_group_file(store.get(key))
+        except (NotFound, CorruptGroupFile) as exc:
+            corrupt[fusion_key] = str(exc)
+    return setups, corrupt

@@ -30,22 +30,19 @@ from .handler import (
     fusion_key_for_trace,
 )
 from .proofs import (
+    StoredGroup,
     ThresholdPolicy,
-    _join_group_file,
     build_merkle_tree,
+    decode_group_file,
     filter_batch,
     group_key,
+    join_group_file,
+    load_setups,
     persist_evidence,
     record_leaf_hashes,
-)
-from .store import (
-    EvidenceStore,
-    MemoryStore,
-    StoredGroup,
-    load_setups,
-    read_group_file,
     record_trace_ids,
 )
+from .store import EvidenceStore, MemoryStore
 from .workload import (
     AppSpec,
     AttackPlan,
@@ -127,7 +124,7 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
         trace_ids = record_trace_ids([group.records[p] for p in prunable])
         if trace_ids is None:
             try:
-                group = read_group_file(store, group_key(key))
+                group = decode_group_file(store.get(group_key(key)))
             except (NotFound, CorruptGroupFile) as exc:
                 corrupt[key] = str(exc)
                 continue
@@ -140,7 +137,7 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
         survivors = tuple(r for p, r in enumerate(group.records) if p not in removed)
         new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
         try:
-            store.put(group_key(key), _join_group_file(survivors, new_tree))
+            store.put(group_key(key), join_group_file(survivors, new_tree))
         except StoreWriteFailed as exc:
             notes[key] = str(exc)
             group_results[key] = False
@@ -369,28 +366,19 @@ def propose_candidates(setup: FusionSetup, metrics: AnnotatedMetrics) -> list[Fu
         stats = metrics.edges[(caller, callee)]
         caller_group = setup.group_index(caller)
         callee_group = setup.group_index(callee)
+        # A copy, so that the setup's own groups are never edited.
+        groups = [tuple(group) for group in setup.groups]
         if stats.mode is CallMode.SYNC and caller_group != callee_group:
-            groups: list[tuple[str, ...]] = []
-            for idx, group in enumerate(setup.groups):
-                if idx == caller_group:
-                    groups.append(tuple(group) + tuple(setup.groups[callee_group]))
-                elif idx == callee_group:
-                    continue
-                else:
-                    groups.append(tuple(group))
-            candidate = FusionSetup(tuple(groups), setup.version)
+            groups[caller_group] += groups[callee_group]
+            del groups[callee_group]
         elif stats.mode is CallMode.ASYNC and caller_group == callee_group:
-            residual = tuple(n for n in setup.groups[caller_group] if n != callee)
-            if not residual:
+            groups[caller_group] = tuple(n for n in groups[caller_group] if n != callee)
+            if not groups[caller_group]:
                 continue
-            groups = [
-                residual if idx == caller_group else tuple(group)
-                for idx, group in enumerate(setup.groups)
-            ]
             groups.append((callee,))
-            candidate = FusionSetup(tuple(groups), setup.version)
         else:
             continue
+        candidate = FusionSetup(tuple(groups), setup.version)
         if candidate.setup_part not in seen:
             seen.add(candidate.setup_part)
             candidates.append(candidate)

@@ -21,17 +21,20 @@ import pytest
 from fusionproof.cli import EXIT_OK, main
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
+    StoredGroup,
     ThresholdPolicy,
     ViolationKind,
     build_merkle_tree,
     canonical_record_bytes,
     filter_batch,
     group_file_bytes,
+    load_setups,
+    parse_group_file,
     parse_log_lines,
     persist_evidence,
     record_leaf_hashes,
 )
-from fusionproof.store import FileStore, MemoryStore, StoredGroup, load_setups, parse_group_file
+from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import (
     InspectionOutcome,
     SamplingMode,

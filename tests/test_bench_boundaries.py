@@ -18,7 +18,8 @@ from pathlib import Path
 
 from fusionproof import proofs, verification
 from fusionproof.handler import FusionSetup
-from fusionproof.store import MemoryStore, load_setups
+from fusionproof.proofs import load_setups
+from fusionproof.store import MemoryStore
 from fusionproof.workload import builtin_iot_app, run_workload
 
 TRACER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))

@@ -24,8 +24,8 @@ from fusionproof.cli import (
     main,
     resolve_config,
 )
-from fusionproof.proofs import ThresholdPolicy, group_file_bytes
-from fusionproof.store import FileStore, parse_group_file
+from fusionproof.proofs import ThresholdPolicy, group_file_bytes, parse_group_file
+from fusionproof.store import FileStore
 from fusionproof.verification import CostModel, SamplingState
 from fusionproof.workload import builtin_iot_app
 
@@ -314,6 +314,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == EXIT_OK
         store = FileStore(tmp_path / "evidence")
         assert "A.json" in store.list()
+
+    def test_task_name_with_nul_is_a_usage_error(self, tmp_path, capsys):
+        app_doc = {"name": "nul", "entry_task": "A\0B", "tasks": [{"name": "A\0B", "base_duration_ms": 10}]}
+        app_path = tmp_path / "nul.json"
+        app_path.write_text(json.dumps(app_doc), encoding="utf-8")
+        config = write_config(tmp_path, app=str(app_path), initial_setup="fused")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reserved character" in err
 
     def test_bad_attack_config(self, tmp_path, capsys):
         config = write_config(tmp_path, attack={"mode": "dow", "when": "always"})

@@ -92,6 +92,10 @@ class TestValidateName:
         with pytest.raises(InvalidName):
             validate_name(name)
 
+    def test_rejects_nul_which_no_file_name_can_hold(self):
+        with pytest.raises(InvalidName, match="reserved character"):
+            validate_name("A\0B")
+
 
 class TestGenerate:
     def test_frozen_hash_part(self):

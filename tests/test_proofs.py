@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fusionproof.errors import InvalidHexLeaf, ParseError
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
+    StoredGroup,
     ThresholdPolicy,
     TreeInfo,
     Verdict,
@@ -25,6 +26,7 @@ from fusionproof.proofs import (
     check_record,
     filter_batch,
     group_file_bytes,
+    load_setups,
     parse_log_lines,
     persist_evidence,
     record_from_wire,
@@ -33,7 +35,7 @@ from fusionproof.proofs import (
     treeinfo_from_wire,
     treeinfo_to_wire,
 )
-from fusionproof.store import MemoryStore, StoredGroup, load_setups
+from fusionproof.store import MemoryStore
 from fusionproof.verification import verify_integrity
 from fusionproof.workload import (
     AttackPlan,

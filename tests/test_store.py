@@ -11,24 +11,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusionproof import store as store_module
+from fusionproof import proofs as proofs_module
 from fusionproof.errors import CorruptGroupFile, NotFound, StoreWriteFailed
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
+    StoredGroup,
     TreeInfo,
     build_merkle_tree,
     canonical_record_bytes,
     group_file_bytes,
+    load_setups,
+    parse_group_file,
     persist_evidence,
     record_leaf_hashes,
 )
-from fusionproof.store import (
-    FileStore,
-    MemoryStore,
-    StoredGroup,
-    load_setups,
-    parse_group_file,
-)
+from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import verify_integrity
 from fusionproof.workload import InvocationRecord, builtin_iot_app, execute_request
 
@@ -43,6 +40,11 @@ def iot_records(randomness: bytes, origin=0):
 
 def make_stores(tmp_path):
     return [MemoryStore(), FileStore(tmp_path / "evidence")]
+
+
+# The keys test_invalid_keys_rejected lists, and one holding a NUL; for a
+# FileStore under tmp_path, "../x.json" names tmp_path / "x.json".
+_BAD_KEYS = ["", "a.txt", "noext", "/abs.json", "a//b.json", "../x.json", "a/../b.json", "a\0b.json"]
 
 
 class TestStoreContract:
@@ -92,6 +94,29 @@ class TestStoreContract:
         for store in make_stores(tmp_path):
             with pytest.raises(StoreWriteFailed):
                 store.put(bad, b"x")
+
+    @pytest.mark.parametrize("bad", _BAD_KEYS)
+    def test_get_and_delete_refuse_what_put_refuses(self, bad, tmp_path):
+        outside = tmp_path / "x.json"
+        outside.write_bytes(b"outside")
+        for store in make_stores(tmp_path):
+            with pytest.raises(StoreWriteFailed):
+                store.put(bad, b"x")
+            with pytest.raises(NotFound):
+                store.get(bad)
+            with pytest.raises(StoreWriteFailed):
+                store.delete(bad)
+        assert outside.read_bytes() == b"outside"
+
+    def test_absolute_key_does_not_reach_outside_the_root(self, tmp_path):
+        outside = tmp_path / "x.json"
+        outside.write_bytes(b"outside")
+        store = FileStore(tmp_path / "evidence")
+        with pytest.raises(NotFound):
+            store.get(str(outside))
+        with pytest.raises(StoreWriteFailed):
+            store.delete(str(outside))
+        assert outside.read_bytes() == b"outside"
 
     @given(
         ops=st.lists(
@@ -236,12 +261,12 @@ def _outcome(scan, data: bytes):
 
 
 def _scan(data: bytes):
-    return _outcome(store_module._scan_group_file, data)
+    return _outcome(proofs_module.load_group_file, data)
 
 
 def _scan_by_decoder(data: bytes):
     """The scan that sends every element through the JSON decoder."""
-    return _outcome(store_module._decode_group_file, data)
+    return _outcome(proofs_module.decode_group_file, data)
 
 
 def _verified(data: bytes):
@@ -264,7 +289,7 @@ def _verified(data: bytes):
 
 def _verified_by_decoder(data: bytes):
     """_verified with every group file read by the JSON decoder alone."""
-    with mock.patch.object(store_module, "_split_group_file", lambda data: None):
+    with mock.patch.object(proofs_module, "_split_group_file", lambda data: None):
         return _verified(data)
 
 
@@ -334,7 +359,7 @@ class TestRecordBoundarySplit:
 
     def test_split_agrees_with_the_decoder_on_pipeline_files(self):
         for data in _GROUP_FILES:
-            assert isinstance(store_module._split_group_file(data), StoredGroup)
+            assert isinstance(proofs_module._split_group_file(data), StoredGroup)
             assert _scan(data) == _scan_by_decoder(data)
             assert _verified(data) == _verified_by_decoder(data)
 
@@ -352,7 +377,7 @@ class TestRecordBoundarySplit:
         receipt = persist_evidence(store, "CW", records)
         data = store.get("CW.json")
         expected = StoredGroup((canonical_record_bytes(records[0]),), receipt.tree)
-        assert store_module._split_group_file(data) == expected
+        assert proofs_module._split_group_file(data) == expected
         assert _scan_by_decoder(data) == expected
 
     def test_proof_that_still_carries_the_tree_is_split(self):
@@ -360,7 +385,7 @@ class TestRecordBoundarySplit:
         tree = _scan_by_decoder(data).proof
         older = data.replace(b',"leaf":[', b',"tree":["%s"],"leaf":[' % tree.root.encode(), 1)
         assert older != data
-        assert store_module._split_group_file(older) == _scan_by_decoder(data)
+        assert proofs_module._split_group_file(older) == _scan_by_decoder(data)
         assert _scan_by_decoder(older) == _scan_by_decoder(data)
 
     @pytest.mark.parametrize("separator", [b'},{"traceid":', b'},{"root":'])
@@ -368,7 +393,7 @@ class TestRecordBoundarySplit:
         spaced = separator.replace(b",", b", \n")
         data = _FIRST.replace(separator, spaced, 1)
         assert data != _FIRST
-        assert store_module._split_group_file(data) is None
+        assert proofs_module._split_group_file(data) is None
         assert _scan(data) == _scan_by_decoder(_FIRST)
 
     def test_file_without_a_proof_boundary_goes_to_the_decoder(self):
@@ -376,7 +401,7 @@ class TestRecordBoundarySplit:
         that is the hash of no bytes: the split finds no proof boundary."""
         empty_hash = hashlib.sha256(b"").hexdigest()
         data = b'[{"traceid":"t","root":"r","leaf":["%s"]}]' % empty_hash.encode()
-        assert store_module._split_group_file(data) is None
+        assert proofs_module._split_group_file(data) is None
         assert _scan(data) == StoredGroup((), TreeInfo("r", (empty_hash,)))
 
     def test_proof_without_a_root_goes_to_the_decoder(self):
@@ -385,14 +410,14 @@ class TestRecordBoundarySplit:
         root = _scan_by_decoder(_FIRST).proof.root
         data = _FIRST.replace(b'"root":"%s"' % root.encode(), b'"root":""', 1)
         assert data != _FIRST
-        assert store_module._split_group_file(data) is None
+        assert proofs_module._split_group_file(data) is None
         assert _verified(data) == _verified_by_decoder(data)
         malformed = data.replace(b'"idx":0', b'"idx":01', 1)
         assert _verified(malformed)[0] == {"CW": _scan_by_decoder(malformed)}
 
     def test_non_ascii_record_goes_to_the_decoder(self):
         data = _FIRST.replace(b'"task":"CW"', '"task":"CWé"'.encode(), 1)
-        assert store_module._split_group_file(data) is None
+        assert proofs_module._split_group_file(data) is None
         group = _scan(data)
         assert group == _scan_by_decoder(data)
         assert '"task":"CWé"'.encode() in group.records[0]
@@ -428,7 +453,7 @@ class TestRecordBoundarySplit:
         old_leaf, new_leaf = group.proof.leaves[0], record_leaf_hashes([edited])[0]
         data = _FIRST.replace(group.records[0], edited, 1)
         data = data.replace(old_leaf.encode(), new_leaf.encode(), 1)
-        assert isinstance(store_module._split_group_file(data), StoredGroup)
+        assert isinstance(proofs_module._split_group_file(data), StoredGroup)
         message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
         assert _verified(data) == ({"CW": message}, {}, {}, {}, {}, data)
 
@@ -442,7 +467,7 @@ class TestRecordBoundarySplit:
         forged_tree = build_merkle_tree(record_leaf_hashes(pieces))
         proof = json.dumps({"root": forged_tree.root, "leaf": forged_tree.leaves}, separators=(",", ":"))
         data = b"[" + b",".join([*pieces, proof.encode()]) + b"]"
-        assert store_module._split_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
+        assert proofs_module._split_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
         assert _verified(data) == ({}, {"CW": True}, {}, {}, {}, data)
         message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
         assert _scan_by_decoder(data) == message
@@ -461,7 +486,7 @@ class TestRecordBoundarySplit:
         nested = first[:-1] + b',"x":[{},{"traceid":0}]}'
         reordered = b'{"task":"x",' + second[1:]
         data = _FIRST.replace(first, nested, 1).replace(second, reordered, 1)
-        split = store_module._split_group_file(data)
+        split = proofs_module._split_group_file(data)
         assert len(split.records) == len(group.records) and split.records[0] != nested
         assert _scan_by_decoder(data).records[:2] == (nested, reordered)
         outcome = _verified(data)
@@ -488,13 +513,13 @@ class TestRecordBoundarySplit:
         data = store.get("CW.SE.CS.CT.CA.json")
         store.put("CW.SE.CS.CT.CA.json", data.replace(b'"route":"', b'"route":"X', tampered))
         decoded = []
-        decode = store_module._decode
+        decode = proofs_module._decode
 
         def counting_decode(*args):
             decoded.append(args)
             return decode(*args)
 
-        with mock.patch.object(store_module, "_decode", counting_decode):
+        with mock.patch.object(proofs_module, "_decode", counting_decode):
             setups, corrupt = load_setups(store)
             report = verify_integrity(setups, store)
         assert corrupt == {} and report.corrupt == {}

@@ -14,16 +14,19 @@ import fusionproof.verification as verification
 from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError
 from fusionproof.handler import FusionSetup, RouteKind, entry_fusion_key, generate_trace_id
 from fusionproof.proofs import (
+    StoredGroup,
     ThresholdPolicy,
     TreeInfo,
     build_merkle_tree,
     canonical_record_bytes,
     group_file_bytes,
+    load_setups,
+    parse_group_file,
     persist_evidence,
     record_from_wire,
     record_leaf_hashes,
 )
-from fusionproof.store import MemoryStore, StoredGroup, load_setups, parse_group_file
+from fusionproof.store import MemoryStore
 from fusionproof.verification import (
     AnnotatedMetrics,
     CostModel,
@@ -683,6 +686,27 @@ class TestProposeCandidates:
         metrics = iot_metrics(SPLIT)
         parts = {c.setup_part for c in propose_candidates(SPLIT, metrics)}
         assert SPLIT.setup_part not in parts
+
+    def test_groups_given_as_lists_are_left_as_they_were(self):
+        merge_groups = [["CW"], ["SE", "CS"], ["CT", "CA"]]
+        merges = propose_candidates(FusionSetup(merge_groups), iot_metrics(SPLIT))
+        assert [c.groups for c in merges] == [
+            (("CW",), ("SE", "CS", "CT", "CA")),
+            (("CW", "SE", "CS"), ("CT", "CA")),
+        ]
+        assert merge_groups == [["CW"], ["SE", "CS"], ["CT", "CA"]]
+
+        tree = builtin_tree_app(fanout=2, depth=1)
+        fused = FusionSetup.fused([tree.task_names()])
+        batch = run_workload(tree, fused, [1], None, 1, seed=5)
+        metrics = annotate_metrics(batch.records, entry_fusion_key(fused, tree.entry_task), tree)
+        split_groups = [["N0", "N0_0", "N0_1"]]
+        splits = propose_candidates(FusionSetup(split_groups), metrics)
+        assert [c.groups for c in splits] == [
+            (("N0", "N0_1"), ("N0_0",)),
+            (("N0", "N0_0"), ("N0_1",)),
+        ]
+        assert split_groups == [["N0", "N0_0", "N0_1"]]
 
 
 class TestOptimizeStep:
