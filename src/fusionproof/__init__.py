@@ -11,6 +11,7 @@ from .handler import (
     FusionSetup,
     RouteKind,
     TraceID,
+    calc_hash,
     ensure_trace_id,
     generate_trace_id,
     parse_and_validate_trace_id,
@@ -20,7 +21,6 @@ from .proofs import (
     ThresholdPolicy,
     TreeInfo,
     build_merkle_tree,
-    calc_hash,
     canonical_record_bytes,
     filter_batch,
     load_setups,

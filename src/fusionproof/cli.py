@@ -332,14 +332,14 @@ def cmd_run(config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def _report_to_wire(report: VerificationReport, corrupt: Mapping[str, str]) -> dict:
+def _report_to_wire(report: VerificationReport) -> dict:
     return {
         "integrity_verified": report.integrity_verified,
         "group_results": dict(report.group_results),
         "pruned": {key: list(ids) for key, ids in report.pruned.items()},
         "surviving_counts": {key: len(records) for key, records in report.survivors.items()},
         "notes": dict(report.notes),
-        "corrupt": dict(corrupt),
+        "corrupt": dict(report.corrupt),
     }
 
 
@@ -347,10 +347,9 @@ def cmd_verify(config: ScenarioConfig) -> int:
     """Re-check all stored proofs, pruning tampered records from group files."""
     store = FileStore(config.store_root)
     setups, corrupt = load_setups(store)
-    report = verify_integrity(setups, store)
-    corrupt = {**corrupt, **report.corrupt}
-    _write_json(Path(config.output_dir) / "verification.json", _report_to_wire(report, corrupt))
-    if corrupt:
+    report = verify_integrity(setups, corrupt, store)
+    _write_json(Path(config.output_dir) / "verification.json", _report_to_wire(report))
+    if report.corrupt:
         return EXIT_CORRUPT
     return EXIT_OK if report.integrity_verified else EXIT_VERIFY_FAILED
 

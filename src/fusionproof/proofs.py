@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CorruptGroupFile, InvalidHexLeaf, NotFound, ParseError
-from .handler import RouteKind, all_hex64, calc_hash, is_hex64
+from .handler import RouteKind, all_hex64, is_hex64
 from .workload import InvocationRecord
 
 
@@ -480,16 +480,14 @@ def load_setups(store) -> tuple[dict[str, StoredGroup], dict[str, str]]:
     Returns (setups, corrupt): setups maps fusion_key to the group's
     record element bytes and proof; corrupt maps fusion_key to the
     failure reason for listed group files that could not be read or would
-    not parse.  No record is decoded into an InvocationRecord.  A corrupt
-    file never hides the remaining keys.  A file split at its record
-    boundaries may still hold a piece that is not a record; verify_integrity
-    reports that file as corrupt if it would have to prune the piece.
+    not parse.  Every key in the store is a group file, one under a
+    subdirectory included.  No record is decoded into an InvocationRecord,
+    and a corrupt file never hides the remaining keys.  verify_integrity
+    takes both maps and gives the verdict.
     """
     setups: dict[str, StoredGroup] = {}
     corrupt: dict[str, str] = {}
     for key in store.list(""):
-        if "/" in key:  # a per-trace block left by an older layout
-            continue
         fusion_key = key[: -len(_GROUP_SUFFIX)]
         try:
             setups[fusion_key] = load_group_file(store.get(key))

@@ -18,7 +18,6 @@ from .errors import (
     InvalidHexLeaf,
     MissingMetric,
     NoVerifiedData,
-    NotFound,
     ParseError,
     StoreWriteFailed,
 )
@@ -96,36 +95,38 @@ def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[in
     return None, recomputed, [p for p in mismatched if p < len(records)]
 
 
-def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) -> VerificationReport:
-    """Check every group's stored records against its proof, pruning on failure.
+def verify_integrity(
+    setups: Mapping[str, StoredGroup], corrupt: Mapping[str, str], store: EvidenceStore
+) -> VerificationReport:
+    """Decide every group file's verdict from load_setups' two maps.
 
-    Per group: a proof with an empty root fails outright with nothing to
-    prune.  Otherwise the stored leaf list counts only if it rebuilds the
-    stored root; a list that does not count compares as empty.  The group
-    passes when it counts and the leaf hash of each record element's bytes,
-    exactly as stored, matches it position by position.  Else the group
-    file is rewritten over the elements whose leaves still match; the
-    survivors' bytes are reported under the group's key, and the trace ids
-    of the pruned elements under pruned.  Nothing is deleted.
+    A proof with an empty root fails with nothing to prune.  Otherwise the
+    stored leaf list counts only if it rebuilds the stored root; a list
+    that does not count compares as empty.  The group passes when it
+    counts and the leaf hash of each record element's bytes, exactly as
+    stored, matches it position by position.  Else the group file is
+    rewritten over the elements whose leaves still match; the survivors'
+    bytes are reported under the group's key, and the trace ids of the
+    pruned elements under pruned.  Nothing is deleted.
 
     Every element to be pruned is decoded before anything is written.  If
     one is not a whole record (load_setups takes the record pieces of a
-    file in the pipeline's layout undecoded), the group file is read
-    again by the decoder and checked as read; a file the decoder refuses
-    is reported under corrupt, with no verdict and nothing rewritten.
+    file in the pipeline's layout undecoded), the group's bytes are
+    decoded again by decode_group_file; a file it refuses joins corrupt.
+    A corrupt group fails, and a report over no group file is not verified.
     """
     group_results: dict[str, bool] = {}
     out_survivors: dict[str, tuple[bytes, ...]] = {}
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
-    corrupt: dict[str, str] = {}
+    corrupt = dict(corrupt)
     for key, group in setups.items():
         verdict, recomputed, prunable = _check_group(group)
         trace_ids = record_trace_ids([group.records[p] for p in prunable])
         if trace_ids is None:
             try:
-                group = decode_group_file(store.get(group_key(key)))
-            except (NotFound, CorruptGroupFile) as exc:
+                group = decode_group_file(join_group_file(group.records, group.proof))
+            except CorruptGroupFile as exc:
                 corrupt[key] = str(exc)
                 continue
             verdict, recomputed, prunable = _check_group(group)
@@ -145,8 +146,9 @@ def verify_integrity(setups: Mapping[str, StoredGroup], store: EvidenceStore) ->
         out_survivors[key] = survivors
         pruned[key] = tuple(trace_ids)
         group_results[key] = False
+    group_results.update(dict.fromkeys(corrupt, False))
     return VerificationReport(
-        integrity_verified=all(group_results.values()),
+        integrity_verified=bool(group_results) and all(group_results.values()),
         group_results=group_results,
         survivors=out_survivors,
         pruned=pruned,
@@ -514,7 +516,7 @@ def run_optimization(
             tamper(it, store)
 
         integrity: Optional[bool] = None
-        group_results: dict[str, bool] = {}
+        group_results: Mapping[str, bool] = {}
         pruned_counts: dict[str, int] = {}
         # The batch as persisted: trusted when the entry group verifies,
         # and accepted on trust when the sampling plan skips inspection.
@@ -522,10 +524,9 @@ def run_optimization(
         last_outcome = InspectionOutcome.NOT_INSPECTED
         if inspect_this:
             setups, corrupt = load_setups(store)
-            report = verify_integrity(setups, store)
-            corrupt = {**corrupt, **report.corrupt}
-            integrity = report.integrity_verified and not corrupt
-            group_results = {**report.group_results, **dict.fromkeys(corrupt, False)}
+            report = verify_integrity(setups, corrupt, store)
+            integrity = report.integrity_verified
+            group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             last_outcome = (
                 InspectionOutcome.CONFORMING if integrity else InspectionOutcome.NONCONFORMING

@@ -162,7 +162,7 @@ def test_acceptance_2_exhaustive_tampering():
             assert find_mismatch(
                 record_leaf_hashes(encoded), stored_tree.leaves
             ) == list(positions)
-            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, store)
+            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, {}, store)
             assert report.integrity_verified is False
             assert report.group_results[KEY] is False
             assert report.pruned[KEY] == tuple(records[p].trace_id for p in positions)
@@ -171,7 +171,7 @@ def test_acceptance_2_exhaustive_tampering():
             )
             assert report.survivors[KEY] == survivors
             reloaded, _ = load_setups(store)
-            second = verify_integrity(reloaded, store)
+            second = verify_integrity(reloaded, {}, store)
             if survivors:
                 assert second.integrity_verified is True
             else:
@@ -229,7 +229,7 @@ def test_acceptance_4_business_logic_scenario(tmp_path):
     reordered = [records[1], records[0], records[2]]
     store.put(f"{KEY}.json", group_file_bytes(reordered, tree))
     setups, _ = load_setups(store)
-    report = verify_integrity(setups, store)
+    report = verify_integrity(setups, {}, store)
     assert report.integrity_verified is False
     assert set(report.pruned[KEY]) == {records[0].trace_id, records[1].trace_id}
 

@@ -83,7 +83,7 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
     assert tampered != original
     store.put(receipt.group_key, tampered)
     setups, corrupt = load_setups(store)
-    report = verification.verify_integrity(setups, store)
+    report = verification.verify_integrity(setups, corrupt, store)
 
     assert not corrupt and not report.integrity_verified
     assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 1

@@ -450,8 +450,9 @@ class TestVerifyCommand:
         code, out = self.run_then_verify(tmp_path, mutate=forge_leaf)
         assert code == EXIT_CORRUPT
         payload = json.loads((out / "verification.json").read_text())
-        assert payload["group_results"] == {} and payload["pruned"] == {}
         [(key, forged)] = stored.items()
+        assert payload["group_results"] == {key[: -len(".json")]: False}
+        assert payload["pruned"] == {}
         assert payload["corrupt"] == {
             key[: -len(".json")]: "group file is not valid JSON: "
             "Expecting ',' delimiter: line 1 column 182 (char 181)"
@@ -466,11 +467,46 @@ class TestVerifyCommand:
         assert code == EXIT_CORRUPT
         payload = json.loads((out / "verification.json").read_text())
         assert payload["corrupt"] == {"ZZ": "no object at 'ZZ.json'"}
-        assert payload["group_results"] == {"CW.SE.CS.CT.CA": True}
+        assert payload["group_results"] == {"CW.SE.CS.CT.CA": True, "ZZ": False}
+        assert payload["integrity_verified"] is False
 
-    def test_empty_store_is_vacuously_verified(self, tmp_path):
+    def test_empty_store_is_not_verified(self, tmp_path):
         config = write_config(tmp_path)
-        assert main(["verify", "--config", str(config)]) == EXIT_OK
+        assert main(["verify", "--config", str(config)]) == EXIT_VERIFY_FAILED
+        payload = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert payload["integrity_verified"] is False
+        assert payload["group_results"] == {} and payload["corrupt"] == {}
+
+    def test_good_group_beside_a_corrupt_file_is_not_verified(self, tmp_path):
+        def garbage(root: Path):
+            (root / "ZZ.json").write_bytes(b"garbage")
+
+        code, out = self.run_then_verify(tmp_path, mutate=garbage)
+        assert code == EXIT_CORRUPT
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["integrity_verified"] is False
+        assert payload["group_results"] == {"CW.SE.CS.CT.CA": True, "ZZ": False}
+        assert list(payload["corrupt"]) == ["ZZ"]
+
+    def test_optimize_root_is_verified_per_iteration(self, tmp_path):
+        """Every iteration's group file under an optimize store root is
+        verified: a tampered record in iter000 is pruned there, and a
+        second verify passes."""
+        config = str(write_config(tmp_path, iterations=2))
+        assert main(["optimize", "--config", config]) == EXIT_OK
+        root = tmp_path / "evidence"
+        tamper_group_file(root / "iter000")
+        assert main(["verify", "--config", config]) == EXIT_VERIFY_FAILED
+        payload = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert payload["group_results"] == {
+            "iter000/CW.SE.CS.CT.CA": False, "iter001/CW.SE.CS.CT.CA": True
+        }
+        assert list(payload["pruned"]) == ["iter000/CW.SE.CS.CT.CA"]
+        assert len(payload["pruned"]["iter000/CW.SE.CS.CT.CA"]) == 1
+        assert FileStore(root).list() == [
+            "iter000/CW.SE.CS.CT.CA.json", "iter001/CW.SE.CS.CT.CA.json"
+        ]
+        assert main(["verify", "--config", config]) == EXIT_OK
 
     def test_all_flagged_run_leaves_failing_proof(self, tmp_path):
         config = write_config(

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionproof.errors import InvalidHexLeaf, ParseError
-from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
+from fusionproof.handler import FusionSetup, RouteKind, calc_hash, generate_trace_id
 from fusionproof.proofs import (
     StoredGroup,
     ThresholdPolicy,
@@ -20,7 +20,6 @@ from fusionproof.proofs import (
     Verdict,
     ViolationKind,
     build_merkle_tree,
-    calc_hash,
     canonical_record_bytes,
     check_chain_sequence,
     check_record,
@@ -670,7 +669,7 @@ class TestMerkleLeafCheck:
         with pytest.raises(InvalidHexLeaf) as info:
             build_merkle_tree(forged.leaves)
         assert str(info.value) == f"leaf {bad!r} is not a 64-char lowercase hex digest"
-        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, store)
+        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, {}, store)
         assert report.integrity_verified is False
         assert report.pruned == {"CW.SE.CS.CT.CA": tuple(r.trace_id for r in records)}
         assert report.survivors == {"CW.SE.CS.CT.CA": ()}

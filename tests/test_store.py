@@ -211,16 +211,17 @@ class TestLoadSetups:
             encoded, build_merkle_tree(record_leaf_hashes(encoded))
         )
 
-    def test_ignores_block_files(self):
+    def test_block_files_are_reported_corrupt(self):
         store = MemoryStore()
         records = iot_records(b"\x23" * 32)
         persist_evidence(store, "CW.SE.CS.CT.CA", records)
         # A per-trace block as older versions wrote one beside the group file.
         store.put(f"CW.SE.CS.CT.CA/{records[0].trace_id}.json", canonical_record_bytes(records[-1]))
         setups, corrupt = load_setups(store)
-        assert all("/" not in key for key in setups)
         assert list(setups) == ["CW.SE.CS.CT.CA"]
-        assert corrupt == {}
+        assert corrupt == {
+            f"CW.SE.CS.CT.CA/{records[0].trace_id}": "group file must be a non-empty JSON array"
+        }
 
     def test_corrupt_group_isolated(self):
         store = MemoryStore()
@@ -276,7 +277,7 @@ def _verified(data: bytes):
     store = MemoryStore()
     store.put("CW.json", data)
     setups, corrupt = load_setups(store)
-    report = verify_integrity(setups, store)
+    report = verify_integrity(setups, corrupt, store)
     return (
         {**corrupt, **report.corrupt},
         report.group_results,
@@ -348,6 +349,27 @@ _FIRST_RECORD_EDITS = {
     "space_after_colon": (b'"task":"CW"', b'"task": "CW"'),
     "space_before_comma": (b'"task":"CW"', b'"task":"CW" '),
 }
+
+
+def _cut_inside_records(data: bytes) -> bytes:
+    """data with a record boundary nested in its first record and none
+    before its second, whose traceid is no longer its first key: the split
+    still cuts one piece per leaf, but the first two pieces are not records."""
+    first, second = proofs_module.decode_group_file(data).records[:2]
+    nested = first[:-1] + b',"x":[{},{"traceid":0}]}'
+    return data.replace(first, nested, 1).replace(second, b'{"task":"x",' + second[1:], 1)
+
+
+class CountingStore(MemoryStore):
+    """A MemoryStore that counts the gets of each key."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gets: dict[str, int] = {}
+
+    def get(self, key: str) -> bytes:
+        self.gets[key] = self.gets.get(key, 0) + 1
+        return super().get(key)
 
 
 class TestRecordBoundarySplit:
@@ -441,7 +463,7 @@ class TestRecordBoundarySplit:
         data = _FIRST.replace(old, new, 3)
         assert _scan_by_decoder(data) == f"group file is not valid JSON: {message}"
         reason = f"group file is not valid JSON: {message}"
-        assert _verified(data) == ({"CW": reason}, {}, {}, {}, {}, data)
+        assert _verified(data) == ({"CW": reason}, {"CW": False}, {}, {}, {}, data)
 
     def test_leaf_forged_without_the_root_is_corrupt(self):
         """One leaf replaced by the hash of a malformed piece, the root left
@@ -455,7 +477,7 @@ class TestRecordBoundarySplit:
         data = data.replace(old_leaf.encode(), new_leaf.encode(), 1)
         assert isinstance(proofs_module._split_group_file(data), StoredGroup)
         message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
-        assert _verified(data) == ({"CW": message}, {}, {}, {}, {}, data)
+        assert _verified(data) == ({"CW": message}, {"CW": False}, {}, {}, {}, data)
 
     def test_leaf_list_forged_over_a_malformed_piece(self):
         """A piece whose hash is a leaf of a list that rebuilds the root is
@@ -495,6 +517,46 @@ class TestRecordBoundarySplit:
         assert outcome[2] == {"CW": tuple(trace_ids)}
         assert outcome[3] == {"CW": group.records[2:]}
 
+    @pytest.mark.parametrize(
+        "edit, pruned, corrupt",
+        [
+            (lambda data: data, 0, False),
+            (lambda data: data.replace(b'"route":"', b'"route":"X', 1), 1, False),
+            (_cut_inside_records, 2, False),
+            (lambda data: data.replace(b'"billed":', b'"billed":x', 3), 0, True),
+        ],
+        ids=[
+            "untampered", "pruned_as_split", "pruned_as_decoded_again", "corrupt_as_decoded_again"
+        ],
+    )
+    def test_each_group_file_is_read_once(self, edit, pruned, corrupt):
+        """Loading and verifying gets each listed group file from the
+        store once, also when a piece is not a record and the group's
+        bytes are decoded again."""
+        store = CountingStore()
+        store.put("CW.json", edit(_FIRST))
+        store.put("CS.json", _GROUP_FILES[1])
+        setups, load_corrupt = load_setups(store)
+        report = verify_integrity(setups, load_corrupt, store)
+        assert store.gets == {"CS.json": 1, "CW.json": 1}
+        assert load_corrupt == {}
+        assert report.group_results == {"CS": True, "CW": not pruned and not corrupt}
+        assert len(report.pruned.get("CW", ())) == pruned
+        assert ("CW" in report.corrupt) is corrupt
+
+    def test_record_open_into_a_reformatted_proof_differs_only_in_offset(self):
+        """The bytes decoded again end in the proof as the writer writes it,
+        so when the last record's brackets stay open into a proof written
+        with a space, the decoder's message counts a shorter file."""
+        cut = _FIRST.rindex(b'},{"root":')
+        proof = _FIRST[cut:].replace(b'{"root":', b'{"root": ', 1)
+        data = _FIRST[:cut] + b',"x":[{"a":0' + proof
+        split, alone = _verified(data), _verified_by_decoder(data)
+        assert split[1:] == alone[1:] == ({"CW": False}, {}, {}, {}, data)
+        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column %d (char %d)"
+        assert split[0] == {"CW": message % (len(data), len(data) - 1)}
+        assert alone[0] == {"CW": message % (len(data) + 1, len(data))}
+
     def test_empty_root_file_is_unchanged(self):
         store = MemoryStore()
         persist_evidence(store, "CW", [])
@@ -521,7 +583,7 @@ class TestRecordBoundarySplit:
 
         with mock.patch.object(proofs_module, "_decode", counting_decode):
             setups, corrupt = load_setups(store)
-            report = verify_integrity(setups, store)
+            report = verify_integrity(setups, corrupt, store)
         assert corrupt == {} and report.corrupt == {}
         assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == tampered
         assert len(decoded) == tampered + 1

@@ -116,23 +116,29 @@ class TestVerifyIntegrity:
         persist_evidence(store, self.KEY, records)
         before = {k: store.get(k) for k in store.list()}
         setups, _ = load_setups(store)
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.integrity_verified is True
         assert report.group_results == {self.KEY: True}
         assert report.pruned == {}
         assert {k: store.get(k) for k in store.list()} == before
 
-    def test_empty_setups_vacuously_true(self):
-        report = verify_integrity({}, MemoryStore())
-        assert report.integrity_verified is True
+    def test_empty_setups_not_verified(self):
+        report = verify_integrity({}, {}, MemoryStore())
+        assert report.integrity_verified is False
         assert report.group_results == {}
+
+    def test_load_time_corrupt_file_fails_in_the_report(self):
+        report = verify_integrity({}, {"ZZ": "not json"}, MemoryStore())
+        assert report.integrity_verified is False
+        assert report.group_results == {"ZZ": False}
+        assert report.corrupt == {"ZZ": "not json"}
 
     def test_empty_proof_fails_without_pruning(self):
         store = MemoryStore()
         persist_evidence(store, self.KEY, [])
         before = store.get(f"{self.KEY}.json")
         setups, _ = load_setups(store)
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.integrity_verified is False
         assert report.group_results == {self.KEY: False}
         assert report.pruned == {}
@@ -146,12 +152,12 @@ class TestVerifyIntegrity:
             records[1], billed_duration_ms=records[1].billed_duration_ms + 7
         )
         setups = {self.KEY: stored_group([records[0], tampered, records[2]], blocks[-1])}
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
         assert report.survivors == {self.KEY: encoded(records[0], records[2])}
 
-    def test_old_layout_block_ignored_and_kept(self):
+    def test_old_layout_block_reported_corrupt_and_kept(self):
         def verify_tampered(block_too: bool):
             store = MemoryStore()
             records = persist_distinct_blocks(store, 3)
@@ -162,13 +168,19 @@ class TestVerifyIntegrity:
                 # A per-trace block as older versions wrote one beside the group file.
                 store.put(f"{self.KEY}/{records[1].trace_id}.json", canonical_record_bytes(records[1]))
             setups, corrupt = load_setups(store)
-            assert corrupt == {}
-            return store, records, verify_integrity(setups, store)
+            assert list(setups) == [self.KEY]
+            return store, records, verify_integrity(setups, corrupt, store)
 
         plain_store, records, plain = verify_tampered(block_too=False)
         store, _, report = verify_tampered(block_too=True)
         assert plain.pruned == {self.KEY: (records[1].trace_id,)}
-        assert report == plain
+        block_key = f"{self.KEY}/{records[1].trace_id}"
+        reason = "group file must be a non-empty JSON array"
+        assert report == dataclasses.replace(
+            plain,
+            group_results={**plain.group_results, block_key: False},
+            corrupt={block_key: reason},
+        )
         block = f"{self.KEY}/{records[1].trace_id}.json"
         assert store.list() == [f"{self.KEY}.json", block]
         assert store.get(block) == canonical_record_bytes(records[1])
@@ -180,7 +192,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[0], memory_used_mb=999)
         setups = {self.KEY: stored_group([tampered, records[1], records[2]], blocks[-1])}
-        verify_integrity(setups, store)
+        verify_integrity(setups, {}, store)
         rewritten = parse_group_file(store.get(f"{self.KEY}.json"))
         survivors = [records[1], records[2]]
         assert rewritten[:-1] == survivors
@@ -192,11 +204,11 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[2], billed_duration_ms=1)
         group = stored_group([records[0], records[1], tampered, records[3]], blocks[-1])
-        first = verify_integrity({self.KEY: group}, store)
+        first = verify_integrity({self.KEY: group}, {}, store)
         assert first.integrity_verified is False
         reloaded, _ = load_setups(store)
         assert reloaded[self.KEY].records == first.survivors[self.KEY]
-        second = verify_integrity(reloaded, store)
+        second = verify_integrity(reloaded, {}, store)
         assert second.integrity_verified is True
         assert second.survivors == {}
 
@@ -214,7 +226,7 @@ class TestVerifyIntegrity:
                 else r
                 for p, r in enumerate(records)
             ]
-            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, store)
+            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, {}, store)
             assert report.pruned[self.KEY] == tuple(
                 records[p].trace_id for p in positions
             )
@@ -228,7 +240,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         extra = fused_records(b"\x39" * 32, origin=9000)[0]
         setups = {self.KEY: stored_group([*records, extra], blocks[-1])}
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.pruned == {self.KEY: (extra.trace_id,)}
         assert report.survivors[self.KEY] == encoded(*records)
 
@@ -243,12 +255,12 @@ class TestVerifyIntegrity:
         append_copy_of_last_record(0, store)
         setups, _ = load_setups(store)
         assert setups[self.KEY].records == encoded(*records, records[-1])
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[-1].trace_id,)}
         assert report.survivors == {self.KEY: encoded(*records)}
         assert store.get(f"{self.KEY}.json") == sealed
-        assert verify_integrity(load_setups(store)[0], store).integrity_verified is True
+        assert verify_integrity(*load_setups(store), store).integrity_verified is True
 
     @pytest.mark.parametrize(
         "edit",
@@ -263,7 +275,7 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         tree = parse_group_file(store.get(f"{self.KEY}.json"))[-1]
         forged = dataclasses.replace(tree, leaves=tuple(edit(list(tree.leaves))))
-        report = verify_integrity({self.KEY: stored_group(records, forged)}, store)
+        report = verify_integrity({self.KEY: stored_group(records, forged)}, {}, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: tuple(r.trace_id for r in records)}
         assert report.survivors == {self.KEY: ()}
@@ -273,7 +285,7 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         swapped = stored_group([records[1], records[0], records[2]], blocks[-1])
-        report = verify_integrity({self.KEY: swapped}, store)
+        report = verify_integrity({self.KEY: swapped}, {}, store)
         assert report.integrity_verified is False
         assert set(report.pruned[self.KEY]) == {records[0].trace_id, records[1].trace_id}
 
@@ -294,7 +306,7 @@ class TestVerifyIntegrity:
             ],
             setups["CW"].proof,
         )
-        report = verify_integrity(setups, store)
+        report = verify_integrity(setups, {}, store)
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
@@ -311,7 +323,7 @@ class TestVerifyIntegrity:
             store.put(f"{self.KEY}.json", data)
             setups, corrupt = load_setups(store)
             assert corrupt == {}
-            report = verify_integrity(setups, store)
+            report = verify_integrity(setups, corrupt, store)
             outcomes.append((setups, report, store.get(f"{self.KEY}.json")))
         assert b'"tree":' in older_layout_group_file(records, tree)
         assert outcomes[0][0] == outcomes[1][0] == {self.KEY: stored_group(records, tree)}
@@ -334,7 +346,7 @@ class TestStoredBytes:
     def verify(self, store):
         setups, corrupt = load_setups(store)
         assert corrupt == {}
-        return verify_integrity(setups, store)
+        return verify_integrity(setups, corrupt, store)
 
     def test_whitespace_between_elements_verifies(self):
         store, records, data = self.persisted()
@@ -1001,6 +1013,18 @@ class TestRunOptimization:
         assert result.integrity_verified is False
         assert result.group_results == {"CW.SE.CS.CT.CA": False}
         assert result.pruned_counts == {}
+        assert result.reverted is True
+
+    def test_deleted_group_file_fails_integrity(self):
+        def delete_group_file(iteration: int, store) -> None:
+            store.delete("CW.SE.CS.CT.CA.json")
+
+        trace = run_optimization(
+            IOT, FUSED, 1, policy=POLICY, seed=19, request_counts=(2,), tamper=delete_group_file
+        )
+        result = trace.iterations[0]
+        assert result.integrity_verified is False
+        assert result.group_results == {}
         assert result.reverted is True
 
     def test_records_of_a_failed_group_never_reach_metrics(self):
