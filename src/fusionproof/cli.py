@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -99,10 +100,11 @@ def _initial_setup(raw) -> Union[str, tuple[tuple[str, ...], ...]]:
 
 
 def _request_counts(raw) -> tuple[int, ...]:
-    counts = tuple(int(c) for c in raw)
-    if not counts or any(c < 1 for c in counts):
+    if not isinstance(raw, list) or not all(type(c) is int for c in raw):
+        raise TypeError(f"expected a list of integers, got {raw!r}")
+    if not raw or min(raw) < 1:
         raise ConfigError("request_counts must be positive integers")
-    return counts
+    return tuple(raw)
 
 
 def _exactly(kind, name: str):
@@ -263,6 +265,14 @@ def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:
     )
 
 
+def _output_dir(config: ScenarioConfig) -> Path:
+    """output_dir, which must lie outside store_root: verify reads every .json file there."""
+    out, store = os.path.realpath(config.output_dir), os.path.realpath(config.store_root)
+    if Path(out).is_relative_to(store):
+        raise ConfigError(f"output_dir {out!r} must lie outside store_root {store!r}")
+    return Path(config.output_dir)
+
+
 def _require_seed(config: ScenarioConfig) -> int:
     if config.seed is None:
         raise ConfigError("seed is mandatory; pass --seed or set it in the config")
@@ -304,6 +314,7 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_run(config: ScenarioConfig) -> int:
     """Execute the workload, filter it, and persist evidence."""
+    out = _output_dir(config)
     seed = _require_seed(config)
     app = build_app(config)
     setup = build_setup(config, app)
@@ -322,7 +333,6 @@ def cmd_run(config: ScenarioConfig) -> int:
     clean, flagged = filter_batch(batch.records, policy)
     store = FileStore(config.store_root)
     persist_evidence(store, entry_fusion_key(setup, app.entry_task), clean)
-    out = Path(config.output_dir)
     _write_csv(out / "records.csv", _RECORD_COLUMNS, [_record_row(r) for r in batch.records])
     _write_csv(
         out / "flagged.csv",
@@ -345,10 +355,11 @@ def _report_to_wire(report: VerificationReport) -> dict:
 
 def cmd_verify(config: ScenarioConfig) -> int:
     """Re-check all stored proofs, pruning tampered records from group files."""
+    out = _output_dir(config)
     store = FileStore(config.store_root)
     setups, corrupt = load_setups(store)
     report = verify_integrity(setups, corrupt, store)
-    _write_json(Path(config.output_dir) / "verification.json", _report_to_wire(report))
+    _write_json(out / "verification.json", _report_to_wire(report))
     if report.corrupt:
         return EXIT_CORRUPT
     return EXIT_OK if report.integrity_verified else EXIT_VERIFY_FAILED
@@ -356,6 +367,7 @@ def cmd_verify(config: ScenarioConfig) -> int:
 
 def cmd_optimize(config: ScenarioConfig) -> int:
     """Run the full iterate-verify-adopt loop and dump its trace."""
+    out = _output_dir(config)
     seed = _require_seed(config)
     app = build_app(config)
     setup = build_setup(config, app)
@@ -374,7 +386,6 @@ def cmd_optimize(config: ScenarioConfig) -> int:
         sampling=config.csp1,
         store_factory=lambda it: FileStore(store_root / f"iter{it:03d}"),
     )
-    out = Path(config.output_dir)
     _write_json(
         out / "optimization_trace.json",
         {

@@ -78,7 +78,6 @@ def parse_log_lines(lines: Iterable[str]) -> tuple[list[InvocationRecord], list[
 # Threshold filtering
 
 class ViolationKind(Enum):
-    NONE = "none"
     DURATION_EXCEEDED = "duration_exceeded"
     MEMORY_EXCEEDED = "memory_exceeded"
     SEQUENCE_VIOLATION = "sequence_violation"
@@ -86,18 +85,10 @@ class ViolationKind(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one check; kind NONE means the check passed."""
+    """A violation one check found; a check that passes returns None."""
 
     kind: ViolationKind
     detail: str = ""
-
-    @classmethod
-    def passing(cls) -> "Verdict":
-        return _PASSING
-
-
-# Verdicts are frozen, so every passing check can share one instance.
-_PASSING = Verdict(ViolationKind.NONE)
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ class ThresholdPolicy:
     expected_sequence: tuple[str, ...] = ()
 
 
-def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Verdict:
+def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Optional[Verdict]:
     """Threshold check for one record; duration outranks memory."""
     if record.billed_duration_ms > policy.max_billed_ms:
         return Verdict(
@@ -126,15 +117,15 @@ def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Verdict:
             f"task {record.task}: memory {record.memory_used_mb} MB "
             f"> limit {policy.max_memory_mb:g} MB",
         )
-    return Verdict.passing()
+    return None
 
 
 def check_chain_sequence(
     records_of_one_trace: Sequence[InvocationRecord], policy: ThresholdPolicy
-) -> Verdict:
+) -> Optional[Verdict]:
     """Compare one trace's task order (by chain_index) to the policy."""
     if not policy.expected_sequence:
-        return Verdict.passing()
+        return None
     ordered = sorted(records_of_one_trace, key=lambda r: r.chain_index)
     observed = tuple(r.task for r in ordered)
     if observed != policy.expected_sequence:
@@ -142,7 +133,7 @@ def check_chain_sequence(
             ViolationKind.SEQUENCE_VIOLATION,
             f"observed {','.join(observed)}; expected {','.join(policy.expected_sequence)}",
         )
-    return Verdict.passing()
+    return None
 
 
 def filter_batch(
@@ -164,14 +155,11 @@ def filter_batch(
         trigger: Optional[Verdict] = None
         for record in trace_records:
             verdict = check_record(record, policy)
-            if verdict.kind is not ViolationKind.NONE:
+            if verdict is not None:
                 record_verdicts[id(record)] = verdict
                 if trigger is None:
                     trigger = verdict
-        sequence_verdict = check_chain_sequence(trace_records, policy)
-        if trigger is None and sequence_verdict.kind is not ViolationKind.NONE:
-            trigger = sequence_verdict
-        trace_verdicts[trace_id] = trigger
+        trace_verdicts[trace_id] = trigger or check_chain_sequence(trace_records, policy)
 
     clean: list[InvocationRecord] = []
     flagged: list[tuple[InvocationRecord, Verdict]] = []
@@ -203,7 +191,11 @@ def record_to_wire(record: InvocationRecord) -> dict:
 
 
 def record_from_wire(obj: Mapping) -> InvocationRecord:
+    """The record a wire object holds; its traceid, task and caller must be strings."""
     try:
+        for key in ("traceid", "task", "caller"):
+            if not isinstance(obj[key], str):
+                raise TypeError(f"{key} must be a string, got {obj[key]!r}")
         return InvocationRecord(
             trace_id=obj["traceid"],
             task=obj["task"],
@@ -234,17 +226,11 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
     in the group file, so it must never drift.
     """
     q = encode_basestring_ascii
-    try:
-        line = _RECORD_LINE % (
-            q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
-            record.start_ms, record.billed_duration_ms, record.memory_used_mb,
-            record.route.value, record.setup_version,
-        )
-    except TypeError:
-        # A text field that is not a str, as a record parsed from a
-        # tampered group file can carry: encode it the reference way.
-        return json.dumps(record_to_wire(record), separators=(",", ":")).encode("utf-8")
-    return line.encode("ascii")
+    return (_RECORD_LINE % (
+        q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
+        record.start_ms, record.billed_duration_ms, record.memory_used_mb,
+        record.route.value, record.setup_version,
+    )).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

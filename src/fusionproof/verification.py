@@ -24,7 +24,6 @@ from .errors import (
 from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
-    RouteKind,
     entry_fusion_key,
     fusion_key_for_trace,
 )
@@ -70,12 +69,16 @@ def find_mismatch(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    integrity_verified: bool
     group_results: Mapping[str, bool]
     survivors: Mapping[str, tuple[bytes, ...]]
     pruned: Mapping[str, tuple[str, ...]]
     notes: Mapping[str, str] = field(default_factory=dict)
     corrupt: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def integrity_verified(self) -> bool:
+        """Every group file passed, and there was at least one."""
+        return bool(self.group_results) and all(self.group_results.values())
 
 
 def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[int]]:
@@ -147,14 +150,7 @@ def verify_integrity(
         pruned[key] = tuple(trace_ids)
         group_results[key] = False
     group_results.update(dict.fromkeys(corrupt, False))
-    return VerificationReport(
-        integrity_verified=bool(group_results) and all(group_results.values()),
-        group_results=group_results,
-        survivors=out_survivors,
-        pruned=pruned,
-        notes=notes,
-        corrupt=corrupt,
-    )
+    return VerificationReport(group_results, out_survivors, pruned, notes, corrupt)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +227,12 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class EdgeStats:
-    count: int
-    mode: CallMode
-    route: RouteKind
-
-
-@dataclass(frozen=True)
 class AnnotatedMetrics:
     """Aggregates over records whose groups passed verification."""
 
     task_mean_billed_ms: Mapping[str, float]
     task_mean_memory_mb: Mapping[str, float]
-    edges: Mapping[tuple[str, str], EdgeStats]
-    setup_version: int
+    edges: Mapping[tuple[str, str], CallMode]
 
 
 def annotate_metrics(
@@ -252,7 +240,7 @@ def annotate_metrics(
     fusion_key: str,
     app: AppSpec,
 ) -> AnnotatedMetrics:
-    """Aggregate per-task means and per-edge stats from trusted records.
+    """Aggregate per-task means and each observed edge's call mode from trusted records.
 
     The records are those a verification pass vouched for under
     fusion_key; only records whose trace id names that group contribute.
@@ -266,33 +254,25 @@ def annotate_metrics(
         raise NoVerifiedData("no verified groups contributed any records")
     billed: dict[str, list[int]] = {}
     memory: dict[str, list[int]] = {}
-    edge_counts: dict[tuple[str, str], int] = {}
-    edge_routes: dict[tuple[str, str], RouteKind] = {}
+    observed: set[tuple[str, str]] = set()
     task_map = app.task_map
     for record in verified:
         billed.setdefault(record.task, []).append(record.billed_duration_ms)
         memory.setdefault(record.task, []).append(record.memory_used_mb)
         if record.caller != EXTERNAL_CALLER:
-            edge = (record.caller, record.task)
-            edge_counts[edge] = edge_counts.get(edge, 0) + 1
-            edge_routes[edge] = record.route
-    edges: dict[tuple[str, str], EdgeStats] = {}
+            observed.add((record.caller, record.task))
+    edges: dict[tuple[str, str], CallMode] = {}
     # Sorted insertion keeps edge iteration order deterministic downstream.
-    for caller, callee in sorted(edge_counts):
+    for caller, callee in sorted(observed):
         try:
             mode = next(c.mode for c in task_map[caller].calls if c.callee == callee)
         except (KeyError, StopIteration):
             raise MissingMetric(f"observed edge {caller}->{callee} is not in the app") from None
-        edges[(caller, callee)] = EdgeStats(
-            count=edge_counts[(caller, callee)],
-            mode=mode,
-            route=edge_routes[(caller, callee)],
-        )
+        edges[(caller, callee)] = mode
     return AnnotatedMetrics(
         task_mean_billed_ms={t: sum(v) / len(v) for t, v in sorted(billed.items())},
         task_mean_memory_mb={t: sum(v) / len(v) for t, v in sorted(memory.items())},
         edges=edges,
-        setup_version=max(r.setup_version for r in verified),
     )
 
 
@@ -311,8 +291,8 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
     children: dict[str, list[tuple[str, CallMode]]] = {}
     tasks = set(metrics.task_mean_billed_ms)
     has_incoming: set[str] = set()
-    for caller, callee in metrics.edges:
-        children.setdefault(caller, []).append((callee, metrics.edges[(caller, callee)].mode))
+    for (caller, callee), mode in metrics.edges.items():
+        children.setdefault(caller, []).append((callee, mode))
         tasks.update((caller, callee))
         has_incoming.add(callee)
     roots = sorted(tasks - has_incoming)
@@ -364,19 +344,17 @@ def propose_candidates(setup: FusionSetup, metrics: AnnotatedMetrics) -> list[Fu
     """
     seen = {setup.setup_part}
     candidates: list[FusionSetup] = []
-    for caller, callee in sorted(metrics.edges):
-        stats = metrics.edges[(caller, callee)]
+    for (caller, callee), mode in sorted(metrics.edges.items()):
         caller_group = setup.group_index(caller)
         callee_group = setup.group_index(callee)
         # A copy, so that the setup's own groups are never edited.
         groups = [tuple(group) for group in setup.groups]
-        if stats.mode is CallMode.SYNC and caller_group != callee_group:
+        if mode is CallMode.SYNC and caller_group != callee_group:
             groups[caller_group] += groups[callee_group]
             del groups[callee_group]
-        elif stats.mode is CallMode.ASYNC and caller_group == callee_group:
+        elif mode is CallMode.ASYNC and caller_group == callee_group:
+            # An app has no self-calls, so the caller keeps the group from emptying.
             groups[caller_group] = tuple(n for n in groups[caller_group] if n != callee)
-            if not groups[caller_group]:
-                continue
             groups.append((callee,))
         else:
             continue

@@ -143,7 +143,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_setup(config, builtin_iot_app())
 
-    @pytest.mark.parametrize("counts", [[], [0], [-3]])
+    @pytest.mark.parametrize("counts", [[], [0], [-3], "12", [True], [2.7]])
     def test_bad_request_counts(self, counts):
         with pytest.raises(ConfigError):
             config_from_dict({"request_counts": counts})
@@ -364,6 +364,16 @@ class TestUnusablePaths:
             assert main([command, "--config", config]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Not a directory" in err
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [("run", "evidence"), ("verify", "evidence/out"), ("optimize", "out/../evidence/o")],
+    )
+    def test_output_dir_in_the_store_is_usage_error(self, tmp_path, capsys, command, output):
+        config = write_config(tmp_path, output_dir=str(tmp_path / output))
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert "must lie outside store_root" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestVerifyCommand:

@@ -193,6 +193,12 @@ class TestParseGroupFile:
         with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
             parse_group_file(data)
 
+    def test_non_string_task_is_corrupt(self):
+        data = group_file_bytes(iot_records(b"\x28" * 32), TreeInfo.empty())
+        data = data.replace(b'"task":"CW"', b'"task":1', 1)
+        with pytest.raises(CorruptGroupFile, match="task must be a string, got 1"):
+            parse_group_file(data)
+
     def test_nesting_too_deep_for_the_decoder_is_corrupt(self):
         with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
             parse_group_file(b"[" * 100_000)
