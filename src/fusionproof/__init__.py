@@ -51,7 +51,6 @@ from .workload import (
     builtin_tree_app,
     emit_platform_logs,
     execute_request,
-    load_app_spec,
     run_workload,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "filter_batch",
     "find_mismatch",
     "generate_trace_id",
-    "load_app_spec",
     "load_setups",
     "optimize_step",
     "parse_and_validate_trace_id",

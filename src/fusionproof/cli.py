@@ -35,9 +35,11 @@ from .workload import (
     ATTACK_GATES,
     AppSpec,
     AttackPlan,
+    CallMode,
+    CallSpec,
+    TaskSpec,
     builtin_iot_app,
     builtin_tree_app,
-    load_app_spec,
     run_workload,
 )
 
@@ -119,7 +121,14 @@ def _exactly(kind, name: str):
 
 _boolean = _exactly(bool, "true or false")
 _string = _exactly(str, "a string")
+_list = _exactly(list, "a JSON list")
 _section = _exactly((Mapping, type(None)), "a JSON object or null")
+
+
+def _os_path(raw) -> str:
+    if "\0" in _string(raw):
+        raise ValueError(f"a path cannot hold NUL, got {raw!r}")
+    return raw
 
 
 def _swap(raw) -> Optional[tuple[str, str]]:
@@ -139,9 +148,10 @@ def _finite(raw) -> float:
 
 # Every accepted key with its converter.  A (type, keys) pair is a nested
 # section: its keys are the type's field names, and a null section leaves
-# every field at the type's default.
+# every field at the type's default.  A one-element list [(type, keys)] is
+# a JSON list of such sections, converted to a tuple.
 _SCHEMA: Mapping = {
-    "app": _string,
+    "app": _os_path,
     "app_params": (AppParams, {"fanout": int, "depth": int}),
     "initial_setup": _initial_setup,
     "request_counts": _request_counts,
@@ -166,8 +176,21 @@ _SCHEMA: Mapping = {
     ),
     "csp1": (SamplingState, {"i": int, "f": float}),
     "seed": lambda raw: None if raw is None else int(raw),
-    "store_root": _string,
-    "output_dir": _string,
+    "store_root": _os_path,
+    "output_dir": _os_path,
+}
+
+# The app document, converted under the key "app" so that errors name app.….
+_CALL_KEYS: Mapping = {"callee": _string, "mode": lambda raw: CallMode(_string(raw).lower())}
+_TASK_KEYS: Mapping = {
+    "name": _string,
+    "base_duration_ms": _finite,
+    "base_memory_mb": _finite,
+    "jitter_fraction": _finite,
+    "calls": [(CallSpec, _CALL_KEYS)],
+}
+_APP_SCHEMA: Mapping = {
+    "app": (AppSpec, {"name": _string, "entry_task": _string, "tasks": [(TaskSpec, _TASK_KEYS)]}),
 }
 
 
@@ -176,19 +199,21 @@ def _convert(doc: Mapping, schema: Mapping, path: str = "") -> dict:
     unknown = sorted(path + key for key in set(doc) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, convert in schema.items():
-        if key not in doc:
-            continue
-        try:
-            if isinstance(convert, tuple):
-                section, keys = convert
-                values[key] = section(**_convert(_section(doc[key]) or {}, keys, f"{path}{key}."))
-            else:
-                values[key] = convert(doc[key])
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad config value: {path}{key}: {type(exc).__name__}: {exc}") from exc
-    return values
+    return {key: _value(doc[key], convert, path + key) for key, convert in schema.items() if key in doc}
+
+
+def _value(raw, convert, path: str):
+    """raw converted by a converter, a section or a list of sections; errors name path."""
+    try:
+        if isinstance(convert, list):
+            (item,) = convert
+            return tuple(_value(each, item, f"{path}[{i}]") for i, each in enumerate(_list(raw)))
+        if isinstance(convert, tuple):
+            section, keys = convert
+            return section(**_convert(_section(raw) or {}, keys, path + "."))
+        return convert(raw)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad config value: {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def config_from_dict(doc: Mapping) -> ScenarioConfig:
@@ -198,16 +223,19 @@ def config_from_dict(doc: Mapping) -> ScenarioConfig:
     return ScenarioConfig(**_convert(doc, _SCHEMA))
 
 
-def load_config_file(path: Union[str, Path]) -> ScenarioConfig:
+def _load_json(path: Union[str, Path], what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config_file(path: Union[str, Path]) -> ScenarioConfig:
+    return config_from_dict(_load_json(path, "config"))
 
 
 def build_app(config: ScenarioConfig) -> AppSpec:
@@ -215,12 +243,7 @@ def build_app(config: ScenarioConfig) -> AppSpec:
         return builtin_iot_app()
     if config.app == "tree":
         return builtin_tree_app(config.app_params.fanout, config.app_params.depth)
-    path = Path(config.app)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read app spec {path}: {exc}") from exc
-    return load_app_spec(text)
+    return _convert({"app": _load_json(config.app, "app document")}, _APP_SCHEMA)["app"]
 
 
 def build_setup(config: ScenarioConfig, app: AppSpec) -> FusionSetup:

@@ -395,12 +395,18 @@ class IterationResult:
     iteration: int
     setup_part: str
     estimated_cost_ms: Optional[float]
-    integrity_verified: Optional[bool]
     group_results: Mapping[str, bool]
     pruned_counts: Mapping[str, int]
     reverted: bool
     inspected: bool
     load_stats: Mapping[int, tuple[int, int]]
+
+    @property
+    def integrity_verified(self) -> Optional[bool]:
+        """None when the iteration was not inspected, else the report's verdict."""
+        if not self.inspected:
+            return None
+        return bool(self.group_results) and all(self.group_results.values())
 
 
 @dataclass(frozen=True)
@@ -493,7 +499,6 @@ def run_optimization(
         if tamper is not None:
             tamper(it, store)
 
-        integrity: Optional[bool] = None
         group_results: Mapping[str, bool] = {}
         pruned_counts: dict[str, int] = {}
         # The batch as persisted: trusted when the entry group verifies,
@@ -503,11 +508,12 @@ def run_optimization(
         if inspect_this:
             setups, corrupt = load_setups(store)
             report = verify_integrity(setups, corrupt, store)
-            integrity = report.integrity_verified
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             last_outcome = (
-                InspectionOutcome.CONFORMING if integrity else InspectionOutcome.NONCONFORMING
+                InspectionOutcome.CONFORMING
+                if report.integrity_verified
+                else InspectionOutcome.NONCONFORMING
             )
             if not group_results.get(fusion_key, False):
                 persisted = dict(zip(receipt.tree.leaves, clean))
@@ -540,7 +546,6 @@ def run_optimization(
                 iteration=it,
                 setup_part=current.setup_part,
                 estimated_cost_ms=cost,
-                integrity_verified=integrity,
                 group_results=group_results,
                 pruned_counts=pruned_counts,
                 reverted=reverted,

@@ -8,7 +8,6 @@ ground-truth labels stay on the simulator side.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -402,58 +401,6 @@ def emit_platform_logs(records: Iterable[InvocationRecord]) -> list[str]:
         )
         for r in records
     ]
-
-
-def load_app_spec(document: str) -> AppSpec:
-    """Parse a JSON app description into a validated AppSpec.
-
-    Expected shape:
-    {"name": ..., "entry_task": ..., "tasks": [{"name": ..., "base_duration_ms": ...,
-     "base_memory_mb": ..., "jitter_fraction": ..., "calls": [{"callee": ..., "mode":
-     "sync"|"async"}, ...]}, ...]}
-    """
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"app document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("app document must be a JSON object")
-    return app_spec_from_dict(doc)
-
-
-def app_spec_from_dict(doc: Mapping) -> AppSpec:
-    try:
-        name = doc["name"]
-        entry_task = doc["entry_task"]
-        raw_tasks = doc["tasks"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"app document missing required field: {exc}") from exc
-    if not isinstance(raw_tasks, list) or not raw_tasks:
-        raise ParseError("app document needs a non-empty tasks list")
-    tasks = []
-    for raw in raw_tasks:
-        if not isinstance(raw, dict) or "name" not in raw or "base_duration_ms" not in raw:
-            raise ParseError(f"bad task entry: {raw!r}")
-        calls = []
-        for raw_call in raw.get("calls", []):
-            if not isinstance(raw_call, dict) or "callee" not in raw_call:
-                raise ParseError(f"bad call entry in task {raw['name']!r}: {raw_call!r}")
-            mode_text = str(raw_call.get("mode", "sync")).lower()
-            try:
-                mode = CallMode(mode_text)
-            except ValueError as exc:
-                raise ParseError(f"bad call mode {mode_text!r}") from exc
-            calls.append(CallSpec(raw_call["callee"], mode))
-        tasks.append(
-            TaskSpec(
-                name=raw["name"],
-                base_duration_ms=raw["base_duration_ms"],
-                base_memory_mb=raw.get("base_memory_mb", 10.0),
-                jitter_fraction=raw.get("jitter_fraction", 0.0),
-                calls=tuple(calls),
-            )
-        )
-    return AppSpec(name=name, entry_task=entry_task, tasks=tuple(tasks))
 
 
 def builtin_iot_app() -> AppSpec:

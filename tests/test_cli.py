@@ -17,6 +17,7 @@ from fusionproof.cli import (
     EXIT_VERIFY_FAILED,
     ConfigError,
     ScenarioConfig,
+    build_app,
     build_parser,
     build_policy,
     build_setup,
@@ -24,6 +25,7 @@ from fusionproof.cli import (
     main,
     resolve_config,
 )
+from fusionproof.errors import CycleDetected, UnknownCallee
 from fusionproof.proofs import ThresholdPolicy, group_file_bytes, parse_group_file
 from fusionproof.store import FileStore
 from fusionproof.verification import CostModel, SamplingState
@@ -330,6 +332,118 @@ class TestRunCommand:
         assert "target_task" in capsys.readouterr().err
 
 
+class TestLoadAppSpec:
+    def load(self, tmp_path, document):
+        path = tmp_path / "app.json"
+        text = document if isinstance(document, str) else json.dumps(document)
+        path.write_text(text, encoding="utf-8")
+        return build_app(ScenarioConfig(app=str(path)))
+
+    def test_round_trip_matches_builtin(self, tmp_path):
+        doc = {
+            "name": "iot",
+            "entry_task": "CW",
+            "tasks": [
+                {"name": "CW", "base_duration_ms": 37, "base_memory_mb": 10,
+                 "calls": [{"callee": "SE", "mode": "sync"}]},
+                {"name": "SE", "base_duration_ms": 37, "base_memory_mb": 10,
+                 "calls": [{"callee": "CS", "mode": "sync"}]},
+                {"name": "CS", "base_duration_ms": 76, "base_memory_mb": 10,
+                 "calls": [{"callee": "CT", "mode": "sync"}]},
+                {"name": "CT", "base_duration_ms": 64, "base_memory_mb": 10,
+                 "calls": [{"callee": "CA", "mode": "sync"}]},
+                {"name": "CA", "base_duration_ms": 68, "base_memory_mb": 10},
+            ],
+        }
+        assert self.load(tmp_path, doc) == builtin_iot_app()
+
+    def test_cycle_document(self, tmp_path):
+        doc = {
+            "name": "loop",
+            "entry_task": "A",
+            "tasks": [
+                {"name": "A", "base_duration_ms": 1, "calls": [{"callee": "B"}]},
+                {"name": "B", "base_duration_ms": 1, "calls": [{"callee": "A"}]},
+            ],
+        }
+        with pytest.raises(CycleDetected):
+            self.load(tmp_path, doc)
+
+    def test_undeclared_callee_document(self, tmp_path):
+        doc = {
+            "name": "bad",
+            "entry_task": "A",
+            "tasks": [{"name": "A", "base_duration_ms": 1, "calls": [{"callee": "X"}]}],
+        }
+        with pytest.raises(UnknownCallee):
+            self.load(tmp_path, doc)
+
+    def test_bad_json(self, tmp_path):
+        with pytest.raises(ConfigError):
+            self.load(tmp_path, "{not json")
+
+    def test_bad_mode(self, tmp_path):
+        doc = {
+            "name": "bad",
+            "entry_task": "A",
+            "tasks": [
+                {"name": "A", "base_duration_ms": 1, "calls": [{"callee": "A", "mode": "x"}]}
+            ],
+        }
+        with pytest.raises(ConfigError):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "where, raw, message",
+        [
+            (("tasks", 0, "name"), "5", "bad config value: app.tasks[0].name: TypeError: "),
+            (("tasks", 0, "calls"), "5", "bad config value: app.tasks[0].calls: TypeError: "),
+            (
+                ("tasks", 1, "base_duration_ms"),
+                "NaN",
+                "bad config value: app.tasks[1].base_duration_ms: ValueError: ",
+            ),
+            (
+                ("tasks", 1, "base_duration_ms"),
+                "1e400",
+                "bad config value: app.tasks[1].base_duration_ms: ValueError: ",
+            ),
+            (
+                ("tasks", 1, "jitter_fraction"),
+                "null",
+                "bad config value: app.tasks[1].jitter_fraction: TypeError: ",
+            ),
+            (("entry_task",), '["A"]', "bad config value: app.entry_task: TypeError: "),
+            (
+                ("tasks", 0, "calls", 0, "callee"),
+                '["B"]',
+                "bad config value: app.tasks[0].calls[0].callee: TypeError: ",
+            ),
+            (("tasks", 1, "base_memroy_mb"), "64", "unknown config keys: app.tasks[1].base_memroy_mb"),
+        ],
+        ids=["name", "calls", "nan", "1e400", "null-jitter", "list-entry", "list-callee", "misspelt-key"],
+    )
+    def test_bad_app_value_is_usage_error(self, tmp_path, capsys, where, raw, message):
+        doc = {
+            "name": "pair",
+            "entry_task": "A",
+            "tasks": [
+                {"name": "A", "base_duration_ms": 10, "calls": [{"callee": "B"}]},
+                {"name": "B", "base_duration_ms": 20},
+            ],
+        }
+        parent = doc
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = "@"
+        app_path = tmp_path / "pair.json"
+        app_path.write_text(json.dumps(doc).replace('"@"', raw), encoding="utf-8")
+        config = write_config(tmp_path, app=str(app_path), initial_setup="split")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert sorted(tmp_path.iterdir()) == sorted([app_path, config])
+
+
 class TestLongTaskNames:
     def test_split_tree_4_2_runs_verifies_and_optimizes(self, tmp_path):
         # 21 tasks: the split setup's name runs to hundreds of characters,
@@ -373,6 +487,15 @@ class TestUnusablePaths:
         config = write_config(tmp_path, output_dir=str(tmp_path / output))
         assert main([command, "--config", str(config)]) == EXIT_USAGE
         assert "must lie outside store_root" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize(
+        "key, value", [("app", "a\0b"), ("store_root", "e\0v"), ("output_dir", "o\0x")]
+    )
+    def test_path_holding_nul_is_usage_error(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: bad config value: {key}: ValueError: ")
         assert list(tmp_path.iterdir()) == [config]
 
 

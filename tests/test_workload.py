@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,6 @@ from fusionproof.workload import (
     builtin_tree_app,
     emit_platform_logs,
     execute_request,
-    load_app_spec,
     run_workload,
 )
 
@@ -102,72 +99,6 @@ class TestAppValidation:
     def test_missing_entry_rejected(self):
         with pytest.raises(UnknownCallee):
             AppSpec("bad", "Z", (TaskSpec("A", 1),))
-
-
-class TestLoadAppSpec:
-    def iot_document(self):
-        return json.dumps(
-            {
-                "name": "iot",
-                "entry_task": "CW",
-                "tasks": [
-                    {"name": "CW", "base_duration_ms": 37, "base_memory_mb": 10,
-                     "calls": [{"callee": "SE", "mode": "sync"}]},
-                    {"name": "SE", "base_duration_ms": 37, "base_memory_mb": 10,
-                     "calls": [{"callee": "CS", "mode": "sync"}]},
-                    {"name": "CS", "base_duration_ms": 76, "base_memory_mb": 10,
-                     "calls": [{"callee": "CT", "mode": "sync"}]},
-                    {"name": "CT", "base_duration_ms": 64, "base_memory_mb": 10,
-                     "calls": [{"callee": "CA", "mode": "sync"}]},
-                    {"name": "CA", "base_duration_ms": 68, "base_memory_mb": 10},
-                ],
-            }
-        )
-
-    def test_round_trip_matches_builtin(self):
-        assert load_app_spec(self.iot_document()) == builtin_iot_app()
-
-    def test_cycle_document(self):
-        doc = json.dumps(
-            {
-                "name": "loop",
-                "entry_task": "A",
-                "tasks": [
-                    {"name": "A", "base_duration_ms": 1, "calls": [{"callee": "B"}]},
-                    {"name": "B", "base_duration_ms": 1, "calls": [{"callee": "A"}]},
-                ],
-            }
-        )
-        with pytest.raises(CycleDetected):
-            load_app_spec(doc)
-
-    def test_undeclared_callee_document(self):
-        doc = json.dumps(
-            {
-                "name": "bad",
-                "entry_task": "A",
-                "tasks": [{"name": "A", "base_duration_ms": 1, "calls": [{"callee": "X"}]}],
-            }
-        )
-        with pytest.raises(UnknownCallee):
-            load_app_spec(doc)
-
-    def test_bad_json(self):
-        with pytest.raises(ParseError):
-            load_app_spec("{not json")
-
-    def test_bad_mode(self):
-        doc = json.dumps(
-            {
-                "name": "bad",
-                "entry_task": "A",
-                "tasks": [
-                    {"name": "A", "base_duration_ms": 1, "calls": [{"callee": "A", "mode": "x"}]}
-                ],
-            }
-        )
-        with pytest.raises(ParseError):
-            load_app_spec(doc)
 
 
 class TestExecuteRequest:
