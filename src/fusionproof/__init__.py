@@ -12,7 +12,6 @@ from .handler import (
     RouteKind,
     TraceID,
     calc_hash,
-    ensure_trace_id,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -81,7 +80,6 @@ __all__ = [
     "canonical_record_bytes",
     "csp1_step",
     "emit_platform_logs",
-    "ensure_trace_id",
     "estimate_cost",
     "execute_request",
     "filter_batch",

@@ -139,11 +139,18 @@ def _swap(raw) -> Optional[tuple[str, str]]:
     return tuple(raw)
 
 
+def _integer(raw) -> int:
+    if type(raw) is not int:  # a JSON integer: not a float, a string or a bool
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return raw
+
+
 def _finite(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
+    if type(raw) not in (int, float):
+        raise TypeError(f"expected a number, got {raw!r}")
+    if not math.isfinite(raw):
         raise ValueError(f"expected a finite number, got {raw!r}")
-    return value
+    return float(raw)
 
 
 # Every accepted key with its converter.  A (type, keys) pair is a nested
@@ -152,10 +159,10 @@ def _finite(raw) -> float:
 # a JSON list of such sections, converted to a tuple.
 _SCHEMA: Mapping = {
     "app": _os_path,
-    "app_params": (AppParams, {"fanout": int, "depth": int}),
+    "app_params": (AppParams, {"fanout": _integer, "depth": _integer}),
     "initial_setup": _initial_setup,
     "request_counts": _request_counts,
-    "iterations": int,
+    "iterations": _integer,
     "attack": (
         AttackConfig,
         {
@@ -168,14 +175,14 @@ _SCHEMA: Mapping = {
     ),
     "policy": (
         PolicyConfig,
-        {"max_billed_ms": float, "max_memory_mb": float, "sequence_check": _boolean},
+        {"max_billed_ms": _finite, "max_memory_mb": _finite, "sequence_check": _boolean},
     ),
     "cost_model": (
         CostModel,
-        {"remote_overhead_ms": float, "local_overhead_ms": float, "memory_weight": float},
+        {"remote_overhead_ms": _finite, "local_overhead_ms": _finite, "memory_weight": _finite},
     ),
-    "csp1": (SamplingState, {"i": int, "f": float}),
-    "seed": lambda raw: None if raw is None else int(raw),
+    "csp1": (SamplingState, {"i": _integer, "f": _finite}),
+    "seed": lambda raw: None if raw is None else _integer(raw),
     "store_root": _os_path,
     "output_dir": _os_path,
 }
@@ -226,7 +233,7 @@ def config_from_dict(doc: Mapping) -> ScenarioConfig:
 def _load_json(path: Union[str, Path], what: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text)

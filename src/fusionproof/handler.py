@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidName,
@@ -221,25 +221,6 @@ def parse_and_validate_trace_id(value: str, setup: FusionSetup) -> TraceID:
             f"current setup is {setup.setup_part!r}"
         )
     return trace
-
-
-def ensure_trace_id(
-    existing: Optional[Union[TraceID, str]],
-    setup: FusionSetup,
-    function_name: str,
-    randomness: Optional[bytes] = None,
-) -> TraceID:
-    """Reuse an incoming trace ID or mint one for a fresh chain.
-
-    A present-but-invalid ID is an error, never a regeneration trigger:
-    a forged chain must surface, not silently restart.
-    """
-    if existing is None:
-        if randomness is None:
-            raise MalformedTraceID("minting a trace ID requires randomness")
-        return generate_trace_id(setup, function_name, randomness)
-    wire = existing.full if isinstance(existing, TraceID) else existing
-    return parse_and_validate_trace_id(wire, setup)
 
 
 def entry_fusion_key(setup: FusionSetup, entry_function: str) -> str:

@@ -210,9 +210,54 @@ def _quantize(value: float) -> int:
     return max(1, int(round(value)))
 
 
-def _jittered_duration(task: TaskSpec, rng: random.Random) -> int:
-    factor = 1.0 + task.jitter_fraction * (2.0 * rng.random() - 1.0)
-    return _quantize(task.base_duration_ms * factor)
+def _compile_walk(
+    app: AppSpec,
+    setup: FusionSetup,
+    remote_overhead_ms: float,
+    local_overhead_ms: float,
+) -> Callable[[TraceID, Optional[AttackPlan], int, float], list[InvocationRecord]]:
+    """Resolve once what no request changes, and return the walk bound to setup.
+
+    Each task reachable from the entry becomes (base duration, jitter,
+    quantized memory, edges), each edge (callee, is_sync, route, delay).
+    """
+    overhead = {RouteKind.REMOTE: remote_overhead_ms, RouteKind.LOCAL: local_overhead_ms}
+    table = {}
+    for name in dict.fromkeys(app.sync_chain()):
+        task = app.task_map[name]
+        routes = [(call, route_call(setup, name, call.callee)) for call in task.calls]
+        edges = tuple((c.callee, c.mode is CallMode.SYNC, r, overhead[r]) for c, r in routes)
+        table[name] = (task.base_duration_ms, task.jitter_fraction,
+                       _quantize(task.base_memory_mb), edges)
+
+    def walk(trace_id: TraceID, attack: Optional[AttackPlan], seed: int,
+             clock_origin_ms: float) -> list[InvocationRecord]:
+        wire_id = trace_id.full
+        parse_and_validate_trace_id(wire_id, setup)
+        draw = random.Random(seed).random
+        records: list[InvocationRecord] = []
+
+        def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
+            duration, jitter, memory, edges = table[name]
+            billed = _quantize(duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
+            records.append(InvocationRecord(
+                wire_id, name, len(records), caller, int(round(start)),
+                billed, memory, kind, setup.version,
+            ))
+            now = start + billed
+            async_completions: list[float] = []
+            for callee, is_sync, route, delay in edges:
+                if is_sync:
+                    now = visit(callee, name, now + delay, route)
+                else:
+                    async_completions.append(visit(callee, name, start + delay, route))
+            return max([now, *async_completions])
+
+        # The entry task itself arrives through the platform's front door.
+        visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
+        return records if attack is None else _apply_attack(app, records, attack)
+
+    return walk
 
 
 def execute_request(
@@ -233,48 +278,8 @@ def execute_request(
     extend the caller's path.  Crossing a group boundary delays the
     callee's start by remote_overhead_ms.
     """
-    wire_id = trace_id.full
-    parse_and_validate_trace_id(wire_id, setup)
-    rng = random.Random(seed)
-    records: list[InvocationRecord] = []
-    tasks = app.task_map
-
-    def overhead_for(kind: RouteKind) -> float:
-        return remote_overhead_ms if kind is RouteKind.REMOTE else local_overhead_ms
-
-    def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
-        task = tasks[name]
-        billed = _jittered_duration(task, rng)
-        records.append(
-            InvocationRecord(
-                trace_id=wire_id,
-                task=name,
-                chain_index=len(records),
-                caller=caller,
-                start_ms=int(round(start)),
-                billed_duration_ms=billed,
-                memory_used_mb=_quantize(task.base_memory_mb),
-                route=kind,
-                setup_version=setup.version,
-            )
-        )
-        now = start + billed
-        async_completions: list[float] = []
-        for call in task.calls:
-            route = route_call(setup, name, call.callee)
-            delay = overhead_for(route)
-            if call.mode is CallMode.SYNC:
-                now = visit(call.callee, name, now + delay, route)
-            else:
-                async_completions.append(visit(call.callee, name, start + delay, route))
-        return max([now, *async_completions])
-
-    # The entry task itself arrives through the platform's front door.
-    visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
-
-    if attack is not None:
-        records = _apply_attack(app, records, attack)
-    return records
+    walk = _compile_walk(app, setup, remote_overhead_ms, local_overhead_ms)
+    return walk(trace_id, attack, seed, clock_origin_ms)
 
 
 def _apply_attack(
@@ -361,6 +366,7 @@ def run_workload(
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
+    walk = _compile_walk(app, setup, remote_overhead_ms, local_overhead_ms)
     master = random.Random(seed)
     records: list[InvocationRecord] = []
     outcomes: list[RequestOutcome] = []
@@ -373,17 +379,10 @@ def run_workload(
                 request_seed = master.getrandbits(64)
                 trace = generate_trace_id(setup, app.entry_task, randomness)
                 attacked = attack is not None and attack.apply_on(iteration, request_index)
-                request_records = execute_request(
-                    app,
-                    setup,
-                    trace,
-                    attack if attacked else None,
-                    request_seed,
+                records.extend(walk(
+                    trace, attack if attacked else None, request_seed,
                     serial * REQUEST_SPACING_MS,
-                    remote_overhead_ms=remote_overhead_ms,
-                    local_overhead_ms=local_overhead_ms,
-                )
-                records.extend(request_records)
+                ))
                 outcomes.append(
                     RequestOutcome(iteration, load, request_index, trace.full, attacked)
                 )

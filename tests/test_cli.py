@@ -167,10 +167,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "doc, named",
         [
-            ({"iterations": "abc"}, "iterations: ValueError"),
-            ({"seed": "x"}, "seed: ValueError"),
+            ({"iterations": "abc"}, "iterations: TypeError"),
+            ({"seed": "x"}, "seed: TypeError"),
             ({"policy": {"sequence_check": "false"}}, "policy.sequence_check: TypeError"),
-            ({"csp1": {"f": "half"}}, "csp1.f: ValueError"),
+            ({"csp1": {"f": "half"}}, "csp1.f: TypeError"),
             ({"app_params": {"fanout": [2]}}, "app_params.fanout: TypeError"),
         ],
     )
@@ -219,6 +219,29 @@ class TestConfig:
         config = write_config(tmp_path, attack=attack)
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: bad config value: {named}: TypeError")
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"iterations": True}, "iterations"),
+            ({"seed": "5"}, "seed"),
+            ({"policy": {"max_billed_ms": "90000"}}, "policy.max_billed_ms"),
+            ({"cost_model": {"remote_overhead_ms": float("inf")}}, "cost_model.remote_overhead_ms"),
+            (
+                {
+                    "policy": {"max_billed_ms": float("nan")},
+                    "attack": {"mode": "dow", "target_task": "SE", "when": "always"},
+                },
+                "policy.max_billed_ms",
+            ),
+        ],
+        ids=["bool-iterations", "string-seed", "string-number", "infinity", "nan-threshold"],
+    )
+    def test_number_must_be_an_exact_json_number(self, tmp_path, capsys, override, named):
+        config = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: bad config value: {named}: ")
+        assert sorted(tmp_path.iterdir()) == [config]
 
     def test_attack_swap_is_null_or_two_strings(self):
         assert config_from_dict({"attack": {"swap": None}}).attack.swap is None
@@ -409,6 +432,11 @@ class TestLoadAppSpec:
                 "bad config value: app.tasks[1].base_duration_ms: ValueError: ",
             ),
             (
+                ("tasks", 1, "base_duration_ms"),
+                '"37"',
+                "bad config value: app.tasks[1].base_duration_ms: TypeError: ",
+            ),
+            (
                 ("tasks", 1, "jitter_fraction"),
                 "null",
                 "bad config value: app.tasks[1].jitter_fraction: TypeError: ",
@@ -421,7 +449,7 @@ class TestLoadAppSpec:
             ),
             (("tasks", 1, "base_memroy_mb"), "64", "unknown config keys: app.tasks[1].base_memroy_mb"),
         ],
-        ids=["name", "calls", "nan", "1e400", "null-jitter", "list-entry", "list-callee", "misspelt-key"],
+        ids=["name", "calls", "nan", "1e400", "string-duration", "null-jitter", "list-entry", "list-callee", "misspelt-key"],
     )
     def test_bad_app_value_is_usage_error(self, tmp_path, capsys, where, raw, message):
         doc = {
@@ -722,6 +750,15 @@ class TestParser:
         code = main(["run", "--config", str(tmp_path / "absent.json"), "--seed", "1"])
         assert code == EXIT_USAGE
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["config", "app document"])
+    def test_document_that_is_not_utf8(self, tmp_path, capsys, what):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        config = bad if what == "config" else write_config(tmp_path, app=str(bad))
+        code = main(["run", "--config", str(config), "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {what} {bad}: ")
 
 
 class TestReportMalformedTrace:

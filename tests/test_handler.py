@@ -20,7 +20,6 @@ from fusionproof.errors import (
 from fusionproof.handler import (
     FusionSetup,
     RouteKind,
-    ensure_trace_id,
     entry_fusion_key,
     generate_trace_id,
     is_hex64,
@@ -134,13 +133,8 @@ class TestParseAndEnsure:
         assert parse_and_validate_trace_id(trace.full, SETUP) == trace
 
     def test_ensure_mints_when_absent(self):
-        trace = ensure_trace_id(None, SETUP, "A", ZERO32)
+        trace = generate_trace_id(SETUP, "A", ZERO32)
         assert trace.hash_part == FROZEN_HASH_PART
-
-    def test_ensure_passes_through_valid_incoming(self):
-        minted = generate_trace_id(SETUP, "A", b"\x22" * 32)
-        assert ensure_trace_id(minted, SETUP, "A") == minted
-        assert ensure_trace_id(minted.full, SETUP, "B") == minted
 
     @pytest.mark.parametrize(
         "value",
@@ -188,12 +182,6 @@ class TestParseAndEnsure:
         with pytest.raises(SetupMismatch):
             parse_and_validate_trace_id(minted.full, SETUP)
 
-    def test_ensure_propagates_validation_errors(self):
-        other = FusionSetup.fused([["A"], ["B"], ["C"]])
-        minted = generate_trace_id(other, "A", ZERO32)
-        with pytest.raises(SetupMismatch):
-            ensure_trace_id(minted, SETUP, "A")
-
     def test_checksum_checked_before_setup(self):
         # Both defects present: wrong setup and a broken checksum.
         other = FusionSetup.fused([["A"], ["B"], ["C"]])
@@ -215,7 +203,7 @@ class TestParseAndEnsure:
 
     @given(st.binary(min_size=32, max_size=32))
     def test_minted_ids_always_validate(self, randomness):
-        trace = ensure_trace_id(None, SETUP, "C", randomness)
+        trace = generate_trace_id(SETUP, "C", randomness)
         assert parse_and_validate_trace_id(trace.full, SETUP) == trace
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionproof import workload
 from fusionproof.errors import (
     CycleDetected,
     InvalidAttack,
@@ -14,6 +18,7 @@ from fusionproof.errors import (
     UnknownCallee,
 )
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
+from fusionproof.proofs import canonical_record_bytes
 from fusionproof.workload import (
     AppSpec,
     AttackPlan,
@@ -286,3 +291,66 @@ class TestTaskMap:
         assert app.task_map == {t.name: t for t in app.tasks}
         with pytest.raises(TypeError):
             app.task_map["N0"] = app.tasks[0]
+
+
+# Five tasks with jitter, fractional durations and memories, and both
+# call modes; depth-first order is A, B, E, C, D.
+JITTERED = AppSpec("jit", "A", (
+    TaskSpec("A", 20.25, 63.5, 0.0, (
+        CallSpec("B"), CallSpec("C", CallMode.ASYNC), CallSpec("D"),
+    )),
+    TaskSpec("B", 37.5, 99.5, 0.5, (CallSpec("E"),)),
+    TaskSpec("C", 80.75, 64.0, 0.25, (CallSpec("D", CallMode.ASYNC),)),
+    TaskSpec("D", 12.5, 10.5, 0.1),
+    TaskSpec("E", 49.5, 31.25, 0.4),
+))
+JITTERED_SETUPS = (
+    FusionSetup.singletons(JITTERED.task_names(), version=3),
+    FusionSetup.fused([["A", "B", "E"], ["C", "D"]], version=3),
+    FusionSetup.fused([JITTERED.task_names()], version=3),
+)
+JITTERED_SHA256 = "6e6afa1509e699a78d5738b2c4269f9bf60367dd4f7e40f7ca7590831d512863"
+
+
+class TestJitteredWalk:
+    """The walk's output, pinned on an app that exercises every input it reads."""
+
+    def test_records_are_pinned(self):
+        digest = hashlib.sha256()
+        billed_b = set()
+        for setup in JITTERED_SETUPS:
+            for attack in (
+                None,
+                AttackPlan.dow("D", 5000.5, apply_on=lambda i, r: True),
+                AttackPlan.business_logic(("B", "E")),
+            ):
+                batch = run_workload(JITTERED, setup, [3, 7], attack, 2, 11, 17.5, 2.25)
+                for record in batch.records:
+                    digest.update(canonical_record_bytes(record) + b"\n")
+                billed_b.update(r.billed_duration_ms for r in batch.records if r.task == "B")
+        assert len(billed_b) > 10
+        assert digest.hexdigest() == JITTERED_SHA256
+
+    @pytest.mark.parametrize("setup", JITTERED_SETUPS)
+    def test_execute_request_matches_run_workload(self, setup):
+        batch = run_workload(JITTERED, setup, [1], None, 1, 11, 17.5, 2.25)
+        master = random.Random(11)
+        trace = generate_trace_id(setup, "A", master.randbytes(32))
+        records = execute_request(
+            JITTERED, setup, trace, None, master.getrandbits(64), 0, 17.5, 2.25
+        )
+        assert tuple(records) == batch.records
+
+    def test_routes_each_edge_once_per_run(self, monkeypatch):
+        calls = []
+        original = workload.route_call
+
+        def counting(setup, caller, callee):
+            calls.append((caller, callee))
+            return original(setup, caller, callee)
+
+        monkeypatch.setattr(workload, "route_call", counting)
+        app = builtin_tree_app(4, 2)
+        batch = run_workload(app, FusionSetup.singletons(app.task_names()), [5], None, 1, 3)
+        assert len(batch.records) == 5 * 21
+        assert len(calls) == len(set(calls)) == 20
