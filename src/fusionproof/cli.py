@@ -459,7 +459,7 @@ def cmd_report(config: ScenarioConfig) -> int:
         ) from exc
     _write_csv(
         Path(config.output_dir) / "outcomes_by_load.csv",
-        ["load", "iteration", "verified_groups", "failed_groups", "pruned_blocks"],
+        ["load", "iteration", "verified_groups", "failed_groups", "pruned_records"],
         rows,
     )
     return EXIT_OK

@@ -9,7 +9,7 @@ ground-truth labels stay on the simulator side.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -191,7 +191,7 @@ class AttackPlan:
         return cls(AttackMode.BUSINESS_LOGIC, swap=swap, apply_on=apply_on)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InvocationRecord:
     """One platform log record for one task invocation."""
 
@@ -204,6 +204,25 @@ class InvocationRecord:
     memory_used_mb: int
     route: RouteKind
     setup_version: int
+
+    def __init__(self, trace_id: str, task: str, chain_index: int, caller: str,
+                 start_ms: int, billed_duration_ms: int, memory_used_mb: int,
+                 route: RouteKind, setup_version: int) -> None:
+        _set_trace_id(self, trace_id)
+        _set_task(self, task)
+        _set_chain_index(self, chain_index)
+        _set_caller(self, caller)
+        _set_start_ms(self, start_ms)
+        _set_billed_duration_ms(self, billed_duration_ms)
+        _set_memory_used_mb(self, memory_used_mb)
+        _set_route(self, route)
+        _set_setup_version(self, setup_version)
+
+
+# Each field's slot setter, fetched once: a generated frozen __init__ pays object.__setattr__.
+(_set_trace_id, _set_task, _set_chain_index, _set_caller, _set_start_ms,
+ _set_billed_duration_ms, _set_memory_used_mb, _set_route, _set_setup_version) = (
+    getattr(InvocationRecord, f.name).__set__ for f in fields(InvocationRecord))
 
 
 def _quantize(value: float) -> int:
@@ -220,26 +239,29 @@ def _compile_walk(
 
     Each task reachable from the entry becomes (base duration, jitter,
     quantized memory, edges), each edge (callee, is_sync, route, delay).
+    With no jitter on any reachable task, the bills are set here and the walk never draws.
     """
+    reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
+    jittered = any(task.jitter_fraction for task in reachable)
     overhead = {RouteKind.REMOTE: remote_overhead_ms, RouteKind.LOCAL: local_overhead_ms}
     table = {}
-    for name in dict.fromkeys(app.sync_chain()):
-        task = app.task_map[name]
-        routes = [(call, route_call(setup, name, call.callee)) for call in task.calls]
+    for task in reachable:
+        routes = [(call, route_call(setup, task.name, call.callee)) for call in task.calls]
         edges = tuple((c.callee, c.mode is CallMode.SYNC, r, overhead[r]) for c, r in routes)
-        table[name] = (task.base_duration_ms, task.jitter_fraction,
-                       _quantize(task.base_memory_mb), edges)
+        duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
+        table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 
     def walk(trace_id: TraceID, attack: Optional[AttackPlan], seed: int,
              clock_origin_ms: float) -> list[InvocationRecord]:
         wire_id = trace_id.full
         parse_and_validate_trace_id(wire_id, setup)
-        draw = random.Random(seed).random
+        draw = random.Random(seed).random if jittered else None
         records: list[InvocationRecord] = []
 
         def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
             duration, jitter, memory, edges = table[name]
-            billed = _quantize(duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
+            billed = duration if draw is None else _quantize(
+                duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
             records.append(InvocationRecord(
                 wire_id, name, len(records), caller, int(round(start)),
                 billed, memory, kind, setup.version,

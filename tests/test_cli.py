@@ -706,7 +706,7 @@ class TestOptimizeAndReport:
         assert main(["report", "--config", str(config)]) == EXIT_OK
         rows = read_csv(tmp_path / "out" / "outcomes_by_load.csv")
         assert rows[0] == [
-            "load", "iteration", "verified_groups", "failed_groups", "pruned_blocks",
+            "load", "iteration", "verified_groups", "failed_groups", "pruned_records",
         ]
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("2", "0"), ("2", "1"), ("4", "0"), ("4", "1"),

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -354,3 +357,84 @@ class TestJitteredWalk:
         batch = run_workload(app, FusionSetup.singletons(app.task_names()), [5], None, 1, 3)
         assert len(batch.records) == 5 * 21
         assert len(calls) == len(set(calls)) == 20
+
+    @pytest.mark.parametrize("app,random_calls", [
+        (builtin_tree_app(4, 2), 1),
+        (JITTERED, 1 + 5),
+    ])
+    def test_generators_per_run(self, monkeypatch, app, random_calls):
+        """The master always; a generator per request only for a jittered app."""
+        built = []
+        original = workload.random.Random
+
+        def counting(seed):
+            built.append(seed)
+            return original(seed)
+
+        monkeypatch.setattr(workload.random, "Random", counting)
+        run_workload(app, FusionSetup.singletons(app.task_names()), [5], None, 1, 3)
+        assert len(built) == random_calls
+
+
+RECORD = InvocationRecord("tid", "CW", 0, "I", 0, 37, 10, RouteKind.REMOTE, 1)
+
+
+class TestRecordContract:
+    """The slotted record keeps every promise of a frozen dataclass."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: setattr(r, "billed_duration_ms", 1),
+        lambda r: delattr(r, "billed_duration_ms"),
+    ])
+    def test_frozen(self, edit):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edit(RECORD)
+        assert RECORD.billed_duration_ms == 37
+
+    def test_no_new_attribute(self):
+        # For a name that is not a field, the frozen __setattr__ of a slotted
+        # dataclass raises TypeError on Python 3.11 (its super() call names
+        # the class as it was before slots were added).
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            RECORD.extra = 1
+        assert not hasattr(RECORD, "extra")
+
+    def test_no_instance_dict(self):
+        assert not hasattr(RECORD, "__dict__")
+
+    def test_copy_and_pickle(self):
+        assert copy.copy(RECORD) == copy.deepcopy(RECORD) == RECORD
+        assert pickle.loads(pickle.dumps(RECORD)) == RECORD
+
+    def test_equal_fields_equal_records(self):
+        twin = InvocationRecord("tid", "CW", 0, "I", 0, 37, 10, RouteKind.REMOTE, 1)
+        assert twin == RECORD and twin is not RECORD
+        assert hash(twin) == hash(RECORD)
+        assert twin != dataclasses.replace(RECORD, setup_version=2)
+
+    def test_replace_and_fields(self):
+        assert [f.name for f in dataclasses.fields(InvocationRecord)] == [
+            "trace_id", "task", "chain_index", "caller", "start_ms",
+            "billed_duration_ms", "memory_used_mb", "route", "setup_version",
+        ]
+        changed = dataclasses.replace(RECORD, billed_duration_ms=99)
+        assert changed.billed_duration_ms == 99
+        assert dataclasses.replace(changed, billed_duration_ms=37) == RECORD
+
+    def test_keyword_construction(self):
+        assert InvocationRecord(
+            trace_id="tid", task="CW", chain_index=0, caller="I", start_ms=0,
+            billed_duration_ms=37, memory_used_mb=10, route=RouteKind.REMOTE,
+            setup_version=1,
+        ) == RECORD
+
+    def test_repr(self):
+        assert repr(RECORD) == (
+            "InvocationRecord(trace_id='tid', task='CW', chain_index=0, caller='I', "
+            "start_ms=0, billed_duration_ms=37, memory_used_mb=10, "
+            "route=<RouteKind.REMOTE: 'REMOTE'>, setup_version=1)"
+        )
+
+    def test_missing_argument(self):
+        with pytest.raises(TypeError):
+            InvocationRecord("tid", "CW", 0, "I", 0, 37, 10, RouteKind.REMOTE)
