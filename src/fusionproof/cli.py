@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
-from .proofs import ThresholdPolicy, filter_batch, load_setups, persist_evidence, record_to_wire
+from .proofs import ThresholdPolicy, filter_batch, load_setups, persist_evidence
 from .store import FileStore
 from .verification import (
     CostModel,
@@ -33,6 +33,7 @@ from .verification import (
 )
 from .workload import (
     ATTACK_GATES,
+    RECORD_FIELDS,
     AppSpec,
     AttackPlan,
     CallMode,
@@ -40,6 +41,7 @@ from .workload import (
     TaskSpec,
     builtin_iot_app,
     builtin_tree_app,
+    record_to_wire,
     run_workload,
 )
 
@@ -309,10 +311,7 @@ def _require_seed(config: ScenarioConfig) -> int:
     return config.seed
 
 
-_RECORD_COLUMNS = [
-    "trace_id", "task", "chain_index", "caller", "start_ms",
-    "billed_duration_ms", "memory_used_mb", "route", "setup_version",
-]
+_RECORD_COLUMNS = [attribute for attribute, _, _ in RECORD_FIELDS]
 
 
 def _record_row(record) -> list:

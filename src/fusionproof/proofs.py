@@ -20,17 +20,17 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CorruptGroupFile, InvalidHexLeaf, NotFound, ParseError
 from .handler import RouteKind, all_hex64, is_hex64
-from .workload import InvocationRecord
+from .workload import RECORD_FIELDS, InvocationRecord
+from .workload import record_to_wire as record_to_wire  # also importable from here
 
 
 # ---------------------------------------------------------------------------
 # Log parsing
 
-_REPORT_RE = re.compile(
-    r"^REPORT traceid=(?P<traceid>\S+) task=(?P<task>\S+) idx=(?P<idx>[0-9]+) "
-    r"caller=(?P<caller>\S+) start=(?P<start>[0-9]+) billed=(?P<billed>[0-9]+) "
-    r"mem=(?P<mem>[0-9]+) route=(?P<route>LOCAL|REMOTE) setupv=(?P<setupv>[0-9]+)$"
-)
+# Each field's value in a REPORT line, by its type; only ASCII digits are numbers.
+_REPORT_VALUE = {str: r"\S+", int: "[0-9]+", RouteKind: "|".join(k.value for k in RouteKind)}
+_REPORT_RE = re.compile("^REPORT " + " ".join(
+    f"{key}=(?P<{key}>{_REPORT_VALUE[kind]})" for _, key, kind in RECORD_FIELDS) + "$")
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,17 @@ def parse_log_lines(lines: Iterable[str]) -> tuple[list[InvocationRecord], list[
     rejects: list[RejectedLine] = []
     for line_number, line in enumerate(lines, start=1):
         match = _REPORT_RE.match(line)
-        if not match:
+        try:
+            record = record_from_wire(match.groupdict()) if match else None
+        except ParseError as exc:  # a number too long for int()
+            rejects.append(RejectedLine(line_number, line, str(exc)))
+            continue
+        if record is None:
             rejects.append(RejectedLine(line_number, line, "does not match REPORT grammar"))
-            continue
-        billed = int(match["billed"])
-        mem = int(match["mem"])
-        if billed < 1 or mem < 1:
+        elif record.billed_duration_ms < 1 or record.memory_used_mb < 1:
             rejects.append(RejectedLine(line_number, line, "billed and mem must be positive"))
-            continue
-        records.append(
-            InvocationRecord(
-                trace_id=match["traceid"],
-                task=match["task"],
-                chain_index=int(match["idx"]),
-                caller=match["caller"],
-                start_ms=int(match["start"]),
-                billed_duration_ms=billed,
-                memory_used_mb=mem,
-                route=RouteKind(match["route"]),
-                setup_version=int(match["setupv"]),
-            )
-        )
+        else:
+            records.append(record)
     return records, rejects
 
 
@@ -175,48 +165,25 @@ def filter_batch(
 # ---------------------------------------------------------------------------
 # Canonical serialization
 
-def record_to_wire(record: InvocationRecord) -> dict:
-    """Record as an ordered plain dict in the pinned field order."""
-    return {
-        "traceid": record.trace_id,
-        "task": record.task,
-        "idx": record.chain_index,
-        "caller": record.caller,
-        "start": record.start_ms,
-        "billed": record.billed_duration_ms,
-        "mem": record.memory_used_mb,
-        "route": record.route.value,
-        "setupv": record.setup_version,
-    }
-
-
 def record_from_wire(obj: Mapping) -> InvocationRecord:
-    """The record a wire object holds; its traceid, task and caller must be strings."""
+    """The record a wire object holds; its text fields must be strings."""
     try:
-        for key in ("traceid", "task", "caller"):
-            if not isinstance(obj[key], str):
-                raise TypeError(f"{key} must be a string, got {obj[key]!r}")
-        return InvocationRecord(
-            trace_id=obj["traceid"],
-            task=obj["task"],
-            chain_index=int(obj["idx"]),
-            caller=obj["caller"],
-            start_ms=int(obj["start"]),
-            billed_duration_ms=int(obj["billed"]),
-            memory_used_mb=int(obj["mem"]),
-            route=RouteKind(obj["route"]),
-            setup_version=int(obj["setupv"]),
-        )
+        values = []
+        for _, key, kind in RECORD_FIELDS:
+            value = obj[key]
+            if kind is str and not isinstance(value, str):
+                raise TypeError(f"{key} must be a string, got {value!r}")
+            values.append(value if kind is str else kind(value))
+        return InvocationRecord(*values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad record object: {exc}") from exc
 
 
 # The compact, ASCII-escaped JSON form of record_to_wire, written out
-# directly: json.dumps(record_to_wire(r), separators=(",", ":")).
-_RECORD_LINE = (
-    '{"traceid":%s,"task":%s,"idx":%d,"caller":%s,"start":%d,'
-    '"billed":%d,"mem":%d,"route":"%s","setupv":%d}'
-)
+# directly: json.dumps(record_to_wire(r), separators=(",", ":")).  A text
+# field's value comes already quoted, from encode_basestring_ascii.
+_JSON_VALUE = {str: "%s", int: "%d", RouteKind: '"%s"'}
+_RECORD_LINE = "{%s}" % ",".join(f'"{key}":{_JSON_VALUE[kind]}' for _, key, kind in RECORD_FIELDS)
 
 
 def canonical_record_bytes(record: InvocationRecord) -> bytes:

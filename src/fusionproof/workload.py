@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, get_type_hints
 
 from .errors import (
     CycleDetected,
@@ -224,6 +225,21 @@ class InvocationRecord:
  _set_billed_duration_ms, _set_memory_used_mb, _set_route, _set_setup_version) = (
     getattr(InvocationRecord, f.name).__set__ for f in fields(InvocationRecord))
 
+# The record's wire schema, one (attribute, wire key, type) row per field in
+# the pinned order.  The wire dict and its parser, the REPORT line and its
+# grammar, the canonical JSON line and the CSV columns are all built from it.
+RECORD_FIELDS: tuple[tuple[str, str, type], ...] = tuple(zip(
+    [f.name for f in fields(InvocationRecord)],
+    ["traceid", "task", "idx", "caller", "start", "billed", "mem", "route", "setupv"],
+    get_type_hints(InvocationRecord).values(), strict=True))
+_WIRE_KEYS = [key for _, key, _ in RECORD_FIELDS]
+_record_values = attrgetter(*(attribute for attribute, _, _ in RECORD_FIELDS))
+
+
+def record_to_wire(record: InvocationRecord) -> dict:
+    """Record as an ordered plain dict in the pinned field order."""
+    return dict(zip(_WIRE_KEYS, _record_values(record)), route=record.route.value)
+
 
 def _quantize(value: float) -> int:
     return max(1, int(round(value)))
@@ -412,16 +428,13 @@ def run_workload(
     return LogBatch(records=tuple(records), outcomes=tuple(outcomes))
 
 
+# "REPORT traceid={} task={} ...", one key=value pair per field.
+_REPORT_LINE = " ".join(["REPORT", *(f"{key}={{}}" for key in _WIRE_KEYS)])
+
+
 def emit_platform_logs(records: Iterable[InvocationRecord]) -> list[str]:
     """Render records in the REPORT line grammar, one line per record."""
-    return [
-        "REPORT traceid={0} task={1} idx={2} caller={3} start={4} billed={5} "
-        "mem={6} route={7} setupv={8}".format(
-            r.trace_id, r.task, r.chain_index, r.caller, r.start_ms,
-            r.billed_duration_ms, r.memory_used_mb, r.route.value, r.setup_version,
-        )
-        for r in records
-    ]
+    return [_REPORT_LINE.format(*record_to_wire(r).values()) for r in records]
 
 
 def builtin_iot_app() -> AppSpec:

@@ -293,7 +293,10 @@ class TestRunCommand:
         store = FileStore(tmp_path / "evidence")
         assert "CW.SE.CS.CT.CA.json" in store.list()
         records = read_csv(tmp_path / "out" / "records.csv")
-        assert records[0][:3] == ["trace_id", "task", "chain_index"]
+        assert records[0] == [
+            "trace_id", "task", "chain_index", "caller", "start_ms",
+            "billed_duration_ms", "memory_used_mb", "route", "setup_version",
+        ]
         assert len(records) == 1 + 2 * 5
         flagged = read_csv(tmp_path / "out" / "flagged.csv")
         assert flagged[0][-2:] == ["violation", "detail"]

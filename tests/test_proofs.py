@@ -77,6 +77,7 @@ def random_leaves(count: int, seed: int = 0) -> list[str]:
 IOT = builtin_iot_app()
 FUSED = FusionSetup.fused([["CW", "SE", "CS", "CT", "CA"]])
 POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+WIRE_KEYS = ["traceid", "task", "idx", "caller", "start", "billed", "mem", "route", "setupv"]
 
 
 def leaf_hashes(records) -> list[str]:
@@ -251,6 +252,37 @@ class TestParseLogLines:
         assert len(rejects) == 1
         assert rejects[0].line_number == 1
         assert "grammar" in rejects[0].reason
+
+    @pytest.mark.parametrize(
+        "i, swap",
+        [*((i, False) for i in range(len(WIRE_KEYS))),
+         *((i, True) for i in range(len(WIRE_KEYS) - 1))],
+        ids=[*(f"drop_{key}" for key in WIRE_KEYS),
+             *(f"swap_{a}_{b}" for a, b in zip(WIRE_KEYS, WIRE_KEYS[1:]))],
+    )
+    def test_dropped_or_swapped_pair_rejected(self, i, swap):
+        """The grammar fixes every key and its place; a line missing one
+        pair, or with two neighbours swapped, is off it."""
+        good = emit_platform_logs(iot_records(b"\x03" * 32)[:1])[0]
+        assert parse_log_lines([good])[1] == []
+        head, *pairs = good.split(" ")
+        if swap:
+            pairs[i:i + 2] = pairs[i + 1], pairs[i]
+        else:
+            del pairs[i]
+        records, rejects = parse_log_lines([" ".join([head, *pairs])])
+        assert records == []
+        assert [r.reason for r in rejects] == ["does not match REPORT grammar"]
+
+    def test_number_too_long_for_int_rejected(self):
+        line = (
+            f"REPORT traceid=t task=CW idx=0 caller=I start={'1' * 5000} billed=1 "
+            "mem=1 route=REMOTE setupv=1"
+        )
+        records, rejects = parse_log_lines([line, line.replace("1" * 5000, "0")])
+        assert len(records) == 1
+        assert [r.line_number for r in rejects] == [1]
+        assert rejects[0].reason.startswith("bad record object: ")
 
     @pytest.mark.parametrize("field", ["idx", "start", "billed", "mem", "setupv"])
     def test_non_ascii_digits_rejected(self, field):
@@ -691,13 +723,21 @@ class TestRouteFromWire:
         assert record_from_wire(self.wire(route=kind.value)).route is kind
 
     @pytest.mark.parametrize("route", [{"route": "local"}, {"route": ["LOCAL"]},
-                                       {"route": None}, {"route": 1}, {}])
+                                       {"route": None}, {"route": 1}])
     def test_bad_route_keeps_the_enum_message(self, route):
         obj = self.wire(**route)
         try:
             RouteKind(obj["route"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             expected = f"bad record object: {exc}"
         with pytest.raises(ParseError) as info:
             record_from_wire(obj)
         assert str(info.value) == expected
+
+    @pytest.mark.parametrize("key", WIRE_KEYS)
+    def test_missing_key_names_it(self, key):
+        obj = record_to_wire(iot_records(b"\x42" * 32)[0])
+        del obj[key]
+        with pytest.raises(ParseError) as info:
+            record_from_wire(obj)
+        assert str(info.value) == f"bad record object: {key!r}"

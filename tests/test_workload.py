@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from fusionproof.errors import (
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import canonical_record_bytes
 from fusionproof.workload import (
+    RECORD_FIELDS,
     AppSpec,
     AttackPlan,
     CallMode,
@@ -33,6 +35,7 @@ from fusionproof.workload import (
     builtin_tree_app,
     emit_platform_logs,
     execute_request,
+    record_to_wire,
     run_workload,
 )
 
@@ -420,6 +423,15 @@ class TestRecordContract:
         changed = dataclasses.replace(RECORD, billed_duration_ms=99)
         assert changed.billed_duration_ms == 99
         assert dataclasses.replace(changed, billed_duration_ms=37) == RECORD
+
+    def test_wire_schema_table_matches_the_record(self):
+        attributes, keys, types = (list(column) for column in zip(*RECORD_FIELDS))
+        assert attributes == [f.name for f in dataclasses.fields(InvocationRecord)]
+        assert types == list(typing.get_type_hints(InvocationRecord).values())
+        assert dict(zip(attributes, types)) == typing.get_type_hints(InvocationRecord)
+        assert list(record_to_wire(RECORD)) == keys == [
+            "traceid", "task", "idx", "caller", "start", "billed", "mem", "route", "setupv",
+        ]
 
     def test_keyword_construction(self):
         assert InvocationRecord(
