@@ -445,12 +445,8 @@ def cmd_report(config: ScenarioConfig) -> int:
             raise ConfigError(f"{trace_path} must hold a JSON object")
         for entry in payload.get("iterations", []):
             iteration = entry["iteration"]
-            group_results = entry.get("group_results", {})
-            verified = sum(1 for ok in group_results.values() if ok)
-            failed = sum(1 for ok in group_results.values() if not ok)
-            pruned = sum(entry.get("pruned_counts", {}).values())
-            for load_text in entry.get("load_stats", {}):
-                rows.append([int(load_text), iteration, verified, failed, pruned])
+            for load_text, (clean, flagged) in entry.get("load_stats", {}).items():
+                rows.append([int(load_text), iteration, _integer(clean), _integer(flagged)])
         rows.sort(key=lambda row: (row[0], row[1]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(
@@ -458,7 +454,7 @@ def cmd_report(config: ScenarioConfig) -> int:
         ) from exc
     _write_csv(
         Path(config.output_dir) / "outcomes_by_load.csv",
-        ["load", "iteration", "verified_groups", "failed_groups", "pruned_records"],
+        ["load", "iteration", "clean_traces", "flagged_traces"],
         rows,
     )
     return EXIT_OK

@@ -10,6 +10,7 @@ only holds its bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -184,6 +185,16 @@ def record_from_wire(obj: Mapping) -> InvocationRecord:
 # field's value comes already quoted, from encode_basestring_ascii.
 _JSON_VALUE = {str: "%s", int: "%d", RouteKind: '"%s"'}
 _RECORD_LINE = "{%s}" % ",".join(f'"{key}":{_JSON_VALUE[kind]}' for _, key, kind in RECORD_FIELDS)
+_RECORD_TEMPLATE = _RECORD_LINE.encode("ascii")
+# Keyed by the member's value: the enum's own hash and .value are Python-level calls.
+_ROUTE_BYTES = {kind._value_: kind._value_.encode("ascii") for kind in RouteKind}
+
+
+@functools.lru_cache(maxsize=256)
+def _quoted(text: str) -> bytes:
+    """A text field's quoted JSON bytes.  A batch repeats one trace id per
+    hop and a few task names, so a small bounded memo serves nearly all."""
+    return encode_basestring_ascii(text).encode("ascii")
 
 
 def canonical_record_bytes(record: InvocationRecord) -> bytes:
@@ -192,12 +203,12 @@ def canonical_record_bytes(record: InvocationRecord) -> bytes:
     This exact byte string is what gets hashed into the tree and stored
     in the group file, so it must never drift.
     """
-    q = encode_basestring_ascii
-    return (_RECORD_LINE % (
+    q = _quoted
+    return _RECORD_TEMPLATE % (
         q(record.trace_id), q(record.task), record.chain_index, q(record.caller),
         record.start_ms, record.billed_duration_ms, record.memory_used_mb,
-        record.route.value, record.setup_version,
-    )).encode("ascii")
+        _ROUTE_BYTES[record.route._value_], record.setup_version,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +284,7 @@ _GROUP_SUFFIX = ".json"
 # its first key, in the layout join_group_file writes.  A canonical record
 # escapes every '"' inside its strings, so "}," followed by either never
 # occurs within one.
-_RECORD_START = _RECORD_LINE[: _RECORD_LINE.index("%")].encode("ascii")
+_RECORD_START = _RECORD_TEMPLATE[: _RECORD_TEMPLATE.index(b"%")]
 _PROOF_START = b'{"%s":' % next(iter(treeinfo_to_wire(TreeInfo.empty()))).encode("ascii")
 _RECORD_BOUNDARY = re.compile(re.escape(b"}," + _RECORD_START))
 

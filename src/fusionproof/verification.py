@@ -30,6 +30,7 @@ from .handler import (
 from .proofs import (
     StoredGroup,
     ThresholdPolicy,
+    TreeInfo,
     build_merkle_tree,
     decode_group_file,
     filter_batch,
@@ -81,14 +82,18 @@ class VerificationReport:
         return bool(self.group_results) and all(self.group_results.values())
 
 
-def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[int]]:
+def _check_group(
+    group: StoredGroup, sealed: Optional[TreeInfo]
+) -> tuple[Optional[bool], list[str], list[int]]:
     """The group's verdict when it needs no rewrite (else None), the leaf
-    hash of each record element as stored, and the positions to prune."""
+    hash of each record element as stored, and the positions to prune.
+    A proof equal to the tree sealed for it needs no rebuild."""
     records, tree_info = group.records, group.proof
     if not tree_info.root:
         return False, [], []
     try:
-        vouched = build_merkle_tree(tree_info.leaves).root == tree_info.root
+        vouched = tree_info == sealed or (
+            build_merkle_tree(tree_info.leaves).root == tree_info.root)
     except InvalidHexLeaf:
         vouched = False
     recomputed = record_leaf_hashes(records)
@@ -99,7 +104,10 @@ def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[in
 
 
 def verify_integrity(
-    setups: Mapping[str, StoredGroup], corrupt: Mapping[str, str], store: EvidenceStore
+    setups: Mapping[str, StoredGroup],
+    corrupt: Mapping[str, str],
+    store: EvidenceStore,
+    sealed: Optional[Mapping[str, TreeInfo]] = None,
 ) -> VerificationReport:
     """Decide every group file's verdict from load_setups' two maps.
 
@@ -112,6 +120,12 @@ def verify_integrity(
     bytes are reported under the group's key, and the trace ids of the
     pruned elements under pruned.  Nothing is deleted.
 
+    sealed optionally maps a fusion key to the tree build_merkle_tree
+    gave when the caller sealed that group, as a PersistReceipt holds it.
+    A stored proof equal to it counts without a rebuild, and any other
+    proof is rebuilt.  Every record element is hashed and compared either
+    way, so the report is the one a rebuild gives.
+
     Every element to be pruned is decoded before anything is written.  If
     one is not a whole record (load_setups takes the record pieces of a
     file in the pipeline's layout undecoded), the group's bytes are
@@ -123,8 +137,9 @@ def verify_integrity(
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
     corrupt = dict(corrupt)
+    sealed = sealed if sealed is not None else {}
     for key, group in setups.items():
-        verdict, recomputed, prunable = _check_group(group)
+        verdict, recomputed, prunable = _check_group(group, sealed.get(key))
         trace_ids = record_trace_ids([group.records[p] for p in prunable])
         if trace_ids is None:
             try:
@@ -132,7 +147,7 @@ def verify_integrity(
             except CorruptGroupFile as exc:
                 corrupt[key] = str(exc)
                 continue
-            verdict, recomputed, prunable = _check_group(group)
+            verdict, recomputed, prunable = _check_group(group, sealed.get(key))
             trace_ids = record_trace_ids([group.records[p] for p in prunable])
         if verdict is not None:
             group_results[key] = verdict
@@ -507,7 +522,7 @@ def run_optimization(
         last_outcome = InspectionOutcome.NOT_INSPECTED
         if inspect_this:
             setups, corrupt = load_setups(store)
-            report = verify_integrity(setups, corrupt, store)
+            report = verify_integrity(setups, corrupt, store, {fusion_key: receipt.tree})
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             last_outcome = (

@@ -708,13 +708,23 @@ class TestOptimizeAndReport:
         assert main(["optimize", "--config", str(config)]) == EXIT_OK
         assert main(["report", "--config", str(config)]) == EXIT_OK
         rows = read_csv(tmp_path / "out" / "outcomes_by_load.csv")
-        assert rows[0] == [
-            "load", "iteration", "verified_groups", "failed_groups", "pruned_records",
-        ]
+        assert rows[0] == ["load", "iteration", "clean_traces", "flagged_traces"]
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("2", "0"), ("2", "1"), ("4", "0"), ("4", "1"),
         ]
-        assert all(r[2] == "1" and r[3] == "0" and r[4] == "0" for r in rows[1:])
+        # Each row counts its own load's traces, not the whole iteration's groups.
+        assert all(int(r[2]) + int(r[3]) == int(r[0]) for r in rows[1:])
+
+    def test_report_counts_each_loads_flagged_traces(self, tmp_path):
+        # The DoW fires on odd iterations, on every request of each load.
+        attack = {"mode": "dow", "target_task": "SE"}
+        config = write_config(tmp_path, iterations=2, request_counts=[2, 4], attack=attack)
+        assert main(["optimize", "--config", str(config)]) == EXIT_OK
+        assert main(["report", "--config", str(config)]) == EXIT_OK
+        rows = read_csv(tmp_path / "out" / "outcomes_by_load.csv")
+        assert rows[1:] == [
+            ["2", "0", "2", "0"], ["2", "1", "0", "2"], ["4", "0", "4", "0"], ["4", "1", "0", "4"],
+        ]
 
     def test_report_without_trace_is_usage_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -797,6 +807,23 @@ class TestReportMalformedTrace:
         code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "'two'" in err
+
+    @pytest.mark.parametrize(
+        "pair, detail",
+        [
+            (["two", 0], "'two'"),
+            ([2, 0.5], "0.5"),
+            ([True, 1], "True"),
+            ([2], "not enough values"),
+            (None, "NoneType"),
+        ],
+        ids=["string", "float", "bool", "short", "null"],
+    )
+    def test_bad_trace_counts(self, tmp_path, capsys, pair, detail):
+        entry = {**self.GOOD_ENTRY, "load_stats": {"2": pair}}
+        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and detail in err
 
     @pytest.mark.parametrize("entry", [1, ["iteration"], {"iteration": 0, "load_stats": [None]}])
     def test_entry_of_the_wrong_shape(self, tmp_path, capsys, entry):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusionproof import proofs
 from fusionproof.errors import InvalidHexLeaf, ParseError
 from fusionproof.handler import FusionSetup, RouteKind, calc_hash, generate_trace_id
 from fusionproof.proofs import (
@@ -576,6 +578,40 @@ class TestEncoderMatchesJsonDumps:
         except ParseError:
             return
         assert canonical_record_bytes(record) == _reference_record_bytes(record)
+
+    def test_quoting_memo_is_bounded_and_exact_after_eviction(self):
+        memo = proofs._quoted
+        bound = memo.cache_info().maxsize
+        tricky = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "€", "\U0001f600", "\ud800"]
+        routes = list(RouteKind)
+
+        def record(k: int) -> InvocationRecord:
+            # Three texts no other record holds: 3 * 2 * bound in all.
+            mark = tricky[k % len(tricky)]
+            return InvocationRecord(
+                f"trace{mark}{k}", f"{k}task{mark}", k, f"caller{k}{mark * 2}",
+                k, k + 1, k + 2, routes[k % len(routes)], k,
+            )
+
+        records = [record(k) for k in range(2 * bound)]
+        for r in records:
+            assert canonical_record_bytes(r) == _reference_record_bytes(r)
+            assert memo.cache_info().currsize <= bound
+        # The first records' texts were evicted long ago: each misses again.
+        misses = memo.cache_info().misses
+        for r in records[:10]:
+            assert canonical_record_bytes(r) == _reference_record_bytes(r)
+        assert memo.cache_info().misses == misses + 30
+        assert memo.cache_info().currsize <= bound
+
+        # Equal texts held by distinct objects encode alike.
+        last = records[-1]
+        texts = (last.trace_id, last.task, last.caller)
+        copies = ["".join(list(text)) for text in texts]
+        assert all(c == t and c is not t for c, t in zip(copies, texts))
+        twin = dataclasses.replace(last, trace_id=copies[0], task=copies[1], caller=copies[2])
+        assert canonical_record_bytes(twin) == canonical_record_bytes(last)
+        assert canonical_record_bytes(twin) == _reference_record_bytes(twin)
 
     def test_infinite_number_raises_parse_error(self):
         obj = json.loads(

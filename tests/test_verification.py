@@ -413,6 +413,87 @@ class TestStoredBytes:
         assert list(corrupt) == [self.KEY]
 
 
+def _inflated(record):
+    return dataclasses.replace(record, billed_duration_ms=record.billed_duration_ms + 7)
+
+
+def _leaf(record) -> str:
+    return record_leaf_hashes(encoded(record))[0]
+
+
+def _replace_leaf(tree: TreeInfo, position: int, leaf: str) -> TreeInfo:
+    leaves = list(tree.leaves)
+    leaves[position] = leaf
+    return dataclasses.replace(tree, leaves=tuple(leaves))
+
+
+# Each case maps the persisted records and their sealed tree to the
+# records and proof an attacker stores, and the tree the caller sealed.
+SEALED_CASES = {
+    "untouched": lambda records, tree: (records, tree, tree),
+    "tampered_record": lambda records, tree: (
+        [records[0], _inflated(records[1]), *records[2:]], tree, tree),
+    "appended_copy_of_last_record": lambda records, tree: ([*records, records[-1]], tree, tree),
+    "forged_leaf_list": lambda records, tree: (
+        [records[0], _inflated(records[1]), *records[2:]],
+        _replace_leaf(tree, 1, _leaf(_inflated(records[1]))),
+        tree,
+    ),
+    "forged_root": lambda records, tree: (
+        records, dataclasses.replace(tree, root=tree.leaves[0]), tree),
+    "empty_proof": lambda records, tree: (records, TreeInfo.empty(), tree),
+    "empty_group_sealed_empty": lambda records, tree: ([], TreeInfo.empty(), TreeInfo.empty()),
+    "non_hex_leaves": lambda records, tree: (records, _replace_leaf(tree, 1, "zz" * 32), tree),
+    "seal_differs_by_one_leaf": lambda records, tree: (
+        records, tree, _replace_leaf(tree, 1, _leaf(_inflated(records[1])))),
+}
+
+
+class TestSealedTree:
+    """A stored proof equal to the tree sealed for its group is not
+    rebuilt; every other proof is, and the report and the rewritten store
+    are always those that verifying without the sealed tree gives."""
+
+    KEY = "CW.SE.CS.CT.CA"
+
+    def verify(self, case, with_seal: bool, monkeypatch=None):
+        records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
+        assert len(records) == 15
+        store = MemoryStore()
+        tree = persist_evidence(store, self.KEY, records).tree
+        stored_records, stored_proof, sealed = SEALED_CASES[case](records, tree)
+        store.put(f"{self.KEY}.json", group_file_bytes(stored_records, stored_proof))
+        setups, corrupt = load_setups(store)
+        builds = []
+        if monkeypatch is not None:
+            def counting(leaves):
+                builds.append(len(leaves))
+                return build_merkle_tree(leaves)
+            monkeypatch.setattr(verification, "build_merkle_tree", counting)
+        report = verify_integrity(setups, corrupt, store, {self.KEY: sealed} if with_seal else None)
+        return report, {k: store.get(k) for k in store.list()}, builds
+
+    @pytest.mark.parametrize("case", SEALED_CASES)
+    def test_same_report_and_store_with_or_without_the_seal(self, case):
+        report, stored, _ = self.verify(case, with_seal=True)
+        assert (report, stored) == self.verify(case, with_seal=False)[:2]
+        assert report.integrity_verified is (case in ("untouched", "seal_differs_by_one_leaf"))
+
+    @pytest.mark.parametrize(
+        "case, with_seal, builds",
+        [
+            ("untouched", True, []),
+            ("untouched", False, [15]),
+            ("tampered_record", True, [14]),  # the survivors' tree only
+            ("tampered_record", False, [15, 14]),
+            ("seal_differs_by_one_leaf", True, [15]),
+            ("forged_root", True, [15, 0]),
+        ],
+    )
+    def test_merkle_builds(self, monkeypatch, case, with_seal, builds):
+        assert self.verify(case, with_seal, monkeypatch)[2] == builds
+
+
 def encoded(*records) -> tuple[bytes, ...]:
     return tuple(map(canonical_record_bytes, records))
 
@@ -1064,6 +1145,21 @@ class TestRunOptimization:
         key = "CW.SE.CS.CT.CA"
         survivors = [record_from_wire(json.loads(data)) for data in report.survivors[key]]
         assert calls["annotate_metrics"] == [annotate_metrics(survivors, key, IOT)]
+
+    @pytest.mark.parametrize("tamper, builds", [(None, []), (tamper_first_record, [9])])
+    def test_proof_is_checked_against_its_receipt(self, monkeypatch, tamper, builds):
+        calls = []
+
+        def counting(leaves):
+            calls.append(len(leaves))
+            return build_merkle_tree(leaves)
+
+        monkeypatch.setattr(verification, "build_merkle_tree", counting)
+        trace = run_optimization(
+            IOT, FUSED, 1, policy=POLICY, seed=19, request_counts=(2,), tamper=tamper
+        )
+        assert trace.iterations[0].integrity_verified is (tamper is None)
+        assert calls == builds
 
     def test_attacked_iteration_reverts_on_empty_evidence(self):
         trace = run_optimization(
