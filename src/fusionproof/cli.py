@@ -1,9 +1,9 @@
 """Command-line scenario runner.
 
 Wires the full pipeline: run a workload and persist filtered evidence,
-verify stored proofs, drive the optimization loop, and render per-load
-outcome tables.  All outputs are machine-readable (JSON/CSV) and fully
-determined by the config, seed included.
+verify stored proofs, and drive the optimization loop, which writes its
+per-load outcome table to summary.csv.  All outputs are machine-readable
+(JSON/CSV) and fully determined by the config, seed included.
 """
 
 from __future__ import annotations
@@ -403,6 +403,14 @@ def cmd_optimize(config: ScenarioConfig) -> int:
     attack = build_attack(config)
     policy = build_policy(config, app)
     store_root = Path(config.store_root)
+    # Each iteration's store is verified whole, so an earlier run's
+    # iterNNN files would be reported as this run's groups.
+    stale = [k for k in FileStore(store_root).list() if "/" in k] if store_root.is_dir() else []
+    if stale:
+        raise ConfigError(
+            f"store_root {config.store_root!r} already holds {stale[0]!r}; "
+            "optimize needs a store root without iteration stores"
+        )
     trace = run_optimization(
         app,
         setup,
@@ -432,39 +440,10 @@ def cmd_optimize(config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-def cmd_report(config: ScenarioConfig) -> int:
-    """Aggregate a prior optimization trace into a per-load outcome table."""
-    trace_path = Path(config.output_dir) / "optimization_trace.json"
-    if not trace_path.exists():
-        print(f"missing {trace_path}; run the optimize command first", file=sys.stderr)
-        return EXIT_USAGE
-    rows = []
-    try:
-        payload = json.loads(trace_path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{trace_path} must hold a JSON object")
-        for entry in payload.get("iterations", []):
-            iteration = entry["iteration"]
-            for load_text, (clean, flagged) in entry.get("load_stats", {}).items():
-                rows.append([int(load_text), iteration, _integer(clean), _integer(flagged)])
-        rows.sort(key=lambda row: (row[0], row[1]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{trace_path} is not a valid optimization trace: {type(exc).__name__}: {exc}"
-        ) from exc
-    _write_csv(
-        Path(config.output_dir) / "outcomes_by_load.csv",
-        ["load", "iteration", "clean_traces", "flagged_traces"],
-        rows,
-    )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": cmd_run,
     "verify": cmd_verify,
     "optimize": cmd_optimize,
-    "report": cmd_report,
 }
 
 
@@ -478,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("run", "execute a workload and persist filtered evidence"),
         ("verify", "re-check stored proofs and prune tampered records"),
         ("optimize", "run the iterative verify-and-refine loop"),
-        ("report", "aggregate optimize outputs into a per-load table"),
     ):
         cmd = sub.add_parser(name, help=docs)
         cmd.add_argument("--config", help="JSON scenario config file")

@@ -129,7 +129,7 @@ class TestConfig:
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: bad config value")
 
-    @pytest.mark.parametrize("command", ["run", "verify", "report"])
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
     def test_out_of_range_csp1_fails_at_load(self, tmp_path, capsys, command):
         config = write_config(tmp_path, csp1={"i": 0})
         assert main([command, "--config", str(config)]) == EXIT_USAGE
@@ -703,33 +703,113 @@ class TestOptimizeAndReport:
         assert (root / "iter000" / "CW.SE.CS.CT.CA.json").exists()
         assert (root / "iter001" / "CW.SE.CS.CT.CA.json").exists()
 
-    def test_report_aggregates_by_load(self, tmp_path):
-        config = write_config(tmp_path, iterations=2, request_counts=[2, 4])
-        assert main(["optimize", "--config", str(config)]) == EXIT_OK
-        assert main(["report", "--config", str(config)]) == EXIT_OK
-        rows = read_csv(tmp_path / "out" / "outcomes_by_load.csv")
-        assert rows[0] == ["load", "iteration", "clean_traces", "flagged_traces"]
-        assert [(r[0], r[1]) for r in rows[1:]] == [
-            ("2", "0"), ("2", "1"), ("4", "0"), ("4", "1"),
-        ]
-        # Each row counts its own load's traces, not the whole iteration's groups.
-        assert all(int(r[2]) + int(r[3]) == int(r[0]) for r in rows[1:])
-
-    def test_report_counts_each_loads_flagged_traces(self, tmp_path):
+    def test_summary_counts_each_loads_flagged_traces(self, tmp_path):
         # The DoW fires on odd iterations, on every request of each load.
         attack = {"mode": "dow", "target_task": "SE"}
         config = write_config(tmp_path, iterations=2, request_counts=[2, 4], attack=attack)
         assert main(["optimize", "--config", str(config)]) == EXIT_OK
-        assert main(["report", "--config", str(config)]) == EXIT_OK
-        rows = read_csv(tmp_path / "out" / "outcomes_by_load.csv")
-        assert rows[1:] == [
-            ["2", "0", "2", "0"], ["2", "1", "0", "2"], ["4", "0", "4", "0"], ["4", "1", "0", "4"],
+        rows = [row[:4] for row in read_csv(tmp_path / "out" / "summary.csv")[1:]]
+        assert rows == [
+            ["0", "2", "2", "0"], ["0", "4", "4", "0"], ["1", "2", "0", "2"], ["1", "4", "0", "4"],
         ]
+        # Each row counts its own load's traces, not the whole iteration's.
+        assert all(int(r[2]) + int(r[3]) == int(r[1]) for r in rows)
 
-    def test_report_without_trace_is_usage_error(self, tmp_path, capsys):
-        config = write_config(tmp_path)
-        assert main(["report", "--config", str(config)]) == EXIT_USAGE
-        assert "optimize" in capsys.readouterr().err
+    def test_second_optimize_into_one_root_is_usage_error(self, tmp_path, capsys):
+        # The first run's iterNNN group files would be verified as the second's.
+        assert main(["optimize", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        root = tmp_path / "evidence"
+
+        def stored():
+            return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+        before = stored()
+        config = write_config(
+            tmp_path, "split.json", initial_setup="split", iterations=3,
+            request_counts=[3], output_dir=str(tmp_path / "out2"),
+        )
+        assert main(["optimize", "--config", str(config)]) == EXIT_USAGE
+        assert "already holds 'iter000/CW.SE.CS.CT.CA.json'" in capsys.readouterr().err
+        assert stored() == before
+        assert not (tmp_path / "out2").exists()
+
+    @pytest.mark.parametrize(
+        "key", ["iter000/CW.json", "iter012/SE.json", "other/deep/G.json"],
+        ids=["iter000", "iter012", "nested"],
+    )
+    def test_key_in_any_subdirectory_is_refused(self, tmp_path, capsys, key):
+        FileStore(tmp_path / "evidence").put(key, b"{}")
+        config = write_config(tmp_path, iterations=2)
+        assert main(["optimize", "--config", str(config)]) == EXIT_USAGE
+        assert f"already holds {key!r}" in capsys.readouterr().err
+        assert FileStore(tmp_path / "evidence").list() == [key]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("prepare", ["absent", "empty", "run_output", "non_key_files"])
+    def test_root_without_iteration_stores_matches_a_fresh_root(self, tmp_path, prepare):
+        outputs = []
+        for label in ("fresh", prepare):
+            base = tmp_path / label
+            base.mkdir()
+            root = base / "evidence"
+            config = str(write_config(base, attack={"mode": "dow", "target_task": "SE"},
+                                      iterations=2, request_counts=[2, 3]))
+            if label == "empty":
+                root.mkdir()
+            elif label == "run_output":
+                assert main(["run", "--config", config]) == EXIT_OK
+            elif label == "non_key_files":
+                (root / "iter000").mkdir(parents=True)
+                (root / "iter000" / "notes.txt").write_text("not a key", encoding="utf-8")
+                (root / "README").write_text("not a key either", encoding="utf-8")
+            assert main(["optimize", "--config", config]) == EXIT_OK
+            outputs.append(
+                {name: (base / "out" / name).read_bytes()
+                 for name in ("optimization_trace.json", "summary.csv")}
+            )
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("where", ["file", "below_file"])
+    def test_store_root_that_is_not_a_directory_is_usage_error(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file", encoding="utf-8")
+        root = blocker if where == "file" else blocker / "sub"
+        config = write_config(tmp_path, store_root=str(root))
+        assert main(["optimize", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert sorted(tmp_path.iterdir()) == [blocker, config]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"initial_setup": "split", "iterations": 4, "request_counts": [3, 1]},
+            {"attack": {"mode": "dow", "target_task": "SE"}, "request_counts": [2, 4]},
+            {"attack": {"mode": "business_logic", "swap": ["CT", "CA"], "when": "always"}},
+            {"app": "tree", "app_params": {"fanout": 2, "depth": 2}, "initial_setup": "split"},
+        ],
+        ids=["fused", "split", "dow", "business_logic", "tree"],
+    )
+    def test_summary_is_the_traces_per_load_table(self, tmp_path, overrides):
+        # summary.csv is the one per-load table: a row per iteration and load,
+        # loads ascending, each holding that load's own counts and the iteration's cost.
+        config = write_config(tmp_path, **{"iterations": 3, "request_counts": [2], **overrides})
+        assert main(["optimize", "--config", str(config)]) == EXIT_OK
+        trace = json.loads((tmp_path / "out" / "optimization_trace.json").read_text())
+        summary = read_csv(tmp_path / "out" / "summary.csv")
+        assert summary[0] == ["iteration", "load", "successes", "failures", "cost"]
+        expected = [
+            [entry["iteration"], load, *entry["load_stats"][str(load)], entry["estimated_cost_ms"]]
+            for entry in trace["iterations"]
+            for load in sorted(int(key) for key in entry["load_stats"])
+        ]
+        rows = [
+            [int(it), int(load), int(ok), int(bad), None if cost == "" else float(cost)]
+            for it, load, ok, bad, cost in summary[1:]
+        ]
+        assert rows == expected
+        assert all(ok + bad == load for _, load, ok, bad, _ in rows)
 
     def test_deterministic_outputs(self, tmp_path):
         paths = []
@@ -755,6 +835,16 @@ class TestParser:
             main(["--help"])
         assert excinfo.value.code == 0
 
+    def test_report_command_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report"])
+        assert excinfo.value.code == 2
+
+    def test_help_offers_run_verify_and_optimize_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{run,verify,optimize}" in capsys.readouterr().out
+
     def test_attack_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--attack", "nonsense"])
@@ -772,61 +862,3 @@ class TestParser:
         code = main(["run", "--config", str(config), "--seed", "1"])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: cannot read {what} {bad}: ")
-
-
-class TestReportMalformedTrace:
-    GOOD_ENTRY = {"iteration": 0, "group_results": {"CW": True}, "load_stats": {"2": [2, 0]}}
-
-    def report_on(self, tmp_path, capsys, text):
-        config = write_config(tmp_path)
-        trace = tmp_path / "out" / "optimization_trace.json"
-        trace.parent.mkdir()
-        trace.write_text(text, encoding="utf-8")
-        code = main(["report", "--config", str(config)])
-        return code, capsys.readouterr().err
-
-    def test_truncated_json(self, tmp_path, capsys):
-        text = json.dumps({"iterations": [self.GOOD_ENTRY]})[:-7]
-        code, err = self.report_on(tmp_path, capsys, text)
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and "JSONDecodeError" in err
-
-    def test_payload_not_an_object(self, tmp_path, capsys):
-        code, err = self.report_on(tmp_path, capsys, json.dumps([self.GOOD_ENTRY]))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and "JSON object" in err
-
-    def test_missing_iteration(self, tmp_path, capsys):
-        entry = {k: v for k, v in self.GOOD_ENTRY.items() if k != "iteration"}
-        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and "'iteration'" in err
-
-    def test_non_integer_load_key(self, tmp_path, capsys):
-        entry = {**self.GOOD_ENTRY, "load_stats": {"two": [2, 0]}}
-        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and "'two'" in err
-
-    @pytest.mark.parametrize(
-        "pair, detail",
-        [
-            (["two", 0], "'two'"),
-            ([2, 0.5], "0.5"),
-            ([True, 1], "True"),
-            ([2], "not enough values"),
-            (None, "NoneType"),
-        ],
-        ids=["string", "float", "bool", "short", "null"],
-    )
-    def test_bad_trace_counts(self, tmp_path, capsys, pair, detail):
-        entry = {**self.GOOD_ENTRY, "load_stats": {"2": pair}}
-        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and detail in err
-
-    @pytest.mark.parametrize("entry", [1, ["iteration"], {"iteration": 0, "load_stats": [None]}])
-    def test_entry_of_the_wrong_shape(self, tmp_path, capsys, entry):
-        code, err = self.report_on(tmp_path, capsys, json.dumps({"iterations": [entry]}))
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ")
