@@ -108,6 +108,8 @@ def _request_counts(raw) -> tuple[int, ...]:
         raise TypeError(f"expected a list of integers, got {raw!r}")
     if not raw or min(raw) < 1:
         raise ConfigError("request_counts must be positive integers")
+    if len(set(raw)) < len(raw):
+        raise ValueError(f"each load must appear once, got {raw!r}")
     return tuple(raw)
 
 

@@ -4,7 +4,7 @@ Records flow through here on their way to the evidence store: parse the
 platform log lines, filter out traces that violate the threshold policy,
 hash the survivors canonically, build the Merkle tree over the hashes,
 and write the records plus proof to the store as one group file.  The
-group file's key, layout, writer and readers all live here; the store
+group file's key, layout, writer and reader all live here; the store
 only holds its bytes.
 """
 
@@ -235,15 +235,16 @@ def treeinfo_to_wire(info: TreeInfo) -> dict:
 
 
 def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
-    """Read root and leaf; any other key, such as the interior-node list
-    "tree" that older group files carry, is ignored."""
+    """Read root and leaf, as a group file's proof holds them; any other
+    key, such as the interior-node list "tree" that older group files
+    carry, is ignored."""
     try:
         root = obj["root"]
         leaves = tuple(obj["leaf"])
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad tree object: {exc}") from exc
+        raise CorruptGroupFile(f"bad tree object: {exc}") from exc
     if not isinstance(root, str):
-        raise ParseError("tree root must be a string")
+        raise CorruptGroupFile("tree root must be a string")
     return TreeInfo(root, leaves)
 
 
@@ -281,15 +282,13 @@ def record_leaf_hashes(encoded: Sequence[bytes]) -> list[str]:
 _GROUP_SUFFIX = ".json"
 
 # The bytes that open a record element and the proof element, each with
-# its first key, in the layout join_group_file writes.  A canonical record
-# escapes every '"' inside its strings, so "}," followed by either never
-# occurs within one.
+# its first key, and that end a record's traceid, in the layout
+# join_group_file writes.  A canonical record escapes every '"' inside its
+# strings, so none of these byte strings occurs within one.
 _RECORD_START = _RECORD_TEMPLATE[: _RECORD_TEMPLATE.index(b"%")]
+_TRACE_END = _RECORD_TEMPLATE[len(_RECORD_START) + 2 :].split(b"%")[0]
 _PROOF_START = b'{"%s":' % next(iter(treeinfo_to_wire(TreeInfo.empty()))).encode("ascii")
 _RECORD_BOUNDARY = re.compile(re.escape(b"}," + _RECORD_START))
-
-# JSON's insignificant whitespace, the same set the decoder skips.
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -338,101 +337,56 @@ def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationR
     return PersistReceipt(gkey, tree)
 
 
-def _whole_object(piece: bytes, key: str) -> Optional[dict]:
-    """The JSON object with key that is all of the UTF-8 piece, else None."""
+def _element(piece: bytes, key: str, what: str) -> dict:
+    """The JSON object with key that is all of the UTF-8 piece; else
+    CorruptGroupFile, naming what the piece is and the JSON error."""
     try:
         text = piece.decode("utf-8")
         obj, end = _decode(text)
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        return None
-    return obj if end == len(text) and isinstance(obj, dict) and key in obj else None
-
-
-def _split_group_file(data: bytes) -> Optional[StoredGroup]:
-    """Split a group file in the layout join_group_file writes at its
-    record boundaries, decoding only the proof.  None when the file is not
-    in that layout, its proof has no root, or it does not split into one
-    piece per leaf.  No piece is decoded here: verification decodes every
-    piece it prunes, and reads the file with decode_group_file when one is
-    not a record."""
-    if not (data.isascii() and data.startswith(b"[" + _RECORD_START) and data.endswith(b"}]")):
-        return None
-    cut = data.rfind(b"}," + _PROOF_START)
-    obj = _whole_object(data[cut + 2 : -1], "root") if cut > 0 else None
-    if obj is None:
-        return None
-    try:
-        tree = treeinfo_from_wire(obj)
-    except ParseError:
-        return None
-    # The "[" or "," before each record element, then the "," before the proof.
-    commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut + 1]
-    if not tree.root or len(commas) - 1 != len(tree.leaves):
-        return None
-    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:])), tree)
-
-
-def decode_group_file(data: bytes) -> StoredGroup:
-    """Split a group file into each record element's stored bytes and the
-    proof by running the JSON decoder over every element; each object is
-    dropped as soon as it is checked."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptGroupFile(f"group file is not valid UTF-8: {exc}") from exc
-    pos = _WHITESPACE.match(text).end()
-    first = _WHITESPACE.match(text, pos + 1).end()
-    if not text.startswith("[", pos) or text.startswith("]", first):
-        raise CorruptGroupFile("group file must be a non-empty JSON array")
-    spans = []
-    while text.startswith("," if spans else "[", pos):
-        # An element follows, so the one before it is a record.
-        if spans and not (isinstance(obj, dict) and "traceid" in obj):
-            raise CorruptGroupFile("group file's records must be objects with a traceid")
-        start = _WHITESPACE.match(text, pos + 1).end()
-        try:
-            obj, end = _decode(text, start)
-        except json.JSONDecodeError as exc:
-            raise CorruptGroupFile(f"group file is not valid JSON: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # too many digits, too deep
-            raise CorruptGroupFile(f"group file cannot be decoded: {exc}") from exc
-        spans.append((start, end))
-        pos = _WHITESPACE.match(text, end).end()
-    if not text.startswith("]", pos) or _WHITESPACE.match(text, pos + 1).end() != len(text):
-        raise CorruptGroupFile(f"group file's JSON array does not end at char {pos}")
-    if not isinstance(obj, dict) or "root" not in obj:
-        raise CorruptGroupFile("group file's last element must carry the tree")
-    try:
-        tree = treeinfo_from_wire(obj)
-    except ParseError as exc:
-        raise CorruptGroupFile(str(exc)) from exc
-    return StoredGroup(tuple(text[s:e].encode("utf-8") for s, e in spans[:-1]), tree)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CorruptGroupFile(f"group file's {what} is not valid JSON: {exc}") from exc
+    if not (isinstance(obj, dict) and key in obj):
+        raise CorruptGroupFile(f"group file's {what} is not a JSON object with a {key!r}")
+    return obj
 
 
 def load_group_file(data: bytes) -> StoredGroup:
-    """Split a group file into each record element's stored bytes and the
-    proof.  A file in the layout join_group_file writes is split at its
-    record boundaries; any other file goes through decode_group_file,
-    which gives the verdict."""
-    group = _split_group_file(data)
-    return group if group is not None else decode_group_file(data)
+    """Split a group file at the boundaries join_group_file writes: "[",
+    each '},{"traceid":', the last ',{"root":' and "]".  Only the proof is
+    decoded; a file in any other layout is CorruptGroupFile."""
+    cut = max(data.rfind(b"," + _PROOF_START), 0)
+    if not (data.startswith(b"[" + _RECORD_START if cut else b"[")
+            and data.startswith(_PROOF_START, cut + 1) and data.endswith(b"]")):
+        raise CorruptGroupFile("group file is not in the layout the pipeline writes")
+    tree = treeinfo_from_wire(_element(data[cut + 1 : -1], "root", "proof"))
+    # The "[" or "," before each record element, then the "," before the proof (none: cut 0).
+    commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut]
+    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree)
 
 
-def record_trace_ids(records: Sequence[bytes]) -> Optional[list]:
-    """The traceid of each record element, or None when one is not a
-    whole JSON object with a traceid: a piece the record-boundary split
-    cut from a tampered file need not be one record."""
-    objects = [_whole_object(piece, "traceid") for piece in records]
-    if None in objects:
-        return None
-    return [obj["traceid"] for obj in objects]
+def record_trace_id(piece: bytes, position: int) -> tuple[bytes, object]:
+    """The traceid of the record element at position, quoted as
+    stored_trace_id reads it from a canonical element, and decoded;
+    CorruptGroupFile, naming the position and the JSON error, unless the
+    element is, whole, a JSON object with a traceid."""
+    trace_id = _element(piece, "traceid", f"record {position}")["traceid"]
+    return json.dumps(trace_id).encode("ascii"), trace_id
+
+
+def stored_trace_id(piece: bytes) -> bytes:
+    """The traceid of a canonical record element as its bytes quote it,
+    between '{"traceid":' and ',"task":', read without decoding."""
+    return piece[len(_RECORD_START) : piece.find(_TRACE_END, len(_RECORD_START))]
 
 
 def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
     """Decode a group file into records plus a trailing TreeInfo."""
-    group = decode_group_file(data)
+    group = load_group_file(data)
     try:
-        records = [record_from_wire(json.loads(r)) for r in group.records]
+        records = [record_from_wire(_element(r, "traceid", f"record {p}"))
+                   for p, r in enumerate(group.records)]
     except ParseError as exc:
         raise CorruptGroupFile(str(exc)) from exc
     return [*records, group.proof]

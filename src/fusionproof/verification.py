@@ -32,14 +32,14 @@ from .proofs import (
     ThresholdPolicy,
     TreeInfo,
     build_merkle_tree,
-    decode_group_file,
     filter_batch,
     group_key,
     join_group_file,
     load_setups,
     persist_evidence,
     record_leaf_hashes,
-    record_trace_ids,
+    record_trace_id,
+    stored_trace_id,
 )
 from .store import EvidenceStore, MemoryStore
 from .workload import (
@@ -86,11 +86,12 @@ def _check_group(
     group: StoredGroup, sealed: Optional[TreeInfo]
 ) -> tuple[Optional[bool], list[str], list[int]]:
     """The group's verdict when it needs no rewrite (else None), the leaf
-    hash of each record element as stored, and the positions to prune.
-    A proof equal to the tree sealed for it needs no rebuild."""
+    hash of each record element as stored, and the positions of the
+    elements the leaf list does not vouch for: every one when the root is
+    empty.  A proof equal to the tree sealed for it needs no rebuild."""
     records, tree_info = group.records, group.proof
     if not tree_info.root:
-        return False, [], []
+        return False, [], list(range(len(records)))
     try:
         vouched = tree_info == sealed or (
             build_merkle_tree(tree_info.leaves).root == tree_info.root)
@@ -115,10 +116,11 @@ def verify_integrity(
     stored leaf list counts only if it rebuilds the stored root; a list
     that does not count compares as empty.  The group passes when it
     counts and the leaf hash of each record element's bytes, exactly as
-    stored, matches it position by position.  Else the group file is
-    rewritten over the elements whose leaves still match; the survivors'
-    bytes are reported under the group's key, and the trace ids of the
-    pruned elements under pruned.  Nothing is deleted.
+    stored, matches it position by position.  Else every record of a
+    trace with an element whose leaf does not match is pruned, as
+    filter_batch flags whole traces, and the group file is rewritten over
+    the rest; the survivors' bytes are reported under the group's key,
+    and each pruned trace id once under pruned.  Nothing is deleted.
 
     sealed optionally maps a fusion key to the tree build_merkle_tree
     gave when the caller sealed that group, as a PersistReceipt holds it.
@@ -126,10 +128,9 @@ def verify_integrity(
     proof is rebuilt.  Every record element is hashed and compared either
     way, so the report is the one a rebuild gives.
 
-    Every element to be pruned is decoded before anything is written.  If
-    one is not a whole record (load_setups takes the record pieces of a
-    file in the pipeline's layout undecoded), the group's bytes are
-    decoded again by decode_group_file; a file it refuses joins corrupt.
+    Every element the leaf list does not vouch for is decoded for its
+    trace id before anything is written; when one is not, whole, a JSON
+    object with a traceid, the group joins corrupt and is not rewritten.
     A corrupt group fails, and a report over no group file is not verified.
     """
     group_results: dict[str, bool] = {}
@@ -139,22 +140,20 @@ def verify_integrity(
     corrupt = dict(corrupt)
     sealed = sealed if sealed is not None else {}
     for key, group in setups.items():
-        verdict, recomputed, prunable = _check_group(group, sealed.get(key))
-        trace_ids = record_trace_ids([group.records[p] for p in prunable])
-        if trace_ids is None:
-            try:
-                group = decode_group_file(join_group_file(group.records, group.proof))
-            except CorruptGroupFile as exc:
-                corrupt[key] = str(exc)
-                continue
-            verdict, recomputed, prunable = _check_group(group, sealed.get(key))
-            trace_ids = record_trace_ids([group.records[p] for p in prunable])
+        verdict, recomputed, unvouched = _check_group(group, sealed.get(key))
+        try:
+            doomed = dict(record_trace_id(group.records[p], p) for p in unvouched)
+        except CorruptGroupFile as exc:
+            corrupt[key] = str(exc)
+            continue
         if verdict is not None:
             group_results[key] = verdict
             continue
-        removed = set(prunable)
-        survivors = tuple(r for p, r in enumerate(group.records) if p not in removed)
-        new_tree = build_merkle_tree([h for p, h in enumerate(recomputed) if p not in removed])
+        removed = set(unvouched)
+        kept = [p for p, r in enumerate(group.records)
+                if p not in removed and stored_trace_id(r) not in doomed]
+        survivors = tuple(group.records[p] for p in kept)
+        new_tree = build_merkle_tree([recomputed[p] for p in kept])
         try:
             store.put(group_key(key), join_group_file(survivors, new_tree))
         except StoreWriteFailed as exc:
@@ -162,7 +161,7 @@ def verify_integrity(
             group_results[key] = False
             continue
         out_survivors[key] = survivors
-        pruned[key] = tuple(trace_ids)
+        pruned[key] = tuple(doomed.values())
         group_results[key] = False
     group_results.update(dict.fromkeys(corrupt, False))
     return VerificationReport(group_results, out_survivors, pruned, notes, corrupt)

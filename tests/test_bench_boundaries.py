@@ -86,7 +86,8 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
     report = verification.verify_integrity(setups, corrupt, store)
 
     assert not corrupt and not report.integrity_verified
-    assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 1
+    # The tampered record's five-hop trace is pruned whole.
+    assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 5
     assert calls == {
         "fusionproof.proofs.canonical_record_bytes": n,
         "fusionproof.proofs.build_merkle_tree": 1,

@@ -150,6 +150,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"request_counts": counts})
 
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    @pytest.mark.parametrize("counts", [[2, 2], [3, 1, 3]])
+    def test_repeated_load_is_usage_error(self, tmp_path, capsys, command, counts):
+        """summary.csv has one row per load, so a load named twice would
+        merge two loads' counts into one row."""
+        config = write_config(tmp_path, request_counts=counts)
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bad config value: request_counts: ValueError: "
+            f"each load must appear once, got {counts!r}\n"
+        )
+        assert not (tmp_path / "evidence").exists() and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -558,10 +571,49 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         payload = json.loads((out / "verification.json").read_text())
         assert payload["integrity_verified"] is False
-        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 9}
+        # The tampered record's whole five-hop trace is pruned.
+        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 5}
         assert len(payload["pruned"]["CW.SE.CS.CT.CA"]) == 1
         # A second verify over the pruned store is clean again.
         assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
+
+    def test_one_digit_edit_prunes_its_whole_trace(self, tmp_path):
+        config = write_config(tmp_path, seed=1, request_counts=[10])
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        store = FileStore(tmp_path / "evidence")
+        data = store.get("CW.SE.CS.CT.CA.json")
+        billed = list(re.finditer(rb'"billed":(\d)', data))[7]
+        digit = b"9" if billed.group(1) != b"9" else b"8"
+        store.put("CW.SE.CS.CT.CA.json", data[: billed.start(1)] + digit + data[billed.end(1) :])
+        assert main(["verify", "--config", str(config)]) == EXIT_VERIFY_FAILED
+        payload = json.loads((tmp_path / "out" / "verification.json").read_text())
+        tampered_trace = json.loads(data)[7]["traceid"]
+        assert payload["pruned"] == {"CW.SE.CS.CT.CA": [tampered_trace]}
+        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 45}
+        survivors = parse_group_file(store.get("CW.SE.CS.CT.CA.json"))[:-1]
+        assert tampered_trace not in {r.trace_id for r in survivors}
+        assert main(["verify", "--config", str(config)]) == EXIT_OK
+
+    @pytest.mark.parametrize("spaced", [b'}, {"traceid"', b'},\n{"traceid"'])
+    def test_whitespace_between_records_is_corrupt_and_kept(self, tmp_path, spaced):
+        """The same JSON value as the file run wrote, in another layout."""
+        stored = {}
+
+        def space(root: Path):
+            store = FileStore(root)
+            data = store.get("CW.SE.CS.CT.CA.json").replace(b'},{"traceid"', spaced)
+            store.put("CW.SE.CS.CT.CA.json", data)
+            stored["data"] = data
+
+        code, out = self.run_then_verify(tmp_path, mutate=space)
+        assert code == EXIT_CORRUPT
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["integrity_verified"] is False
+        assert payload["group_results"] == {"CW.SE.CS.CT.CA": False}
+        assert payload["pruned"] == {} and payload["surviving_counts"] == {}
+        assert payload["corrupt"]["CW.SE.CS.CT.CA"].startswith(
+            "group file's record 0 is not valid JSON: Extra data: line 1 column ")
+        assert FileStore(tmp_path / "evidence").get("CW.SE.CS.CT.CA.json") == stored["data"]
 
     def test_non_string_text_fields_are_pruned(self, tmp_path):
         def retype(root: Path):
@@ -577,8 +629,9 @@ class TestVerifyCommand:
         payload = json.loads((out / "verification.json").read_text())
         assert payload["integrity_verified"] is False
         assert payload["corrupt"] == {}
-        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 8}
-        assert len(payload["pruned"]["CW.SE.CS.CT.CA"]) == 2
+        # Both records belong to the first trace, which is pruned whole.
+        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 5}
+        assert len(payload["pruned"]["CW.SE.CS.CT.CA"]) == 1
         assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
 
     def test_corrupt_group_file_exit_code(self, tmp_path):
@@ -618,8 +671,8 @@ class TestVerifyCommand:
         assert payload["group_results"] == {key[: -len(".json")]: False}
         assert payload["pruned"] == {}
         assert payload["corrupt"] == {
-            key[: -len(".json")]: "group file is not valid JSON: "
-            "Expecting ',' delimiter: line 1 column 182 (char 181)"
+            key[: -len(".json")]: "group file's record 0 is not valid JSON: "
+            "Expecting ',' delimiter: line 1 column 181 (char 180)"
         }
         assert FileStore(tmp_path / "evidence").get(key) == forged
 

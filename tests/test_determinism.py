@@ -20,7 +20,7 @@ from fusionproof.store import MemoryStore
 from fusionproof.verification import iteration_result_to_wire, run_optimization
 from fusionproof.workload import AttackPlan, builtin_tree_app
 
-STORES_SHA256 = "06e35348b1125e03b66be0764b68a410588515388912a4e10e70615d33a39dbb"
+STORES_SHA256 = "ad78ad0564eda601e7ad6dd8164e3f1267b9a6dba61039a25aa723ee2d86d1b8"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
 
 _BILLED = re.compile(rb'"billed":(\d+)')

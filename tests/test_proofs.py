@@ -743,7 +743,7 @@ class TestMerkleLeafCheck:
         assert str(info.value) == f"leaf {bad!r} is not a 64-char lowercase hex digest"
         report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, {}, store)
         assert report.integrity_verified is False
-        assert report.pruned == {"CW.SE.CS.CT.CA": tuple(r.trace_id for r in records)}
+        assert report.pruned == {"CW.SE.CS.CT.CA": tuple(dict.fromkeys(r.trace_id for r in records))}
         assert report.survivors == {"CW.SE.CS.CT.CA": ()}
 
 

@@ -20,10 +20,14 @@ from fusionproof.proofs import (
     build_merkle_tree,
     canonical_record_bytes,
     group_file_bytes,
+    join_group_file,
+    load_group_file,
     load_setups,
     parse_group_file,
     persist_evidence,
     record_leaf_hashes,
+    record_to_wire,
+    stored_trace_id,
 )
 from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import verify_integrity
@@ -190,7 +194,7 @@ class TestParseGroupFile:
             pytest.skip("int conversion has no digit limit")
         data = group_file_bytes(iot_records(b"\x27" * 32), TreeInfo.empty())
         data = data.replace(b'"idx":0', b'"idx":' + b"1" * (limit + 1), 1)
-        with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
+        with pytest.raises(CorruptGroupFile, match="^group file's record 0 is not valid JSON: Exceeds"):
             parse_group_file(data)
 
     def test_non_string_task_is_corrupt(self):
@@ -199,8 +203,18 @@ class TestParseGroupFile:
         with pytest.raises(CorruptGroupFile, match="task must be a string, got 1"):
             parse_group_file(data)
 
-    def test_nesting_too_deep_for_the_decoder_is_corrupt(self):
-        with pytest.raises(CorruptGroupFile, match="cannot be decoded"):
+    @pytest.mark.parametrize(
+        "data, what",
+        [
+            (b'[{"traceid":' + b"[" * 100_000 + b'},{"root":"","leaf":[]}]', "record 0"),
+            (b'[{"root":' + b"[" * 100_000 + b"}]", "proof"),
+        ],
+        ids=["record", "proof"],
+    )
+    def test_nesting_too_deep_for_the_decoder_is_corrupt(self, data, what):
+        with pytest.raises(CorruptGroupFile, match=f"^group file's {what} is not valid JSON: maximum recursion"):
+            parse_group_file(data)
+        with pytest.raises(CorruptGroupFile, match="^group file is not in the layout"):
             parse_group_file(b"[" * 100_000)
 
 
@@ -226,7 +240,7 @@ class TestLoadSetups:
         setups, corrupt = load_setups(store)
         assert list(setups) == ["CW.SE.CS.CT.CA"]
         assert corrupt == {
-            f"CW.SE.CS.CT.CA/{records[0].trace_id}": "group file must be a non-empty JSON array"
+            f"CW.SE.CS.CT.CA/{records[0].trace_id}": "group file is not in the layout the pipeline writes"
         }
 
     def test_corrupt_group_isolated(self):
@@ -260,20 +274,11 @@ class TestLoadSetups:
         assert corrupt == {"ZZ": "no object at 'ZZ.json'"}
 
 
-def _outcome(scan, data: bytes):
+def _scan(data: bytes):
     try:
-        return scan(data)
+        return load_group_file(data)
     except CorruptGroupFile as exc:
         return str(exc)
-
-
-def _scan(data: bytes):
-    return _outcome(proofs_module.load_group_file, data)
-
-
-def _scan_by_decoder(data: bytes):
-    """The scan that sends every element through the JSON decoder."""
-    return _outcome(proofs_module.decode_group_file, data)
 
 
 def _verified(data: bytes):
@@ -294,24 +299,17 @@ def _verified(data: bytes):
     )
 
 
-def _verified_by_decoder(data: bytes):
-    """_verified with every group file read by the JSON decoder alone."""
-    with mock.patch.object(proofs_module, "_split_group_file", lambda data: None):
-        return _verified(data)
+def _pipeline_group_file(*seeds: bytes) -> bytes:
+    store = MemoryStore()
+    persist_evidence(store, "CW.SE.CS.CT.CA", [r for seed in seeds for r in iot_records(seed * 32)])
+    return store.get("CW.SE.CS.CT.CA.json")
 
 
-def _pipeline_group_files() -> list[bytes]:
-    files = []
-    for seed in (b"\x31", b"\x32"):
-        store = MemoryStore()
-        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(seed * 32))
-        files.append(store.get("CW.SE.CS.CT.CA.json"))
-    return files
-
-
-_GROUP_FILES = _pipeline_group_files()
+# One five-hop trace each, and three traces in one file.
+_GROUP_FILES = [_pipeline_group_file(b"\x31"), _pipeline_group_file(b"\x32")]
 _FIRST = _GROUP_FILES[0]
-_JSON_BYTES = [bytes([c]) for c in b'"{}[],:\\0123456789']
+_THREE_TRACES = _pipeline_group_file(b"\x34", b"\x35", b"\x36")
+_JSON_BYTES = [bytes([c]) for c in b'"{}[],:\\0123456789 ']
 _EDIT = st.tuples(
     st.sampled_from(["insert", "delete", "replace"]),
     st.integers(min_value=0),
@@ -331,7 +329,12 @@ def _mutate(data: bytes, edits) -> bytes:
     return data
 
 
-# Edits to the first record of _FIRST, as (old, new) bytes.
+def _json(value) -> str:
+    """value in one canonical text, so that NaN compares equal to itself."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+# Edits to the first record of a pipeline file, as (old, new) bytes.
 _FIRST_RECORD_EDITS = {
     "leading_zero": (b'"idx":0', b'"idx":01'),
     "double_zero": (b'"idx":0', b'"idx":00'),
@@ -361,7 +364,7 @@ def _cut_inside_records(data: bytes) -> bytes:
     """data with a record boundary nested in its first record and none
     before its second, whose traceid is no longer its first key: the split
     still cuts one piece per leaf, but the first two pieces are not records."""
-    first, second = proofs_module.decode_group_file(data).records[:2]
+    first, second = load_group_file(data).records[:2]
     nested = first[:-1] + b',"x":[{},{"traceid":0}]}'
     return data.replace(first, nested, 1).replace(second, b'{"task":"x",' + second[1:], 1)
 
@@ -378,167 +381,220 @@ class CountingStore(MemoryStore):
         return super().get(key)
 
 
-class TestRecordBoundarySplit:
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(_GROUP_FILES), st.lists(_EDIT, min_size=1, max_size=4))
-    def test_split_agrees_with_the_decoder_on_mutated_files(self, data, edits):
-        mutated = _mutate(data, edits)
-        assert _verified(mutated) == _verified_by_decoder(mutated)
+class TestOneReader:
+    """load_group_file splits a group file at the boundaries the writer
+    writes; every other layout is corrupt, and so is every piece the leaf
+    list does not vouch for that is not, whole, a JSON object."""
 
-    def test_split_agrees_with_the_decoder_on_pipeline_files(self):
-        for data in _GROUP_FILES:
-            assert isinstance(proofs_module._split_group_file(data), StoredGroup)
-            assert _scan(data) == _scan_by_decoder(data)
-            assert _verified(data) == _verified_by_decoder(data)
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([*_GROUP_FILES, _THREE_TRACES]), st.lists(_EDIT, min_size=1, max_size=4))
+    def test_mutated_file_is_read_as_json_reads_it_or_is_corrupt(self, data, edits):
+        mutated = _mutate(data, edits)
+        corrupt, results, pruned, survivors, notes, after = _verified(mutated)
+        assert notes == {}
+        if corrupt:
+            assert (results, pruned, survivors, after) == ({"CW": False}, {}, {}, mutated)
+            return
+        group = load_group_file(mutated)
+        # The random edits cannot rebuild a leaf list over their bytes, so
+        # every piece it vouches for is a record as the pipeline wrote it.
+        proof = mutated[mutated.rindex(b',{"root":') + 1 : -1] if group.records else mutated[1:-1]
+        assert _json(json.loads(mutated)) == _json([*map(json.loads, group.records), json.loads(proof)])
+        if results == {"CW": True}:
+            assert (pruned, survivors, after) == ({}, {}, mutated)
+            return
+        kept = survivors.get("CW", ())
+        removed = [piece for piece in group.records if piece not in kept]
+        assert {_json(json.loads(piece)["traceid"]) for piece in removed} == set(map(_json, pruned.get("CW", ())))
+        assert not {_json(json.loads(piece)["traceid"]) for piece in kept} & set(map(_json, pruned.get("CW", ())))
+        second = _verified(after)
+        assert second[0] == {} and second[2] == {}
+        assert second[1] == {"CW": bool(kept)}
+
+    @pytest.mark.parametrize("older", [False, True], ids=["current", "older_with_tree"])
+    @pytest.mark.parametrize("n", range(12))
+    def test_round_trip(self, n, older):
+        records = [r for seed in (b"\x37", b"\x38", b"\x39") for r in iot_records(seed * 32)][:n]
+        encoded = tuple(map(canonical_record_bytes, records))
+        tree = build_merkle_tree(record_leaf_hashes(encoded))
+        data = join_group_file(encoded, tree)
+        if older:
+            data = data.replace(b',"leaf":[', b',"tree":["%s"],"leaf":[' % tree.root.encode(), 1)
+        assert load_group_file(data) == StoredGroup(encoded, tree)
+        assert json.loads(data)[:-1] == [record_to_wire(r) for r in records]
+        assert _verified(data) == ({}, {"CW": bool(n)}, {}, {}, {}, data)
 
     @pytest.mark.parametrize(
         "old, new", list(_FIRST_RECORD_EDITS.values()), ids=list(_FIRST_RECORD_EDITS)
     )
-    def test_split_agrees_with_the_decoder_on_edited_record(self, old, new):
-        assert old in _FIRST
-        data = _FIRST.replace(old, new, 1)
-        assert _verified(data) == _verified_by_decoder(data)
+    def test_edited_record_is_pruned_with_its_trace_or_corrupt(self, old, new):
+        """An edited record that json.loads reads is pruned with the rest of
+        its trace; one it refuses makes the file corrupt, left as stored."""
+        group = load_group_file(_THREE_TRACES)
+        assert old in group.records[0]
+        edited = group.records[0].replace(old, new, 1)
+        data = _THREE_TRACES.replace(group.records[0], edited, 1)
+        try:
+            trace_id = json.loads(edited)["traceid"]
+        except ValueError as exc:
+            reasons, *rest = _verified(data)
+            assert reasons == {"CW": f"group file's record 0 is not valid JSON: {exc}"}
+            assert rest == [{"CW": False}, {}, {}, {}, data]
+            return
+        assert _verified(data)[:4] == ({}, {"CW": False}, {"CW": (trace_id,)}, {"CW": group.records[5:]})
 
-    def test_one_record_file_is_split(self):
-        records = iot_records(b"\x33" * 32)[:1]
-        store = MemoryStore()
-        receipt = persist_evidence(store, "CW", records)
-        data = store.get("CW.json")
-        expected = StoredGroup((canonical_record_bytes(records[0]),), receipt.tree)
-        assert proofs_module._split_group_file(data) == expected
-        assert _scan_by_decoder(data) == expected
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.replace(b'},{"traceid":', b'}, {"traceid":'),
+            lambda data: data.replace(b'},{"traceid":', b'},\n{"traceid":', 1),
+            lambda data: data.replace(b'},{"root":', b'}, {"root":'),
+            lambda data: data.replace(b'},{"root":', b'} ,{"root":'),
+            lambda data: b" " + data,
+            lambda data: data + b"\n",
+            lambda data: data.replace(b'[{"traceid":', b'[ {"traceid":'),
+        ],
+        ids=["every_record", "one_record", "before_proof", "after_last_record", "leading",
+             "trailing_newline", "after_bracket"],
+    )
+    def test_whitespace_between_elements_is_corrupt(self, edit):
+        data = edit(_THREE_TRACES)
+        assert data != _THREE_TRACES and json.loads(data) == json.loads(_THREE_TRACES)
+        reasons, results, pruned, survivors, notes, after = _verified(data)
+        assert list(reasons) == ["CW"]
+        assert (results, pruned, survivors, notes, after) == ({"CW": False}, {}, {}, {}, data)
 
-    def test_proof_that_still_carries_the_tree_is_split(self):
-        data = _FIRST
-        tree = _scan_by_decoder(data).proof
-        older = data.replace(b',"leaf":[', b',"tree":["%s"],"leaf":[' % tree.root.encode(), 1)
-        assert older != data
-        assert proofs_module._split_group_file(older) == _scan_by_decoder(data)
-        assert _scan_by_decoder(older) == _scan_by_decoder(data)
+    @pytest.mark.parametrize("position", [0, 1, 14])
+    def test_record_whose_first_key_is_not_traceid_is_corrupt(self, position):
+        """At position 0 the file does not open as the writer opens it; at
+        any other the record joins the piece before it, which is then not
+        one JSON object."""
+        record = load_group_file(_THREE_TRACES).records[position]
+        obj = json.loads(record)
+        reordered = json.dumps({"task": obj["task"], **obj}, separators=(",", ":")).encode()
+        data = _THREE_TRACES.replace(record, reordered, 1)
+        assert json.loads(data)[position] == obj
+        reasons, *rest = _verified(data)
+        assert rest == [{"CW": False}, {}, {}, {}, data]
+        expected = (
+            "group file is not in the layout the pipeline writes" if position == 0
+            else f"group file's record {position - 1} is not valid JSON: Extra data"
+        )
+        assert reasons["CW"].startswith(expected)
 
-    @pytest.mark.parametrize("separator", [b'},{"traceid":', b'},{"root":'])
-    def test_whitespace_after_a_separator_goes_to_the_decoder(self, separator):
-        spaced = separator.replace(b",", b", \n")
-        data = _FIRST.replace(separator, spaced, 1)
-        assert data != _FIRST
-        assert proofs_module._split_group_file(data) is None
-        assert _scan(data) == _scan_by_decoder(_FIRST)
+    def test_boundary_nested_inside_a_record_is_corrupt(self):
+        """A record that holds a record boundary in valid JSON, and one whose
+        traceid is not its first key: the split cuts one piece too many and
+        one too few, and the cut pieces are not records."""
+        data = _cut_inside_records(_FIRST)
+        assert len(load_group_file(data).records) == len(load_group_file(_FIRST).records)
+        assert len(json.loads(data)) == len(json.loads(_FIRST))
+        reasons, *rest = _verified(data)
+        assert rest == [{"CW": False}, {}, {}, {}, data]
+        assert reasons["CW"].startswith("group file's record 0 is not valid JSON: ")
 
-    def test_file_without_a_proof_boundary_goes_to_the_decoder(self):
-        """One element that is both a record and the proof, with a leaf
-        that is the hash of no bytes: the split finds no proof boundary."""
+    @pytest.mark.parametrize(
+        "last, reason",
+        [
+            (b" ", "group file is not in the layout the pipeline writes"),
+            (b"}", "group file is not in the layout the pipeline writes"),
+            (b"", "group file is not in the layout the pipeline writes"),
+            (b"]]", "group file's proof is not valid JSON: Extra data"),
+        ],
+        ids=["space", "brace", "missing", "doubled"],
+    )
+    def test_file_not_closed_as_the_writer_closes_it_is_corrupt(self, last, reason):
+        data = _FIRST[:-1] + last
+        assert _scan(data).startswith(reason)
+        assert _verified(data)[1:] == ({"CW": False}, {}, {}, {}, data)
+
+    def test_file_without_a_proof_boundary_is_corrupt(self):
+        """One element that is both a record and the proof."""
         empty_hash = hashlib.sha256(b"").hexdigest()
         data = b'[{"traceid":"t","root":"r","leaf":["%s"]}]' % empty_hash.encode()
-        assert proofs_module._split_group_file(data) is None
-        assert _scan(data) == StoredGroup((), TreeInfo("r", (empty_hash,)))
+        assert _scan(data) == "group file is not in the layout the pipeline writes"
 
-    def test_proof_without_a_root_goes_to_the_decoder(self):
-        """verify_integrity decodes nothing in a group whose proof has no
-        root, so the decoder must have read its records."""
-        root = _scan_by_decoder(_FIRST).proof.root
+    def test_proof_without_a_root_decodes_every_piece(self):
+        """Nothing of a group whose proof has an empty root is pruned, but
+        every piece is decoded, so a malformed one makes it corrupt."""
+        root = load_group_file(_FIRST).proof.root
         data = _FIRST.replace(b'"root":"%s"' % root.encode(), b'"root":""', 1)
         assert data != _FIRST
-        assert proofs_module._split_group_file(data) is None
-        assert _verified(data) == _verified_by_decoder(data)
+        assert _verified(data) == ({}, {"CW": False}, {}, {}, {}, data)
         malformed = data.replace(b'"idx":0', b'"idx":01', 1)
-        assert _verified(malformed)[0] == {"CW": _scan_by_decoder(malformed)}
+        message = "group file's record 0 is not valid JSON: Expecting ',' delimiter: line 1 column 181 (char 180)"
+        assert _verified(malformed) == ({"CW": message}, {"CW": False}, {}, {}, {}, malformed)
 
-    def test_non_ascii_record_goes_to_the_decoder(self):
+    def test_non_ascii_record_is_split(self):
         data = _FIRST.replace(b'"task":"CW"', '"task":"CWé"'.encode(), 1)
-        assert proofs_module._split_group_file(data) is None
-        group = _scan(data)
-        assert group == _scan_by_decoder(data)
+        group = load_group_file(data)
+        assert len(group.records) == 5
         assert '"task":"CWé"'.encode() in group.records[0]
 
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            (b'"billed":', b'"billed":x', "Expecting value: line 1 column 215 (char 214)"),
-            (b'"mem":', b'"mem" ', "Expecting ':' delimiter: line 1 column 224 (char 223)"),
+            (b'"billed":', b'"billed":x', "record 0 is not valid JSON: Expecting value: line 1 column 214 (char 213)"),
+            (b'"mem":', b'"mem" ', "record 0 is not valid JSON: Expecting ':' delimiter: line 1 column 223 (char 222)"),
             # A piece after the last record, which no leaf covers.
             (
                 b'},{"root":',
                 b'},{"traceid":"t",},{"root":',
-                "Expecting property name enclosed in double quotes: line 1 column 1293 (char 1292)",
+                "record 5 is not valid JSON: "
+                "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)",
             ),
         ],
     )
-    def test_tampered_piece_that_does_not_decode_is_corrupt_as_before(self, old, new, message):
-        """The file is reported corrupt with the decoder's message, by
-        load_setups or by verify_integrity, and nothing is rewritten."""
+    def test_tampered_piece_that_does_not_decode_is_corrupt(self, old, new, message):
+        """The report names the piece's position and the JSON error, and
+        nothing is rewritten."""
         data = _FIRST.replace(old, new, 3)
-        assert _scan_by_decoder(data) == f"group file is not valid JSON: {message}"
-        reason = f"group file is not valid JSON: {message}"
+        reason = f"group file's {message}"
         assert _verified(data) == ({"CW": reason}, {"CW": False}, {}, {}, {}, data)
 
     def test_leaf_forged_without_the_root_is_corrupt(self):
         """One leaf replaced by the hash of a malformed piece, the root left
         as it was: the leaf list is not vouched for, every piece is to be
-        pruned, and the one that does not decode sends the file to the
-        decoder, which refuses it before anything is rewritten."""
-        group = _scan_by_decoder(_FIRST)
+        pruned and so decoded, and the malformed one makes the file corrupt
+        before anything is rewritten."""
+        group = load_group_file(_FIRST)
         edited = group.records[0].replace(b'"idx":0', b'"idx":01')
         old_leaf, new_leaf = group.proof.leaves[0], record_leaf_hashes([edited])[0]
         data = _FIRST.replace(group.records[0], edited, 1)
         data = data.replace(old_leaf.encode(), new_leaf.encode(), 1)
-        assert isinstance(proofs_module._split_group_file(data), StoredGroup)
-        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
+        message = "group file's record 0 is not valid JSON: Expecting ',' delimiter: line 1 column 181 (char 180)"
         assert _verified(data) == ({"CW": message}, {"CW": False}, {}, {}, {}, data)
 
     def test_leaf_list_forged_over_a_malformed_piece(self):
         """A piece whose hash is a leaf of a list that rebuilds the root is
         never decoded, so a leaf list and root rebuilt together over
-        malformed bytes pass; parse_group_file decodes every element and
-        refuses the file."""
-        pieces = list(_scan_by_decoder(_FIRST).records)
+        malformed bytes pass; only an anchor kept outside the store closes
+        this.  parse_group_file decodes every piece and refuses the file."""
+        pieces = list(load_group_file(_FIRST).records)
         pieces[0] = pieces[0].replace(b'"idx":0', b'"idx":01')
         forged_tree = build_merkle_tree(record_leaf_hashes(pieces))
         proof = json.dumps({"root": forged_tree.root, "leaf": forged_tree.leaves}, separators=(",", ":"))
         data = b"[" + b",".join([*pieces, proof.encode()]) + b"]"
-        assert proofs_module._split_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
+        assert load_group_file(data) == StoredGroup(tuple(pieces), forged_tree)
         assert _verified(data) == ({}, {"CW": True}, {}, {}, {}, data)
-        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column 182 (char 181)"
-        assert _scan_by_decoder(data) == message
+        message = "group file's record 0 is not valid JSON: Expecting ',' delimiter: line 1 column 181 (char 180)"
         with pytest.raises(CorruptGroupFile) as raised:
             parse_group_file(data)
         assert str(raised.value) == message
-
-    def test_pieces_cut_inside_a_record_are_read_by_the_decoder(self):
-        """A record that holds a record boundary in valid JSON, and one
-        whose traceid is not its first key: the split cuts one piece too
-        many and one too few, so the piece count still matches.  The cut
-        pieces do not decode, so verify_integrity reads the file with the
-        decoder and prunes the two records as read there."""
-        group = _scan_by_decoder(_FIRST)
-        first, second = group.records[0], group.records[1]
-        nested = first[:-1] + b',"x":[{},{"traceid":0}]}'
-        reordered = b'{"task":"x",' + second[1:]
-        data = _FIRST.replace(first, nested, 1).replace(second, reordered, 1)
-        split = proofs_module._split_group_file(data)
-        assert len(split.records) == len(group.records) and split.records[0] != nested
-        assert _scan_by_decoder(data).records[:2] == (nested, reordered)
-        outcome = _verified(data)
-        assert outcome == _verified_by_decoder(data)
-        trace_ids = [json.loads(r)["traceid"] for r in (first, second)]
-        assert outcome[2] == {"CW": tuple(trace_ids)}
-        assert outcome[3] == {"CW": group.records[2:]}
 
     @pytest.mark.parametrize(
         "edit, pruned, corrupt",
         [
             (lambda data: data, 0, False),
             (lambda data: data.replace(b'"route":"', b'"route":"X', 1), 1, False),
-            (_cut_inside_records, 2, False),
+            (_cut_inside_records, 0, True),
             (lambda data: data.replace(b'"billed":', b'"billed":x', 3), 0, True),
         ],
-        ids=[
-            "untampered", "pruned_as_split", "pruned_as_decoded_again", "corrupt_as_decoded_again"
-        ],
+        ids=["untampered", "pruned", "corrupt_nested_boundary", "corrupt_piece"],
     )
     def test_each_group_file_is_read_once(self, edit, pruned, corrupt):
         """Loading and verifying gets each listed group file from the
-        store once, also when a piece is not a record and the group's
-        bytes are decoded again."""
+        store once, also when a piece is not a record."""
         store = CountingStore()
         store.put("CW.json", edit(_FIRST))
         store.put("CS.json", _GROUP_FILES[1])
@@ -550,19 +606,6 @@ class TestRecordBoundarySplit:
         assert len(report.pruned.get("CW", ())) == pruned
         assert ("CW" in report.corrupt) is corrupt
 
-    def test_record_open_into_a_reformatted_proof_differs_only_in_offset(self):
-        """The bytes decoded again end in the proof as the writer writes it,
-        so when the last record's brackets stay open into a proof written
-        with a space, the decoder's message counts a shorter file."""
-        cut = _FIRST.rindex(b'},{"root":')
-        proof = _FIRST[cut:].replace(b'{"root":', b'{"root": ', 1)
-        data = _FIRST[:cut] + b',"x":[{"a":0' + proof
-        split, alone = _verified(data), _verified_by_decoder(data)
-        assert split[1:] == alone[1:] == ({"CW": False}, {}, {}, {}, data)
-        message = "group file is not valid JSON: Expecting ',' delimiter: line 1 column %d (char %d)"
-        assert split[0] == {"CW": message % (len(data), len(data) - 1)}
-        assert alone[0] == {"CW": message % (len(data) + 1, len(data))}
-
     def test_empty_root_file_is_unchanged(self):
         store = MemoryStore()
         persist_evidence(store, "CW", [])
@@ -573,13 +616,10 @@ class TestRecordBoundarySplit:
     @pytest.mark.parametrize("tampered", [0, 1, 3])
     def test_only_the_proof_and_tampered_records_are_decoded(self, tampered):
         """Loading and verifying an untampered file decodes one element,
-        its proof; each record whose bytes no longer match its leaf, and
-        so is pruned, adds one."""
-        records = [r for seed in (b"\x34", b"\x35", b"\x36") for r in iot_records(seed * 32)]
+        its proof; each record whose bytes no longer match its leaf adds
+        one.  The other records of its trace are pruned undecoded."""
         store = MemoryStore()
-        persist_evidence(store, "CW.SE.CS.CT.CA", records)
-        data = store.get("CW.SE.CS.CT.CA.json")
-        store.put("CW.SE.CS.CT.CA.json", data.replace(b'"route":"', b'"route":"X', tampered))
+        store.put("CW.SE.CS.CT.CA.json", _THREE_TRACES.replace(b'"route":"', b'"route":"X', tampered))
         decoded = []
         decode = proofs_module._decode
 
@@ -591,7 +631,8 @@ class TestRecordBoundarySplit:
             setups, corrupt = load_setups(store)
             report = verify_integrity(setups, corrupt, store)
         assert corrupt == {} and report.corrupt == {}
-        assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == tampered
+        assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == min(tampered, 1)
+        assert len(report.survivors.get("CW.SE.CS.CT.CA", ())) == (10 if tampered else 0)
         assert len(decoded) == tampered + 1
 
     @settings(max_examples=300, deadline=None)
@@ -604,14 +645,15 @@ class TestRecordBoundarySplit:
     @example(["é\ud83d\ude00", "\ud800", 'a\\"\\'], [0, 0, 0, 0, 0], RouteKind.REMOTE)
     def test_no_encoded_record_holds_a_boundary(self, texts, ints, route):
         """A change to the encoder that writes a record boundary inside a
-        record sends every group file back to the decoder; this test
-        catches it."""
+        record would make every file it writes corrupt; this test catches
+        it.  The traceid read from a record's prefix is its JSON quoting."""
         trace_id, task, caller = texts
         idx, start, billed, mem, setupv = ints
         record = InvocationRecord(trace_id, task, idx, caller, start, billed, mem, route, setupv)
         encoded = canonical_record_bytes(record)
         assert encoded.startswith(b'{"traceid":') and encoded.endswith(b"}")
-        assert b'},{"traceid":' not in encoded and b'},{"root":' not in encoded
+        assert b'},{"traceid":' not in encoded and b',{"root":' not in encoded
+        assert stored_trace_id(encoded) == json.dumps(trace_id).encode()
 
 
 def rglob_keys(root, prefix: str = "") -> list[str]:

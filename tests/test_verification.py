@@ -20,6 +20,7 @@ from fusionproof.proofs import (
     build_merkle_tree,
     canonical_record_bytes,
     group_file_bytes,
+    join_group_file,
     load_setups,
     parse_group_file,
     persist_evidence,
@@ -174,7 +175,7 @@ class TestVerifyIntegrity:
         store, _, report = verify_tampered(block_too=True)
         assert plain.pruned == {self.KEY: (records[1].trace_id,)}
         block_key = f"{self.KEY}/{records[1].trace_id}"
-        reason = "group file must be a non-empty JSON array"
+        reason = "group file is not in the layout the pipeline writes"
         assert report == dataclasses.replace(
             plain,
             group_results={**plain.group_results, block_key: False},
@@ -246,19 +247,22 @@ class TestVerifyIntegrity:
     def test_appended_copy_of_last_record_is_pruned(self):
         # An odd leaf count pads its last leaf, so the stored root also
         # rebuilds over a copy of the last record; the leaf list does not.
+        # The copy's trace, the last five records, is pruned whole.
         store = MemoryStore()
         records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
         assert len(records) == 15
+        assert {r.trace_id for r in records[10:]} == {records[-1].trace_id}
         persist_evidence(store, self.KEY, records)
-        sealed = store.get(f"{self.KEY}.json")
         append_copy_of_last_record(0, store)
         setups, _ = load_setups(store)
         assert setups[self.KEY].records == encoded(*records, records[-1])
         report = verify_integrity(setups, {}, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[-1].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(*records)}
-        assert store.get(f"{self.KEY}.json") == sealed
+        assert report.survivors == {self.KEY: encoded(*records[:10])}
+        survivors = encoded(*records[:10])
+        assert store.get(f"{self.KEY}.json") == join_group_file(
+            survivors, build_merkle_tree(record_leaf_hashes(survivors)))
         assert verify_integrity(*load_setups(store), store).integrity_verified is True
 
     @pytest.mark.parametrize(
@@ -347,13 +351,25 @@ class TestStoredBytes:
         assert corrupt == {}
         return verify_integrity(setups, corrupt, store)
 
-    def test_whitespace_between_elements_verifies(self):
+    @pytest.mark.parametrize(
+        "head, separator, tail",
+        [(b" [\n  ", b" ,\n  ", b"\n]\n"), (b"[", b", ", b"]"), (b"[", b",", b"]\n")],
+        ids=["pretty_printed", "space_after_comma", "trailing_newline"],
+    )
+    def test_whitespace_between_elements_is_corrupt(self, head, separator, tail):
+        """A file the pipeline did not write in its layout is corrupt, and
+        left as stored, whether or not a JSON decoder would read it."""
         store, records, data = self.persisted()
         elements = [*encoded(*records), data[data.rindex(b',{"root"') + 1 : -1]]
-        store.put(f"{self.KEY}.json", b" [\n  " + b" ,\n  ".join(elements) + b"\n]\n")
-        report = self.verify(store)
-        assert report.integrity_verified is True
-        assert report.pruned == {}
+        spaced = head + separator.join(elements) + tail
+        assert json.loads(spaced) == json.loads(data)
+        store.put(f"{self.KEY}.json", spaced)
+        setups, corrupt = load_setups(store)
+        report = verify_integrity(setups, corrupt, store)
+        assert report.integrity_verified is False
+        assert list({**corrupt, **report.corrupt}) == [self.KEY]
+        assert report.pruned == {} and report.survivors == {}
+        assert store.get(f"{self.KEY}.json") == spaced
 
     @pytest.mark.parametrize("idx", [b'"idx": 0', b'"idx":"0"'])
     def test_reformatted_record_is_pruned(self, idx):
@@ -405,12 +421,19 @@ class TestStoredBytes:
         ids=["no_traceid", "array", "number"],
     )
     def test_element_that_is_not_a_record_is_corrupt(self, edit):
+        """The element no longer opens with a record boundary, so it is
+        split with the record before it into one piece, which is not a
+        whole JSON object: verification reports the file corrupt."""
         store, records, data = self.persisted()
         element = canonical_record_bytes(records[1])
-        store.put(f"{self.KEY}.json", data.replace(element, edit(element)))
+        tampered = data.replace(element, edit(element))
+        store.put(f"{self.KEY}.json", tampered)
         setups, corrupt = load_setups(store)
-        assert setups == {}
-        assert list(corrupt) == [self.KEY]
+        assert corrupt == {} and len(setups[self.KEY].records) < 3
+        report = verify_integrity(setups, corrupt, store)
+        assert report.group_results == {self.KEY: False}
+        assert report.corrupt[self.KEY].startswith("group file's record 0 is not valid JSON: Extra data")
+        assert store.get(f"{self.KEY}.json") == tampered
 
 
 def _inflated(record):
@@ -484,8 +507,8 @@ class TestSealedTree:
         [
             ("untouched", True, []),
             ("untouched", False, [15]),
-            ("tampered_record", True, [14]),  # the survivors' tree only
-            ("tampered_record", False, [15, 14]),
+            ("tampered_record", True, [10]),  # the survivors' tree only
+            ("tampered_record", False, [15, 10]),
             ("seal_differs_by_one_leaf", True, [15]),
             ("forged_root", True, [15, 0]),
         ],
@@ -968,7 +991,7 @@ class TestRunOptimization:
             assert result.reverted is True
             assert result.estimated_cost_ms is None
             assert result.setup_part == SPLIT.setup_part
-            assert result.pruned_counts == {"CW": 10}
+            assert result.pruned_counts == {"CW": 2}
         assert trace.final_setup is SPLIT
 
     def test_partial_tamper_prunes_and_continues(self):
@@ -1029,7 +1052,7 @@ class TestRunOptimization:
         result = trace.iterations[0]
         assert result.integrity_verified is False
         assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
-        assert len(seen) == 15
+        assert len(seen) == 10
         assert result.estimated_cost_ms == pytest.approx(282.0)
 
     def test_non_string_task_prunes_and_continues(self):
@@ -1070,7 +1093,7 @@ class TestRunOptimization:
         )
         result = trace.iterations[0]
         assert result.integrity_verified is False
-        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 20}
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 4}
         assert result.reverted is True
         assert result.estimated_cost_ms is None
 
@@ -1117,6 +1140,35 @@ class TestRunOptimization:
         assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
         assert result.estimated_cost_ms == pytest.approx(282.0)
 
+    @pytest.mark.parametrize("hop", [0, 2, 4])
+    def test_a_tampered_hop_prunes_its_whole_trace(self, monkeypatch, hop):
+        """As filter_batch flags a trace whole, verification prunes every
+        record of a trace with one tampered hop: the other four never
+        reach the metrics."""
+        seen, tampered = [], []
+
+        def recording(records, fusion_key, app):
+            seen.extend(records)
+            return annotate_metrics(records, fusion_key, app)
+
+        def tamper_hop(iteration: int, store) -> None:
+            key = "CW.SE.CS.CT.CA.json"
+            records = parse_group_file(store.get(key))
+            tree, records = records[-1], records[:-1]
+            records[hop] = dataclasses.replace(records[hop], billed_duration_ms=80000)
+            tampered.append(records[hop].trace_id)
+            store.put(key, group_file_bytes(records, tree))
+
+        monkeypatch.setattr(verification, "annotate_metrics", recording)
+        trace = run_optimization(
+            IOT, FUSED, 1, policy=POLICY, seed=19, request_counts=(2,), tamper=tamper_hop
+        )
+        result = trace.iterations[0]
+        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 1}
+        assert len(seen) == 5
+        assert tampered[0] not in {r.trace_id for r in seen}
+        assert result.estimated_cost_ms == pytest.approx(282.0)
+
     def test_pruned_iteration_verifies_once(self, monkeypatch):
         calls = {"load_setups": [], "verify_integrity": [], "annotate_metrics": []}
 
@@ -1146,7 +1198,7 @@ class TestRunOptimization:
         survivors = [record_from_wire(json.loads(data)) for data in report.survivors[key]]
         assert calls["annotate_metrics"] == [annotate_metrics(survivors, key, IOT)]
 
-    @pytest.mark.parametrize("tamper, builds", [(None, []), (tamper_first_record, [9])])
+    @pytest.mark.parametrize("tamper, builds", [(None, []), (tamper_first_record, [5])])
     def test_proof_is_checked_against_its_receipt(self, monkeypatch, tamper, builds):
         calls = []
 
