@@ -17,11 +17,11 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
-from .proofs import ThresholdPolicy, filter_batch, load_setups, persist_evidence
+from .proofs import ThresholdPolicy, filter_batch, group_key, load_setups, persist_evidence
 from .store import FileStore
 from .verification import (
     CostModel,
@@ -307,6 +307,14 @@ def _output_dir(config: ScenarioConfig) -> Path:
     return Path(config.output_dir)
 
 
+def _refuse_stale_keys(config: ScenarioConfig, stale: Callable[[str], bool], needs: str) -> None:
+    """A store is verified whole, so an earlier run's group file would be
+    reported as this run's: ConfigError naming the first key stale accepts."""
+    root = Path(config.store_root)
+    for key in filter(stale, FileStore(root).list() if root.is_dir() else []):
+        raise ConfigError(f"store_root {config.store_root!r} already holds {key!r}; {needs}")
+
+
 def _require_seed(config: ScenarioConfig) -> int:
     if config.seed is None:
         raise ConfigError("seed is mandatory; pass --seed or set it in the config")
@@ -351,6 +359,9 @@ def cmd_run(config: ScenarioConfig) -> int:
     setup = build_setup(config, app)
     attack = build_attack(config)
     policy = build_policy(config, app)
+    fusion_key = entry_fusion_key(setup, app.entry_task)
+    _refuse_stale_keys(config, group_key(fusion_key).__ne__,
+                       "run needs a store root without other group files")
     batch = run_workload(
         app,
         setup,
@@ -363,7 +374,7 @@ def cmd_run(config: ScenarioConfig) -> int:
     )
     clean, flagged = filter_batch(batch.records, policy)
     store = FileStore(config.store_root)
-    persist_evidence(store, entry_fusion_key(setup, app.entry_task), clean)
+    persist_evidence(store, fusion_key, clean)
     _write_csv(out / "records.csv", _RECORD_COLUMNS, [_record_row(r) for r in batch.records])
     _write_csv(
         out / "flagged.csv",
@@ -405,14 +416,8 @@ def cmd_optimize(config: ScenarioConfig) -> int:
     attack = build_attack(config)
     policy = build_policy(config, app)
     store_root = Path(config.store_root)
-    # Each iteration's store is verified whole, so an earlier run's
-    # iterNNN files would be reported as this run's groups.
-    stale = [k for k in FileStore(store_root).list() if "/" in k] if store_root.is_dir() else []
-    if stale:
-        raise ConfigError(
-            f"store_root {config.store_root!r} already holds {stale[0]!r}; "
-            "optimize needs a store root without iteration stores"
-        )
+    _refuse_stale_keys(config, lambda key: "/" in key,
+                       "optimize needs a store root without iteration stores")
     trace = run_optimization(
         app,
         setup,

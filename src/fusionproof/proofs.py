@@ -324,16 +324,24 @@ def group_file_bytes(records: Sequence[InvocationRecord], tree: TreeInfo) -> byt
     return join_group_file([canonical_record_bytes(r) for r in records], tree)
 
 
-def persist_evidence(store, fusion_key: str, clean_records: Sequence[InvocationRecord]) -> PersistReceipt:
+def persist_evidence(
+    store, fusion_key: str, clean_records: Sequence[InvocationRecord],
+    seals: Optional[dict[str, bytes]] = None,
+) -> PersistReceipt:
     """Write the group file: every record in hashing order, then its Merkle proof.
 
     Each record is encoded once, and those bytes are both hashed and
     joined into the group file, the one object verification reads.
+    When seals is given and the tree is not empty, the bytes object put
+    is also set in it under fusion_key, for load_setups to compare with.
     """
     encoded = [canonical_record_bytes(r) for r in clean_records]
     tree = build_merkle_tree(record_leaf_hashes(encoded))
     gkey = group_key(fusion_key)
-    store.put(gkey, join_group_file(encoded, tree))
+    data = join_group_file(encoded, tree)
+    store.put(gkey, data)
+    if seals is not None and tree.root:
+        seals[fusion_key] = data
     return PersistReceipt(gkey, tree)
 
 
@@ -392,7 +400,9 @@ def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
     return [*records, group.proof]
 
 
-def load_setups(store) -> tuple[dict[str, StoredGroup], dict[str, str]]:
+def load_setups(
+    store, seals: Optional[dict[str, bytes]] = None
+) -> tuple[dict[str, Optional[StoredGroup]], dict[str, str]]:
     """Load every group file, as stored, into verification's input shape.
 
     Returns (setups, corrupt): setups maps fusion_key to the group's
@@ -402,13 +412,25 @@ def load_setups(store) -> tuple[dict[str, StoredGroup], dict[str, str]]:
     subdirectory included.  No record is decoded into an InvocationRecord,
     and a corrupt file never hides the remaining keys.  verify_integrity
     takes both maps and gives the verdict.
+
+    seals optionally maps a fusion key to the bytes persist_evidence set
+    in it.  A stored file equal to them is what verification would pass
+    as it stands, so it is not split and maps to None.  Each seal is
+    popped as it is compared, and seals is empty on return.
     """
-    setups: dict[str, StoredGroup] = {}
+    setups: dict[str, Optional[StoredGroup]] = {}
     corrupt: dict[str, str] = {}
+    seals = seals if seals is not None else {}
     for key in store.list(""):
         fusion_key = key[: -len(_GROUP_SUFFIX)]
         try:
-            setups[fusion_key] = load_group_file(store.get(key))
+            data = store.get(key)
+            # A store's get may return the very object put: then no byte is read.
+            if data == seals.pop(fusion_key, None):
+                setups[fusion_key] = None
+                continue
+            setups[fusion_key] = load_group_file(data)
         except (NotFound, CorruptGroupFile) as exc:
             corrupt[fusion_key] = str(exc)
+    seals.clear()
     return setups, corrupt

@@ -105,7 +105,7 @@ def _check_group(
 
 
 def verify_integrity(
-    setups: Mapping[str, StoredGroup],
+    setups: Mapping[str, Optional[StoredGroup]],
     corrupt: Mapping[str, str],
     store: EvidenceStore,
     sealed: Optional[Mapping[str, TreeInfo]] = None,
@@ -126,7 +126,9 @@ def verify_integrity(
     gave when the caller sealed that group, as a PersistReceipt holds it.
     A stored proof equal to it counts without a rebuild, and any other
     proof is rebuilt.  Every record element is hashed and compared either
-    way, so the report is the one a rebuild gives.
+    way, so the report is the one a rebuild gives.  A group load_setups
+    mapped to None, its stored bytes equal to the bytes sealed, passes
+    unread.
 
     Every element the leaf list does not vouch for is decoded for its
     trace id before anything is written; when one is not, whole, a JSON
@@ -140,6 +142,9 @@ def verify_integrity(
     corrupt = dict(corrupt)
     sealed = sealed if sealed is not None else {}
     for key, group in setups.items():
+        if group is None:
+            group_results[key] = True
+            continue
         verdict, recomputed, unvouched = _check_group(group, sealed.get(key))
         try:
             doomed = dict(record_trace_id(group.records[p], p) for p in unvouched)
@@ -465,7 +470,8 @@ def run_optimization(
     as the persisted record it hashes to, and not at all if it hashes to
     none.  A group file that will not parse fails the iteration's
     integrity.  When nothing survives the setup reverts to initial_setup
-    for the next iteration.
+    for the next iteration.  An inspected entry group file that still holds
+    the bytes persist wrote passes by comparison, without a split or a hash.
     The optional tamper hook mutates the store between persist and verify,
     simulating an attacker with storage access.
     """
@@ -509,7 +515,9 @@ def run_optimization(
 
         store = store_factory(it) if store_factory is not None else MemoryStore()
         fusion_key = entry_fusion_key(current, app.entry_task)
-        receipt = persist_evidence(store, fusion_key, clean)
+        # The bytes persist wrote, kept only until load_setups compares them.
+        seals: Optional[dict[str, bytes]] = {} if inspect_this else None
+        receipt = persist_evidence(store, fusion_key, clean, seals)
         if tamper is not None:
             tamper(it, store)
 
@@ -520,7 +528,7 @@ def run_optimization(
         usable_records: Sequence[InvocationRecord] = clean
         last_outcome = InspectionOutcome.NOT_INSPECTED
         if inspect_this:
-            setups, corrupt = load_setups(store)
+            setups, corrupt = load_setups(store, seals)
             report = verify_integrity(setups, corrupt, store, {fusion_key: receipt.tree})
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}

@@ -370,6 +370,45 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert "target_task" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["CW.json", "iter000/CW.SE.CS.CT.CA.json", "other/deep/G.json"],
+        ids=["other_setup", "optimize_root", "nested"],
+    )
+    def test_root_holding_another_group_file_is_usage_error(self, tmp_path, capsys, key):
+        # verify would report that file as this run's group.
+        FileStore(tmp_path / "evidence").put(key, b"{}")
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"already holds {key!r}" in err and "run needs a store root" in err
+        assert FileStore(tmp_path / "evidence").list() == [key]
+        assert FileStore(tmp_path / "evidence").get(key) == b"{}"
+        assert not (tmp_path / "out").exists()
+
+    def test_second_run_with_another_setup_is_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_OK
+        root = tmp_path / "evidence"
+        before = (root / "CW.SE.CS.CT.CA.json").read_bytes()
+        config = write_config(
+            tmp_path, "split.json", initial_setup="split", request_counts=[3],
+            output_dir=str(tmp_path / "out2"),
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert "already holds 'CW.SE.CS.CT.CA.json'" in capsys.readouterr().err
+        assert FileStore(root).list() == ["CW.SE.CS.CT.CA.json"]
+        assert (root / "CW.SE.CS.CT.CA.json").read_bytes() == before
+        assert not (tmp_path / "out2").exists()
+
+    def test_rerun_with_the_same_setup_overwrites_its_group_file(self, tmp_path):
+        root = tmp_path / "evidence"
+        (root / "iter000").mkdir(parents=True)
+        (root / "iter000" / "notes.txt").write_text("not a key", encoding="utf-8")
+        assert main(["run", "--config", str(write_config(tmp_path, seed=1))]) == EXIT_OK
+        first = (root / "CW.SE.CS.CT.CA.json").read_bytes()
+        assert main(["run", "--config", str(write_config(tmp_path, seed=2))]) == EXIT_OK
+        assert FileStore(root).list() == ["CW.SE.CS.CT.CA.json"]
+        assert (root / "CW.SE.CS.CT.CA.json").read_bytes() != first
+        assert main(["verify", "--config", str(write_config(tmp_path, seed=2))]) == EXIT_OK
+
 
 class TestLoadAppSpec:
     def load(self, tmp_path, document):

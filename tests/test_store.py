@@ -656,6 +656,62 @@ class TestOneReader:
         assert stored_trace_id(encoded) == json.dumps(trace_id).encode()
 
 
+def _load_and_verify(data: bytes, seal=None):
+    """The report and the file's bytes afterwards, for a store holding one
+    group file loaded with or without a seal, and the splits it took."""
+    store = CountingStore()
+    store.put("CW.json", data)
+    seals = {} if seal is None else {"CW": seal}
+    splits = []
+    split = proofs_module.load_group_file
+    with mock.patch.object(proofs_module, "load_group_file", lambda d: splits.append(d) or split(d)):
+        setups, corrupt = load_setups(store, seals)
+    assert seals == {} and store.gets == {"CW.json": 1}
+    return verify_integrity(setups, corrupt, store), store.get("CW.json"), splits
+
+
+class TestSeal:
+    """A group file equal to the bytes persist sealed for it passes
+    unsplit; every other file is split and checked in full, and the report
+    and the store are always those that loading without the seal gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([*_GROUP_FILES, _THREE_TRACES]), st.lists(_EDIT, max_size=4))
+    def test_mutated_file_verifies_as_without_the_seal(self, data, edits):
+        mutated = _mutate(data, edits)
+        report, after, splits = _load_and_verify(mutated, seal=data)
+        assert (report, after) == _load_and_verify(mutated)[:2]
+        assert splits == ([] if mutated == data else [mutated])
+
+    @pytest.mark.parametrize("data", [_FIRST, _THREE_TRACES], ids=["one_trace", "three_traces"])
+    def test_one_byte_changed_anywhere_is_split(self, data):
+        """Each byte flipped in turn, the proof's included, and one byte
+        cut from or added to either end."""
+        changed = [data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :] for at in range(len(data))]
+        changed += [data[1:], data[:-1], b" " + data, data + b" "]
+        for mutated in changed:
+            report, after, splits = _load_and_verify(mutated, seal=data)
+            assert splits == [mutated]
+            assert (report, after) == _load_and_verify(mutated)[:2]
+            assert not report.integrity_verified
+
+    def test_equal_bytes_read_from_a_file_pass_unsplit(self, tmp_path):
+        store, seals = FileStore(tmp_path / "ev"), {}
+        persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x31" * 32), seals)
+        with mock.patch.object(proofs_module, "load_group_file", side_effect=AssertionError):
+            setups, corrupt = load_setups(store, seals)
+        assert (setups, corrupt, seals) == ({"CW.SE.CS.CT.CA": None}, {}, {})
+        report = verify_integrity(setups, corrupt, store)
+        assert report.integrity_verified and report.group_results == {"CW.SE.CS.CT.CA": True}
+
+    def test_the_empty_group_is_not_sealed_and_still_fails(self):
+        store, seals = MemoryStore(), {}
+        persist_evidence(store, "CW", [], seals)
+        assert seals == {}
+        report, after, splits = _load_and_verify(store.get("CW.json"))
+        assert (report.group_results, report.pruned, len(splits)) == ({"CW": False}, {}, 1)
+
+
 def rglob_keys(root, prefix: str = "") -> list[str]:
     """The listing as a recursive glob over the store's directory gives it."""
     keys = []

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+import fusionproof.proofs as proofs
 import fusionproof.verification as verification
 from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError
 from fusionproof.handler import FusionSetup, entry_fusion_key, generate_trace_id
@@ -474,32 +475,53 @@ SEALED_CASES = {
 
 class TestSealedTree:
     """A stored proof equal to the tree sealed for its group is not
-    rebuilt; every other proof is, and the report and the rewritten store
-    are always those that verifying without the sealed tree gives."""
+    rebuilt, and a stored file equal to the bytes sealed for it is not
+    even split; every other group takes the full check, and the report
+    and the rewritten store are always those that verifying without any
+    seal gives."""
 
     KEY = "CW.SE.CS.CT.CA"
 
-    def verify(self, case, with_seal: bool, monkeypatch=None):
+    def verify(self, case, seal: str, monkeypatch=None):
+        """seal is "none", "tree" (verify_integrity's sealed tree) or
+        "bytes" (that tree, and the file persist would write under it
+        given to load_setups).  Returns the report, the store's bytes
+        afterwards, and the Merkle builds, splits and verification-side
+        leaf hashings, each by its length."""
         records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
         assert len(records) == 15
         store = MemoryStore()
         tree = persist_evidence(store, self.KEY, records).tree
         stored_records, stored_proof, sealed = SEALED_CASES[case](records, tree)
         store.put(f"{self.KEY}.json", group_file_bytes(stored_records, stored_proof))
-        setups, corrupt = load_setups(store)
-        builds = []
+        seals = {}
+        if seal == "bytes":
+            # What persist seals under the sealed tree: none for an empty group.
+            persist_evidence(MemoryStore(), self.KEY, records if sealed.root else [], seals)
+            if sealed.root and sealed != tree:
+                seals[self.KEY] = group_file_bytes(records, sealed)
+        calls = {"builds": [], "splits": [], "hashes": []}
         if monkeypatch is not None:
-            def counting(leaves):
-                builds.append(len(leaves))
-                return build_merkle_tree(leaves)
-            monkeypatch.setattr(verification, "build_merkle_tree", counting)
-        report = verify_integrity(setups, corrupt, store, {self.KEY: sealed} if with_seal else None)
-        return report, {k: store.get(k) for k in store.list()}, builds
+            for owner, name, kind in [
+                (verification, "build_merkle_tree", "builds"),
+                (proofs, "load_group_file", "splits"),
+                (verification, "record_leaf_hashes", "hashes"),
+            ]:
+                def counting(arg, inner=getattr(owner, name), kind=kind):
+                    calls[kind].append(len(arg))
+                    return inner(arg)
+                monkeypatch.setattr(owner, name, counting)
+        setups, corrupt = load_setups(store, seals)
+        assert seals == {}
+        sealed_trees = {self.KEY: sealed} if seal != "none" else None
+        report = verify_integrity(setups, corrupt, store, sealed_trees)
+        return report, {k: store.get(k) for k in store.list()}, calls
 
     @pytest.mark.parametrize("case", SEALED_CASES)
     def test_same_report_and_store_with_or_without_the_seal(self, case):
-        report, stored, _ = self.verify(case, with_seal=True)
-        assert (report, stored) == self.verify(case, with_seal=False)[:2]
+        report, stored, _ = self.verify(case, "tree")
+        assert (report, stored) == self.verify(case, "none")[:2]
+        assert (report, stored) == self.verify(case, "bytes")[:2]
         assert report.integrity_verified is (case in ("untouched", "seal_differs_by_one_leaf"))
 
     @pytest.mark.parametrize(
@@ -514,7 +536,50 @@ class TestSealedTree:
         ],
     )
     def test_merkle_builds(self, monkeypatch, case, with_seal, builds):
-        assert self.verify(case, with_seal, monkeypatch)[2] == builds
+        assert self.verify(case, "tree" if with_seal else "none", monkeypatch)[2]["builds"] == builds
+
+    @pytest.mark.parametrize(
+        "case, builds",
+        [
+            ("untouched", []),
+            ("tampered_record", [10]),
+            ("seal_differs_by_one_leaf", [15]),
+            ("forged_root", [15, 0]),
+        ],
+    )
+    def test_merkle_builds_with_the_bytes_seal(self, monkeypatch, case, builds):
+        assert self.verify(case, "bytes", monkeypatch)[2]["builds"] == builds
+
+    @pytest.mark.parametrize(
+        "case, seal, splits, hashes",
+        [
+            ("untouched", "bytes", 0, []),
+            ("untouched", "tree", 1, [15]),
+            ("tampered_record", "bytes", 1, [15]),
+            ("empty_group_sealed_empty", "bytes", 1, []),
+        ],
+    )
+    def test_only_a_file_equal_to_its_seal_goes_unsplit(self, monkeypatch, case, seal, splits, hashes):
+        calls = self.verify(case, seal, monkeypatch)[2]
+        assert (len(calls["splits"]), calls["hashes"]) == (splits, hashes)
+
+    def test_persist_seals_the_object_it_puts_unless_the_group_is_empty(self):
+        store, seals = MemoryStore(), {}
+        records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
+        persist_evidence(store, self.KEY, records, seals)
+        assert seals[self.KEY] is store.get(f"{self.KEY}.json")
+        persist_evidence(store, "CW", [], seals)
+        assert list(seals) == [self.KEY]
+
+    def test_a_seal_whose_file_is_gone_is_dropped(self):
+        """The group file deleted after persist: nothing to compare, and
+        the seal is released all the same."""
+        store, seals = MemoryStore(), {}
+        records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
+        persist_evidence(store, self.KEY, records, seals)
+        store.delete(f"{self.KEY}.json")
+        assert load_setups(store, seals) == ({}, {})
+        assert seals == {}
 
 
 def encoded(*records) -> tuple[bytes, ...]:
@@ -1243,6 +1308,89 @@ class TestRunOptimization:
             assert result.integrity_verified is None
             assert result.group_results == {}
             assert result.estimated_cost_ms is not None
+
+    @pytest.mark.parametrize(
+        "tamper, splits, hashes",
+        # Tampered: verify_integrity hashes the 10 stored records once,
+        # then the 5 survivors are hashed to find their persisted records.
+        [(None, 0, []), (tamper_first_record, 1, [10, 5])],
+        ids=["untouched", "tampered"],
+    )
+    def test_an_untouched_group_is_neither_split_nor_hashed_again(
+        self, monkeypatch, tamper, splits, hashes
+    ):
+        calls = {"splits": 0, "hashes": [], "seals": []}
+        inner_split, inner_hash = proofs.load_group_file, verification.record_leaf_hashes
+        inner_load = verification.load_setups
+
+        def splitting(data):
+            calls["splits"] += 1
+            return inner_split(data)
+
+        def hashing(encoded):
+            calls["hashes"].append(len(encoded))
+            return inner_hash(encoded)
+
+        def loading(store, seals):
+            # Splits are counted here only: the tamper hook splits the file too.
+            calls["seals"].append(list(seals))
+            with monkeypatch.context() as patch:
+                patch.setattr(proofs, "load_group_file", splitting)
+                result = inner_load(store, seals)
+            assert seals == {}
+            return result
+
+        monkeypatch.setattr(verification, "record_leaf_hashes", hashing)
+        monkeypatch.setattr(verification, "load_setups", loading)
+        trace = run_optimization(
+            IOT, FUSED, 1, policy=POLICY, seed=19, request_counts=(2,), tamper=tamper
+        )
+        assert trace.iterations[0].integrity_verified is (tamper is None)
+        assert calls == {"splits": splits, "hashes": hashes, "seals": [["CW.SE.CS.CT.CA"]]}
+
+    def test_only_an_inspected_iteration_seals(self, monkeypatch):
+        seals = []
+        inner = verification.persist_evidence
+
+        def persisting(store, fusion_key, records, sealed):
+            seals.append(sealed)
+            return inner(store, fusion_key, records, sealed)
+
+        monkeypatch.setattr(verification, "persist_evidence", persisting)
+        sampling = SamplingState(SamplingMode.SAMPLING, 10, i=10, f=0.5)
+        trace = run_optimization(IOT, FUSED, 6, policy=POLICY, seed=29, sampling=sampling)
+        assert {r.inspected for r in trace.iterations} == {True, False}
+        assert [s is not None for s in seals] == [r.inspected for r in trace.iterations]
+        assert all(s == {} for s in seals if s is not None)
+
+    def test_tree_operation_gets_each_store_once(self, monkeypatch):
+        """The tree_optimize benchmark's shape, scaled down: 8 inspected
+        iterations of a fused tree(4,2), one stored record altered on
+        every third.  Each iteration's store is read once, and only the
+        altered groups are split."""
+        tree = builtin_tree_app(fanout=4, depth=2)
+        gets, splits = [], []
+        inner_split = proofs.load_group_file
+
+        class CountingStore(MemoryStore):
+            def get(self, key):
+                gets.append(key)
+                return super().get(key)
+
+        def tamper(iteration: int, store) -> None:
+            if iteration % 3 == 0:
+                key = store.list()[0]
+                data = MemoryStore.get(store, key)
+                store.put(key, data.replace(b'"billed":', b'"billed":1', 1))
+
+        monkeypatch.setattr(proofs, "load_group_file", lambda data: splits.append(1) or inner_split(data))
+        trace = run_optimization(
+            tree, FusionSetup.fused([tree.task_names()]), 8, seed=5,
+            request_counts=(2, 3), store_factory=lambda it: CountingStore(), tamper=tamper,
+        )
+        assert all(r.inspected for r in trace.iterations)
+        assert [r.integrity_verified for r in trace.iterations] == [i % 3 != 0 for i in range(8)]
+        assert (len(gets), len(splits)) == (8, 3)
 
     def test_deterministic_across_runs(self):
         a = run_optimization(IOT, SPLIT, 5, policy=POLICY, seed=31)
