@@ -310,8 +310,7 @@ def _output_dir(config: ScenarioConfig) -> Path:
 def _refuse_stale_keys(config: ScenarioConfig, stale: Callable[[str], bool], needs: str) -> None:
     """A store is verified whole, so an earlier run's group file would be
     reported as this run's: ConfigError naming the first key stale accepts."""
-    root = Path(config.store_root)
-    for key in filter(stale, FileStore(root).list() if root.is_dir() else []):
+    for key in filter(stale, FileStore(config.store_root).list()):
         raise ConfigError(f"store_root {config.store_root!r} already holds {key!r}; {needs}")
 
 

@@ -293,17 +293,13 @@ _decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
-class PersistReceipt:
-    group_key: str
-    tree: TreeInfo
-
-
-@dataclass(frozen=True)
 class StoredGroup:
-    """A group file as stored: every record element's exact bytes, then the proof."""
+    """A group file as stored: every record element's exact bytes, then the
+    proof; proof_sealed when the proof's bytes are those persist wrote."""
 
     records: tuple[bytes, ...]
     proof: TreeInfo
+    proof_sealed: bool = False
 
 
 def group_key(fusion_key: str) -> str:
@@ -327,7 +323,7 @@ def group_file_bytes(records: Sequence[InvocationRecord], tree: TreeInfo) -> byt
 def persist_evidence(
     store, fusion_key: str, clean_records: Sequence[InvocationRecord],
     seals: Optional[dict[str, bytes]] = None,
-) -> PersistReceipt:
+) -> TreeInfo:
     """Write the group file: every record in hashing order, then its Merkle proof.
 
     Each record is encoded once, and those bytes are both hashed and
@@ -337,12 +333,11 @@ def persist_evidence(
     """
     encoded = [canonical_record_bytes(r) for r in clean_records]
     tree = build_merkle_tree(record_leaf_hashes(encoded))
-    gkey = group_key(fusion_key)
     data = join_group_file(encoded, tree)
-    store.put(gkey, data)
+    store.put(group_key(fusion_key), data)
     if seals is not None and tree.root:
         seals[fusion_key] = data
-    return PersistReceipt(gkey, tree)
+    return tree
 
 
 def _element(piece: bytes, key: str, what: str) -> dict:
@@ -360,10 +355,12 @@ def _element(piece: bytes, key: str, what: str) -> dict:
     return obj
 
 
-def load_group_file(data: bytes) -> StoredGroup:
+def load_group_file(data: bytes, seal: Optional[bytes] = None) -> StoredGroup:
     """Split a group file at the boundaries join_group_file writes: "[",
     each '},{"traceid":', the last ',{"root":' and "]".  Only the proof is
-    decoded; a file in any other layout is CorruptGroupFile."""
+    decoded; a file in any other layout is CorruptGroupFile.  proof_sealed
+    is set when seal, the bytes persist wrote, ends with this file's proof
+    element: that proof is then the one persist built over its leaves."""
     cut = max(data.rfind(b"," + _PROOF_START), 0)
     if not (data.startswith(b"[" + _RECORD_START if cut else b"[")
             and data.startswith(_PROOF_START, cut + 1) and data.endswith(b"]")):
@@ -371,7 +368,8 @@ def load_group_file(data: bytes) -> StoredGroup:
     tree = treeinfo_from_wire(_element(data[cut + 1 : -1], "root", "proof"))
     # The "[" or "," before each record element, then the "," before the proof (none: cut 0).
     commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut]
-    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree)
+    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree,
+                       seal is not None and seal.endswith(data[cut:]))
 
 
 def record_trace_id(piece: bytes, position: int) -> tuple[bytes, object]:
@@ -415,8 +413,9 @@ def load_setups(
 
     seals optionally maps a fusion key to the bytes persist_evidence set
     in it.  A stored file equal to them is what verification would pass
-    as it stands, so it is not split and maps to None.  Each seal is
-    popped as it is compared, and seals is empty on return.
+    as it stands, so it is not split and maps to None; any other file is
+    split against them.  Each seal is popped as it is compared, and seals
+    is empty on return.
     """
     setups: dict[str, Optional[StoredGroup]] = {}
     corrupt: dict[str, str] = {}
@@ -424,12 +423,9 @@ def load_setups(
     for key in store.list(""):
         fusion_key = key[: -len(_GROUP_SUFFIX)]
         try:
-            data = store.get(key)
+            data, seal = store.get(key), seals.pop(fusion_key, None)
             # A store's get may return the very object put: then no byte is read.
-            if data == seals.pop(fusion_key, None):
-                setups[fusion_key] = None
-                continue
-            setups[fusion_key] = load_group_file(data)
+            setups[fusion_key] = None if data == seal else load_group_file(data, seal)
         except (NotFound, CorruptGroupFile) as exc:
             corrupt[fusion_key] = str(exc)
     seals.clear()

@@ -65,15 +65,19 @@ class MemoryStore:
             return sorted(k for k in self._objects if k.startswith(prefix))
 
 
+def _unlistable(exc: OSError) -> None:
+    """os.walk's onerror: a missing directory holds no key, and any other
+    that cannot be listed, such as a root that is a file, is a fault."""
+    if not isinstance(exc, FileNotFoundError):
+        raise StoreWriteFailed(f"cannot list store: {exc}") from exc
+
+
 class FileStore:
     """Filesystem-backed store rooted at a directory."""
 
     def __init__(self, root: Union[str, Path]) -> None:
+        # Nothing is created until a put: a missing root lists as empty.
         self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise StoreWriteFailed(f"cannot create store root: {exc}") from exc
         self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
@@ -106,7 +110,7 @@ class FileStore:
     def list(self, prefix: str = "") -> list[str]:
         root = os.path.join(self.root, "")
         keys = []
-        for directory, _subdirs, files in os.walk(root):
+        for directory, _subdirs, files in os.walk(root, onerror=_unlistable):
             # Files in directory root + "a/b" have keys "a/b/<name>".
             base = os.path.join(directory[len(root) :], "").replace(os.sep, "/")
             for name in files:

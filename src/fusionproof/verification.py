@@ -30,7 +30,6 @@ from .handler import (
 from .proofs import (
     StoredGroup,
     ThresholdPolicy,
-    TreeInfo,
     build_merkle_tree,
     filter_batch,
     group_key,
@@ -82,19 +81,16 @@ class VerificationReport:
         return bool(self.group_results) and all(self.group_results.values())
 
 
-def _check_group(
-    group: StoredGroup, sealed: Optional[TreeInfo]
-) -> tuple[Optional[bool], list[str], list[int]]:
+def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[int]]:
     """The group's verdict when it needs no rewrite (else None), the leaf
     hash of each record element as stored, and the positions of the
     elements the leaf list does not vouch for: every one when the root is
-    empty.  A proof equal to the tree sealed for it needs no rebuild."""
+    empty.  A sealed proof, the one persist wrote, needs no rebuild."""
     records, tree_info = group.records, group.proof
     if not tree_info.root:
         return False, [], list(range(len(records)))
     try:
-        vouched = tree_info == sealed or (
-            build_merkle_tree(tree_info.leaves).root == tree_info.root)
+        vouched = group.proof_sealed or build_merkle_tree(tree_info.leaves).root == tree_info.root
     except InvalidHexLeaf:
         vouched = False
     recomputed = record_leaf_hashes(records)
@@ -108,7 +104,6 @@ def verify_integrity(
     setups: Mapping[str, Optional[StoredGroup]],
     corrupt: Mapping[str, str],
     store: EvidenceStore,
-    sealed: Optional[Mapping[str, TreeInfo]] = None,
 ) -> VerificationReport:
     """Decide every group file's verdict from load_setups' two maps.
 
@@ -120,15 +115,9 @@ def verify_integrity(
     trace with an element whose leaf does not match is pruned, as
     filter_batch flags whole traces, and the group file is rewritten over
     the rest; the survivors' bytes are reported under the group's key,
-    and each pruned trace id once under pruned.  Nothing is deleted.
-
-    sealed optionally maps a fusion key to the tree build_merkle_tree
-    gave when the caller sealed that group, as a PersistReceipt holds it.
-    A stored proof equal to it counts without a rebuild, and any other
-    proof is rebuilt.  Every record element is hashed and compared either
-    way, so the report is the one a rebuild gives.  A group load_setups
-    mapped to None, its stored bytes equal to the bytes sealed, passes
-    unread.
+    and each pruned trace id once under pruned.  Nothing is deleted.  A
+    group load_setups mapped to None, its bytes those persist sealed,
+    passes unread; a proof load_group_file sealed is not rebuilt.
 
     Every element the leaf list does not vouch for is decoded for its
     trace id before anything is written; when one is not, whole, a JSON
@@ -140,12 +129,11 @@ def verify_integrity(
     pruned: dict[str, tuple[str, ...]] = {}
     notes: dict[str, str] = {}
     corrupt = dict(corrupt)
-    sealed = sealed if sealed is not None else {}
     for key, group in setups.items():
         if group is None:
             group_results[key] = True
             continue
-        verdict, recomputed, unvouched = _check_group(group, sealed.get(key))
+        verdict, recomputed, unvouched = _check_group(group)
         try:
             doomed = dict(record_trace_id(group.records[p], p) for p in unvouched)
         except CorruptGroupFile as exc:
@@ -417,15 +405,13 @@ class IterationResult:
     group_results: Mapping[str, bool]
     pruned_counts: Mapping[str, int]
     reverted: bool
-    inspected: bool
+    # None when the iteration was not inspected, else the report's verdict.
+    integrity_verified: Optional[bool]
     load_stats: Mapping[int, tuple[int, int]]
 
     @property
-    def integrity_verified(self) -> Optional[bool]:
-        """None when the iteration was not inspected, else the report's verdict."""
-        if not self.inspected:
-            return None
-        return bool(self.group_results) and all(self.group_results.values())
+    def inspected(self) -> bool:
+        return self.integrity_verified is not None
 
 
 @dataclass(frozen=True)
@@ -517,7 +503,7 @@ def run_optimization(
         fusion_key = entry_fusion_key(current, app.entry_task)
         # The bytes persist wrote, kept only until load_setups compares them.
         seals: Optional[dict[str, bytes]] = {} if inspect_this else None
-        receipt = persist_evidence(store, fusion_key, clean, seals)
+        tree = persist_evidence(store, fusion_key, clean, seals)
         if tamper is not None:
             tamper(it, store)
 
@@ -526,19 +512,19 @@ def run_optimization(
         # The batch as persisted: trusted when the entry group verifies,
         # and accepted on trust when the sampling plan skips inspection.
         usable_records: Sequence[InvocationRecord] = clean
+        verified: Optional[bool] = None
         last_outcome = InspectionOutcome.NOT_INSPECTED
         if inspect_this:
             setups, corrupt = load_setups(store, seals)
-            report = verify_integrity(setups, corrupt, store, {fusion_key: receipt.tree})
+            report = verify_integrity(setups, corrupt, store)
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
+            verified = report.integrity_verified
             last_outcome = (
-                InspectionOutcome.CONFORMING
-                if report.integrity_verified
-                else InspectionOutcome.NONCONFORMING
+                InspectionOutcome.CONFORMING if verified else InspectionOutcome.NONCONFORMING
             )
             if not group_results.get(fusion_key, False):
-                persisted = dict(zip(receipt.tree.leaves, clean))
+                persisted = dict(zip(tree.leaves, clean))
                 survivors = report.survivors.get(fusion_key, ())
                 usable_records = [
                     persisted[h] for h in record_leaf_hashes(survivors) if h in persisted
@@ -571,7 +557,7 @@ def run_optimization(
                 group_results=group_results,
                 pruned_counts=pruned_counts,
                 reverted=reverted,
-                inspected=inspect_this,
+                integrity_verified=verified,
                 load_stats=load_stats,
             )
         )

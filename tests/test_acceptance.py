@@ -198,8 +198,8 @@ def test_acceptance_3_dow_scenario(tmp_path):
     assert any(v.kind is ViolationKind.DURATION_EXCEEDED for _, v in flagged)
 
     store_root = tmp_path / "evidence"
-    receipt = persist_evidence(FileStore(store_root), KEY, clean)
-    assert len(receipt.tree.leaves) == 45
+    tree = persist_evidence(FileStore(store_root), KEY, clean)
+    assert len(tree.leaves) == 45
     blocks = parse_group_file(FileStore(store_root).get(f"{KEY}.json"))
     assert blocks[:-1] == clean
     attacked = next(iter(attacked_traces))

@@ -77,11 +77,11 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
         count(module, name)
 
     store = MemoryStore()
-    receipt = proofs.persist_evidence(store, "CW.SE.CS.CT.CA", records)
-    original = store.get(receipt.group_key)
+    proofs.persist_evidence(store, "CW.SE.CS.CT.CA", records)
+    original = store.get("CW.SE.CS.CT.CA.json")
     tampered = original.replace(b'"billed":37', b'"billed":38', 1)
     assert tampered != original
-    store.put(receipt.group_key, tampered)
+    store.put("CW.SE.CS.CT.CA.json", tampered)
     setups, corrupt = load_setups(store)
     report = verification.verify_integrity(setups, corrupt, store)
 

@@ -616,6 +616,15 @@ class TestVerifyCommand:
         # A second verify over the pruned store is clean again.
         assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
 
+    def test_missing_store_root_fails_and_is_not_created(self, tmp_path):
+        config = write_config(tmp_path, store_root=str(tmp_path / "no" / "such" / "root"))
+        assert main(["verify", "--config", str(config)]) == EXIT_VERIFY_FAILED
+        assert not (tmp_path / "no").exists()
+        assert json.loads((tmp_path / "out" / "verification.json").read_text()) == {
+            "integrity_verified": False, "group_results": {}, "pruned": {},
+            "surviving_counts": {}, "notes": {}, "corrupt": {},
+        }
+
     def test_one_digit_edit_prunes_its_whole_trace(self, tmp_path):
         config = write_config(tmp_path, seed=1, request_counts=[10])
         assert main(["run", "--config", str(config)]) == EXIT_OK

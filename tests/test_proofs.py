@@ -441,21 +441,19 @@ class TestFilterBatch:
 class TestPersistEvidence:
     def test_empty_batch_writes_empty_proof(self):
         store = MemoryStore()
-        receipt = persist_evidence(store, "CW", [])
-        assert receipt.tree == TreeInfo.empty()
+        assert persist_evidence(store, "CW", []) == TreeInfo.empty()
         assert store.get("CW.json") == b'[{"root":"","leaf":[]}]'
 
     def test_two_records_two_blocks_one_group(self):
         store = MemoryStore()
         rec_a = iot_records(b"\x11" * 32)[0]
         rec_b = iot_records(b"\x12" * 32, origin=1000)[0]
-        receipt = persist_evidence(store, "CW", [rec_a, rec_b])
-        assert receipt.group_key == "CW.json"
+        tree = persist_evidence(store, "CW", [rec_a, rec_b])
         body = json.loads(store.get("CW.json"))
         assert len(body) == 3
         expected_root = oracle_root(leaf_hashes([rec_a, rec_b]))
         assert body[-1]["root"] == expected_root
-        assert receipt.tree.root == expected_root
+        assert tree.root == expected_root
 
     def test_idempotent(self):
         records = iot_records(b"\x14" * 32)
@@ -470,8 +468,8 @@ class TestPersistEvidence:
     def test_group_file_matches_helper(self):
         records = iot_records(b"\x15" * 32)
         store = MemoryStore()
-        receipt = persist_evidence(store, "CW.SE.CS.CT.CA", records)
-        assert store.get("CW.SE.CS.CT.CA.json") == group_file_bytes(records, receipt.tree)
+        tree = persist_evidence(store, "CW.SE.CS.CT.CA", records)
+        assert store.get("CW.SE.CS.CT.CA.json") == group_file_bytes(records, tree)
 
 
 # Strings that exercise every escaping rule of the JSON encoder.

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionproof import proofs as proofs_module
+from fusionproof import verification as verification_module
 from fusionproof.errors import CorruptGroupFile, NotFound, StoreWriteFailed
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
@@ -158,15 +159,28 @@ class TestFileStoreLayout:
         FileStore(tmp_path / "ev").put("a.json", b"kept")
         assert FileStore(tmp_path / "ev").get("a.json") == b"kept"
 
+    def test_nothing_is_created_before_a_put(self, tmp_path):
+        store = FileStore(tmp_path / "ev" / "root")
+        assert store.list() == [] and list(tmp_path.iterdir()) == []
+        store.delete("a.json")
+        assert list(tmp_path.iterdir()) == []
+        store.put("a.json", b"x")
+        assert (tmp_path / "ev" / "root" / "a.json").read_bytes() == b"x"
+
+    def test_root_that_is_a_file_cannot_be_listed(self, tmp_path):
+        (tmp_path / "ev").write_bytes(b"")
+        with pytest.raises(StoreWriteFailed, match="Not a directory"):
+            FileStore(tmp_path / "ev").list()
+
 
 class TestParseGroupFile:
     def test_round_trip(self):
         records = iot_records(b"\x21" * 32)
         store = MemoryStore()
-        receipt = persist_evidence(store, "CW.SE.CS.CT.CA", records)
+        tree = persist_evidence(store, "CW.SE.CS.CT.CA", records)
         blocks = parse_group_file(store.get("CW.SE.CS.CT.CA.json"))
         assert blocks[:-1] == list(records)
-        assert blocks[-1] == receipt.tree
+        assert blocks[-1] == tree
 
     def test_empty_group(self):
         assert parse_group_file(b'[{"root":"","tree":[],"leaf":[]}]') == [TreeInfo.empty()]
@@ -658,30 +672,47 @@ class TestOneReader:
 
 def _load_and_verify(data: bytes, seal=None):
     """The report and the file's bytes afterwards, for a store holding one
-    group file loaded with or without a seal, and the splits it took."""
+    group file loaded with or without a seal, the splits it took, and
+    whether the stored proof's leaf list was rebuilt."""
     store = CountingStore()
     store.put("CW.json", data)
     seals = {} if seal is None else {"CW": seal}
-    splits = []
-    split = proofs_module.load_group_file
-    with mock.patch.object(proofs_module, "load_group_file", lambda d: splits.append(d) or split(d)):
+    splits, builds = [], []
+    split, build = proofs_module.load_group_file, verification_module.build_merkle_tree
+    with mock.patch.object(proofs_module, "load_group_file",
+                           lambda d, s=None: splits.append(d) or split(d, s)):
         setups, corrupt = load_setups(store, seals)
     assert seals == {} and store.gets == {"CW.json": 1}
-    return verify_integrity(setups, corrupt, store), store.get("CW.json"), splits
+    with mock.patch.object(verification_module, "build_merkle_tree",
+                           lambda leaves: builds.append(leaves) or build(leaves)):
+        report = verify_integrity(setups, corrupt, store)
+    group = setups.get("CW")
+    rebuilt = group is not None and any(leaves is group.proof.leaves for leaves in builds)
+    return report, store.get("CW.json"), splits, rebuilt
+
+
+def _proof_bytes(data: bytes) -> bytes:
+    """The bytes from a file's last proof boundary on; empty when it has none."""
+    at = data.rfind(b',{"root":')
+    return data[at:] if at >= 0 else b""
 
 
 class TestSeal:
     """A group file equal to the bytes persist sealed for it passes
-    unsplit; every other file is split and checked in full, and the report
-    and the store are always those that loading without the seal gives."""
+    unsplit, and a stored proof with the seal's proof bytes is not rebuilt;
+    every other file is split and checked in full, and the report and the
+    store are always those that loading without the seal gives."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([*_GROUP_FILES, _THREE_TRACES]), st.lists(_EDIT, max_size=4))
     def test_mutated_file_verifies_as_without_the_seal(self, data, edits):
         mutated = _mutate(data, edits)
-        report, after, splits = _load_and_verify(mutated, seal=data)
-        assert (report, after) == _load_and_verify(mutated)[:2]
+        report, after, splits, rebuilt = _load_and_verify(mutated, seal=data)
+        unsealed_report, unsealed_after, _, checked = _load_and_verify(mutated)
+        assert (report, after) == (unsealed_report, unsealed_after)
         assert splits == ([] if mutated == data else [mutated])
+        # Of the proofs a check rebuilds, the seal spares exactly those with its bytes.
+        assert rebuilt == (checked and _proof_bytes(mutated) != _proof_bytes(data))
 
     @pytest.mark.parametrize("data", [_FIRST, _THREE_TRACES], ids=["one_trace", "three_traces"])
     def test_one_byte_changed_anywhere_is_split(self, data):
@@ -690,7 +721,7 @@ class TestSeal:
         changed = [data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :] for at in range(len(data))]
         changed += [data[1:], data[:-1], b" " + data, data + b" "]
         for mutated in changed:
-            report, after, splits = _load_and_verify(mutated, seal=data)
+            report, after, splits, _ = _load_and_verify(mutated, seal=data)
             assert splits == [mutated]
             assert (report, after) == _load_and_verify(mutated)[:2]
             assert not report.integrity_verified
@@ -708,7 +739,7 @@ class TestSeal:
         store, seals = MemoryStore(), {}
         persist_evidence(store, "CW", [], seals)
         assert seals == {}
-        report, after, splits = _load_and_verify(store.get("CW.json"))
+        report, after, splits, _ = _load_and_verify(store.get("CW.json"))
         assert (report.group_results, report.pruned, len(splits)) == ({"CW": False}, {}, 1)
 
 

@@ -452,48 +452,60 @@ def _replace_leaf(tree: TreeInfo, position: int, leaf: str) -> TreeInfo:
 
 
 # Each case maps the persisted records and their sealed tree to the
-# records and proof an attacker stores, and the tree the caller sealed.
+# group file an attacker stores, and the tree the caller sealed.
 SEALED_CASES = {
-    "untouched": lambda records, tree: (records, tree, tree),
+    "untouched": lambda records, tree: (group_file_bytes(records, tree), tree),
     "tampered_record": lambda records, tree: (
-        [records[0], _inflated(records[1]), *records[2:]], tree, tree),
-    "appended_copy_of_last_record": lambda records, tree: ([*records, records[-1]], tree, tree),
+        group_file_bytes([records[0], _inflated(records[1]), *records[2:]], tree), tree),
+    "appended_copy_of_last_record": lambda records, tree: (
+        group_file_bytes([*records, records[-1]], tree), tree),
     "forged_leaf_list": lambda records, tree: (
-        [records[0], _inflated(records[1]), *records[2:]],
-        _replace_leaf(tree, 1, _leaf(_inflated(records[1]))),
+        group_file_bytes(
+            [records[0], _inflated(records[1]), *records[2:]],
+            _replace_leaf(tree, 1, _leaf(_inflated(records[1]))),
+        ),
         tree,
     ),
     "forged_root": lambda records, tree: (
-        records, dataclasses.replace(tree, root=tree.leaves[0]), tree),
-    "empty_proof": lambda records, tree: (records, TreeInfo.empty(), tree),
-    "empty_group_sealed_empty": lambda records, tree: ([], TreeInfo.empty(), TreeInfo.empty()),
-    "non_hex_leaves": lambda records, tree: (records, _replace_leaf(tree, 1, "zz" * 32), tree),
+        group_file_bytes(records, dataclasses.replace(tree, root=tree.leaves[0])), tree),
+    "empty_proof": lambda records, tree: (group_file_bytes(records, TreeInfo.empty()), tree),
+    "empty_group_sealed_empty": lambda records, tree: (
+        group_file_bytes([], TreeInfo.empty()), TreeInfo.empty()),
+    "non_hex_leaves": lambda records, tree: (
+        group_file_bytes(records, _replace_leaf(tree, 1, "zz" * 32)), tree),
     "seal_differs_by_one_leaf": lambda records, tree: (
-        records, tree, _replace_leaf(tree, 1, _leaf(_inflated(records[1])))),
+        group_file_bytes(records, tree), _replace_leaf(tree, 1, _leaf(_inflated(records[1])))),
+    # The proof's bytes are the seal's, but the file now opens with it.
+    "records_dropped_proof_kept": lambda records, tree: (group_file_bytes([], tree), tree),
+    # Each decodes to the sealed tree from bytes persist did not write.
+    "proof_reformatted": lambda records, tree: (
+        group_file_bytes(records, tree).replace(b'"leaf":', b'"leaf": ', 1), tree),
+    "proof_in_the_older_layout": lambda records, tree: (
+        older_layout_group_file(records, tree), tree),
 }
 
 
 class TestSealedTree:
-    """A stored proof equal to the tree sealed for its group is not
-    rebuilt, and a stored file equal to the bytes sealed for it is not
-    even split; every other group takes the full check, and the report
-    and the rewritten store are always those that verifying without any
-    seal gives."""
+    """A stored file equal to the bytes persist sealed for its group is
+    not split, and a stored proof whose bytes are the seal's is not
+    rebuilt; every other group takes the full check, and the report and
+    the rewritten store are always those that verifying without the seal
+    gives."""
 
     KEY = "CW.SE.CS.CT.CA"
 
     def verify(self, case, seal: str, monkeypatch=None):
-        """seal is "none", "tree" (verify_integrity's sealed tree) or
-        "bytes" (that tree, and the file persist would write under it
-        given to load_setups).  Returns the report, the store's bytes
-        afterwards, and the Merkle builds, splits and verification-side
-        leaf hashings, each by its length."""
+        """seal is "none" or "bytes" (the file persist would write under
+        the sealed tree, given to load_setups).  Returns the report, the
+        store's bytes afterwards, the loaded groups, and the Merkle
+        builds, splits and verification-side leaf hashings, each by its
+        length."""
         records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
         assert len(records) == 15
         store = MemoryStore()
-        tree = persist_evidence(store, self.KEY, records).tree
-        stored_records, stored_proof, sealed = SEALED_CASES[case](records, tree)
-        store.put(f"{self.KEY}.json", group_file_bytes(stored_records, stored_proof))
+        tree = persist_evidence(store, self.KEY, records)
+        stored, sealed = SEALED_CASES[case](records, tree)
+        store.put(f"{self.KEY}.json", stored)
         seals = {}
         if seal == "bytes":
             # What persist seals under the sealed tree: none for an empty group.
@@ -507,22 +519,22 @@ class TestSealedTree:
                 (proofs, "load_group_file", "splits"),
                 (verification, "record_leaf_hashes", "hashes"),
             ]:
-                def counting(arg, inner=getattr(owner, name), kind=kind):
+                def counting(arg, *rest, inner=getattr(owner, name), kind=kind):
                     calls[kind].append(len(arg))
-                    return inner(arg)
+                    return inner(arg, *rest)
                 monkeypatch.setattr(owner, name, counting)
         setups, corrupt = load_setups(store, seals)
         assert seals == {}
-        sealed_trees = {self.KEY: sealed} if seal != "none" else None
-        report = verify_integrity(setups, corrupt, store, sealed_trees)
-        return report, {k: store.get(k) for k in store.list()}, calls
+        report = verify_integrity(setups, corrupt, store)
+        return report, {k: store.get(k) for k in store.list()}, setups, calls
 
     @pytest.mark.parametrize("case", SEALED_CASES)
     def test_same_report_and_store_with_or_without_the_seal(self, case):
-        report, stored, _ = self.verify(case, "tree")
+        report, stored, _, _ = self.verify(case, "bytes")
         assert (report, stored) == self.verify(case, "none")[:2]
-        assert (report, stored) == self.verify(case, "bytes")[:2]
-        assert report.integrity_verified is (case in ("untouched", "seal_differs_by_one_leaf"))
+        assert report.integrity_verified is (
+            case in ("untouched", "seal_differs_by_one_leaf", "proof_reformatted",
+                     "proof_in_the_older_layout"))
 
     @pytest.mark.parametrize(
         "case, with_seal, builds",
@@ -533,10 +545,13 @@ class TestSealedTree:
             ("tampered_record", False, [15, 10]),
             ("seal_differs_by_one_leaf", True, [15]),
             ("forged_root", True, [15, 0]),
+            ("records_dropped_proof_kept", True, [15, 0]),
+            ("proof_reformatted", True, [15]),
+            ("proof_in_the_older_layout", True, [15]),
         ],
     )
     def test_merkle_builds(self, monkeypatch, case, with_seal, builds):
-        assert self.verify(case, "tree" if with_seal else "none", monkeypatch)[2]["builds"] == builds
+        assert self.verify(case, "bytes" if with_seal else "none", monkeypatch)[3]["builds"] == builds
 
     @pytest.mark.parametrize(
         "case, builds",
@@ -548,19 +563,34 @@ class TestSealedTree:
         ],
     )
     def test_merkle_builds_with_the_bytes_seal(self, monkeypatch, case, builds):
-        assert self.verify(case, "bytes", monkeypatch)[2]["builds"] == builds
+        assert self.verify(case, "bytes", monkeypatch)[3]["builds"] == builds
+
+    @pytest.mark.parametrize(
+        "case, proof_sealed",
+        [
+            ("tampered_record", True),
+            ("appended_copy_of_last_record", True),
+            ("seal_differs_by_one_leaf", False),
+            ("records_dropped_proof_kept", False),
+            ("proof_reformatted", False),
+            ("proof_in_the_older_layout", False),
+        ],
+    )
+    def test_only_a_proof_with_the_seals_bytes_is_sealed(self, case, proof_sealed):
+        assert self.verify(case, "bytes")[2][self.KEY].proof_sealed is proof_sealed
+        assert self.verify(case, "none")[2][self.KEY].proof_sealed is False
 
     @pytest.mark.parametrize(
         "case, seal, splits, hashes",
         [
             ("untouched", "bytes", 0, []),
-            ("untouched", "tree", 1, [15]),
+            ("untouched", "none", 1, [15]),
             ("tampered_record", "bytes", 1, [15]),
             ("empty_group_sealed_empty", "bytes", 1, []),
         ],
     )
     def test_only_a_file_equal_to_its_seal_goes_unsplit(self, monkeypatch, case, seal, splits, hashes):
-        calls = self.verify(case, seal, monkeypatch)[2]
+        calls = self.verify(case, seal, monkeypatch)[3]
         assert (len(calls["splits"]), calls["hashes"]) == (splits, hashes)
 
     def test_persist_seals_the_object_it_puts_unless_the_group_is_empty(self):
@@ -1323,9 +1353,9 @@ class TestRunOptimization:
         inner_split, inner_hash = proofs.load_group_file, verification.record_leaf_hashes
         inner_load = verification.load_setups
 
-        def splitting(data):
+        def splitting(data, seal=None):
             calls["splits"] += 1
-            return inner_split(data)
+            return inner_split(data, seal)
 
         def hashing(encoded):
             calls["hashes"].append(len(encoded))
@@ -1366,11 +1396,13 @@ class TestRunOptimization:
     def test_tree_operation_gets_each_store_once(self, monkeypatch):
         """The tree_optimize benchmark's shape, scaled down: 8 inspected
         iterations of a fused tree(4,2), one stored record altered on
-        every third.  Each iteration's store is read once, and only the
-        altered groups are split."""
+        every third.  Each iteration's store is read once, only the
+        altered groups are split, and verification builds only their
+        survivors' trees: a stored proof with the seal's bytes is not
+        rebuilt."""
         tree = builtin_tree_app(fanout=4, depth=2)
-        gets, splits = [], []
-        inner_split = proofs.load_group_file
+        gets, splits, builds = [], [], []
+        inner_split, inner_build = proofs.load_group_file, verification.build_merkle_tree
 
         class CountingStore(MemoryStore):
             def get(self, key):
@@ -1383,14 +1415,17 @@ class TestRunOptimization:
                 data = MemoryStore.get(store, key)
                 store.put(key, data.replace(b'"billed":', b'"billed":1', 1))
 
-        monkeypatch.setattr(proofs, "load_group_file", lambda data: splits.append(1) or inner_split(data))
+        monkeypatch.setattr(proofs, "load_group_file",
+                            lambda data, seal=None: splits.append(1) or inner_split(data, seal))
+        monkeypatch.setattr(verification, "build_merkle_tree",
+                            lambda leaves: builds.append(len(leaves)) or inner_build(leaves))
         trace = run_optimization(
             tree, FusionSetup.fused([tree.task_names()]), 8, seed=5,
             request_counts=(2, 3), store_factory=lambda it: CountingStore(), tamper=tamper,
         )
         assert all(r.inspected for r in trace.iterations)
         assert [r.integrity_verified for r in trace.iterations] == [i % 3 != 0 for i in range(8)]
-        assert (len(gets), len(splits)) == (8, 3)
+        assert (len(gets), len(splits), len(builds)) == (8, 3, 3)
 
     def test_deterministic_across_runs(self):
         a = run_optimization(IOT, SPLIT, 5, policy=POLICY, seed=31)
