@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -42,6 +41,8 @@ from .proofs import (
 )
 from .store import EvidenceStore, MemoryStore
 from .workload import (
+    DEFAULT_LOCAL_OVERHEAD_MS,
+    DEFAULT_REMOTE_OVERHEAD_MS,
     AppSpec,
     AttackPlan,
     CallMode,
@@ -163,27 +164,15 @@ def verify_integrity(
 # ---------------------------------------------------------------------------
 # CSP-1 sampling
 
-class SamplingMode(Enum):
-    FULL_INSPECTION = "full_inspection"
-    SAMPLING = "sampling"
-
-
-class InspectionOutcome(Enum):
-    CONFORMING = "conforming"
-    NONCONFORMING = "nonconforming"
-    NOT_INSPECTED = "not_inspected"
-
-
 @dataclass(frozen=True)
 class SamplingState:
     """Continuous sampling plan state.
 
     Inspect everything until i consecutive conforming items clear, then
     inspect a fraction f at random; any inspected defect restarts the
-    clearance from zero.
+    clearance from zero.  The plan samples once clearance_count >= i.
     """
 
-    mode: SamplingMode = SamplingMode.FULL_INSPECTION
     clearance_count: int = 0
     i: int = 10
     f: float = 0.2
@@ -199,28 +188,22 @@ class SamplingState:
 
 def csp1_step(
     state: SamplingState,
-    last_outcome: InspectionOutcome,
+    last_verified: Optional[bool],
     uniform_draw: float,
 ) -> tuple[bool, SamplingState]:
-    """Fold one observed outcome into the plan and decide the next inspection.
+    """Fold one verdict into the plan and decide the next inspection.
 
-    The outcome is applied first; the inspect-next decision is made under
-    the resulting mode, so the item right after clearance is already
-    subject to sampling.
+    last_verified is the last iteration's verdict, None when it was not
+    inspected.  It is applied first; the inspect-next decision is made
+    under the resulting count, so the item right after clearance is
+    already subject to sampling.
     """
-    mode, count = state.mode, state.clearance_count
-    if last_outcome is InspectionOutcome.CONFORMING:
-        if mode is SamplingMode.FULL_INSPECTION:
-            count += 1
-            if count >= state.i:
-                mode = SamplingMode.SAMPLING
-    elif last_outcome is InspectionOutcome.NONCONFORMING:
-        mode = SamplingMode.FULL_INSPECTION
+    count = state.clearance_count
+    if last_verified is False:
         count = 0
-    new_state = SamplingState(mode, count, state.i, state.f)
-    if mode is SamplingMode.FULL_INSPECTION:
-        return True, new_state
-    return uniform_draw < state.f, new_state
+    elif last_verified and count < state.i:
+        count += 1
+    return count < state.i or uniform_draw < state.f, SamplingState(count, state.i, state.f)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +211,8 @@ def csp1_step(
 
 @dataclass(frozen=True)
 class CostModel:
-    remote_overhead_ms: float = 50.0
-    local_overhead_ms: float = 0.0
+    remote_overhead_ms: float = DEFAULT_REMOTE_OVERHEAD_MS
+    local_overhead_ms: float = DEFAULT_LOCAL_OVERHEAD_MS
     memory_weight: float = 0.0
 
 
@@ -404,7 +387,6 @@ class IterationResult:
     estimated_cost_ms: Optional[float]
     group_results: Mapping[str, bool]
     pruned_counts: Mapping[str, int]
-    reverted: bool
     # None when the iteration was not inspected, else the report's verdict.
     integrity_verified: Optional[bool]
     load_stats: Mapping[int, tuple[int, int]]
@@ -412,6 +394,11 @@ class IterationResult:
     @property
     def inspected(self) -> bool:
         return self.integrity_verified is not None
+
+    @property
+    def reverted(self) -> bool:
+        """Nothing verified reached the optimizer, so the setup reverted."""
+        return self.estimated_cost_ms is None
 
 
 @dataclass(frozen=True)
@@ -473,11 +460,11 @@ def run_optimization(
     current = initial_setup
     history: set[str] = set()
     results: list[IterationResult] = []
-    last_outcome = InspectionOutcome.NOT_INSPECTED
+    verified: Optional[bool] = None
 
     for it in range(iterations):
         history.add(current.setup_part)
-        inspect_this, state = csp1_step(state, last_outcome, draws[it])
+        inspect_this, state = csp1_step(state, verified, draws[it])
         batch = run_workload(
             app,
             current,
@@ -512,17 +499,13 @@ def run_optimization(
         # The batch as persisted: trusted when the entry group verifies,
         # and accepted on trust when the sampling plan skips inspection.
         usable_records: Sequence[InvocationRecord] = clean
-        verified: Optional[bool] = None
-        last_outcome = InspectionOutcome.NOT_INSPECTED
+        verified = None
         if inspect_this:
             setups, corrupt = load_setups(store, seals)
             report = verify_integrity(setups, corrupt, store)
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             verified = report.integrity_verified
-            last_outcome = (
-                InspectionOutcome.CONFORMING if verified else InspectionOutcome.NONCONFORMING
-            )
             if not group_results.get(fusion_key, False):
                 persisted = dict(zip(tree.leaves, clean))
                 survivors = report.survivors.get(fusion_key, ())
@@ -535,7 +518,6 @@ def run_optimization(
             # is never held at once.
             del setups, report
 
-        reverted = False
         cost: Optional[float] = None
         try:
             metrics = annotate_metrics(usable_records, fusion_key, app)
@@ -546,7 +528,6 @@ def run_optimization(
             else:
                 next_setup = current
         except NoVerifiedData:
-            reverted = True
             next_setup = initial_setup
 
         results.append(
@@ -556,7 +537,6 @@ def run_optimization(
                 estimated_cost_ms=cost,
                 group_results=group_results,
                 pruned_counts=pruned_counts,
-                reverted=reverted,
                 integrity_verified=verified,
                 load_stats=load_stats,
             )

@@ -36,8 +36,6 @@ from fusionproof.proofs import (
 )
 from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import (
-    InspectionOutcome,
-    SamplingMode,
     SamplingState,
     csp1_step,
     find_mismatch,
@@ -261,35 +259,33 @@ def test_acceptance_5_detection_across_loads():
 @criterion(6, "sampling settles near the configured fraction and rebounds on defects")
 def test_acceptance_6_csp1_statistics():
     state = SamplingState(i=10, f=0.2)
-    last = InspectionOutcome.CONFORMING
+    last = True
     for _ in range(10):
         _, state = csp1_step(state, last, 0.99)
-    assert state.mode is SamplingMode.SAMPLING
+    assert state.clearance_count >= state.i
 
     rng = random.Random(106)
     inspected = 0
     for _ in range(10_000):
         inspect, state = csp1_step(state, last, rng.random())
         inspected += inspect
-        last = (
-            InspectionOutcome.CONFORMING if inspect else InspectionOutcome.NOT_INSPECTED
-        )
+        last = True if inspect else None
     fraction = inspected / 10_000
     assert abs(fraction - 0.2) <= 0.03
-    assert state.mode is SamplingMode.SAMPLING
+    assert state.clearance_count >= state.i
 
     # One defect forces full inspection for at least i groups.
     decisions = []
-    inspect, state = csp1_step(state, InspectionOutcome.NONCONFORMING, rng.random())
+    inspect, state = csp1_step(state, False, rng.random())
     decisions.append(inspect)
     for _ in range(9):
-        inspect, state = csp1_step(state, InspectionOutcome.CONFORMING, 0.99)
+        inspect, state = csp1_step(state, True, 0.99)
         decisions.append(inspect)
     assert decisions == [True] * 10
-    assert state.mode is SamplingMode.FULL_INSPECTION
+    assert state.clearance_count < state.i
     # The i-th conforming group after the defect completes the rebound.
-    _, state = csp1_step(state, InspectionOutcome.CONFORMING, 0.99)
-    assert state.mode is SamplingMode.SAMPLING
+    _, state = csp1_step(state, True, 0.99)
+    assert state.clearance_count >= state.i
 
 
 @criterion(7, "optimizer walks 482 ms down to the 282 ms fused setup")

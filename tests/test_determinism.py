@@ -1,11 +1,13 @@
-"""Byte-identity gate: pinned digests of a small seeded optimization run.
+"""Byte-identity gate: pinned digests of small seeded optimization runs.
 
 Performance work on the pipeline must not change a single output byte.
 These tests pin the SHA-256 of two outputs of one seeded
 ``run_optimization``: every iteration's evidence store, as persisted and
 as left after verification and pruning, and the wire form of the
-iteration results.  A digest that moves means an output moved; update
-the pin only for a deliberate, documented format change.
+iteration results.  A third pin covers both outputs of a longer run
+whose CSP-1 plan clears and samples.  A digest that moves means an
+output moved; update the pin only for a deliberate, documented format
+change.
 """
 
 from __future__ import annotations
@@ -17,11 +19,16 @@ import re
 from fusionproof.handler import FusionSetup
 from fusionproof.proofs import ThresholdPolicy
 from fusionproof.store import MemoryStore
-from fusionproof.verification import iteration_result_to_wire, run_optimization
+from fusionproof.verification import (
+    SamplingState,
+    iteration_result_to_wire,
+    run_optimization,
+)
 from fusionproof.workload import AttackPlan, builtin_tree_app
 
 STORES_SHA256 = "ad78ad0564eda601e7ad6dd8164e3f1267b9a6dba61039a25aa723ee2d86d1b8"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
+SAMPLING_SHA256 = "f4335dd05fccae8125c06a29ebbe91f5bb14364474e1a80292af56a0b4531962"
 
 _BILLED = re.compile(rb'"billed":(\d+)')
 
@@ -35,7 +42,9 @@ def store_digest(store: MemoryStore) -> str:
     return h.hexdigest()
 
 
-def seeded_run() -> tuple[list[str], list[MemoryStore], list[dict]]:
+def seeded_run(
+    iterations: int = 3, tamper_every: int = 2, sampling: SamplingState | None = None
+) -> tuple[list[str], list[MemoryStore], list[dict]]:
     app = builtin_tree_app(2, 2)
     stores: list[MemoryStore] = []
     persisted: list[str] = []
@@ -46,7 +55,7 @@ def seeded_run() -> tuple[list[str], list[MemoryStore], list[dict]]:
 
     def tamper(iteration: int, store: MemoryStore) -> None:
         persisted.append(store_digest(store))
-        if iteration % 2 == 0:
+        if iteration % tamper_every == 0:
             key = next(k for k in store.list("") if "/" not in k)
             data = store.get(key)
             billed = list(_BILLED.finditer(data))[2]
@@ -55,11 +64,12 @@ def seeded_run() -> tuple[list[str], list[MemoryStore], list[dict]]:
     trace = run_optimization(
         app,
         FusionSetup.singletons(app.task_names()),
-        iterations=3,
+        iterations=iterations,
         policy=ThresholdPolicy(expected_sequence=app.sync_chain()),
         attack=AttackPlan.dow("N0_1_1", 999999),
         seed=2024,
         request_counts=(3, 4),
+        sampling=sampling,
         store_factory=store_factory,
         tamper=tamper,
     )
@@ -81,3 +91,13 @@ def test_iteration_results_are_pinned():
     assert any(sum(w.get("pruned_counts", {}).values()) for w in wire)
     payload = json.dumps(wire, sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == TRACE_SHA256
+
+
+def test_a_run_that_samples_is_pinned():
+    persisted, stores, wire = seeded_run(12, 4, SamplingState(i=1, f=0.5))
+    verdicts = [w["integrity_verified"] for w in wire[:-1]]
+    F, T = False, True
+    assert verdicts == [F, F, T, None, None, None, T, None, F, F, T, F]
+    after = [store_digest(store) for store in stores]
+    payload = "".join(persisted + after).encode() + json.dumps(wire, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == SAMPLING_SHA256

@@ -9,6 +9,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusionproof.proofs as proofs
 import fusionproof.verification as verification
@@ -32,8 +34,6 @@ from fusionproof.store import MemoryStore
 from fusionproof.verification import (
     AnnotatedMetrics,
     CostModel,
-    InspectionOutcome,
-    SamplingMode,
     SamplingState,
     annotate_metrics,
     csp1_step,
@@ -640,59 +640,98 @@ def older_layout_group_file(records, tree: TreeInfo) -> bytes:
     return b"[" + b",".join(parts) + b"]"
 
 
+def reference_csp1_step(sampling, count, i, f, last_verified, uniform_draw):
+    """The two-mode CSP-1 machine that csp1_step replaced, kept as the oracle.
+
+    sampling stands for the old SAMPLING mode; last_verified maps the old
+    outcomes: True conforming, False nonconforming, None not inspected.
+    """
+    if last_verified is True:
+        if not sampling:
+            count += 1
+            if count >= i:
+                sampling = True
+    elif last_verified is False:
+        sampling = False
+        count = 0
+    inspect = uniform_draw < f if sampling else True
+    return inspect, sampling, count
+
+
 class TestCsp1:
     def test_full_inspection_counts_up(self):
         state = SamplingState(i=5, f=0.25)
         for expected_count in range(1, 5):
-            inspect, state = csp1_step(state, InspectionOutcome.CONFORMING, 0.99)
+            inspect, state = csp1_step(state, True, 0.99)
             assert inspect is True
-            assert state.mode is SamplingMode.FULL_INSPECTION
             assert state.clearance_count == expected_count
 
     def test_clearance_switches_to_sampling(self):
         state = SamplingState(clearance_count=4, i=5, f=0.25)
-        inspect, state = csp1_step(state, InspectionOutcome.CONFORMING, 0.5)
-        assert state.mode is SamplingMode.SAMPLING
-        # The decision is already made under the new mode.
+        inspect, state = csp1_step(state, True, 0.5)
+        assert state.clearance_count == state.i
+        # The decision is already made under the new count.
         assert inspect is False
 
     def test_sampling_inspects_fraction(self):
-        state = SamplingState(SamplingMode.SAMPLING, 5, i=5, f=0.25)
-        assert csp1_step(state, InspectionOutcome.CONFORMING, 0.10)[0] is True
-        assert csp1_step(state, InspectionOutcome.CONFORMING, 0.25)[0] is False
-        assert csp1_step(state, InspectionOutcome.CONFORMING, 0.90)[0] is False
+        state = SamplingState(5, i=5, f=0.25)
+        assert csp1_step(state, True, 0.10)[0] is True
+        assert csp1_step(state, True, 0.25)[0] is False
+        assert csp1_step(state, True, 0.90)[0] is False
 
     def test_defect_restarts_full_inspection(self):
-        state = SamplingState(SamplingMode.SAMPLING, 5, i=5, f=0.25)
-        inspect, state = csp1_step(state, InspectionOutcome.NONCONFORMING, 0.99)
+        state = SamplingState(5, i=5, f=0.25)
+        inspect, state = csp1_step(state, False, 0.99)
         assert inspect is True
-        assert state.mode is SamplingMode.FULL_INSPECTION
         assert state.clearance_count == 0
 
     def test_not_inspected_leaves_state_alone(self):
-        state = SamplingState(SamplingMode.SAMPLING, 5, i=5, f=0.25)
-        _, after = csp1_step(state, InspectionOutcome.NOT_INSPECTED, 0.99)
+        state = SamplingState(5, i=5, f=0.25)
+        _, after = csp1_step(state, None, 0.99)
         assert after == state
         full = SamplingState(clearance_count=3, i=5, f=0.25)
-        inspect, after = csp1_step(full, InspectionOutcome.NOT_INSPECTED, 0.99)
+        inspect, after = csp1_step(full, None, 0.99)
         assert inspect is True
         assert after == full
 
     def test_conforming_in_sampling_keeps_count(self):
-        state = SamplingState(SamplingMode.SAMPLING, 7, i=5, f=0.25)
-        _, after = csp1_step(state, InspectionOutcome.CONFORMING, 0.99)
+        state = SamplingState(7, i=5, f=0.25)
+        _, after = csp1_step(state, True, 0.99)
         assert after.clearance_count == 7
-        assert after.mode is SamplingMode.SAMPLING
 
     def test_rebound_needs_full_clearance_again(self):
-        state = SamplingState(SamplingMode.SAMPLING, 5, i=3, f=0.5)
-        _, state = csp1_step(state, InspectionOutcome.NONCONFORMING, 0.99)
-        seen_modes = []
+        state = SamplingState(5, i=3, f=0.5)
+        _, state = csp1_step(state, False, 0.99)
+        seen_counts = []
         for _ in range(3):
-            seen_modes.append(state.mode)
-            _, state = csp1_step(state, InspectionOutcome.CONFORMING, 0.99)
-        assert seen_modes == [SamplingMode.FULL_INSPECTION] * 3
-        assert state.mode is SamplingMode.SAMPLING
+            seen_counts.append(state.clearance_count)
+            _, state = csp1_step(state, True, 0.99)
+        assert seen_counts == [0, 1, 2]
+        assert state.clearance_count >= state.i
+
+    @given(
+        i=st.integers(min_value=1, max_value=12),
+        f=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        start=st.integers(min_value=0, max_value=15),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([True, False, None]),
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            ),
+            max_size=50,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_counter_matches_the_two_mode_machine(self, i, f, start, steps):
+        state = SamplingState(start, i, f)
+        sampling, count = start >= i, start
+        for last_verified, draw in steps:
+            inspect, state = csp1_step(state, last_verified, draw)
+            expected, sampling, count = reference_csp1_step(
+                sampling, count, i, f, last_verified, draw
+            )
+            assert (inspect, state.clearance_count) == (expected, count)
+            assert (state.clearance_count >= i) is sampling
 
     @pytest.mark.parametrize(
         "kwargs", [{"i": 0}, {"f": 0.0}, {"f": 1.5}, {"clearance_count": -1}]
@@ -1328,7 +1367,7 @@ class TestRunOptimization:
         assert second.reverted is True
 
     def test_sampling_skip_trusts_clean_records(self):
-        sampling = SamplingState(SamplingMode.SAMPLING, 10, i=10, f=0.001)
+        sampling = SamplingState(10, i=10, f=0.001)
         trace = run_optimization(
             IOT, FUSED, 3, policy=POLICY, seed=29, sampling=sampling
         )
@@ -1387,7 +1426,7 @@ class TestRunOptimization:
             return inner(store, fusion_key, records, sealed)
 
         monkeypatch.setattr(verification, "persist_evidence", persisting)
-        sampling = SamplingState(SamplingMode.SAMPLING, 10, i=10, f=0.5)
+        sampling = SamplingState(10, i=10, f=0.5)
         trace = run_optimization(IOT, FUSED, 6, policy=POLICY, seed=29, sampling=sampling)
         assert {r.inspected for r in trace.iterations} == {True, False}
         assert [s is not None for s in seals] == [r.inspected for r in trace.iterations]
