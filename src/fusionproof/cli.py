@@ -350,14 +350,17 @@ def _write_json(path: Path, payload) -> None:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _pipeline_inputs(
+    config: ScenarioConfig,
+) -> tuple[Path, int, AppSpec, FusionSetup, Optional[AttackPlan], ThresholdPolicy]:
+    """What run and optimize build from config, checked in this order."""
+    out, seed, app = _output_dir(config), _require_seed(config), build_app(config)
+    return out, seed, app, build_setup(config, app), build_attack(config), build_policy(config, app)
+
+
 def cmd_run(config: ScenarioConfig) -> int:
     """Execute the workload, filter it, and persist evidence."""
-    out = _output_dir(config)
-    seed = _require_seed(config)
-    app = build_app(config)
-    setup = build_setup(config, app)
-    attack = build_attack(config)
-    policy = build_policy(config, app)
+    out, seed, app, setup, attack, policy = _pipeline_inputs(config)
     fusion_key = entry_fusion_key(setup, app.entry_task)
     _refuse_stale_keys(config, group_key(fusion_key).__ne__,
                        "run needs a store root without other group files")
@@ -408,12 +411,7 @@ def cmd_verify(config: ScenarioConfig) -> int:
 
 def cmd_optimize(config: ScenarioConfig) -> int:
     """Run the full iterate-verify-adopt loop and dump its trace."""
-    out = _output_dir(config)
-    seed = _require_seed(config)
-    app = build_app(config)
-    setup = build_setup(config, app)
-    attack = build_attack(config)
-    policy = build_policy(config, app)
+    out, seed, app, setup, attack, policy = _pipeline_inputs(config)
     store_root = Path(config.store_root)
     _refuse_stale_keys(config, lambda key: "/" in key,
                        "optimize needs a store root without iteration stores")
@@ -446,11 +444,7 @@ def cmd_optimize(config: ScenarioConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "verify": cmd_verify,
-    "optimize": cmd_optimize,
-}
+_COMMANDS = {"run": cmd_run, "verify": cmd_verify, "optimize": cmd_optimize}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,16 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     config = load_config_file(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.iterations is not None:
-        config = replace(config, iterations=args.iterations)
     if args.attack is not None:
         config = replace(config, attack=replace(config.attack, mode=args.attack))
-    if args.store is not None:
-        config = replace(config, store_root=args.store)
-    if args.output is not None:
-        config = replace(config, output_dir=args.output)
+    for option, key in [("seed", "seed"), ("iterations", "iterations"),
+                        ("store", "store_root"), ("output", "output_dir")]:
+        if getattr(args, option) is not None:
+            config = replace(config, **{key: getattr(args, option)})
     return config
 
 

@@ -230,24 +230,6 @@ class TreeInfo:
         return cls("", ())
 
 
-def treeinfo_to_wire(info: TreeInfo) -> dict:
-    return {"root": info.root, "leaf": list(info.leaves)}
-
-
-def treeinfo_from_wire(obj: Mapping) -> TreeInfo:
-    """Read root and leaf, as a group file's proof holds them; any other
-    key, such as the interior-node list "tree" that older group files
-    carry, is ignored."""
-    try:
-        root = obj["root"]
-        leaves = tuple(obj["leaf"])
-    except (KeyError, TypeError) as exc:
-        raise CorruptGroupFile(f"bad tree object: {exc}") from exc
-    if not isinstance(root, str):
-        raise CorruptGroupFile("tree root must be a string")
-    return TreeInfo(root, leaves)
-
-
 def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     """Build the proof over leaf hashes, duplicating the last element of
     every odd level so no leaf ever drops out of the tree."""
@@ -287,8 +269,16 @@ _GROUP_SUFFIX = ".json"
 # strings, so none of these byte strings occurs within one.
 _RECORD_START = _RECORD_TEMPLATE[: _RECORD_TEMPLATE.index(b"%")]
 _TRACE_END = _RECORD_TEMPLATE[len(_RECORD_START) + 2 :].split(b"%")[0]
-_PROOF_START = b'{"%s":' % next(iter(treeinfo_to_wire(TreeInfo.empty()))).encode("ascii")
+_PROOF_START = b'{"root":'
+# The proof element join_group_file writes, each with the "]" that closes the file.
+_PROOF = '{"root":"%s","leaf":["%s"]}]'
+_LEAFLESS_PROOF = '{"root":"%s","leaf":[]}]'
 _RECORD_BOUNDARY = re.compile(re.escape(b"}," + _RECORD_START))
+# A proof's groups: root, "tree", and each list's strings unquoted (None: none).
+# No older writer put "]" in a tree node, and excluding it keeps the match linear.
+_PROOF_LAYOUT = re.compile(
+    rb'\{"root":"([^"]*)",(?:"(tree)":\[(?:"([^]]*)")?\],)?"leaf":\[(?:"(.*)")?\]\}', re.S)
+_PLAIN = bytes(set(range(0x20, 0x7F)) - set(b'"\\'))  # what JSON writes unescaped in a string
 _decode = json.JSONDecoder().raw_decode
 
 
@@ -307,10 +297,16 @@ def group_key(fusion_key: str) -> str:
 
 
 def join_group_file(encoded: Sequence[bytes], tree: TreeInfo) -> bytes:
-    """The group file over records already encoded, then the proof."""
+    """The group file over records already encoded, then the proof
+    '{"root":"R","leaf":["L1",…]}'.  The root and leaves are written as
+    they are, so each must be a string JSON would not escape (printable
+    ASCII but '"' and '\\'), as a hex digest is; the bytes are then those
+    json.dumps(..., separators=(",", ":")) writes."""
+    # One expression, so only the proof's bytes are held during the join.
+    proof = (_PROOF % (tree.root, '","'.join(tree.leaves)) if tree.leaves
+             else _LEAFLESS_PROOF % tree.root).encode("ascii")
     # A single join, so no intermediate copy of the whole body is made.
-    proof = json.dumps(treeinfo_to_wire(tree), separators=(",", ":")) + "]"
-    parts = [*encoded, proof.encode("utf-8")]
+    parts = [*encoded, proof]
     parts[0] = b"[" + parts[0]
     return b",".join(parts)
 
@@ -355,17 +351,33 @@ def _element(piece: bytes, key: str, what: str) -> dict:
     return obj
 
 
+def _read_proof(piece: bytes) -> TreeInfo:
+    """The proof element, split by the layout join_group_file writes or the
+    older one that lists the interior nodes as "tree" before "leaf".  Each
+    string stands as written, so a byte JSON would escape or a '"' inside
+    one is CorruptGroupFile, as any other layout is."""
+    layout, quotes = _PROOF_LAYOUT.fullmatch(piece), piece.translate(None, _PLAIN)
+    if layout and not quotes.strip(b'"'):
+        root, tree, *lists = layout.groups()
+        nodes, leaves = ([] if s is None else s.decode("ascii").split('","') for s in lists)
+        # Two for each key, the root, and each node and leaf.
+        if len(quotes) == 2 * (3 + bool(tree) + len(nodes) + len(leaves)):
+            return TreeInfo(root.decode("ascii"), tuple(leaves))
+    _element(piece, "root", "proof")  # a proof that is not JSON: name its error
+    raise CorruptGroupFile("group file's proof is not in the layout the pipeline writes")
+
+
 def load_group_file(data: bytes, seal: Optional[bytes] = None) -> StoredGroup:
     """Split a group file at the boundaries join_group_file writes: "[",
-    each '},{"traceid":', the last ',{"root":' and "]".  Only the proof is
-    decoded; a file in any other layout is CorruptGroupFile.  proof_sealed
-    is set when seal, the bytes persist wrote, ends with this file's proof
-    element: that proof is then the one persist built over its leaves."""
+    each '},{"traceid":', the last ',{"root":' and "]", and read the proof
+    by its layout; a file in any other layout is CorruptGroupFile.
+    proof_sealed is set when seal, the bytes persist wrote, ends with this
+    file's proof element: that proof is then the one persist built over its leaves."""
     cut = max(data.rfind(b"," + _PROOF_START), 0)
     if not (data.startswith(b"[" + _RECORD_START if cut else b"[")
             and data.startswith(_PROOF_START, cut + 1) and data.endswith(b"]")):
         raise CorruptGroupFile("group file is not in the layout the pipeline writes")
-    tree = treeinfo_from_wire(_element(data[cut + 1 : -1], "root", "proof"))
+    tree = _read_proof(data[cut + 1 : -1])
     # The "[" or "," before each record element, then the "," before the proof (none: cut 0).
     commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut]
     return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree,

@@ -86,7 +86,8 @@ def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[in
     """The group's verdict when it needs no rewrite (else None), the leaf
     hash of each record element as stored, and the positions of the
     elements the leaf list does not vouch for: every one when the root is
-    empty.  A sealed proof, the one persist wrote, needs no rebuild."""
+    empty, or when a leaf lies past the last element and so names no trace
+    to prune.  A sealed proof, the one persist wrote, needs no rebuild."""
     records, tree_info = group.records, group.proof
     if not tree_info.root:
         return False, [], list(range(len(records)))
@@ -94,11 +95,12 @@ def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[in
         vouched = group.proof_sealed or build_merkle_tree(tree_info.leaves).root == tree_info.root
     except InvalidHexLeaf:
         vouched = False
+    vouched = vouched and len(tree_info.leaves) <= len(records)
     recomputed = record_leaf_hashes(records)
     mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
     if vouched and not mismatched:
         return True, recomputed, []
-    return None, recomputed, [p for p in mismatched if p < len(records)]
+    return None, recomputed, mismatched
 
 
 def verify_integrity(
@@ -288,6 +290,7 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
     roots = sorted(tasks - has_incoming)
     if not roots:
         raise MissingMetric("metrics contain no entry task")
+    overhead = {True: model.local_overhead_ms, False: model.remote_overhead_ms}  # by same_group
 
     def mean_billed(task: str) -> float:
         try:
@@ -295,16 +298,11 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
         except KeyError:
             raise MissingMetric(f"no billed mean observed for task {task!r}") from None
 
-    def boundary(caller: str, callee: str) -> float:
-        if setup.same_group(caller, callee):
-            return model.local_overhead_ms
-        return model.remote_overhead_ms
-
     def completion(task: str, start: float) -> float:
         now = start + mean_billed(task)
         branch_ends: list[float] = []
         for callee, mode in children.get(task, []):
-            delay = boundary(task, callee)
+            delay = overhead[setup.same_group(task, callee)]
             if mode is CallMode.SYNC:
                 now = completion(callee, now + delay)
             else:
@@ -481,10 +479,8 @@ def run_optimization(
         load_stats: dict[int, tuple[int, int]] = {}
         for outcome in batch.outcomes:
             ok, bad = load_stats.get(outcome.load, (0, 0))
-            if outcome.trace_id in flagged_traces:
-                load_stats[outcome.load] = (ok, bad + 1)
-            else:
-                load_stats[outcome.load] = (ok + 1, bad)
+            caught = outcome.trace_id in flagged_traces
+            load_stats[outcome.load] = (ok + (not caught), bad + caught)
 
         store = store_factory(it) if store_factory is not None else MemoryStore()
         fusion_key = entry_fusion_key(current, app.entry_task)

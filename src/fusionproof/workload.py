@@ -35,6 +35,7 @@ from .handler import (
 
 DEFAULT_REMOTE_OVERHEAD_MS = 50
 DEFAULT_LOCAL_OVERHEAD_MS = 0
+_NEVER = float("-inf")  # before every completion: a walk's times are finite sums
 
 # Virtual-clock gap between consecutive requests; arbitrary but fixed so
 # that records from different traces never share a start time.
@@ -282,14 +283,15 @@ def _compile_walk(
                 wire_id, name, len(records), caller, int(round(start)),
                 billed, memory, kind, setup.version,
             ))
-            now = start + billed
-            async_completions: list[float] = []
+            now, latest = start + billed, _NEVER
             for callee, is_sync, route, delay in edges:
                 if is_sync:
                     now = visit(callee, name, now + delay, route)
                 else:
-                    async_completions.append(visit(callee, name, start + delay, route))
-            return max([now, *async_completions])
+                    done = visit(callee, name, start + delay, route)
+                    if done > latest:
+                        latest = done
+            return latest if latest > now else now  # max([now, *async completions])
 
         # The entry task itself arrives through the platform's front door.
         visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)

@@ -26,14 +26,14 @@ from fusionproof.proofs import (
     check_record,
     filter_batch,
     group_file_bytes,
+    join_group_file,
+    load_group_file,
     load_setups,
     parse_log_lines,
     persist_evidence,
     record_from_wire,
     record_leaf_hashes,
     record_to_wire,
-    treeinfo_from_wire,
-    treeinfo_to_wire,
 )
 from fusionproof.store import MemoryStore
 from fusionproof.verification import verify_integrity
@@ -229,12 +229,6 @@ class TestMerkleTree:
         swapped = list(leaves)
         swapped[position], swapped[position + 1] = swapped[position + 1], swapped[position]
         assert build_merkle_tree(swapped).root != build_merkle_tree(leaves).root
-
-    def test_treeinfo_wire_round_trip(self):
-        info = build_merkle_tree(random_leaves(4, seed=4))
-        wire = treeinfo_to_wire(info)
-        assert set(wire) == {"root", "leaf"}
-        assert treeinfo_from_wire(wire) == info
 
 
 class TestParseLogLines:
@@ -534,8 +528,12 @@ def _reference_record_bytes(record: InvocationRecord) -> bytes:
 
 
 def _reference_group_file(records, tree: TreeInfo) -> bytes:
-    body = [record_to_wire(r) for r in records] + [treeinfo_to_wire(tree)]
+    body = [record_to_wire(r) for r in records] + [{"root": tree.root, "leaf": list(tree.leaves)}]
     return json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+# 40 records, eight five-hop traces.
+_RECORD_POOL = [r for k in range(8) for r in iot_records(bytes([k + 1]) * 32, origin=1000 * k)]
 
 
 class TestEncoderMatchesJsonDumps:
@@ -549,6 +547,25 @@ class TestEncoderMatchesJsonDumps:
     def test_group_file_bytes(self, records):
         tree = build_merkle_tree(leaf_hashes(records))
         assert group_file_bytes(records, tree) == _reference_group_file(records, tree)
+
+    @staticmethod
+    def _written_as_json_writes_it(records, tree: TreeInfo) -> None:
+        encoded = tuple(map(canonical_record_bytes, records))
+        data = join_group_file(encoded, tree)
+        assert data == _reference_group_file(records, tree)
+        assert load_group_file(data) == StoredGroup(encoded, tree)
+
+    @given(st.integers(0, 40), st.integers(0, 999), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_proof_of_any_built_tree(self, leaves, seed, records):
+        """The proof template writes what json.dumps writes for every tree
+        build_merkle_tree returns, the empty one included."""
+        tree = build_merkle_tree(random_leaves(leaves, seed))
+        assert (tree == TreeInfo.empty()) is (leaves == 0)
+        self._written_as_json_writes_it(_RECORD_POOL[:records], tree)
+
+    def test_proof_of_12000_leaves(self):
+        self._written_as_json_writes_it(_RECORD_POOL, build_merkle_tree(random_leaves(12_000, 7)))
 
     def test_empty_group(self):
         expected = b'[{"root":"","leaf":[]}]'

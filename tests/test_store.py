@@ -395,6 +395,12 @@ class CountingStore(MemoryStore):
         return super().get(key)
 
 
+def _escape_first_leaf_digits(proof: bytes) -> bytes:
+    """The proof with its first leaf's first two digits written as \\u escapes."""
+    at = proof.index(b'"leaf":["') + len(b'"leaf":["')
+    return proof[:at] + b"".join(b"\\u%04x" % c for c in proof[at : at + 2]) + proof[at + 2 :]
+
+
 class TestOneReader:
     """load_group_file splits a group file at the boundaries the writer
     writes; every other layout is corrupt, and so is every piece the leaf
@@ -522,6 +528,61 @@ class TestOneReader:
         assert _scan(data).startswith(reason)
         assert _verified(data)[1:] == ({"CW": False}, {}, {}, {}, data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_EDIT, min_size=1, max_size=3), st.booleans())
+    def test_mutated_proof_is_read_only_when_json_dumps_writes_it(self, edits, older):
+        """A proof element the reader accepts holds exactly the bytes that
+        json.dumps writes for the value JSON reads from it, and that value
+        is the tree read: the layout is the compact JSON of the tree."""
+        cut = _FIRST.rindex(b',{"root":') + 1
+        proof = _FIRST[cut:-1]
+        if older:  # the root, after '{"root":"', as the one interior node
+            proof = proof.replace(b',"leaf":[', b',"tree":["%s"],"leaf":[' % proof[9:73], 1)
+        data = _FIRST[:cut] + _mutate(proof, edits) + b"]"
+        group = _scan(data)
+        if isinstance(group, str):
+            return
+        piece = data[data.rfind(b',{"root":') + 1 : -1] if group.records else data[1:-1]
+        obj = json.loads(piece)
+        assert json.dumps(obj, separators=(",", ":")).encode() == piece
+        assert list(obj) in (["root", "leaf"], ["root", "tree", "leaf"])
+        assert group.proof == TreeInfo(obj["root"], tuple(obj["leaf"]))
+
+    @pytest.mark.parametrize(
+        "edit, same_json",
+        [
+            (lambda proof: proof.replace(b'"leaf":[', b'"leaf": [', 1), True),
+            (lambda proof: proof.replace(b'{"root":', b'{"root": ', 1), True),
+            (lambda proof: proof.replace(b'","', b'", "', 1), True),
+            (lambda proof: proof.replace(b'"]}', b'" ]}', 1), True),
+            (_escape_first_leaf_digits, True),
+            (lambda proof: proof.replace(b'"leaf":["', b'"leaf":["\x7f', 1), False),
+            (lambda proof: proof.replace(b'"leaf":[', b'"leaf":[5,', 1), False),
+            (lambda proof: proof.replace(b'"leaf":[', b'"x":0,"leaf":[', 1), False),
+            (lambda proof: proof.replace(b'"leaf":[', b'"tree":[0],"leaf":[', 1), False),
+            (lambda proof: proof.replace(b'"leaf":[', b'"tree": [],"leaf":[', 1), False),
+            (lambda proof: proof.replace(b'"leaf":[', b'"tree":["a]"],"leaf":[', 1), False),
+        ],
+        ids=["space_after_leaf_key", "space_after_root_key", "space_between_leaves",
+             "space_before_close", "escaped_leaf_digits", "raw_del_in_leaf", "int_leaf",
+             "extra_key", "tree_of_numbers", "spaced_tree", "bracket_in_a_node"],
+    )
+    def test_proof_out_of_the_writers_layout_is_corrupt(self, edit, same_json):
+        """The proof is read by the layout the writer writes, so a proof in
+        any other is corrupt and the file is left as stored, also when a
+        JSON decoder reads the same value from it."""
+        cut = _THREE_TRACES.rindex(b',{"root":')
+        data = _THREE_TRACES[:cut] + edit(_THREE_TRACES[cut:])
+        assert data != _THREE_TRACES
+        assert (json.loads(data) == json.loads(_THREE_TRACES)) is same_json
+        reasons, *rest = _verified(data)
+        assert rest == [{"CW": False}, {}, {}, {}, data]
+        assert list(reasons) == ["CW"]
+        assert reasons["CW"] in (
+            "group file is not in the layout the pipeline writes",
+            "group file's proof is not in the layout the pipeline writes",
+        )
+
     def test_file_without_a_proof_boundary_is_corrupt(self):
         """One element that is both a record and the proof."""
         empty_hash = hashlib.sha256(b"").hexdigest()
@@ -629,9 +690,10 @@ class TestOneReader:
 
     @pytest.mark.parametrize("tampered", [0, 1, 3])
     def test_only_the_proof_and_tampered_records_are_decoded(self, tampered):
-        """Loading and verifying an untampered file decodes one element,
-        its proof; each record whose bytes no longer match its leaf adds
-        one.  The other records of its trace are pruned undecoded."""
+        """Loading and verifying an untampered file decodes no element: the
+        proof is read by its layout.  Each record whose bytes no longer
+        match its leaf is decoded; the other records of its trace are
+        pruned undecoded."""
         store = MemoryStore()
         store.put("CW.SE.CS.CT.CA.json", _THREE_TRACES.replace(b'"route":"', b'"route":"X', tampered))
         decoded = []
@@ -647,7 +709,7 @@ class TestOneReader:
         assert corrupt == {} and report.corrupt == {}
         assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == min(tampered, 1)
         assert len(report.survivors.get("CW.SE.CS.CT.CA", ())) == (10 if tampered else 0)
-        assert len(decoded) == tampered + 1
+        assert len(decoded) == tampered
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -266,6 +266,26 @@ class TestVerifyIntegrity:
             survivors, build_merkle_tree(record_leaf_hashes(survivors)))
         assert verify_integrity(*load_setups(store), store).integrity_verified is True
 
+    @pytest.mark.parametrize("sealed", [False, True], ids=["no_seal", "seal"])
+    def test_truncated_last_record_prunes_every_trace(self, sealed):
+        """The last record element cut off and the proof left as it was:
+        the 15th leaf names no trace, so the leaf list vouches for no
+        element, every trace is pruned, and the next verify fails too."""
+        store, seals = MemoryStore(), {}
+        records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
+        assert len(records) == 15
+        tree = persist_evidence(store, self.KEY, records, seals)
+        store.put(f"{self.KEY}.json", group_file_bytes(records[:-1], tree))
+        setups, corrupt = load_setups(store, seals if sealed else None)
+        assert setups[self.KEY].proof == tree and setups[self.KEY].proof_sealed is sealed
+        report = verify_integrity(setups, corrupt, store)
+        assert report.group_results == {self.KEY: False}
+        assert set(report.pruned[self.KEY]) == {r.trace_id for r in records}
+        assert len(report.pruned[self.KEY]) == 3
+        assert report.survivors == {self.KEY: ()}
+        assert store.get(f"{self.KEY}.json") == group_file_bytes([], TreeInfo.empty())
+        assert verify_integrity(*load_setups(store), store).integrity_verified is False
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -533,8 +553,7 @@ class TestSealedTree:
         report, stored, _, _ = self.verify(case, "bytes")
         assert (report, stored) == self.verify(case, "none")[:2]
         assert report.integrity_verified is (
-            case in ("untouched", "seal_differs_by_one_leaf", "proof_reformatted",
-                     "proof_in_the_older_layout"))
+            case in ("untouched", "seal_differs_by_one_leaf", "proof_in_the_older_layout"))
 
     @pytest.mark.parametrize(
         "case, with_seal, builds",
@@ -546,7 +565,7 @@ class TestSealedTree:
             ("seal_differs_by_one_leaf", True, [15]),
             ("forged_root", True, [15, 0]),
             ("records_dropped_proof_kept", True, [15, 0]),
-            ("proof_reformatted", True, [15]),
+            ("proof_reformatted", True, []),  # corrupt: not in the writer's layout
             ("proof_in_the_older_layout", True, [15]),
         ],
     )
@@ -572,13 +591,14 @@ class TestSealedTree:
             ("appended_copy_of_last_record", True),
             ("seal_differs_by_one_leaf", False),
             ("records_dropped_proof_kept", False),
-            ("proof_reformatted", False),
+            ("proof_reformatted", None),  # corrupt: not loaded at all
             ("proof_in_the_older_layout", False),
         ],
     )
     def test_only_a_proof_with_the_seals_bytes_is_sealed(self, case, proof_sealed):
-        assert self.verify(case, "bytes")[2][self.KEY].proof_sealed is proof_sealed
-        assert self.verify(case, "none")[2][self.KEY].proof_sealed is False
+        loaded = {seal: self.verify(case, seal)[2].get(self.KEY) for seal in ("bytes", "none")}
+        assert getattr(loaded["bytes"], "proof_sealed", None) is proof_sealed
+        assert getattr(loaded["none"], "proof_sealed", None) is (None if proof_sealed is None else False)
 
     @pytest.mark.parametrize(
         "case, seal, splits, hashes",
@@ -1019,7 +1039,8 @@ def retype_first_record(iteration: int, store) -> None:
 
 def forge_leaf_list(leaf_of_record_1):
     """Tamper hook: inflate record 1 and rewrite its entry in the stored
-    leaf list, leaving the stored root alone."""
+    leaf list, leaving the stored root alone.  The proof is written by a
+    JSON writer, which also writes a leaf that is not a string."""
 
     def tamper(iteration: int, store) -> None:
         key = "CW.SE.CS.CT.CA.json"
@@ -1028,8 +1049,8 @@ def forge_leaf_list(leaf_of_record_1):
         records[1] = dataclasses.replace(records[1], billed_duration_ms=80000)
         leaves = list(tree.leaves)
         leaves[1] = leaf_of_record_1(records[1])
-        forged = dataclasses.replace(tree, leaves=tuple(leaves))
-        store.put(key, group_file_bytes(records, forged))
+        proof = json.dumps({"root": tree.root, "leaf": leaves}, separators=(",", ":"))
+        store.put(key, b"[" + b",".join([*encoded(*records), proof.encode()]) + b"]")
 
     return tamper
 
@@ -1206,16 +1227,17 @@ class TestRunOptimization:
         assert result.estimated_cost_ms == pytest.approx(282.0)
 
     @pytest.mark.parametrize(
-        "leaf_of_record_1",
+        "leaf_of_record_1, pruned_counts",
         [
-            lambda record: record_leaf_hashes(encoded(record))[0],
-            lambda record: "zz",
-            lambda record: "AB" * 32,
-            lambda record: 5,
+            (lambda record: record_leaf_hashes(encoded(record))[0], {"CW.SE.CS.CT.CA": 4}),
+            (lambda record: "zz", {"CW.SE.CS.CT.CA": 4}),
+            (lambda record: "AB" * 32, {"CW.SE.CS.CT.CA": 4}),
+            # Not in the writer's layout: the file is corrupt, and kept as stored.
+            (lambda record: 5, {}),
         ],
         ids=["rehashed", "non_hex", "upper_hex", "not_a_string"],
     )
-    def test_leaf_list_the_root_does_not_vouch_for_prunes_everything(self, leaf_of_record_1):
+    def test_leaf_list_the_root_does_not_vouch_for_prunes_everything(self, leaf_of_record_1, pruned_counts):
         trace = run_optimization(
             IOT,
             FUSED,
@@ -1227,7 +1249,7 @@ class TestRunOptimization:
         )
         result = trace.iterations[0]
         assert result.integrity_verified is False
-        assert result.pruned_counts == {"CW.SE.CS.CT.CA": 4}
+        assert result.pruned_counts == pruned_counts
         assert result.reverted is True
         assert result.estimated_cost_ms is None
 

@@ -450,3 +450,76 @@ class TestRecordContract:
     def test_missing_argument(self):
         with pytest.raises(TypeError):
             InvocationRecord("tid", "CW", 0, "I", 0, 37, 10, RouteKind.REMOTE)
+
+
+def reference_walk(app, setup, trace, seed, clock_origin_ms, remote_overhead_ms, local_overhead_ms):
+    """The walk as it was when each visit built a list of its async
+    completions and returned max([now, *async_completions]); kept as the
+    oracle for the walk that keeps the latest completion in a local."""
+    reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
+    jittered = any(task.jitter_fraction for task in reachable)
+    overhead = {RouteKind.REMOTE: remote_overhead_ms, RouteKind.LOCAL: local_overhead_ms}
+    table = {}
+    for task in reachable:
+        routes = [(call, workload.route_call(setup, task.name, call.callee)) for call in task.calls]
+        edges = tuple((c.callee, c.mode is CallMode.SYNC, r, overhead[r]) for c, r in routes)
+        duration = task.base_duration_ms if jittered else workload._quantize(task.base_duration_ms)
+        table[task.name] = (duration, task.jitter_fraction, workload._quantize(task.base_memory_mb), edges)
+    draw = random.Random(seed).random if jittered else None
+    records = []
+
+    def visit(name, caller, start, kind):
+        duration, jitter, memory, edges = table[name]
+        billed = duration if draw is None else workload._quantize(
+            duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
+        records.append(InvocationRecord(
+            trace.full, name, len(records), caller, int(round(start)),
+            billed, memory, kind, setup.version,
+        ))
+        now = start + billed
+        async_completions = []
+        for callee, is_sync, route, delay in edges:
+            if is_sync:
+                now = visit(callee, name, now + delay, route)
+            else:
+                async_completions.append(visit(callee, name, start + delay, route))
+        return max([now, *async_completions])
+
+    visit(app.entry_task, workload.EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
+    return records
+
+
+_OVERHEAD = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _walk_inputs(draw):
+    """A tree app (fanout 2-4, depth 1-3) or iot, with a jitter fraction
+    and a call mode drawn per task and per call, under a drawn partition."""
+    base = draw(st.one_of(
+        st.just(IOT), st.builds(builtin_tree_app, st.integers(2, 4), st.integers(1, 3))))
+    tasks = tuple(
+        dataclasses.replace(
+            task,
+            jitter_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
+            calls=tuple(CallSpec(c.callee, draw(st.sampled_from(CallMode))) for c in task.calls),
+        )
+        for task in base.tasks
+    )
+    app = AppSpec(base.name, base.entry_task, tasks)
+    group_of = [draw(st.integers(0, 2)) for _ in tasks]
+    groups = [[t.name for t, g in zip(tasks, group_of) if g == k] for k in range(3)]
+    setup = FusionSetup.fused([g for g in groups if g], version=draw(st.integers(1, 3)))
+    return app, setup
+
+
+class TestWalkMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(_walk_inputs(), st.binary(min_size=32, max_size=32), st.integers(0, 2**64 - 1),
+           st.floats(0, 10**7, allow_nan=False), _OVERHEAD, _OVERHEAD)
+    def test_records_equal_the_list_building_walk(self, app_setup, randomness, seed, origin,
+                                                  remote, local):
+        app, setup = app_setup
+        trace = generate_trace_id(setup, app.entry_task, randomness)
+        records = execute_request(app, setup, trace, None, seed, origin, remote, local)
+        assert records == reference_walk(app, setup, trace, seed, origin, remote, local)
