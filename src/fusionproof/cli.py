@@ -25,6 +25,7 @@ from .proofs import ThresholdPolicy, filter_batch, group_key, load_setups, persi
 from .store import FileStore
 from .verification import (
     CostModel,
+    FailureReason,
     SamplingState,
     VerificationReport,
     iteration_result_to_wire,
@@ -387,13 +388,16 @@ def cmd_run(config: ScenarioConfig) -> int:
 
 
 def _report_to_wire(report: VerificationReport) -> dict:
+    def by_reason(reason: FailureReason, value) -> dict:
+        return {key: value(o) for key, o in report.outcomes.items() if o.reason is reason}
+
     return {
         "integrity_verified": report.integrity_verified,
-        "group_results": dict(report.group_results),
+        "group_results": report.group_results,
         "pruned": {key: list(ids) for key, ids in report.pruned.items()},
-        "surviving_counts": {key: len(records) for key, records in report.survivors.items()},
-        "notes": dict(report.notes),
-        "corrupt": dict(report.corrupt),
+        "surviving_counts": by_reason(FailureReason.PRUNED, lambda o: len(o.survivors)),
+        "notes": by_reason(FailureReason.STORE_ERROR, lambda o: o.detail),
+        "corrupt": by_reason(FailureReason.CORRUPT, lambda o: o.detail),
     }
 
 
@@ -401,10 +405,9 @@ def cmd_verify(config: ScenarioConfig) -> int:
     """Re-check all stored proofs, pruning tampered records from group files."""
     out = _output_dir(config)
     store = FileStore(config.store_root)
-    setups, corrupt = load_setups(store)
-    report = verify_integrity(setups, corrupt, store)
+    report = verify_integrity(load_setups(store), store)
     _write_json(out / "verification.json", _report_to_wire(report))
-    if report.corrupt:
+    if any(o.reason is FailureReason.CORRUPT for o in report.outcomes.values()):
         return EXIT_CORRUPT
     return EXIT_OK if report.integrity_verified else EXIT_VERIFY_FAILED
 

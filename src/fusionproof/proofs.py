@@ -412,16 +412,14 @@ def parse_group_file(data: bytes) -> list[Union[InvocationRecord, TreeInfo]]:
 
 def load_setups(
     store, seals: Optional[dict[str, bytes]] = None
-) -> tuple[dict[str, Optional[StoredGroup]], dict[str, str]]:
+) -> dict[str, Union[StoredGroup, None, str]]:
     """Load every group file, as stored, into verification's input shape.
 
-    Returns (setups, corrupt): setups maps fusion_key to the group's
-    record element bytes and proof; corrupt maps fusion_key to the
-    failure reason for listed group files that could not be read or would
-    not parse.  Every key in the store is a group file, one under a
-    subdirectory included.  No record is decoded into an InvocationRecord,
-    and a corrupt file never hides the remaining keys.  verify_integrity
-    takes both maps and gives the verdict.
+    Maps each fusion_key to the group's record element bytes and proof,
+    or to the reason its listed group file could not be read or would
+    not parse: verify_integrity gives the verdict.  Every key in the
+    store is a group file, one under a subdirectory included.  No record
+    is decoded, and a corrupt file never hides the remaining keys.
 
     seals optionally maps a fusion key to the bytes persist_evidence set
     in it.  A stored file equal to them is what verification would pass
@@ -429,8 +427,7 @@ def load_setups(
     split against them.  Each seal is popped as it is compared, and seals
     is empty on return.
     """
-    setups: dict[str, Optional[StoredGroup]] = {}
-    corrupt: dict[str, str] = {}
+    setups: dict[str, Union[StoredGroup, None, str]] = {}
     seals = seals if seals is not None else {}
     for key in store.list(""):
         fusion_key = key[: -len(_GROUP_SUFFIX)]
@@ -439,6 +436,6 @@ def load_setups(
             # A store's get may return the very object put: then no byte is read.
             setups[fusion_key] = None if data == seal else load_group_file(data, seal)
         except (NotFound, CorruptGroupFile) as exc:
-            corrupt[fusion_key] = str(exc)
+            setups[fusion_key] = str(exc)
     seals.clear()
-    return setups, corrupt
+    return setups

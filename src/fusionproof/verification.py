@@ -9,8 +9,9 @@ verified measurements, and search for a cheaper fusion setup to run next.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     CorruptGroupFile,
@@ -68,99 +69,103 @@ def find_mismatch(
     return out
 
 
+class FailureReason(Enum):
+    PRUNED = "pruned"  # rewritten over the records its proof still vouches for
+    EMPTY_PROOF = "empty_proof"  # a proof with an empty root: nothing to prune
+    CORRUPT = "corrupt"  # the file, or an element to prune, would not parse
+    STORE_ERROR = "store_error"  # the store refused the pruned rewrite
+
+
+@dataclass(frozen=True)
+class GroupOutcome:
+    """One group file's verdict, reason None for a pass; detail is the
+    corrupt or store error's message, survivors the record elements a
+    pruned group was rewritten over, and pruned its pruned trace ids."""
+
+    reason: Optional[FailureReason] = None
+    detail: str = ""
+    survivors: tuple[bytes, ...] = ()
+    pruned: tuple[str, ...] = ()
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    group_results: Mapping[str, bool]
-    survivors: Mapping[str, tuple[bytes, ...]]
-    pruned: Mapping[str, tuple[str, ...]]
-    notes: Mapping[str, str] = field(default_factory=dict)
-    corrupt: Mapping[str, str] = field(default_factory=dict)
+    outcomes: Mapping[str, GroupOutcome]
+
+    @property
+    def group_results(self) -> dict[str, bool]:
+        return {key: o.reason is None for key, o in self.outcomes.items()}
+
+    @property
+    def pruned(self) -> dict[str, tuple[str, ...]]:
+        return {key: o.pruned for key, o in self.outcomes.items() if o.reason is FailureReason.PRUNED}
 
     @property
     def integrity_verified(self) -> bool:
         """Every group file passed, and there was at least one."""
-        return bool(self.group_results) and all(self.group_results.values())
+        return bool(self.outcomes) and all(o.reason is None for o in self.outcomes.values())
 
 
-def _check_group(group: StoredGroup) -> tuple[Optional[bool], list[str], list[int]]:
-    """The group's verdict when it needs no rewrite (else None), the leaf
-    hash of each record element as stored, and the positions of the
-    elements the leaf list does not vouch for: every one when the root is
-    empty, or when a leaf lies past the last element and so names no trace
-    to prune.  A sealed proof, the one persist wrote, needs no rebuild."""
-    records, tree_info = group.records, group.proof
-    if not tree_info.root:
-        return False, [], list(range(len(records)))
+def _verify_group(key: str, group: Union[StoredGroup, None, str], store) -> GroupOutcome:
+    """One group's outcome from its load_setups value.  A leaf list vouches
+    for no element when the root is empty, or when a leaf lies past the
+    last element and so names no trace to prune."""
+    if group is None:
+        return GroupOutcome()
+    if isinstance(group, str):
+        return GroupOutcome(FailureReason.CORRUPT, group)
+    records, proof = group.records, group.proof
+    unvouched: Sequence[int] = range(len(records))  # all, under an empty root
+    if proof.root:
+        try:
+            vouched = group.proof_sealed or build_merkle_tree(proof.leaves).root == proof.root
+        except InvalidHexLeaf:
+            vouched = False
+        vouched = vouched and len(proof.leaves) <= len(records)
+        recomputed = record_leaf_hashes(records)
+        unvouched = find_mismatch(recomputed, proof.leaves if vouched else ())
+        if vouched and not unvouched:
+            return GroupOutcome()
     try:
-        vouched = group.proof_sealed or build_merkle_tree(tree_info.leaves).root == tree_info.root
-    except InvalidHexLeaf:
-        vouched = False
-    vouched = vouched and len(tree_info.leaves) <= len(records)
-    recomputed = record_leaf_hashes(records)
-    mismatched = find_mismatch(recomputed, tree_info.leaves if vouched else ())
-    if vouched and not mismatched:
-        return True, recomputed, []
-    return None, recomputed, mismatched
+        doomed = dict(record_trace_id(records[p], p) for p in unvouched)
+    except CorruptGroupFile as exc:
+        return GroupOutcome(FailureReason.CORRUPT, str(exc))
+    if not proof.root:
+        return GroupOutcome(FailureReason.EMPTY_PROOF)
+    removed = set(unvouched)
+    kept = [p for p, r in enumerate(records) if p not in removed and stored_trace_id(r) not in doomed]
+    survivors = tuple(records[p] for p in kept)
+    try:
+        store.put(group_key(key), join_group_file(
+            survivors, build_merkle_tree([recomputed[p] for p in kept])))
+    except StoreWriteFailed as exc:
+        return GroupOutcome(FailureReason.STORE_ERROR, str(exc))
+    return GroupOutcome(FailureReason.PRUNED, "", survivors, tuple(doomed.values()))
 
 
 def verify_integrity(
-    setups: Mapping[str, Optional[StoredGroup]],
-    corrupt: Mapping[str, str],
-    store: EvidenceStore,
+    setups: Mapping[str, Union[StoredGroup, None, str]], store: EvidenceStore
 ) -> VerificationReport:
-    """Decide every group file's verdict from load_setups' two maps.
+    """Decide every group file's outcome from load_setups' map.
 
-    A proof with an empty root fails with nothing to prune.  Otherwise the
-    stored leaf list counts only if it rebuilds the stored root; a list
-    that does not count compares as empty.  The group passes when it
-    counts and the leaf hash of each record element's bytes, exactly as
-    stored, matches it position by position.  Else every record of a
-    trace with an element whose leaf does not match is pruned, as
-    filter_batch flags whole traces, and the group file is rewritten over
-    the rest; the survivors' bytes are reported under the group's key,
-    and each pruned trace id once under pruned.  Nothing is deleted.  A
+    A group load_setups mapped to a reason is corrupt.  A proof with an
+    empty root fails with nothing to prune.  Otherwise the stored leaf
+    list counts only if it rebuilds the stored root; a list that does not
+    count compares as empty.  The group passes when it counts and the
+    leaf hash of each record element's bytes, exactly as stored, matches
+    it position by position.  Else every record of a trace with an
+    element whose leaf does not match is pruned, as filter_batch flags
+    whole traces, and the group file is rewritten over the rest; the
+    outcome holds the survivors' bytes and each pruned trace id once, or
+    the store's error when the rewrite fails.  Nothing is deleted.  A
     group load_setups mapped to None, its bytes those persist sealed,
     passes unread; a proof load_group_file sealed is not rebuilt.
 
     Every element the leaf list does not vouch for is decoded for its
     trace id before anything is written; when one is not, whole, a JSON
-    object with a traceid, the group joins corrupt and is not rewritten.
-    A corrupt group fails, and a report over no group file is not verified.
+    object with a traceid, the group is corrupt and is not rewritten.
     """
-    group_results: dict[str, bool] = {}
-    out_survivors: dict[str, tuple[bytes, ...]] = {}
-    pruned: dict[str, tuple[str, ...]] = {}
-    notes: dict[str, str] = {}
-    corrupt = dict(corrupt)
-    for key, group in setups.items():
-        if group is None:
-            group_results[key] = True
-            continue
-        verdict, recomputed, unvouched = _check_group(group)
-        try:
-            doomed = dict(record_trace_id(group.records[p], p) for p in unvouched)
-        except CorruptGroupFile as exc:
-            corrupt[key] = str(exc)
-            continue
-        if verdict is not None:
-            group_results[key] = verdict
-            continue
-        removed = set(unvouched)
-        kept = [p for p, r in enumerate(group.records)
-                if p not in removed and stored_trace_id(r) not in doomed]
-        survivors = tuple(group.records[p] for p in kept)
-        new_tree = build_merkle_tree([recomputed[p] for p in kept])
-        try:
-            store.put(group_key(key), join_group_file(survivors, new_tree))
-        except StoreWriteFailed as exc:
-            notes[key] = str(exc)
-            group_results[key] = False
-            continue
-        out_survivors[key] = survivors
-        pruned[key] = tuple(doomed.values())
-        group_results[key] = False
-    group_results.update(dict.fromkeys(corrupt, False))
-    return VerificationReport(group_results, out_survivors, pruned, notes, corrupt)
+    return VerificationReport({key: _verify_group(key, group, store) for key, group in setups.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -497,22 +502,21 @@ def run_optimization(
         usable_records: Sequence[InvocationRecord] = clean
         verified = None
         if inspect_this:
-            setups, corrupt = load_setups(store, seals)
-            report = verify_integrity(setups, corrupt, store)
+            setups = load_setups(store, seals)
+            report = verify_integrity(setups, store)
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             verified = report.integrity_verified
-            if not group_results.get(fusion_key, False):
+            entry = report.outcomes.get(fusion_key)
+            if entry is None or entry.reason is not None:
                 persisted = dict(zip(tree.leaves, clean))
-                survivors = report.survivors.get(fusion_key, ())
-                usable_records = [
-                    persisted[h] for h in record_leaf_hashes(survivors) if h in persisted
-                ]
+                survivors = record_leaf_hashes(entry.survivors if entry else ())
+                usable_records = [persisted[h] for h in survivors if h in persisted]
                 del persisted, survivors
             # Drop the loaded evidence now rather than when the next
             # iteration's load replaces it, so that two iterations' evidence
             # is never held at once.
-            del setups, report
+            del setups, report, entry
 
         cost: Optional[float] = None
         try:

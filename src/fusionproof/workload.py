@@ -381,10 +381,6 @@ class LogBatch:
     records: tuple[InvocationRecord, ...]
     outcomes: tuple[RequestOutcome, ...]
 
-    @property
-    def attacked_trace_ids(self) -> frozenset[str]:
-        return frozenset(o.trace_id for o in self.outcomes if o.attacked)
-
 
 def run_workload(
     app: AppSpec,

@@ -160,16 +160,16 @@ def test_acceptance_2_exhaustive_tampering():
             assert find_mismatch(
                 record_leaf_hashes(encoded), stored_tree.leaves
             ) == list(positions)
-            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, {}, store)
+            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, store)
             assert report.integrity_verified is False
             assert report.group_results[KEY] is False
             assert report.pruned[KEY] == tuple(records[p].trace_id for p in positions)
             survivors = tuple(
                 canonical_record_bytes(r) for p, r in enumerate(records) if p not in positions
             )
-            assert report.survivors[KEY] == survivors
-            reloaded, _ = load_setups(store)
-            second = verify_integrity(reloaded, {}, store)
+            assert report.outcomes[KEY].survivors == survivors
+            reloaded = load_setups(store)
+            second = verify_integrity(reloaded, store)
             if survivors:
                 assert second.integrity_verified is True
             else:
@@ -186,7 +186,7 @@ def test_acceptance_3_dow_scenario(tmp_path):
     attack = AttackPlan.dow("SE", 999999, lambda iteration, request: request == 0)
     batch = run_workload(IOT, FUSED, [10], attack, 1, seed=101)
     assert len(batch.records) == 50
-    attacked_traces = batch.attacked_trace_ids
+    attacked_traces = {o.trace_id for o in batch.outcomes if o.attacked}
     assert len(attacked_traces) == 1
 
     clean, flagged = filter_batch(batch.records, ThresholdPolicy(max_billed_ms=90000))
@@ -216,7 +216,7 @@ def test_acceptance_4_business_logic_scenario(tmp_path):
     clean, flagged = filter_batch(batch.records, POLICY)
     assert len(clean) == 10
     assert len(flagged) == 5
-    assert {r.trace_id for r, _ in flagged} == batch.attacked_trace_ids
+    assert {r.trace_id for r, _ in flagged} == {o.trace_id for o in batch.outcomes if o.attacked}
     assert all(v.kind is ViolationKind.SEQUENCE_VIOLATION for _, v in flagged)
 
     # Reordering two persisted blocks must break the stored root.
@@ -226,8 +226,8 @@ def test_acceptance_4_business_logic_scenario(tmp_path):
     tree = parse_group_file(store.get(f"{KEY}.json"))[-1]
     reordered = [records[1], records[0], records[2]]
     store.put(f"{KEY}.json", group_file_bytes(reordered, tree))
-    setups, _ = load_setups(store)
-    report = verify_integrity(setups, {}, store)
+    setups = load_setups(store)
+    report = verify_integrity(setups, store)
     assert report.integrity_verified is False
     assert set(report.pruned[KEY]) == {records[0].trace_id, records[1].trace_id}
 
@@ -374,6 +374,5 @@ def test_acceptance_9_determinism_and_round_trips(tmp_path):
     disk = FileStore(tmp_path / "rt")
     sample = records[:1000]
     persist_evidence(disk, "RT", sample)
-    reloaded, corrupt = load_setups(disk)
-    assert corrupt == {}
+    reloaded = load_setups(disk)
     assert reloaded["RT"].records == tuple(map(canonical_record_bytes, sample))

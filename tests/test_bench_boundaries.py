@@ -82,12 +82,11 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
     tampered = original.replace(b'"billed":37', b'"billed":38', 1)
     assert tampered != original
     store.put("CW.SE.CS.CT.CA.json", tampered)
-    setups, corrupt = load_setups(store)
-    report = verification.verify_integrity(setups, corrupt, store)
+    report = verification.verify_integrity(load_setups(store), store)
 
-    assert not corrupt and not report.integrity_verified
+    assert not report.integrity_verified
     # The tampered record's five-hop trace is pruned whole.
-    assert len(report.survivors["CW.SE.CS.CT.CA"]) == n - 5
+    assert len(report.outcomes["CW.SE.CS.CT.CA"].survivors) == n - 5
     assert calls == {
         "fusionproof.proofs.canonical_record_bytes": n,
         "fusionproof.proofs.build_merkle_tree": 1,

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionproof import cli
 from fusionproof.cli import (
     EXIT_CORRUPT,
     EXIT_OK,
@@ -25,10 +26,16 @@ from fusionproof.cli import (
     main,
     resolve_config,
 )
-from fusionproof.errors import CycleDetected, UnknownCallee
-from fusionproof.proofs import ThresholdPolicy, group_file_bytes, parse_group_file
-from fusionproof.store import FileStore
-from fusionproof.verification import CostModel, SamplingState
+from fusionproof.errors import CycleDetected, StoreWriteFailed, UnknownCallee
+from fusionproof.proofs import ThresholdPolicy, group_file_bytes, load_setups, parse_group_file
+from fusionproof.store import FileStore, MemoryStore
+from fusionproof.verification import (
+    CostModel,
+    FailureReason,
+    GroupOutcome,
+    SamplingState,
+    verify_integrity,
+)
 from fusionproof.workload import builtin_iot_app
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -681,6 +688,37 @@ class TestVerifyCommand:
         assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 5}
         assert len(payload["pruned"]["CW.SE.CS.CT.CA"]) == 1
         assert main(["verify", "--config", str(write_config(tmp_path))]) == EXIT_OK
+
+    def test_refused_rewrite_is_a_store_error_and_kept(self, tmp_path, monkeypatch):
+        """The store refuses the pruned group's rewrite: the group fails
+        with the store's message under notes, nothing counts as pruned,
+        the file stays as stored, and verify exits 1, not 3."""
+
+        class RefusingStore(MemoryStore):
+            def put(self, key, data):
+                if key in self.list():
+                    raise StoreWriteFailed(f"cannot rewrite {key}: read-only")
+                super().put(key, data)
+
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        tamper_group_file(tmp_path / "evidence")
+        key = "CW.SE.CS.CT.CA"
+        stored = FileStore(tmp_path / "evidence").get(f"{key}.json")
+        store = RefusingStore()
+        store.put(f"{key}.json", stored)
+        report = verify_integrity(load_setups(store), store)
+        message = f"cannot rewrite {key}.json: read-only"
+        assert report.outcomes == {key: GroupOutcome(FailureReason.STORE_ERROR, message)}
+
+        monkeypatch.setattr(cli, "FileStore", lambda root: store)
+        assert main(["verify", "--config", str(config)]) == EXIT_VERIFY_FAILED
+        payload = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert payload["notes"] == {key: message}
+        assert payload["group_results"] == {key: False}
+        assert payload["pruned"] == {} and payload["surviving_counts"] == {}
+        assert payload["corrupt"] == {}
+        assert store.get(f"{key}.json") == stored
 
     def test_corrupt_group_file_exit_code(self, tmp_path):
         def corrupt(root: Path):

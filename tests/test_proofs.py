@@ -751,15 +751,15 @@ class TestMerkleLeafCheck:
         store = MemoryStore()
         records = [*iot_records(b"\x61" * 32), *iot_records(b"\x62" * 32)]
         persist_evidence(store, "CW.SE.CS.CT.CA", records)
-        group = load_setups(store)[0]["CW.SE.CS.CT.CA"]
+        group = load_setups(store)["CW.SE.CS.CT.CA"]
         forged = TreeInfo(group.proof.root, (*group.proof.leaves[:1], bad, *group.proof.leaves[2:]))
         with pytest.raises(InvalidHexLeaf) as info:
             build_merkle_tree(forged.leaves)
         assert str(info.value) == f"leaf {bad!r} is not a 64-char lowercase hex digest"
-        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, {}, store)
+        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, store)
         assert report.integrity_verified is False
         assert report.pruned == {"CW.SE.CS.CT.CA": tuple(dict.fromkeys(r.trace_id for r in records))}
-        assert report.survivors == {"CW.SE.CS.CT.CA": ()}
+        assert report.outcomes["CW.SE.CS.CT.CA"].survivors == ()
 
 
 class TestRouteFromWire:

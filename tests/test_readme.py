@@ -20,5 +20,5 @@ def test_library_use_runs(tmp_path, monkeypatch, capsys):
     namespace: dict = {}
     exec(compile(python_block("## Library use"), "README.md", "exec"), namespace)
     assert namespace["report"].integrity_verified is True
-    assert namespace["corrupt"] == {}
+    assert namespace["report"].group_results == {"CW": True}
     assert capsys.readouterr().out == namespace["trace"].final_setup.setup_part + "\n"

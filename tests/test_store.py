@@ -31,7 +31,7 @@ from fusionproof.proofs import (
     stored_trace_id,
 )
 from fusionproof.store import FileStore, MemoryStore
-from fusionproof.verification import verify_integrity
+from fusionproof.verification import FailureReason, verify_integrity
 from fusionproof.workload import InvocationRecord, builtin_iot_app, execute_request
 
 IOT = builtin_iot_app()
@@ -237,8 +237,7 @@ class TestLoadSetups:
         store = MemoryStore()
         records = iot_records(b"\x22" * 32)
         persist_evidence(store, "CW.SE.CS.CT.CA", records)
-        setups, corrupt = load_setups(store)
-        assert corrupt == {}
+        setups = load_setups(store)
         assert list(setups) == ["CW.SE.CS.CT.CA"]
         encoded = tuple(map(canonical_record_bytes, records))
         assert setups["CW.SE.CS.CT.CA"] == StoredGroup(
@@ -251,9 +250,9 @@ class TestLoadSetups:
         persist_evidence(store, "CW.SE.CS.CT.CA", records)
         # A per-trace block as older versions wrote one beside the group file.
         store.put(f"CW.SE.CS.CT.CA/{records[0].trace_id}.json", canonical_record_bytes(records[-1]))
-        setups, corrupt = load_setups(store)
-        assert list(setups) == ["CW.SE.CS.CT.CA"]
-        assert corrupt == {
+        setups = load_setups(store)
+        assert isinstance(setups.pop("CW.SE.CS.CT.CA"), StoredGroup)
+        assert setups == {
             f"CW.SE.CS.CT.CA/{records[0].trace_id}": "group file is not in the layout the pipeline writes"
         }
 
@@ -261,9 +260,9 @@ class TestLoadSetups:
         store = MemoryStore()
         persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x24" * 32))
         store.put("BROKEN.json", b"not json")
-        setups, corrupt = load_setups(store)
-        assert "CW.SE.CS.CT.CA" in setups
-        assert list(corrupt) == ["BROKEN"]
+        setups = load_setups(store)
+        assert isinstance(setups["CW.SE.CS.CT.CA"], StoredGroup)
+        assert isinstance(setups["BROKEN"], str)
 
     def test_multiple_groups(self, tmp_path):
         store = FileStore(tmp_path / "ev")
@@ -272,20 +271,20 @@ class TestLoadSetups:
         split_records = execute_request(IOT, split, trace, None, 3, 0)
         persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x26" * 32))
         persist_evidence(store, "CW", split_records)
-        setups, corrupt = load_setups(store)
+        setups = load_setups(store)
         assert sorted(setups) == ["CW", "CW.SE.CS.CT.CA"]
-        assert corrupt == {}
+        assert all(isinstance(group, StoredGroup) for group in setups.values())
 
     def test_empty_store(self):
-        assert load_setups(MemoryStore()) == ({}, {})
+        assert load_setups(MemoryStore()) == {}
 
     def test_unreadable_group_file_isolated(self, tmp_path):
         store = FileStore(tmp_path / "ev")
         persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x28" * 32))
         (tmp_path / "ev" / "ZZ.json").symlink_to(tmp_path / "missing.json")
-        setups, corrupt = load_setups(store)
-        assert list(setups) == ["CW.SE.CS.CT.CA"]
-        assert corrupt == {"ZZ": "no object at 'ZZ.json'"}
+        setups = load_setups(store)
+        assert isinstance(setups.pop("CW.SE.CS.CT.CA"), StoredGroup)
+        assert setups == {"ZZ": "no object at 'ZZ.json'"}
 
 
 def _scan(data: bytes):
@@ -297,18 +296,18 @@ def _scan(data: bytes):
 
 def _verified(data: bytes):
     """What load_setups then verify_integrity make of a store holding one
-    group file: the corrupt reasons of both, the report's verdicts, and
+    group file: the corrupt reasons, the report's verdicts, and
     the file's bytes afterwards."""
     store = MemoryStore()
     store.put("CW.json", data)
-    setups, corrupt = load_setups(store)
-    report = verify_integrity(setups, corrupt, store)
+    report = verify_integrity(load_setups(store), store)
+    outcomes = report.outcomes.items()
     return (
-        {**corrupt, **report.corrupt},
+        {key: o.detail for key, o in outcomes if o.reason is FailureReason.CORRUPT},
         report.group_results,
         report.pruned,
-        report.survivors,
-        report.notes,
+        {key: o.survivors for key, o in outcomes if o.reason is FailureReason.PRUNED},
+        {key: o.detail for key, o in outcomes if o.reason is FailureReason.STORE_ERROR},
         store.get("CW.json"),
     )
 
@@ -673,13 +672,13 @@ class TestOneReader:
         store = CountingStore()
         store.put("CW.json", edit(_FIRST))
         store.put("CS.json", _GROUP_FILES[1])
-        setups, load_corrupt = load_setups(store)
-        report = verify_integrity(setups, load_corrupt, store)
+        setups = load_setups(store)
+        report = verify_integrity(setups, store)
         assert store.gets == {"CS.json": 1, "CW.json": 1}
-        assert load_corrupt == {}
+        assert not any(isinstance(group, str) for group in setups.values())
         assert report.group_results == {"CS": True, "CW": not pruned and not corrupt}
         assert len(report.pruned.get("CW", ())) == pruned
-        assert ("CW" in report.corrupt) is corrupt
+        assert (report.outcomes["CW"].reason is FailureReason.CORRUPT) is corrupt
 
     def test_empty_root_file_is_unchanged(self):
         store = MemoryStore()
@@ -704,11 +703,10 @@ class TestOneReader:
             return decode(*args)
 
         with mock.patch.object(proofs_module, "_decode", counting_decode):
-            setups, corrupt = load_setups(store)
-            report = verify_integrity(setups, corrupt, store)
-        assert corrupt == {} and report.corrupt == {}
+            report = verify_integrity(load_setups(store), store)
+        assert report.outcomes["CW.SE.CS.CT.CA"].reason is not FailureReason.CORRUPT
         assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == min(tampered, 1)
-        assert len(report.survivors.get("CW.SE.CS.CT.CA", ())) == (10 if tampered else 0)
+        assert len(report.outcomes["CW.SE.CS.CT.CA"].survivors) == (10 if tampered else 0)
         assert len(decoded) == tampered
 
     @settings(max_examples=300, deadline=None)
@@ -743,13 +741,13 @@ def _load_and_verify(data: bytes, seal=None):
     split, build = proofs_module.load_group_file, verification_module.build_merkle_tree
     with mock.patch.object(proofs_module, "load_group_file",
                            lambda d, s=None: splits.append(d) or split(d, s)):
-        setups, corrupt = load_setups(store, seals)
+        setups = load_setups(store, seals)
     assert seals == {} and store.gets == {"CW.json": 1}
     with mock.patch.object(verification_module, "build_merkle_tree",
                            lambda leaves: builds.append(leaves) or build(leaves)):
-        report = verify_integrity(setups, corrupt, store)
+        report = verify_integrity(setups, store)
     group = setups.get("CW")
-    rebuilt = group is not None and any(leaves is group.proof.leaves for leaves in builds)
+    rebuilt = isinstance(group, StoredGroup) and any(leaves is group.proof.leaves for leaves in builds)
     return report, store.get("CW.json"), splits, rebuilt
 
 
@@ -792,9 +790,9 @@ class TestSeal:
         store, seals = FileStore(tmp_path / "ev"), {}
         persist_evidence(store, "CW.SE.CS.CT.CA", iot_records(b"\x31" * 32), seals)
         with mock.patch.object(proofs_module, "load_group_file", side_effect=AssertionError):
-            setups, corrupt = load_setups(store, seals)
-        assert (setups, corrupt, seals) == ({"CW.SE.CS.CT.CA": None}, {}, {})
-        report = verify_integrity(setups, corrupt, store)
+            setups = load_setups(store, seals)
+        assert (setups, seals) == ({"CW.SE.CS.CT.CA": None}, {})
+        report = verify_integrity(setups, store)
         assert report.integrity_verified and report.group_results == {"CW.SE.CS.CT.CA": True}
 
     def test_the_empty_group_is_not_sealed_and_still_fails(self):

@@ -34,6 +34,8 @@ from fusionproof.store import MemoryStore
 from fusionproof.verification import (
     AnnotatedMetrics,
     CostModel,
+    FailureReason,
+    GroupOutcome,
     SamplingState,
     annotate_metrics,
     csp1_step,
@@ -59,6 +61,16 @@ IOT_TASKS = ["CW", "SE", "CS", "CT", "CA"]
 FUSED = FusionSetup.fused([IOT_TASKS])
 SPLIT = FusionSetup.singletons(IOT_TASKS)
 POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+
+
+def survivors_of(report) -> dict:
+    """Each pruned group's surviving record elements."""
+    return {key: o.survivors for key, o in report.outcomes.items() if o.reason is FailureReason.PRUNED}
+
+
+def corrupt_of(report) -> dict:
+    """Each corrupt group's reason."""
+    return {key: o.detail for key, o in report.outcomes.items() if o.reason is FailureReason.CORRUPT}
 
 
 def fused_records(randomness: bytes, origin=0):
@@ -116,30 +128,30 @@ class TestVerifyIntegrity:
         records = fused_records(b"\x31" * 32)
         persist_evidence(store, self.KEY, records)
         before = {k: store.get(k) for k in store.list()}
-        setups, _ = load_setups(store)
-        report = verify_integrity(setups, {}, store)
+        setups = load_setups(store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is True
         assert report.group_results == {self.KEY: True}
         assert report.pruned == {}
         assert {k: store.get(k) for k in store.list()} == before
 
     def test_empty_setups_not_verified(self):
-        report = verify_integrity({}, {}, MemoryStore())
+        report = verify_integrity({}, MemoryStore())
         assert report.integrity_verified is False
         assert report.group_results == {}
 
     def test_load_time_corrupt_file_fails_in_the_report(self):
-        report = verify_integrity({}, {"ZZ": "not json"}, MemoryStore())
+        report = verify_integrity({"ZZ": "not json"}, MemoryStore())
         assert report.integrity_verified is False
         assert report.group_results == {"ZZ": False}
-        assert report.corrupt == {"ZZ": "not json"}
+        assert corrupt_of(report) == {"ZZ": "not json"}
 
     def test_empty_proof_fails_without_pruning(self):
         store = MemoryStore()
         persist_evidence(store, self.KEY, [])
         before = store.get(f"{self.KEY}.json")
-        setups, _ = load_setups(store)
-        report = verify_integrity(setups, {}, store)
+        setups = load_setups(store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.group_results == {self.KEY: False}
         assert report.pruned == {}
@@ -153,10 +165,10 @@ class TestVerifyIntegrity:
             records[1], billed_duration_ms=records[1].billed_duration_ms + 7
         )
         setups = {self.KEY: stored_group([records[0], tampered, records[2]], blocks[-1])}
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(records[0], records[2])}
+        assert survivors_of(report) == {self.KEY: encoded(records[0], records[2])}
 
     def test_old_layout_block_reported_corrupt_and_kept(self):
         def verify_tampered(block_too: bool):
@@ -168,9 +180,9 @@ class TestVerifyIntegrity:
             if block_too:
                 # A per-trace block as older versions wrote one beside the group file.
                 store.put(f"{self.KEY}/{records[1].trace_id}.json", canonical_record_bytes(records[1]))
-            setups, corrupt = load_setups(store)
-            assert list(setups) == [self.KEY]
-            return store, records, verify_integrity(setups, corrupt, store)
+            setups = load_setups(store)
+            assert [k for k, v in setups.items() if not isinstance(v, str)] == [self.KEY]
+            return store, records, verify_integrity(setups, store)
 
         plain_store, records, plain = verify_tampered(block_too=False)
         store, _, report = verify_tampered(block_too=True)
@@ -179,8 +191,7 @@ class TestVerifyIntegrity:
         reason = "group file is not in the layout the pipeline writes"
         assert report == dataclasses.replace(
             plain,
-            group_results={**plain.group_results, block_key: False},
-            corrupt={block_key: reason},
+            outcomes={**plain.outcomes, block_key: GroupOutcome(FailureReason.CORRUPT, reason)},
         )
         block = f"{self.KEY}/{records[1].trace_id}.json"
         assert store.list() == [f"{self.KEY}.json", block]
@@ -193,7 +204,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[0], memory_used_mb=999)
         setups = {self.KEY: stored_group([tampered, records[1], records[2]], blocks[-1])}
-        verify_integrity(setups, {}, store)
+        verify_integrity(setups, store)
         rewritten = parse_group_file(store.get(f"{self.KEY}.json"))
         survivors = [records[1], records[2]]
         assert rewritten[:-1] == survivors
@@ -205,13 +216,13 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[2], billed_duration_ms=1)
         group = stored_group([records[0], records[1], tampered, records[3]], blocks[-1])
-        first = verify_integrity({self.KEY: group}, {}, store)
+        first = verify_integrity({self.KEY: group}, store)
         assert first.integrity_verified is False
-        reloaded, _ = load_setups(store)
-        assert reloaded[self.KEY].records == first.survivors[self.KEY]
-        second = verify_integrity(reloaded, {}, store)
+        reloaded = load_setups(store)
+        assert reloaded[self.KEY].records == survivors_of(first)[self.KEY]
+        second = verify_integrity(reloaded, store)
         assert second.integrity_verified is True
-        assert second.survivors == {}
+        assert survivors_of(second) == {}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_prunes_exactly_the_tampered_positions(self, n):
@@ -227,11 +238,11 @@ class TestVerifyIntegrity:
                 else r
                 for p, r in enumerate(records)
             ]
-            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, {}, store)
+            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, store)
             assert report.pruned[self.KEY] == tuple(
                 records[p].trace_id for p in positions
             )
-            assert report.survivors[self.KEY] == encoded(
+            assert survivors_of(report)[self.KEY] == encoded(
                 *(r for p, r in enumerate(records) if p not in positions)
             )
 
@@ -241,9 +252,9 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         extra = fused_records(b"\x39" * 32, origin=9000)[0]
         setups = {self.KEY: stored_group([*records, extra], blocks[-1])}
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.pruned == {self.KEY: (extra.trace_id,)}
-        assert report.survivors[self.KEY] == encoded(*records)
+        assert survivors_of(report)[self.KEY] == encoded(*records)
 
     def test_appended_copy_of_last_record_is_pruned(self):
         # An odd leaf count pads its last leaf, so the stored root also
@@ -255,16 +266,16 @@ class TestVerifyIntegrity:
         assert {r.trace_id for r in records[10:]} == {records[-1].trace_id}
         persist_evidence(store, self.KEY, records)
         append_copy_of_last_record(0, store)
-        setups, _ = load_setups(store)
+        setups = load_setups(store)
         assert setups[self.KEY].records == encoded(*records, records[-1])
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[-1].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(*records[:10])}
+        assert survivors_of(report) == {self.KEY: encoded(*records[:10])}
         survivors = encoded(*records[:10])
         assert store.get(f"{self.KEY}.json") == join_group_file(
             survivors, build_merkle_tree(record_leaf_hashes(survivors)))
-        assert verify_integrity(*load_setups(store), store).integrity_verified is True
+        assert verify_integrity(load_setups(store), store).integrity_verified is True
 
     @pytest.mark.parametrize("sealed", [False, True], ids=["no_seal", "seal"])
     def test_truncated_last_record_prunes_every_trace(self, sealed):
@@ -276,15 +287,15 @@ class TestVerifyIntegrity:
         assert len(records) == 15
         tree = persist_evidence(store, self.KEY, records, seals)
         store.put(f"{self.KEY}.json", group_file_bytes(records[:-1], tree))
-        setups, corrupt = load_setups(store, seals if sealed else None)
+        setups = load_setups(store, seals if sealed else None)
         assert setups[self.KEY].proof == tree and setups[self.KEY].proof_sealed is sealed
-        report = verify_integrity(setups, corrupt, store)
+        report = verify_integrity(setups, store)
         assert report.group_results == {self.KEY: False}
         assert set(report.pruned[self.KEY]) == {r.trace_id for r in records}
         assert len(report.pruned[self.KEY]) == 3
-        assert report.survivors == {self.KEY: ()}
+        assert survivors_of(report) == {self.KEY: ()}
         assert store.get(f"{self.KEY}.json") == group_file_bytes([], TreeInfo.empty())
-        assert verify_integrity(*load_setups(store), store).integrity_verified is False
+        assert verify_integrity(load_setups(store), store).integrity_verified is False
 
     @pytest.mark.parametrize(
         "edit",
@@ -299,17 +310,17 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         tree = parse_group_file(store.get(f"{self.KEY}.json"))[-1]
         forged = dataclasses.replace(tree, leaves=tuple(edit(list(tree.leaves))))
-        report = verify_integrity({self.KEY: stored_group(records, forged)}, {}, store)
+        report = verify_integrity({self.KEY: stored_group(records, forged)}, store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: tuple(r.trace_id for r in records)}
-        assert report.survivors == {self.KEY: ()}
+        assert survivors_of(report) == {self.KEY: ()}
 
     def test_reordered_blocks_detected(self):
         store = MemoryStore()
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         swapped = stored_group([records[1], records[0], records[2]], blocks[-1])
-        report = verify_integrity({self.KEY: swapped}, {}, store)
+        report = verify_integrity({self.KEY: swapped}, store)
         assert report.integrity_verified is False
         assert set(report.pruned[self.KEY]) == {records[0].trace_id, records[1].trace_id}
 
@@ -320,7 +331,7 @@ class TestVerifyIntegrity:
         split_trace = generate_trace_id(SPLIT, "CW", b"\x3b" * 32)
         split_records = execute_request(IOT, SPLIT, split_trace, None, 3, 0)
         persist_evidence(store, "CW", split_records)
-        setups, _ = load_setups(store)
+        setups = load_setups(store)
         setups["CW"] = stored_group(
             [
                 dataclasses.replace(r, billed_duration_ms=r.billed_duration_ms + 1)
@@ -330,7 +341,7 @@ class TestVerifyIntegrity:
             ],
             setups["CW"].proof,
         )
-        report = verify_integrity(setups, {}, store)
+        report = verify_integrity(setups, store)
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
@@ -345,9 +356,9 @@ class TestVerifyIntegrity:
         for data in (older_layout_group_file(records, tree), group_file_bytes(records, tree)):
             store = MemoryStore()
             store.put(f"{self.KEY}.json", data)
-            setups, corrupt = load_setups(store)
-            assert corrupt == {}
-            report = verify_integrity(setups, corrupt, store)
+            setups = load_setups(store)
+            assert isinstance(setups[self.KEY], StoredGroup)
+            report = verify_integrity(setups, store)
             outcomes.append((setups, report, store.get(f"{self.KEY}.json")))
         assert b'"tree":' in older_layout_group_file(records, tree)
         assert outcomes[0][0] == outcomes[1][0] == {self.KEY: stored_group(records, tree)}
@@ -368,9 +379,9 @@ class TestStoredBytes:
         return store, records, store.get(f"{self.KEY}.json")
 
     def verify(self, store):
-        setups, corrupt = load_setups(store)
-        assert corrupt == {}
-        return verify_integrity(setups, corrupt, store)
+        setups = load_setups(store)
+        assert not any(isinstance(group, str) for group in setups.values())
+        return verify_integrity(setups, store)
 
     @pytest.mark.parametrize(
         "head, separator, tail",
@@ -385,11 +396,10 @@ class TestStoredBytes:
         spaced = head + separator.join(elements) + tail
         assert json.loads(spaced) == json.loads(data)
         store.put(f"{self.KEY}.json", spaced)
-        setups, corrupt = load_setups(store)
-        report = verify_integrity(setups, corrupt, store)
+        report = verify_integrity(load_setups(store), store)
         assert report.integrity_verified is False
-        assert list({**corrupt, **report.corrupt}) == [self.KEY]
-        assert report.pruned == {} and report.survivors == {}
+        assert list(corrupt_of(report)) == [self.KEY]
+        assert report.pruned == {} and survivors_of(report) == {}
         assert store.get(f"{self.KEY}.json") == spaced
 
     @pytest.mark.parametrize("idx", [b'"idx": 0', b'"idx":"0"'])
@@ -401,7 +411,7 @@ class TestStoredBytes:
         report = self.verify(store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(records[0], records[2])}
+        assert survivors_of(report) == {self.KEY: encoded(records[0], records[2])}
         assert self.verify(store).integrity_verified is True
 
     def test_multibyte_character_keeps_later_offsets(self):
@@ -412,7 +422,7 @@ class TestStoredBytes:
         store.put(f"{self.KEY}.json", data.replace(element, edited))
         report = self.verify(store)
         assert report.pruned == {self.KEY: (records[0].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(records[1], records[2])}
+        assert survivors_of(report) == {self.KEY: encoded(records[1], records[2])}
         assert self.verify(store).integrity_verified is True
 
     @pytest.mark.parametrize(
@@ -430,7 +440,7 @@ class TestStoredBytes:
         store.put(f"{self.KEY}.json", data.replace(element, edit(element)))
         report = self.verify(store)
         assert report.pruned == {self.KEY: (records[2].trace_id,)}
-        assert report.survivors == {self.KEY: encoded(records[0], records[1])}
+        assert survivors_of(report) == {self.KEY: encoded(records[0], records[1])}
 
     @pytest.mark.parametrize(
         "edit",
@@ -449,11 +459,11 @@ class TestStoredBytes:
         element = canonical_record_bytes(records[1])
         tampered = data.replace(element, edit(element))
         store.put(f"{self.KEY}.json", tampered)
-        setups, corrupt = load_setups(store)
-        assert corrupt == {} and len(setups[self.KEY].records) < 3
-        report = verify_integrity(setups, corrupt, store)
+        setups = load_setups(store)
+        assert len(setups[self.KEY].records) < 3
+        report = verify_integrity(setups, store)
         assert report.group_results == {self.KEY: False}
-        assert report.corrupt[self.KEY].startswith("group file's record 0 is not valid JSON: Extra data")
+        assert corrupt_of(report)[self.KEY].startswith("group file's record 0 is not valid JSON: Extra data")
         assert store.get(f"{self.KEY}.json") == tampered
 
 
@@ -543,9 +553,9 @@ class TestSealedTree:
                     calls[kind].append(len(arg))
                     return inner(arg, *rest)
                 monkeypatch.setattr(owner, name, counting)
-        setups, corrupt = load_setups(store, seals)
+        setups = load_setups(store, seals)
         assert seals == {}
-        report = verify_integrity(setups, corrupt, store)
+        report = verify_integrity(setups, store)
         return report, {k: store.get(k) for k in store.list()}, setups, calls
 
     @pytest.mark.parametrize("case", SEALED_CASES)
@@ -628,7 +638,7 @@ class TestSealedTree:
         records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
         persist_evidence(store, self.KEY, records, seals)
         store.delete(f"{self.KEY}.json")
-        assert load_setups(store, seals) == ({}, {})
+        assert load_setups(store, seals) == {}
         assert seals == {}
 
 
@@ -1351,7 +1361,7 @@ class TestRunOptimization:
         }
         (report,) = calls["verify_integrity"]
         key = "CW.SE.CS.CT.CA"
-        survivors = [record_from_wire(json.loads(data)) for data in report.survivors[key]]
+        survivors = [record_from_wire(json.loads(data)) for data in survivors_of(report)[key]]
         assert calls["annotate_metrics"] == [annotate_metrics(survivors, key, IOT)]
 
     @pytest.mark.parametrize("tamper, builds", [(None, []), (tamper_first_record, [5])])

@@ -226,7 +226,7 @@ class TestRunWorkload:
         batch = run_workload(IOT, FUSED, [2], None, 1, seed=3)
         assert len(batch.records) == 10
         assert len(batch.outcomes) == 2
-        assert not batch.attacked_trace_ids
+        assert not {o.trace_id for o in batch.outcomes if o.attacked}
 
     def test_multi_load_counts(self):
         batch = run_workload(IOT, FUSED, [2, 3], None, 2, seed=3)
