@@ -64,11 +64,6 @@ def all_hex64(values: Sequence[str]) -> bool:
         return False
 
 
-def is_hex64(value: str) -> bool:
-    """True for a str of exactly 64 lowercase hex digits: a SHA-256 hexdigest."""
-    return all_hex64((value,))
-
-
 @dataclass(frozen=True)
 class FusionSetup:
     """An ordered partition of task names into fusion groups."""
@@ -119,9 +114,6 @@ class FusionSetup:
 
     def group_of(self, function_name: str) -> tuple[str, ...]:
         return self.groups[self.group_index(function_name)]
-
-    def contains(self, function_name: str) -> bool:
-        return function_name in self._group_index_of
 
     def same_group(self, a: str, b: str) -> bool:
         return self.group_index(a) == self.group_index(b)
@@ -174,8 +166,7 @@ def generate_trace_id(setup: FusionSetup, function_name: str, randomness: bytes)
     randomness must supply exactly 32 bytes; the caller owns the RNG so
     that runs are reproducible.
     """
-    if not setup.contains(function_name):
-        raise UnknownFunction(f"function {function_name!r} not in setup {setup.setup_part!r}")
+    setup.group_index(function_name)  # UnknownFunction when it is not in the setup
     if len(randomness) != RANDOM_PART_BYTES:
         raise MalformedTraceID(
             f"need {RANDOM_PART_BYTES} random bytes, got {len(randomness)}"
@@ -200,7 +191,7 @@ def split_trace_id(value: str) -> TraceID:
     if not setup_part or not function_name:
         raise MalformedTraceID(f"trace ID {value!r} has empty parts")
     if not all_hex64((random_part, hash_part)):
-        bad = "hash" if is_hex64(random_part) else "random"
+        bad = "hash" if all_hex64((random_part,)) else "random"
         raise MalformedTraceID(f"trace ID {value!r} has a bad {bad} part")
     return TraceID(setup_part, function_name, random_part, hash_part)
 

@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CorruptGroupFile, InvalidHexLeaf, NotFound, ParseError
-from .handler import RouteKind, all_hex64, is_hex64
+from .handler import RouteKind, all_hex64
 from .workload import RECORD_FIELDS, InvocationRecord
 from .workload import record_to_wire as record_to_wire  # also importable from here
 
@@ -234,7 +234,7 @@ def build_merkle_tree(leaf_hashes: Sequence[str]) -> TreeInfo:
     """Build the proof over leaf hashes, duplicating the last element of
     every odd level so no leaf ever drops out of the tree."""
     if not all_hex64(leaf_hashes):
-        bad = next(leaf for leaf in leaf_hashes if not is_hex64(leaf))
+        bad = next(leaf for leaf in leaf_hashes if not all_hex64((leaf,)))
         raise InvalidHexLeaf(f"leaf {bad!r} is not a 64-char lowercase hex digest")
     if not leaf_hashes:
         return TreeInfo.empty()
@@ -274,10 +274,8 @@ _PROOF_START = b'{"root":'
 _PROOF = '{"root":"%s","leaf":["%s"]}]'
 _LEAFLESS_PROOF = '{"root":"%s","leaf":[]}]'
 _RECORD_BOUNDARY = re.compile(re.escape(b"}," + _RECORD_START))
-# A proof's groups: root, "tree", and each list's strings unquoted (None: none).
-# No older writer put "]" in a tree node, and excluding it keeps the match linear.
-_PROOF_LAYOUT = re.compile(
-    rb'\{"root":"([^"]*)",(?:"(tree)":\[(?:"([^]]*)")?\],)?"leaf":\[(?:"(.*)")?\]\}', re.S)
+# A proof's groups: the root, and the leaf list's strings unquoted (None: none).
+_PROOF_LAYOUT = re.compile(rb'\{"root":"([^"]*)","leaf":\[(?:"(.*)")?\]\}', re.S)
 _PLAIN = bytes(set(range(0x20, 0x7F)) - set(b'"\\'))  # what JSON writes unescaped in a string
 _decode = json.JSONDecoder().raw_decode
 
@@ -352,16 +350,15 @@ def _element(piece: bytes, key: str, what: str) -> dict:
 
 
 def _read_proof(piece: bytes) -> TreeInfo:
-    """The proof element, split by the layout join_group_file writes or the
-    older one that lists the interior nodes as "tree" before "leaf".  Each
+    """The proof element, split by the layout join_group_file writes.  Each
     string stands as written, so a byte JSON would escape or a '"' inside
     one is CorruptGroupFile, as any other layout is."""
     layout, quotes = _PROOF_LAYOUT.fullmatch(piece), piece.translate(None, _PLAIN)
     if layout and not quotes.strip(b'"'):
-        root, tree, *lists = layout.groups()
-        nodes, leaves = ([] if s is None else s.decode("ascii").split('","') for s in lists)
-        # Two for each key, the root, and each node and leaf.
-        if len(quotes) == 2 * (3 + bool(tree) + len(nodes) + len(leaves)):
+        root, leaves = layout.groups()
+        leaves = [] if leaves is None else leaves.decode("ascii").split('","')
+        # Two for each key, the root, and each leaf.
+        if len(quotes) == 2 * (3 + len(leaves)):
             return TreeInfo(root.decode("ascii"), tuple(leaves))
     _element(piece, "root", "proof")  # a proof that is not JSON: name its error
     raise CorruptGroupFile("group file's proof is not in the layout the pipeline writes")

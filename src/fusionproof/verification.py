@@ -9,6 +9,7 @@ verified measurements, and search for a cheaper fusion setup to run next.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -126,14 +127,25 @@ def _verify_group(key: str, group: Union[StoredGroup, None, str], store) -> Grou
         unvouched = find_mismatch(recomputed, proof.leaves if vouched else ())
         if vouched and not unvouched:
             return GroupOutcome()
+    distinct: dict[bytes, bytes] = {}
     try:
         doomed = dict(record_trace_id(records[p], p) for p in unvouched)
+        # Each element's trace id, read once and held once per trace; None if unvouched.
+        trace_of = [distinct.setdefault(t, t) for t in map(stored_trace_id, records)]
+        for p in unvouched:
+            trace_of[p] = None
+        hops = Counter(trace_of)
+        for t in (None, *doomed):
+            hops.pop(t, None)
+        # Every trace of a group has as many hops: one with fewer lost a hop.
+        most = max(hops.values(), default=0)
+        lost = {t for t, n in hops.items() if n < most}
+        doomed.update(record_trace_id(records[p], p) for p, t in enumerate(trace_of) if t in lost)
     except CorruptGroupFile as exc:
         return GroupOutcome(FailureReason.CORRUPT, str(exc))
     if not proof.root:
         return GroupOutcome(FailureReason.EMPTY_PROOF)
-    removed = set(unvouched)
-    kept = [p for p, r in enumerate(records) if p not in removed and stored_trace_id(r) not in doomed]
+    kept = [p for p, t in enumerate(trace_of) if hops.get(t) == most]
     survivors = tuple(records[p] for p in kept)
     try:
         store.put(group_key(key), join_group_file(
@@ -155,15 +167,18 @@ def verify_integrity(
     leaf hash of each record element's bytes, exactly as stored, matches
     it position by position.  Else every record of a trace with an
     element whose leaf does not match is pruned, as filter_batch flags
-    whole traces, and the group file is rewritten over the rest; the
-    outcome holds the survivors' bytes and each pruned trace id once, or
-    the store's error when the rewrite fails.  Nothing is deleted.  A
-    group load_setups mapped to None, its bytes those persist sealed,
-    passes unread; a proof load_group_file sealed is not rebuilt.
+    whole traces, and so is every trace left with fewer vouched elements
+    than the most any trace kept: all traces of a group have as many
+    hops.  The group file is rewritten over the rest; the outcome holds
+    the survivors' bytes and each pruned trace id once, or the store's
+    error when the rewrite fails.  Nothing is deleted.  A group
+    load_setups mapped to None, its bytes those persist sealed, passes
+    unread; a proof load_group_file sealed is not rebuilt.
 
-    Every element the leaf list does not vouch for is decoded for its
-    trace id before anything is written; when one is not, whole, a JSON
-    object with a traceid, the group is corrupt and is not rewritten.
+    Every element the leaf list does not vouch for, and every element of
+    a trace that lost a hop, is decoded for its trace id before anything
+    is written; when one is not, whole, a JSON object with a traceid, the
+    group is corrupt and is not rewritten.
     """
     return VerificationReport({key: _verify_group(key, group, store) for key, group in setups.items()})
 

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, get_type_hints
@@ -89,7 +90,10 @@ class AppSpec:
                     raise UnknownCallee(
                         f"task {task.name!r} calls undeclared task {call.callee!r}"
                     )
-        _check_acyclic(self.task_map)
+        try:  # each task after its callees; a cycle lists them against the calls
+            TopologicalSorter({t.name: [c.callee for c in t.calls] for t in self.tasks}).prepare()
+        except CycleError as exc:
+            raise CycleDetected(f"cycle through {' -> '.join(reversed(exc.args[1]))}") from None
 
     @cached_property
     def task_map(self) -> Mapping[str, TaskSpec]:
@@ -114,24 +118,6 @@ class AppSpec:
 
         visit(self.entry_task)
         return tuple(order)
-
-
-def _check_acyclic(by_name: Mapping[str, TaskSpec]) -> None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in by_name}
-
-    def visit(name: str, path: tuple[str, ...]) -> None:
-        color[name] = GREY
-        for call in by_name[name].calls:
-            if color[call.callee] == GREY:
-                raise CycleDetected(f"cycle through {' -> '.join(path + (call.callee,))}")
-            if color[call.callee] == WHITE:
-                visit(call.callee, path + (call.callee,))
-        color[name] = BLACK
-
-    for name in by_name:
-        if color[name] == WHITE:
-            visit(name, (name,))
 
 
 class AttackMode(Enum):

@@ -649,6 +649,45 @@ class TestVerifyCommand:
         assert tampered_trace not in {r.trace_id for r in survivors}
         assert main(["verify", "--config", str(config)]) == EXIT_OK
 
+    def test_edited_trace_id_prunes_the_real_trace_too(self, tmp_path):
+        """One hop's traceid edited: that element is pruned under the id it
+        now holds, and its real trace, left a hop short, with it."""
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        store = FileStore(tmp_path / "evidence")
+        data = store.get("CW.SE.CS.CT.CA.json")
+        hop = list(re.finditer(rb'"traceid":"([^"]*)"', data))[2]
+        real = hop.group(1).decode()
+        edited = real[:-1] + ("0" if real[-1] != "0" else "1")
+        store.put("CW.SE.CS.CT.CA.json", data[: hop.start(1)] + edited.encode() + data[hop.end(1) :])
+        assert main(["verify", "--config", str(config)]) == EXIT_VERIFY_FAILED
+        payload = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert payload["pruned"] == {"CW.SE.CS.CT.CA": [edited, real]}
+        assert payload["surviving_counts"] == {"CW.SE.CS.CT.CA": 5}
+        survivors = parse_group_file(store.get("CW.SE.CS.CT.CA.json"))[:-1]
+        assert real not in {r.trace_id for r in survivors}
+        assert main(["verify", "--config", str(config)]) == EXIT_OK
+
+    def test_proof_in_the_older_layout_is_corrupt_and_kept(self, tmp_path):
+        """The layout that also listed the interior nodes as "tree" is not
+        the one the pipeline writes."""
+        stored = {}
+
+        def older(root: Path):
+            store = FileStore(root)
+            data = store.get("CW.SE.CS.CT.CA.json").replace(b',"leaf":[', b',"tree":[],"leaf":[', 1)
+            store.put("CW.SE.CS.CT.CA.json", data)
+            stored["data"] = data
+
+        code, out = self.run_then_verify(tmp_path, mutate=older)
+        assert code == EXIT_CORRUPT
+        payload = json.loads((out / "verification.json").read_text())
+        assert payload["group_results"] == {"CW.SE.CS.CT.CA": False}
+        assert payload["corrupt"] == {
+            "CW.SE.CS.CT.CA": "group file's proof is not in the layout the pipeline writes"}
+        assert payload["pruned"] == {} and payload["surviving_counts"] == {}
+        assert FileStore(tmp_path / "evidence").get("CW.SE.CS.CT.CA.json") == stored["data"]
+
     @pytest.mark.parametrize("spaced", [b'}, {"traceid"', b'},\n{"traceid"'])
     def test_whitespace_between_records_is_corrupt_and_kept(self, tmp_path, spaced):
         """The same JSON value as the file run wrote, in another layout."""

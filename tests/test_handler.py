@@ -20,9 +20,9 @@ from fusionproof.errors import (
 from fusionproof.handler import (
     FusionSetup,
     RouteKind,
+    all_hex64,
     entry_fusion_key,
     generate_trace_id,
-    is_hex64,
     parse_and_validate_trace_id,
     route_call,
     split_trace_id,
@@ -52,8 +52,8 @@ class TestSetup:
 
     def test_functions_and_membership(self):
         assert SETUP.functions() == ("A", "B", "C")
-        assert SETUP.contains("B")
-        assert not SETUP.contains("Z")
+        assert "B" in SETUP.functions()
+        assert "Z" not in SETUP.functions()
         assert SETUP.group_of("C") == ("C",)
 
     def test_duplicate_task_rejected(self):
@@ -242,14 +242,14 @@ class TestHexValidator:
     ]
 
     def test_accepts_sha256_hexdigest(self):
-        assert is_hex64(self.GOOD)
+        assert all_hex64((self.GOOD,))
 
     @pytest.mark.parametrize("bad", BAD)
     def test_rejects(self, bad):
-        assert not is_hex64(bad)
+        assert not all_hex64((bad,))
 
     def test_proofs_uses_the_same_validator(self):
-        assert proofs.is_hex64 is is_hex64
+        assert proofs.all_hex64 is all_hex64
 
     @pytest.mark.parametrize("bad", BAD)
     def test_split_trace_id_rejects_bad_random_part(self, bad):
@@ -299,7 +299,7 @@ class TestSetupLookupsMatchLinearScan:
         assert setup.setup_part == ",".join(".".join(g) for g in groups)
         for name in [*names, extra]:
             expected = _scan_group_index(groups, name)
-            assert setup.contains(name) is (expected is not None)
+            assert (name in setup.functions()) is (expected is not None)
             if expected is None:
                 with pytest.raises(UnknownFunction) as info:
                     setup.group_index(name)
@@ -318,7 +318,8 @@ class TestSetupLookupsMatchLinearScan:
     def test_filled_cache_keeps_equality_hash_and_repr(self, groups):
         used = FusionSetup(groups, 2)
         used.group_index(groups[0][0])
-        used.contains("nope")
+        with pytest.raises(UnknownFunction):
+            used.group_index("nope")
         assert used.setup_part
         fresh = FusionSetup(groups, 2)
         assert used == fresh

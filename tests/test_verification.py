@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import re
@@ -297,6 +296,28 @@ class TestVerifyIntegrity:
         assert store.get(f"{self.KEY}.json") == group_file_bytes([], TreeInfo.empty())
         assert verify_integrity(load_setups(store), store).integrity_verified is False
 
+    @pytest.mark.parametrize("hop", [0, 2, 4])
+    @pytest.mark.parametrize("requests, kept", [(3, 10), (2, 5)], ids=["three_traces", "two_traces"])
+    def test_edited_trace_id_prunes_the_real_trace_too(self, hop, requests, kept):
+        """One hop's traceid edited: that element is pruned under the id it
+        now holds, and the real trace, left with fewer hops than the most
+        any trace kept, with it.  With two traces the hop counts 4 and 5
+        do not tie on the longer: the complete trace survives."""
+        store = MemoryStore()
+        records = run_workload(IOT, FUSED, [requests], None, 1, seed=3).records
+        persist_evidence(store, self.KEY, records)
+        real = records[hop].trace_id
+        assert [r.trace_id for r in records[:5]] == [real] * 5
+        edited = real[:-1] + ("0" if real[-1] != "0" else "1")
+        piece = canonical_record_bytes(records[hop])
+        data = store.get(f"{self.KEY}.json")
+        store.put(f"{self.KEY}.json", data.replace(piece, piece.replace(real.encode(), edited.encode()), 1))
+        report = verify_integrity(load_setups(store), store)
+        assert report.pruned == {self.KEY: (edited, real)}
+        assert survivors_of(report) == {self.KEY: encoded(*records[5:])}
+        assert len(records[5:]) == kept
+        assert verify_integrity(load_setups(store), store).integrity_verified is True
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -345,27 +366,6 @@ class TestVerifyIntegrity:
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
-
-    @pytest.mark.parametrize("tampered", [False, True])
-    def test_older_layout_with_interior_nodes_verifies_the_same(self, tampered):
-        records = [fused_records(bytes([0x50 + k]) * 32, origin=1000 * k)[k % 5] for k in range(7)]
-        tree = build_merkle_tree(record_leaf_hashes(encoded(*records)))
-        if tampered:
-            records[3] = dataclasses.replace(records[3], memory_used_mb=99)
-        outcomes = []
-        for data in (older_layout_group_file(records, tree), group_file_bytes(records, tree)):
-            store = MemoryStore()
-            store.put(f"{self.KEY}.json", data)
-            setups = load_setups(store)
-            assert isinstance(setups[self.KEY], StoredGroup)
-            report = verify_integrity(setups, store)
-            outcomes.append((setups, report, store.get(f"{self.KEY}.json")))
-        assert b'"tree":' in older_layout_group_file(records, tree)
-        assert outcomes[0][0] == outcomes[1][0] == {self.KEY: stored_group(records, tree)}
-        assert outcomes[0][1] == outcomes[1][1]
-        assert outcomes[0][1].integrity_verified is not tampered
-        if tampered:  # the pruned group is rewritten in the current layout either way
-            assert outcomes[0][2] == outcomes[1][2]
 
 
 class TestStoredBytes:
@@ -510,8 +510,9 @@ SEALED_CASES = {
     # Each decodes to the sealed tree from bytes persist did not write.
     "proof_reformatted": lambda records, tree: (
         group_file_bytes(records, tree).replace(b'"leaf":', b'"leaf": ', 1), tree),
-    "proof_in_the_older_layout": lambda records, tree: (
-        older_layout_group_file(records, tree), tree),
+    # The layout that also listed the interior nodes, here the root alone, as "tree".
+    "proof_in_the_older_layout": lambda records, tree: (group_file_bytes(records, tree).replace(
+        b',"leaf":[', b',"tree":["%s"],"leaf":[' % tree.root.encode(), 1), tree),
 }
 
 
@@ -563,7 +564,7 @@ class TestSealedTree:
         report, stored, _, _ = self.verify(case, "bytes")
         assert (report, stored) == self.verify(case, "none")[:2]
         assert report.integrity_verified is (
-            case in ("untouched", "seal_differs_by_one_leaf", "proof_in_the_older_layout"))
+            case in ("untouched", "seal_differs_by_one_leaf"))
 
     @pytest.mark.parametrize(
         "case, with_seal, builds",
@@ -576,7 +577,7 @@ class TestSealedTree:
             ("forged_root", True, [15, 0]),
             ("records_dropped_proof_kept", True, [15, 0]),
             ("proof_reformatted", True, []),  # corrupt: not in the writer's layout
-            ("proof_in_the_older_layout", True, [15]),
+            ("proof_in_the_older_layout", True, []),  # corrupt too
         ],
     )
     def test_merkle_builds(self, monkeypatch, case, with_seal, builds):
@@ -602,7 +603,7 @@ class TestSealedTree:
             ("seal_differs_by_one_leaf", False),
             ("records_dropped_proof_kept", False),
             ("proof_reformatted", None),  # corrupt: not loaded at all
-            ("proof_in_the_older_layout", False),
+            ("proof_in_the_older_layout", None),
         ],
     )
     def test_only_a_proof_with_the_seals_bytes_is_sealed(self, case, proof_sealed):
@@ -649,25 +650,6 @@ def encoded(*records) -> tuple[bytes, ...]:
 def stored_group(records, tree: TreeInfo) -> StoredGroup:
     """The group as load_setups gives it when records are stored canonically."""
     return StoredGroup(encoded(*records), tree)
-
-
-def older_layout_group_file(records, tree: TreeInfo) -> bytes:
-    """A group file as earlier versions wrote it: the proof also lists the
-    leaves and every interior node, in construction order, as "tree"."""
-    nodes, level = list(tree.leaves), list(tree.leaves)
-    while level:
-        if len(level) % 2:
-            level.append(level[-1])
-        level = [
-            hashlib.sha256((a + b).encode()).hexdigest() for a, b in zip(level[::2], level[1::2])
-        ]
-        nodes.extend(level)
-        if len(level) == 1:
-            break
-    proof = {"root": tree.root, "tree": nodes, "leaf": list(tree.leaves)}
-    parts = [canonical_record_bytes(r) for r in records]
-    parts.append(json.dumps(proof, separators=(",", ":")).encode())
-    return b"[" + b",".join(parts) + b"]"
 
 
 def reference_csp1_step(sampling, count, i, f, last_verified, uniform_draw):

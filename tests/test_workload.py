@@ -103,6 +103,21 @@ class TestAppValidation:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "last_callee, message",
+        [("B", "cycle through B -> C -> B"), ("A", "cycle through A -> B -> C -> A")],
+        ids=["back_to_the_middle", "back_to_the_entry"],
+    )
+    def test_cycle_message_names_only_the_cycle_in_call_order(self, last_callee, message):
+        tasks = (
+            TaskSpec("A", 1, calls=(CallSpec("B"),)),
+            TaskSpec("B", 1, calls=(CallSpec("C"),)),
+            TaskSpec("C", 1, calls=(CallSpec(last_callee),)),
+        )
+        with pytest.raises(CycleDetected) as info:
+            AppSpec("loop", "A", tasks)
+        assert str(info.value) == message
+
     def test_undeclared_callee_rejected(self):
         with pytest.raises(UnknownCallee):
             AppSpec("bad", "A", (TaskSpec("A", 1, calls=(CallSpec("X"),)),))
