@@ -11,7 +11,6 @@ from .handler import (
     FusionSetup,
     RouteKind,
     TraceID,
-    calc_hash,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -76,7 +75,6 @@ __all__ = [
     "build_merkle_tree",
     "builtin_iot_app",
     "builtin_tree_app",
-    "calc_hash",
     "canonical_record_bytes",
     "csp1_step",
     "emit_platform_logs",

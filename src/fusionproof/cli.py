@@ -36,6 +36,7 @@ from .workload import (
     ATTACK_GATES,
     RECORD_FIELDS,
     AppSpec,
+    AttackMode,
     AttackPlan,
     CallMode,
     CallSpec,
@@ -99,9 +100,11 @@ class ScenarioConfig:
 def _initial_setup(raw) -> Union[str, tuple[tuple[str, ...], ...]]:
     if isinstance(raw, str):
         return raw
-    if isinstance(raw, list):
-        return tuple(tuple(group) for group in raw)
-    raise ConfigError("initial_setup must be 'split', 'fused', or group lists")
+    if not isinstance(raw, list) or not all(
+        isinstance(group, list) and all(isinstance(name, str) for name in group) for group in raw
+    ):
+        raise TypeError(f"expected a string or a list of lists of strings, got {raw!r}")
+    return tuple(tuple(group) for group in raw)
 
 
 def _request_counts(raw) -> tuple[int, ...]:
@@ -278,18 +281,14 @@ def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
         raise ConfigError(
             f"bad attack.when {attack.when!r}; choose from {', '.join(sorted(ATTACK_GATES))}"
         )
-    gate = ATTACK_GATES[attack.when]
     if attack.mode == "none":
         return None
-    if attack.mode == "dow":
-        if not attack.target_task:
-            raise ConfigError("attack mode 'dow' needs attack.target_task")
-        return AttackPlan.dow(attack.target_task, attack.inflated_duration_ms, gate)
-    if attack.mode == "business_logic":
-        if not attack.swap:
-            raise ConfigError("attack mode 'business_logic' needs attack.swap")
-        return AttackPlan.business_logic(attack.swap, gate)
-    raise ConfigError(f"bad attack mode {attack.mode!r}")
+    try:
+        mode = AttackMode(attack.mode)
+    except ValueError:
+        raise ConfigError(f"bad attack mode {attack.mode!r}") from None
+    return AttackPlan(mode, attack.target_task, attack.inflated_duration_ms, attack.swap,
+                      ATTACK_GATES[attack.when])
 
 
 def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--iterations", type=int, help="override iteration count")
         cmd.add_argument(
-            "--attack", choices=["none", "dow", "business_logic"],
+            "--attack", choices=["none", *(mode.value for mode in AttackMode)],
             help="override the attack mode",
         )
         cmd.add_argument("--store", help="override the evidence store root")

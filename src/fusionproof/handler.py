@@ -47,11 +47,6 @@ def validate_name(name: str) -> str:
     return name
 
 
-def calc_hash(data: bytes) -> str:
-    """Lowercase hex SHA-256 of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def all_hex64(values: Sequence[str]) -> bool:
     """True when every value is a str of exactly 64 lowercase hex digits: a
     SHA-256 hexdigest.  One check over the joined values, which must read
@@ -115,12 +110,6 @@ class FusionSetup:
     def group_of(self, function_name: str) -> tuple[str, ...]:
         return self.groups[self.group_index(function_name)]
 
-    def same_group(self, a: str, b: str) -> bool:
-        return self.group_index(a) == self.group_index(b)
-
-    def with_version(self, version: int) -> "FusionSetup":
-        return FusionSetup(self.groups, version)
-
 
 class RouteKind(Enum):
     LOCAL = "LOCAL"
@@ -157,7 +146,8 @@ class TraceID:
 
 
 def compute_hash_part(setup_part: str, function_name: str, random_part: str) -> str:
-    return calc_hash(f"{setup_part}-{function_name}-{random_part}".encode("utf-8"))
+    data = f"{setup_part}-{function_name}-{random_part}".encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def generate_trace_id(setup: FusionSetup, function_name: str, randomness: bytes) -> TraceID:

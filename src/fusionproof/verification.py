@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -25,8 +25,10 @@ from .errors import (
 from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
+    RouteKind,
     entry_fusion_key,
     fusion_key_for_trace,
+    route_call,
 )
 from .proofs import (
     StoredGroup,
@@ -310,7 +312,8 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
     roots = sorted(tasks - has_incoming)
     if not roots:
         raise MissingMetric("metrics contain no entry task")
-    overhead = {True: model.local_overhead_ms, False: model.remote_overhead_ms}  # by same_group
+    overhead = {RouteKind.LOCAL: model.local_overhead_ms,
+                RouteKind.REMOTE: model.remote_overhead_ms}
 
     def mean_billed(task: str) -> float:
         try:
@@ -322,7 +325,7 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
         now = start + mean_billed(task)
         branch_ends: list[float] = []
         for callee, mode in children.get(task, []):
-            delay = overhead[setup.same_group(task, callee)]
+            delay = overhead[route_call(setup, task, callee)]
             if mode is CallMode.SYNC:
                 now = completion(callee, now + delay)
             else:
@@ -539,7 +542,7 @@ def run_optimization(
             cost = estimate_cost(current, metrics, model)
             proposed = optimize_step(current, metrics, model, history)
             if proposed.setup_part != current.setup_part:
-                next_setup = proposed.with_version(current.version + 1)
+                next_setup = replace(proposed, version=current.version + 1)
             else:
                 next_setup = current
         except NoVerifiedData:

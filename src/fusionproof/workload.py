@@ -237,12 +237,13 @@ def _compile_walk(
     setup: FusionSetup,
     remote_overhead_ms: float,
     local_overhead_ms: float,
-) -> Callable[[TraceID, Optional[AttackPlan], int, float], list[InvocationRecord]]:
+) -> Callable[[str, Optional[AttackPlan], int, float], list[InvocationRecord]]:
     """Resolve once what no request changes, and return the walk bound to setup.
 
     Each task reachable from the entry becomes (base duration, jitter,
     quantized memory, edges), each edge (callee, is_sync, route, delay).
     With no jitter on any reachable task, the bills are set here and the walk never draws.
+    The walk takes a wire trace id that its caller has minted or validated under setup.
     """
     reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
     jittered = any(task.jitter_fraction for task in reachable)
@@ -254,10 +255,8 @@ def _compile_walk(
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 
-    def walk(trace_id: TraceID, attack: Optional[AttackPlan], seed: int,
+    def walk(wire_id: str, attack: Optional[AttackPlan], seed: int,
              clock_origin_ms: float) -> list[InvocationRecord]:
-        wire_id = trace_id.full
-        parse_and_validate_trace_id(wire_id, setup)
         draw = random.Random(seed).random if jittered else None
         records: list[InvocationRecord] = []
 
@@ -305,7 +304,9 @@ def execute_request(
     callee's start by remote_overhead_ms.
     """
     walk = _compile_walk(app, setup, remote_overhead_ms, local_overhead_ms)
-    return walk(trace_id, attack, seed, clock_origin_ms)
+    wire_id = trace_id.full
+    parse_and_validate_trace_id(wire_id, setup)
+    return walk(wire_id, attack, seed, clock_origin_ms)
 
 
 def _apply_attack(
@@ -355,9 +356,7 @@ class RequestOutcome:
     pipeline works from records and log lines alone.
     """
 
-    iteration: int
     load: int
-    request_index: int
     trace_id: str
     attacked: bool
 
@@ -399,15 +398,13 @@ def run_workload(
             for request_index in range(load):
                 randomness = master.randbytes(32)
                 request_seed = master.getrandbits(64)
-                trace = generate_trace_id(setup, app.entry_task, randomness)
+                wire_id = generate_trace_id(setup, app.entry_task, randomness).full
                 attacked = attack is not None and attack.apply_on(iteration, request_index)
                 records.extend(walk(
-                    trace, attack if attacked else None, request_seed,
+                    wire_id, attack if attacked else None, request_seed,
                     serial * REQUEST_SPACING_MS,
                 ))
-                outcomes.append(
-                    RequestOutcome(iteration, load, request_index, trace.full, attacked)
-                )
+                outcomes.append(RequestOutcome(load, wire_id, attacked))
                 serial += 1
     return LogBatch(records=tuple(records), outcomes=tuple(outcomes))
 

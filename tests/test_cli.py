@@ -36,7 +36,7 @@ from fusionproof.verification import (
     SamplingState,
     verify_integrity,
 )
-from fusionproof.workload import builtin_iot_app
+from fusionproof.workload import AttackMode, builtin_iot_app
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -376,6 +376,18 @@ class TestRunCommand:
         config = write_config(tmp_path, attack={"mode": "dow", "when": "always"})
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert "target_task" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("initial_setup", [[[1, 2]], [[None]], ["CWSE"], 5],
+                             ids=["numbers", "null", "flat_list", "number"])
+    def test_initial_setup_that_is_not_groups_of_names_is_a_bad_value(
+        self, tmp_path, capsys, initial_setup
+    ):
+        config = write_config(tmp_path, initial_setup=initial_setup)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: bad config value: initial_setup: TypeError: "
+        )
+        assert sorted(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize(
         "key", ["CW.json", "iter000/CW.SE.CS.CT.CA.json", "other/deep/G.json"],
@@ -1026,6 +1038,13 @@ class TestParser:
     def test_attack_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--attack", "nonsense"])
+
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    def test_attack_choices_are_none_and_the_attack_modes(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        (choices,) = set(re.findall(r"--attack \{([^}]*)\}", capsys.readouterr().out))
+        assert set(choices.split(",")) == {"none", *(mode.value for mode in AttackMode)}
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json"), "--seed", "1"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -310,7 +311,7 @@ class TestSetupLookupsMatchLinearScan:
             assert setup.group_index(name) == expected
             assert setup.group_of(name) == groups[expected]
             for other in names:
-                assert setup.same_group(name, other) is (
+                assert (route_call(setup, name, other) is RouteKind.LOCAL) is (
                     expected == _scan_group_index(groups, other)
                 )
 
@@ -325,4 +326,4 @@ class TestSetupLookupsMatchLinearScan:
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
-        assert used != used.with_version(3)
+        assert used != dataclasses.replace(used, version=3)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fusionproof import proofs
 from fusionproof.errors import InvalidHexLeaf, ParseError
-from fusionproof.handler import FusionSetup, RouteKind, calc_hash, generate_trace_id
+from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import (
     StoredGroup,
     ThresholdPolicy,
@@ -91,19 +91,6 @@ def iot_records(randomness: bytes, attack=None, seed=3, origin=0):
     return execute_request(IOT, FUSED, trace, attack, seed, origin)
 
 
-class TestCalcHash:
-    def test_standard_vectors(self):
-        assert calc_hash(b"") == (
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        )
-        assert calc_hash(b"abc") == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
-
-    def test_deterministic(self):
-        assert calc_hash(b"same bytes") == calc_hash(b"same bytes")
-
-
 class TestCanonicalBytes:
     GOLDEN_TRACE = "CW.SE.CS.CT.CA-CW-" + "ab" * 32 + "-" + "cd" * 32
 
@@ -129,7 +116,7 @@ class TestCanonicalBytes:
 
     def test_golden_leaf_hash(self):
         # Frozen from an independent SHA-256 of the golden byte string.
-        assert calc_hash(canonical_record_bytes(self.golden_record())) == (
+        assert hashlib.sha256(canonical_record_bytes(self.golden_record())).hexdigest() == (
             "d0d8462e100d6b3eb148f828ea521887def26b1957c8ec0fb7244eefade1c29f"
         )
 
@@ -153,9 +140,9 @@ class TestCanonicalBytes:
             base.billed_duration_ms, base.memory_used_mb, base.route, base.setup_version,
         )
         assert canonical_record_bytes(base) != canonical_record_bytes(other)
-        assert calc_hash(canonical_record_bytes(base)) != calc_hash(
+        assert hashlib.sha256(canonical_record_bytes(base)).hexdigest() != hashlib.sha256(
             canonical_record_bytes(other)
-        )
+        ).hexdigest()
 
 
 class TestMerkleTree:
@@ -678,12 +665,13 @@ class TestPersistPutCount:
 
 
 def _reference_merkle_root(leaves):
-    """Bottom-up root with odd-level duplication, one calc_hash per parent."""
+    """Bottom-up root with odd-level duplication, one SHA-256 per parent."""
     level = list(leaves)
     while True:
         if len(level) % 2:
             level.append(level[-1])
-        level = [calc_hash((a + b).encode()) for a, b in zip(level[::2], level[1::2])]
+        level = [hashlib.sha256((a + b).encode()).hexdigest()
+                 for a, b in zip(level[::2], level[1::2])]
         if len(level) == 1:
             return level[0]
 

@@ -800,7 +800,7 @@ class TestAnnotateMetrics:
             annotate_metrics([rogue], "CW.SE.CS.CT.CA", IOT)
 
     def test_setup_version_does_not_enter_the_metrics(self):
-        setup = FUSED.with_version(3)
+        setup = dataclasses.replace(FUSED, version=3)
         trace = generate_trace_id(setup, "CW", b"\x45" * 32)
         records = execute_request(IOT, setup, trace, None, 3, 0)
         metrics = annotate_metrics(records, "CW.SE.CS.CT.CA", IOT)
@@ -878,6 +878,35 @@ class TestEstimateCost:
             estimate_cost(FUSED, partial, CostModel())
 
 
+JITTER_FREE_APPS = [IOT, *(builtin_tree_app(f, d) for f, d in [(2, 1), (2, 2), (3, 2), (4, 2)])]
+
+
+@st.composite
+def _partitioned_apps(draw):
+    """A jitter-free app under a drawn partition of its tasks."""
+    app = draw(st.sampled_from(JITTER_FREE_APPS))
+    names = app.task_names()
+    labels = [draw(st.integers(0, len(names) - 1)) for _ in names]
+    groups = [[name for name, label in zip(names, labels) if label == k] for k in range(len(names))]
+    return app, FusionSetup.fused([group for group in groups if group])
+
+
+class TestCostModelMatchesWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(_partitioned_apps(), st.integers(0, 200), st.integers(0, 50))
+    def test_cost_is_the_walks_last_completion(self, app_setup, remote, local):
+        # The model and the walk both route with route_call, so a change to
+        # the routing rule changes both sides of this equality together.
+        app, setup = app_setup
+        trace = generate_trace_id(setup, app.entry_task, b"\x05" * 32)
+        records = execute_request(app, setup, trace, None, 1, 0, remote, local)
+        metrics = annotate_metrics(records, entry_fusion_key(setup, app.entry_task), app)
+        model = CostModel(remote_overhead_ms=remote, local_overhead_ms=local, memory_weight=0)
+        assert estimate_cost(setup, metrics, model) == max(
+            r.start_ms + r.billed_duration_ms for r in records
+        )
+
+
 class TestProposeCandidates:
     def test_split_iot_yields_one_merge_per_edge(self):
         metrics = iot_metrics(SPLIT)
@@ -935,7 +964,7 @@ class TestProposeCandidates:
 
     def test_candidates_preserve_version(self):
         metrics = iot_metrics(SPLIT)
-        current = SPLIT.with_version(4)
+        current = dataclasses.replace(SPLIT, version=4)
         assert all(c.version == 4 for c in propose_candidates(current, metrics))
 
     def test_current_setup_excluded(self):

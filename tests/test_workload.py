@@ -19,6 +19,7 @@ from fusionproof.errors import (
     InvalidAttack,
     ParseError,
     SetupMismatch,
+    TamperedTraceID,
     UnknownCallee,
 )
 from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
@@ -156,6 +157,13 @@ class TestExecuteRequest:
         with pytest.raises(SetupMismatch):
             execute_request(IOT, FUSED, trace, None, 7, 0)
 
+    def test_forged_hash_part_is_tampered(self):
+        trace = generate_trace_id(FUSED, "CW", b"\xab" * 32)
+        flipped = "1" if trace.hash_part[0] == "0" else "0"
+        forged = dataclasses.replace(trace, hash_part=flipped + trace.hash_part[1:])
+        with pytest.raises(TamperedTraceID):
+            execute_request(IOT, FUSED, forged, None, 7, 0)
+
     def test_dow_inflates_only_target_billed(self):
         records = one_request(FUSED, AttackPlan.dow("SE", 999999))
         clean = one_request(FUSED)
@@ -234,6 +242,28 @@ class TestExecuteRequest:
         for seed in (0, 1, 99):
             records = one_request(FUSED, seed=seed)
             assert [r.billed_duration_ms for r in records] == [37, 37, 76, 64, 68]
+
+
+class TestTraceIdEntryCheck:
+    """An id is checked where it enters: execute_request checks the TraceID
+    its caller gives, and run_workload does not re-check the ids it mints."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = workload.parse_and_validate_trace_id
+        monkeypatch.setattr(workload, "parse_and_validate_trace_id",
+                            lambda *args: calls.append(args) or check(*args))
+        return calls
+
+    def test_run_workload_checks_none_of_its_minted_ids(self, checks):
+        batch = run_workload(IOT, FUSED, [3], AttackPlan.dow("SE", 999999), 2, seed=3)
+        assert len(batch.outcomes) == 6
+        assert checks == []
+
+    def test_execute_request_checks_its_id_once(self, checks):
+        one_request(FUSED)
+        assert len(checks) == 1
 
 
 class TestRunWorkload:
