@@ -28,7 +28,6 @@ from .proofs import (
 from .store import FileStore, MemoryStore
 from .verification import (
     AnnotatedMetrics,
-    CostModel,
     SamplingState,
     VerificationReport,
     annotate_metrics,
@@ -43,6 +42,7 @@ from .verification import (
 from .workload import (
     AppSpec,
     AttackPlan,
+    CostModel,
     InvocationRecord,
     TaskSpec,
     builtin_iot_app,

@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
@@ -24,7 +24,6 @@ from .handler import FusionSetup, entry_fusion_key
 from .proofs import ThresholdPolicy, filter_batch, group_key, load_setups, persist_evidence
 from .store import FileStore
 from .verification import (
-    CostModel,
     FailureReason,
     SamplingState,
     VerificationReport,
@@ -40,6 +39,7 @@ from .workload import (
     AttackPlan,
     CallMode,
     CallSpec,
+    CostModel,
     TaskSpec,
     builtin_iot_app,
     builtin_tree_app,
@@ -99,7 +99,7 @@ class ScenarioConfig:
 
 def _initial_setup(raw) -> Union[str, tuple[tuple[str, ...], ...]]:
     if isinstance(raw, str):
-        return raw
+        return _one_of("split", "fused")(raw)
     if not isinstance(raw, list) or not all(
         isinstance(group, list) and all(isinstance(name, str) for name in group) for group in raw
     ):
@@ -131,6 +131,19 @@ _boolean = _exactly(bool, "true or false")
 _string = _exactly(str, "a string")
 _list = _exactly(list, "a JSON list")
 _section = _exactly((Mapping, type(None)), "a JSON object or null")
+
+
+def _one_of(*names: str):
+    """A converter that passes one of names through and rejects the rest."""
+
+    def check(raw):
+        if _string(raw) not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {raw!r}")
+        return raw
+    return check
+
+
+_ATTACK_MODES = ("none", *(mode.value for mode in AttackMode))
 
 
 def _os_path(raw) -> str:
@@ -174,21 +187,18 @@ _SCHEMA: Mapping = {
     "attack": (
         AttackConfig,
         {
-            "mode": _string,
+            "mode": _one_of(*_ATTACK_MODES),
             "target_task": _string,
             "inflated_duration_ms": _finite,
             "swap": _swap,
-            "when": _string,
+            "when": _one_of(*ATTACK_GATES),
         },
     ),
     "policy": (
         PolicyConfig,
         {"max_billed_ms": _finite, "max_memory_mb": _finite, "sequence_check": _boolean},
     ),
-    "cost_model": (
-        CostModel,
-        {"remote_overhead_ms": _finite, "local_overhead_ms": _finite, "memory_weight": _finite},
-    ),
+    "cost_model": (CostModel, dict.fromkeys((f.name for f in fields(CostModel)), _finite)),
     "csp1": (SamplingState, {"i": _integer, "f": _finite}),
     "seed": lambda raw: None if raw is None else _integer(raw),
     "store_root": _os_path,
@@ -267,28 +277,18 @@ def build_setup(config: ScenarioConfig, app: AppSpec) -> FusionSetup:
         return FusionSetup.singletons(app.task_names())
     if raw == "fused":
         return FusionSetup.fused([app.task_names()])
-    if isinstance(raw, tuple):
-        setup = FusionSetup.fused(raw)
-        if sorted(setup.functions()) != sorted(app.task_names()):
-            raise ConfigError("initial_setup must partition exactly the app's tasks")
-        return setup
-    raise ConfigError(f"bad initial_setup {raw!r}")
+    setup = FusionSetup.fused(raw)
+    if sorted(setup.functions()) != sorted(app.task_names()):
+        raise ConfigError("initial_setup must partition exactly the app's tasks")
+    return setup
 
 
 def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
     attack = config.attack
-    if attack.when not in ATTACK_GATES:
-        raise ConfigError(
-            f"bad attack.when {attack.when!r}; choose from {', '.join(sorted(ATTACK_GATES))}"
-        )
     if attack.mode == "none":
         return None
-    try:
-        mode = AttackMode(attack.mode)
-    except ValueError:
-        raise ConfigError(f"bad attack mode {attack.mode!r}") from None
-    return AttackPlan(mode, attack.target_task, attack.inflated_duration_ms, attack.swap,
-                      ATTACK_GATES[attack.when])
+    return AttackPlan(AttackMode(attack.mode), attack.target_task, attack.inflated_duration_ms,
+                      attack.swap, ATTACK_GATES[attack.when])
 
 
 def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:
@@ -365,14 +365,7 @@ def cmd_run(config: ScenarioConfig) -> int:
     _refuse_stale_keys(config, group_key(fusion_key).__ne__,
                        "run needs a store root without other group files")
     batch = run_workload(
-        app,
-        setup,
-        config.request_counts,
-        attack,
-        config.iterations,
-        seed,
-        remote_overhead_ms=config.cost_model.remote_overhead_ms,
-        local_overhead_ms=config.cost_model.local_overhead_ms,
+        app, setup, config.request_counts, attack, config.iterations, seed, config.cost_model
     )
     clean, flagged = filter_batch(batch.records, policy)
     store = FileStore(config.store_root)
@@ -465,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--iterations", type=int, help="override iteration count")
         cmd.add_argument(
-            "--attack", choices=["none", *(mode.value for mode in AttackMode)],
+            "--attack", choices=_ATTACK_MODES,
             help="override the attack mode",
         )
         cmd.add_argument("--store", help="override the evidence store root")

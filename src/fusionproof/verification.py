@@ -25,7 +25,6 @@ from .errors import (
 from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
-    RouteKind,
     entry_fusion_key,
     fusion_key_for_trace,
     route_call,
@@ -45,11 +44,10 @@ from .proofs import (
 )
 from .store import EvidenceStore, MemoryStore
 from .workload import (
-    DEFAULT_LOCAL_OVERHEAD_MS,
-    DEFAULT_REMOTE_OVERHEAD_MS,
     AppSpec,
     AttackPlan,
     CallMode,
+    CostModel,
     InvocationRecord,
     run_workload,
 )
@@ -234,13 +232,6 @@ def csp1_step(
 # Metrics
 
 @dataclass(frozen=True)
-class CostModel:
-    remote_overhead_ms: float = DEFAULT_REMOTE_OVERHEAD_MS
-    local_overhead_ms: float = DEFAULT_LOCAL_OVERHEAD_MS
-    memory_weight: float = 0.0
-
-
-@dataclass(frozen=True)
 class AnnotatedMetrics:
     """Aggregates over records whose groups passed verification."""
 
@@ -296,11 +287,11 @@ def annotate_metrics(
 def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostModel) -> float:
     """Critical-path latency of one request under `setup`, plus a memory term.
 
-    Sync edges run sequentially and pay the boundary overhead of their
-    route under `setup`; async edges branch from the caller's start and
-    contribute through the slowest branch.  The memory term bills each
-    task's mean duration against its whole group's memory footprint,
-    scaled by memory_weight.
+    Each edge pays the model's overhead for its route under `setup`, as
+    in the walk; sync edges run sequentially, async edges branch from the
+    caller's start and contribute through the slowest branch.  The memory
+    term bills each task's mean duration against its whole group's memory
+    footprint, scaled by memory_weight.
     """
     children: dict[str, list[tuple[str, CallMode]]] = {}
     tasks = set(metrics.task_mean_billed_ms)
@@ -312,8 +303,6 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
     roots = sorted(tasks - has_incoming)
     if not roots:
         raise MissingMetric("metrics contain no entry task")
-    overhead = {RouteKind.LOCAL: model.local_overhead_ms,
-                RouteKind.REMOTE: model.remote_overhead_ms}
 
     def mean_billed(task: str) -> float:
         try:
@@ -325,7 +314,7 @@ def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostMode
         now = start + mean_billed(task)
         branch_ends: list[float] = []
         for callee, mode in children.get(task, []):
-            delay = overhead[route_call(setup, task, callee)]
+            delay = model.overhead_ms(route_call(setup, task, callee))
             if mode is CallMode.SYNC:
                 now = completion(callee, now + delay)
             else:
@@ -446,7 +435,7 @@ def run_optimization(
     app: AppSpec,
     initial_setup: FusionSetup,
     iterations: int,
-    model: Optional[CostModel] = None,
+    model: CostModel = CostModel(),
     policy: Optional[ThresholdPolicy] = None,
     attack: Optional[AttackPlan] = None,
     seed: int = 0,
@@ -471,7 +460,6 @@ def run_optimization(
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
-    model = model if model is not None else CostModel()
     policy = policy if policy is not None else ThresholdPolicy()
     state = sampling if sampling is not None else SamplingState()
     rng = random.Random(seed)
@@ -493,8 +481,7 @@ def run_optimization(
             attack,
             iterations=1,
             seed=iteration_seeds[it],
-            remote_overhead_ms=model.remote_overhead_ms,
-            local_overhead_ms=model.local_overhead_ms,
+            model=model,
             iteration_offset=it,
         )
         clean, flagged = filter_batch(batch.records, policy)

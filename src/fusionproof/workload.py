@@ -34,13 +34,25 @@ from .handler import (
     validate_name,
 )
 
-DEFAULT_REMOTE_OVERHEAD_MS = 50
-DEFAULT_LOCAL_OVERHEAD_MS = 0
 _NEVER = float("-inf")  # before every completion: a walk's times are finite sums
 
 # Virtual-clock gap between consecutive requests; arbitrary but fixed so
 # that records from different traces never share a start time.
 REQUEST_SPACING_MS = 1000
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """What a call costs, read by the walk and by the estimator alike:
+    each route's start delay, and the estimator's memory weight."""
+
+    remote_overhead_ms: float = 50
+    local_overhead_ms: float = 0
+    memory_weight: float = 0.0
+
+    def overhead_ms(self, route: RouteKind) -> float:
+        """The delay before a callee reached over route starts."""
+        return self.remote_overhead_ms if route is RouteKind.REMOTE else self.local_overhead_ms
 
 
 class CallMode(Enum):
@@ -233,10 +245,7 @@ def _quantize(value: float) -> int:
 
 
 def _compile_walk(
-    app: AppSpec,
-    setup: FusionSetup,
-    remote_overhead_ms: float,
-    local_overhead_ms: float,
+    app: AppSpec, setup: FusionSetup, model: CostModel
 ) -> Callable[[str, Optional[AttackPlan], int, float], list[InvocationRecord]]:
     """Resolve once what no request changes, and return the walk bound to setup.
 
@@ -247,11 +256,10 @@ def _compile_walk(
     """
     reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
     jittered = any(task.jitter_fraction for task in reachable)
-    overhead = {RouteKind.REMOTE: remote_overhead_ms, RouteKind.LOCAL: local_overhead_ms}
     table = {}
     for task in reachable:
         routes = [(call, route_call(setup, task.name, call.callee)) for call in task.calls]
-        edges = tuple((c.callee, c.mode is CallMode.SYNC, r, overhead[r]) for c, r in routes)
+        edges = tuple((c.callee, c.mode is CallMode.SYNC, r, model.overhead_ms(r)) for c, r in routes)
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 
@@ -292,18 +300,17 @@ def execute_request(
     attack: Optional[AttackPlan],
     seed: int,
     clock_origin_ms: float,
-    remote_overhead_ms: float = DEFAULT_REMOTE_OVERHEAD_MS,
-    local_overhead_ms: float = DEFAULT_LOCAL_OVERHEAD_MS,
+    model: CostModel = CostModel(),
 ) -> list[InvocationRecord]:
     """Walk the DAG once and emit one record per task invocation.
 
     Depth-first from the entry task honoring edge order.  Sync callees
     start when the caller's sequential work reaches the call; async
     callees are dispatched relative to the caller's own start and do not
-    extend the caller's path.  Crossing a group boundary delays the
-    callee's start by remote_overhead_ms.
+    extend the caller's path.  Each callee starts after the model's
+    overhead for the route of its call.
     """
-    walk = _compile_walk(app, setup, remote_overhead_ms, local_overhead_ms)
+    walk = _compile_walk(app, setup, model)
     wire_id = trace_id.full
     parse_and_validate_trace_id(wire_id, setup)
     return walk(wire_id, attack, seed, clock_origin_ms)
@@ -374,8 +381,7 @@ def run_workload(
     attack: Optional[AttackPlan],
     iterations: int,
     seed: int,
-    remote_overhead_ms: float = DEFAULT_REMOTE_OVERHEAD_MS,
-    local_overhead_ms: float = DEFAULT_LOCAL_OVERHEAD_MS,
+    model: CostModel = CostModel(),
     iteration_offset: int = 0,
 ) -> LogBatch:
     """Run iterations × request_counts requests with fresh trace IDs.
@@ -387,7 +393,7 @@ def run_workload(
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
-    walk = _compile_walk(app, setup, remote_overhead_ms, local_overhead_ms)
+    walk = _compile_walk(app, setup, model)
     master = random.Random(seed)
     records: list[InvocationRecord] = []
     outcomes: list[RequestOutcome] = []

@@ -142,6 +142,29 @@ class TestConfig:
         assert main([command, "--config", str(config)]) == EXIT_USAGE
         assert "clearance number i must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"initial_setup": "foo"}, "initial_setup: ValueError: expected one of split, fused, got 'foo'"),
+            (
+                {"attack": {"when": "never"}},
+                "attack.when: ValueError: expected one of "
+                "odd_iterations, even_iterations, always, first_request, got 'never'",
+            ),
+            (
+                {"attack": {"mode": "ddos"}},
+                "attack.mode: ValueError: expected one of none, dow, business_logic, got 'ddos'",
+            ),
+        ],
+        ids=["setup_name", "when", "mode"],
+    )
+    def test_unknown_name_fails_at_load(self, tmp_path, capsys, command, override, message):
+        config = write_config(tmp_path, **override)
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: bad config value: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
     def test_explicit_groups(self):
         config = config_from_dict({"initial_setup": [["CW", "SE"], ["CS", "CT", "CA"]]})
         setup = build_setup(config, builtin_iot_app())
@@ -342,6 +365,21 @@ class TestRunCommand:
         flagged = read_csv(tmp_path / "out" / "flagged.csv")
         assert {row[-2] for row in flagged[1:]} == {"sequence_violation"}
 
+    def test_attack_none_override_runs_a_dow_config_clean(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            attack={"mode": "dow", "target_task": "SE", "when": "always"},
+        )
+        assert main(["run", "--config", str(config), "--attack", "none"]) == EXIT_OK
+        flagged = read_csv(tmp_path / "out" / "flagged.csv")
+        assert len(flagged) == 1 and flagged[0][-2:] == ["violation", "detail"]
+
+    def test_attack_dow_override_needs_a_target_task(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--attack", "dow"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: duration attack needs a target_task\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
     def test_seed_required(self, tmp_path, capsys):
         config = write_config(tmp_path, seed=None)
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
@@ -522,8 +560,14 @@ class TestLoadAppSpec:
                 "bad config value: app.tasks[0].calls[0].callee: TypeError: ",
             ),
             (("tasks", 1, "base_memroy_mb"), "64", "unknown config keys: app.tasks[1].base_memroy_mb"),
+            (("tasks", 1, "base_duration_ms"), "0", "task 'B': base_duration_ms must be positive"),
+            (("tasks", 1, "base_memory_mb"), "-1", "task 'B': base_memory_mb must be positive"),
+            (("tasks", 1, "jitter_fraction"), "1", "task 'B': jitter_fraction must be in [0, 1)"),
+            (("tasks", 1, "jitter_fraction"), "-0.5", "task 'B': jitter_fraction must be in [0, 1)"),
+            (("tasks", 1, "name"), '"A"', "app 'pair' declares a task twice"),
         ],
-        ids=["name", "calls", "nan", "1e400", "string-duration", "null-jitter", "list-entry", "list-callee", "misspelt-key"],
+        ids=["name", "calls", "nan", "1e400", "string-duration", "null-jitter", "list-entry", "list-callee", "misspelt-key",
+             "zero-duration", "negative-memory", "jitter-one", "negative-jitter", "task-twice"],
     )
     def test_bad_app_value_is_usage_error(self, tmp_path, capsys, where, raw, message):
         doc = {

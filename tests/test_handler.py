@@ -22,7 +22,9 @@ from fusionproof.handler import (
     FusionSetup,
     RouteKind,
     all_hex64,
+    compute_hash_part,
     entry_fusion_key,
+    fusion_key_for_trace,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -80,6 +82,14 @@ class TestSetup:
     def test_entry_fusion_key_is_entry_group(self):
         assert entry_fusion_key(SETUP, "A") == "A.B"
         assert entry_fusion_key(SETUP, "C") == "C"
+
+    def test_fusion_key_for_trace_refuses_an_entry_outside_its_setup_part(self):
+        assert fusion_key_for_trace(generate_trace_id(SETUP, "C", ZERO32).full) == "C"
+        # The checksum holds: only the entry's place is wrong.
+        random_part = "00" * 32
+        forged = f"A.B,C-D-{random_part}-{compute_hash_part('A.B,C', 'D', random_part)}"
+        with pytest.raises(MalformedTraceID, match="outside its own setup part"):
+            fusion_key_for_trace(forged)
 
 
 class TestValidateName:

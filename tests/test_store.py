@@ -172,6 +172,20 @@ class TestFileStoreLayout:
         with pytest.raises(StoreWriteFailed, match="Not a directory"):
             FileStore(tmp_path / "ev").list()
 
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda store: store.put("a.json", b"x"), "cannot write 'a.json'"),
+            (lambda store: store.delete("a.json"), "cannot delete 'a.json'"),
+        ],
+        ids=["put", "delete"],
+    )
+    def test_root_that_is_a_file_refuses_put_and_delete(self, tmp_path, write, message):
+        (tmp_path / "ev").write_bytes(b"kept")
+        with pytest.raises(StoreWriteFailed, match=message):
+            write(FileStore(tmp_path / "ev"))
+        assert (tmp_path / "ev").read_bytes() == b"kept"
+
 
 class TestParseGroupFile:
     def test_round_trip(self):

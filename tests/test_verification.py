@@ -899,9 +899,9 @@ class TestCostModelMatchesWalk:
         # the routing rule changes both sides of this equality together.
         app, setup = app_setup
         trace = generate_trace_id(setup, app.entry_task, b"\x05" * 32)
-        records = execute_request(app, setup, trace, None, 1, 0, remote, local)
-        metrics = annotate_metrics(records, entry_fusion_key(setup, app.entry_task), app)
         model = CostModel(remote_overhead_ms=remote, local_overhead_ms=local, memory_weight=0)
+        records = execute_request(app, setup, trace, None, 1, 0, model)
+        metrics = annotate_metrics(records, entry_fusion_key(setup, app.entry_task), app)
         assert estimate_cost(setup, metrics, model) == max(
             r.start_ms + r.billed_duration_ms for r in records
         )

@@ -30,6 +30,7 @@ from fusionproof.workload import (
     AttackPlan,
     CallMode,
     CallSpec,
+    CostModel,
     InvocationRecord,
     TaskSpec,
     builtin_iot_app,
@@ -192,6 +193,10 @@ class TestExecuteRequest:
     def test_business_logic_requires_adjacency(self):
         with pytest.raises(InvalidAttack):
             one_request(FUSED, AttackPlan.business_logic(("CW", "CS")))
+
+    def test_business_logic_needs_both_tasks_in_the_trace(self):
+        with pytest.raises(InvalidAttack, match="not both present in the trace"):
+            one_request(FUSED, AttackPlan.business_logic(("CW", "NOPE")))
 
     def test_business_logic_rejects_async_targets(self):
         app = builtin_tree_app(2, 1)
@@ -375,7 +380,7 @@ class TestJitteredWalk:
                 AttackPlan.dow("D", 5000.5, apply_on=lambda i, r: True),
                 AttackPlan.business_logic(("B", "E")),
             ):
-                batch = run_workload(JITTERED, setup, [3, 7], attack, 2, 11, 17.5, 2.25)
+                batch = run_workload(JITTERED, setup, [3, 7], attack, 2, 11, CostModel(17.5, 2.25))
                 for record in batch.records:
                     digest.update(canonical_record_bytes(record) + b"\n")
                 billed_b.update(r.billed_duration_ms for r in batch.records if r.task == "B")
@@ -384,11 +389,11 @@ class TestJitteredWalk:
 
     @pytest.mark.parametrize("setup", JITTERED_SETUPS)
     def test_execute_request_matches_run_workload(self, setup):
-        batch = run_workload(JITTERED, setup, [1], None, 1, 11, 17.5, 2.25)
+        batch = run_workload(JITTERED, setup, [1], None, 1, 11, CostModel(17.5, 2.25))
         master = random.Random(11)
         trace = generate_trace_id(setup, "A", master.randbytes(32))
         records = execute_request(
-            JITTERED, setup, trace, None, master.getrandbits(64), 0, 17.5, 2.25
+            JITTERED, setup, trace, None, master.getrandbits(64), 0, CostModel(17.5, 2.25)
         )
         assert tuple(records) == batch.records
 
@@ -566,5 +571,5 @@ class TestWalkMatchesReference:
                                                   remote, local):
         app, setup = app_setup
         trace = generate_trace_id(setup, app.entry_task, randomness)
-        records = execute_request(app, setup, trace, None, seed, origin, remote, local)
+        records = execute_request(app, setup, trace, None, seed, origin, CostModel(remote, local))
         assert records == reference_walk(app, setup, trace, seed, origin, remote, local)
