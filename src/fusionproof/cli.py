@@ -15,9 +15,11 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import (Annotated, Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union,
+                    get_args, get_origin, get_type_hints)
 
 from .errors import FusionProofError
 from .handler import FusionSetup, entry_fusion_key
@@ -38,9 +40,7 @@ from .workload import (
     AttackMode,
     AttackPlan,
     CallMode,
-    CallSpec,
     CostModel,
-    TaskSpec,
     builtin_iot_app,
     builtin_tree_app,
     record_to_wire,
@@ -57,19 +57,22 @@ class ConfigError(FusionProofError):
     """The scenario config cannot be resolved to runnable inputs or outputs."""
 
 
+# The config's keys are the fields of these classes and of the sections they
+# nest; each converts by its type hint, as _value says.  The hints name the
+# converters below and are evaluated when _keys first reads them.
 @dataclass(frozen=True)
 class AppParams:
-    fanout: int = 2
-    depth: int = 1
+    fanout: Annotated[int, _at_least(2)] = 2
+    depth: Annotated[int, _at_least(1)] = 1
 
 
 @dataclass(frozen=True)
 class AttackConfig:
-    mode: str = "none"
-    target_task: Optional[str] = None
+    mode: Annotated[str, _one_of(*_ATTACK_MODES)] = "none"
+    target_task: Annotated[Optional[str], _string] = None
     inflated_duration_ms: float = 999999.0
-    swap: Optional[tuple[str, str]] = None
-    when: str = "odd_iterations"
+    swap: Annotated[Optional[tuple[str, str]], _swap] = None
+    when: Annotated[str, _one_of(*ATTACK_GATES)] = "odd_iterations"
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,18 @@ class PolicyConfig:
 class ScenarioConfig:
     """A config document resolved to typed values; fields mirror its keys."""
 
-    app: str = "iot"
+    app: Annotated[str, _os_path] = "iot"
     app_params: AppParams = AppParams()
-    initial_setup: Union[str, tuple[tuple[str, ...], ...]] = "fused"
-    request_counts: tuple[int, ...] = (10,)
-    iterations: int = 7
+    initial_setup: Annotated[Union[str, tuple[tuple[str, ...], ...]], _initial_setup] = "fused"
+    request_counts: Annotated[tuple[int, ...], _request_counts] = (10,)
+    iterations: Annotated[int, _at_least(1)] = 7
     attack: AttackConfig = AttackConfig()
     policy: PolicyConfig = PolicyConfig()
     cost_model: CostModel = CostModel()
     csp1: SamplingState = SamplingState()
-    seed: Optional[int] = None
-    store_root: str = "evidence"
-    output_dir: str = "out"
+    seed: Annotated[Optional[int], _integer_or_null] = None
+    store_root: Annotated[str, _os_path] = "evidence"
+    output_dir: Annotated[str, _os_path] = "out"
 
 
 def _initial_setup(raw) -> Union[str, tuple[tuple[str, ...], ...]]:
@@ -111,7 +114,7 @@ def _request_counts(raw) -> tuple[int, ...]:
     if not isinstance(raw, list) or not all(type(c) is int for c in raw):
         raise TypeError(f"expected a list of integers, got {raw!r}")
     if not raw or min(raw) < 1:
-        raise ConfigError("request_counts must be positive integers")
+        raise ValueError(f"expected one or more positive integers, got {raw!r}")
     if len(set(raw)) < len(raw):
         raise ValueError(f"each load must appear once, got {raw!r}")
     return tuple(raw)
@@ -166,6 +169,20 @@ def _integer(raw) -> int:
     return raw
 
 
+def _at_least(low: int):
+    """A converter that passes integers of at least low through and rejects the rest."""
+
+    def check(raw):
+        if _integer(raw) < low:
+            raise ValueError(f"expected an integer >= {low}, got {raw!r}")
+        return raw
+    return check
+
+
+def _integer_or_null(raw) -> Optional[int]:
+    return None if raw is None else _integer(raw)
+
+
 def _finite(raw) -> float:
     if type(raw) not in (int, float):
         raise TypeError(f"expected a number, got {raw!r}")
@@ -174,69 +191,43 @@ def _finite(raw) -> float:
     return float(raw)
 
 
-# Every accepted key with its converter.  A (type, keys) pair is a nested
-# section: its keys are the type's field names, and a null section leaves
-# every field at the type's default.  A one-element list [(type, keys)] is
-# a JSON list of such sections, converted to a tuple.
-_SCHEMA: Mapping = {
-    "app": _os_path,
-    "app_params": (AppParams, {"fanout": _integer, "depth": _integer}),
-    "initial_setup": _initial_setup,
-    "request_counts": _request_counts,
-    "iterations": _integer,
-    "attack": (
-        AttackConfig,
-        {
-            "mode": _one_of(*_ATTACK_MODES),
-            "target_task": _string,
-            "inflated_duration_ms": _finite,
-            "swap": _swap,
-            "when": _one_of(*ATTACK_GATES),
-        },
-    ),
-    "policy": (
-        PolicyConfig,
-        {"max_billed_ms": _finite, "max_memory_mb": _finite, "sequence_check": _boolean},
-    ),
-    "cost_model": (CostModel, dict.fromkeys((f.name for f in fields(CostModel)), _finite)),
-    "csp1": (SamplingState, {"i": _integer, "f": _finite}),
-    "seed": lambda raw: None if raw is None else _integer(raw),
-    "store_root": _os_path,
-    "output_dir": _os_path,
-}
+# The converter of each field type that carries none.
+_PLAIN: Mapping[type, Callable] = {int: _integer, float: _finite, bool: _boolean, str: _string,
+                                   CallMode: lambda raw: CallMode(_string(raw).lower())}
 
-# The app document, converted under the key "app" so that errors name app.….
-_CALL_KEYS: Mapping = {"callee": _string, "mode": lambda raw: CallMode(_string(raw).lower())}
-_TASK_KEYS: Mapping = {
-    "name": _string,
-    "base_duration_ms": _finite,
-    "base_memory_mb": _finite,
-    "jitter_fraction": _finite,
-    "calls": [(CallSpec, _CALL_KEYS)],
-}
-_APP_SCHEMA: Mapping = {
-    "app": (AppSpec, {"name": _string, "entry_task": _string, "tasks": [(TaskSpec, _TASK_KEYS)]}),
-}
+# Fields that hold run state, not config: no document may set them.
+_RUN_STATE: Mapping[type, tuple[str, ...]] = {SamplingState: ("clearance_count",)}
 
 
-def _convert(doc: Mapping, schema: Mapping, path: str = "") -> dict:
-    """Convert doc's keys by schema, recursing into sections; errors name the key."""
-    unknown = sorted(path + key for key in set(doc) - set(schema))
+@cache
+def _keys(cls: type) -> Mapping[str, object]:
+    """cls's config keys, its fields in order less run state, with their type hints."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in _RUN_STATE.get(cls, ())}
+
+
+def _convert(doc: Mapping, cls: type, path: str = "") -> dict:
+    """Convert doc's keys by cls's fields, recursing into sections; errors name the key."""
+    keys = _keys(cls)
+    unknown = sorted(path + key for key in set(doc) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return {key: _value(doc[key], convert, path + key) for key, convert in schema.items() if key in doc}
+    return {key: _value(doc[key], hint, path + key) for key, hint in keys.items() if key in doc}
 
 
-def _value(raw, convert, path: str):
-    """raw converted by a converter, a section or a list of sections; errors name path."""
+def _value(raw, hint, path: str):
+    """raw converted by a field's type hint: an Annotated hint's converter, a
+    dataclass's section (null keeps its defaults), tuple[T, ...]'s JSON list of
+    T, or _PLAIN's converter.  Errors name path."""
     try:
-        if isinstance(convert, list):
-            (item,) = convert
+        if get_origin(hint) is Annotated:
+            return hint.__metadata__[0](raw)
+        if is_dataclass(hint):
+            return hint(**_convert(_section(raw) or {}, hint, path + "."))
+        if get_origin(hint) is tuple:
+            item, _ = get_args(hint)  # tuple[T, ...]
             return tuple(_value(each, item, f"{path}[{i}]") for i, each in enumerate(_list(raw)))
-        if isinstance(convert, tuple):
-            section, keys = convert
-            return section(**_convert(_section(raw) or {}, keys, path + "."))
-        return convert(raw)
+        return _PLAIN[hint](raw)
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config value: {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -245,7 +236,7 @@ def config_from_dict(doc: Mapping) -> ScenarioConfig:
     """Resolve a config document, which must be a JSON object, to typed values."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    return ScenarioConfig(**_convert(doc, _SCHEMA))
+    return ScenarioConfig(**_convert(doc, ScenarioConfig))
 
 
 def _load_json(path: Union[str, Path], what: str):
@@ -268,7 +259,7 @@ def build_app(config: ScenarioConfig) -> AppSpec:
         return builtin_iot_app()
     if config.app == "tree":
         return builtin_tree_app(config.app_params.fanout, config.app_params.depth)
-    return _convert({"app": _load_json(config.app, "app document")}, _APP_SCHEMA)["app"]
+    return _value(_load_json(config.app, "app document"), AppSpec, "app")
 
 
 def build_setup(config: ScenarioConfig, app: AppSpec) -> FusionSetup:
@@ -455,26 +446,30 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=docs)
         cmd.add_argument("--config", help="JSON scenario config file")
+        # Each flag's dest is the config key it sets (section.key within a section).
         cmd.add_argument("--seed", type=int, help="override the run seed")
         cmd.add_argument("--iterations", type=int, help="override iteration count")
         cmd.add_argument(
-            "--attack", choices=_ATTACK_MODES,
+            "--attack", dest="attack.mode", choices=_ATTACK_MODES,
             help="override the attack mode",
         )
-        cmd.add_argument("--store", help="override the evidence store root")
-        cmd.add_argument("--output", help="override the output directory")
+        cmd.add_argument("--store", dest="store_root", metavar="STORE",
+                         help="override the evidence store root")
+        cmd.add_argument("--output", dest="output_dir", metavar="OUTPUT",
+                         help="override the output directory")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The config file, or the defaults, with each flag given set; a flag's
+    value is converted like the file's, by its key's field."""
     config = load_config_file(args.config) if args.config else ScenarioConfig()
-    if args.attack is not None:
-        config = replace(config, attack=replace(config.attack, mode=args.attack))
-    for option, key in [("seed", "seed"), ("iterations", "iterations"),
-                        ("store", "store_root"), ("output", "output_dir")]:
-        if getattr(args, option) is not None:
-            config = replace(config, **{key: getattr(args, option)})
-    return config
+    given = {dest: value for dest, value in vars(args).items() if value is not None}
+    attack = {dest.removeprefix("attack."): value for dest, value in given.items()
+              if dest.startswith("attack.")}
+    flags = {key: given[key] for key in given.keys() & _keys(ScenarioConfig).keys()}
+    return replace(config, **_convert(flags, ScenarioConfig),
+                   attack=replace(config.attack, **_convert(attack, AttackConfig, "attack.")))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

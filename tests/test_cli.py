@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -57,14 +58,20 @@ def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path
     return path
 
 
+def readme_config_example() -> dict:
+    """The JSON block under README's "Config schema" heading."""
+    text = README.read_text(encoding="utf-8")
+    schema = text[text.index("### Config schema"):]
+    block = schema[schema.index("```json") + len("```json"):]
+    return json.loads(block[: block.index("```")])
+
+
 def read_csv(path: Path) -> list[list[str]]:
     with path.open(newline="", encoding="utf-8") as handle:
         return list(csv.reader(handle))
 
 
 def tamper_group_file(store_root: Path) -> None:
-    import dataclasses
-
     store = FileStore(store_root)
     key = next(k for k in store.list() if "/" not in k)
     blocks = parse_group_file(store.get(key))
@@ -122,13 +129,80 @@ class TestConfig:
         assert config.csp1 == SamplingState()
 
     def test_readme_example_loads(self):
-        text = README.read_text(encoding="utf-8")
-        schema = text[text.index("### Config schema"):]
-        block = schema[schema.index("```json") + len("```json"):]
-        doc = json.loads(block[: block.index("```")])
+        doc = readme_config_example()
         config = config_from_dict(doc)
         assert config.attack.target_task == doc["attack"]["target_task"]
         assert config.csp1 == SamplingState(i=doc["csp1"]["i"], f=doc["csp1"]["f"])
+
+    def test_readme_example_names_exactly_the_accepted_keys(self):
+        """At every level the example holds each field that a config may set,
+        and no other key."""
+
+        def accepted(*path: str) -> bool:
+            probe = None
+            for key in reversed(path):
+                probe = {key: probe}
+            try:
+                config_from_dict(probe)
+            except ConfigError as exc:
+                return not str(exc).startswith("unknown config keys")
+            return True
+
+        doc = readme_config_example()
+        assert set(doc) == {f.name for f in dataclasses.fields(ScenarioConfig) if accepted(f.name)}
+        defaults = ScenarioConfig()
+        for name in doc:
+            section = getattr(defaults, name)
+            if dataclasses.is_dataclass(section):
+                keys = {f.name for f in dataclasses.fields(section) if accepted(name, f.name)}
+                assert set(doc[name]) == keys, name
+
+    def test_clearance_count_is_run_state_not_config(self):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict({"csp1": {"clearance_count": 3}})
+        assert str(caught.value) == "unknown config keys: csp1.clearance_count"
+
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"iterations": 0}, "iterations: ValueError: expected an integer >= 1, got 0"),
+            (
+                {"app": "tree", "app_params": {"fanout": 1}},
+                "app_params.fanout: ValueError: expected an integer >= 2, got 1",
+            ),
+            (
+                {"app": "tree", "app_params": {"depth": 0}},
+                "app_params.depth: ValueError: expected an integer >= 1, got 0",
+            ),
+        ],
+        ids=["iterations", "fanout", "depth"],
+    )
+    def test_out_of_range_count_fails_at_load(self, tmp_path, capsys, command, override, message):
+        config = write_config(tmp_path, **override)
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: bad config value: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    def test_flag_passes_its_keys_converter(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "1", "--iterations", "0",
+                "--store", str(tmp_path / "evidence"), "--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bad config value: iterations: ValueError: expected an integer >= 1, got 0\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("counts", [[], [0], [4, -3]])
+    def test_request_counts_without_positive_loads_names_its_key(self, tmp_path, capsys, counts):
+        config = write_config(tmp_path, request_counts=counts)
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bad config value: request_counts: ValueError: "
+            f"expected one or more positive integers, got {counts!r}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_sequence_check_must_be_a_boolean(self, tmp_path, capsys, value):
