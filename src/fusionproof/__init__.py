@@ -31,6 +31,7 @@ from .verification import (
     SamplingState,
     VerificationReport,
     annotate_metrics,
+    commit,
     csp1_step,
     estimate_cost,
     find_mismatch,
@@ -76,6 +77,7 @@ __all__ = [
     "builtin_iot_app",
     "builtin_tree_app",
     "canonical_record_bytes",
+    "commit",
     "csp1_step",
     "emit_platform_logs",
     "estimate_cost",

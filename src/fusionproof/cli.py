@@ -29,6 +29,7 @@ from .verification import (
     FailureReason,
     SamplingState,
     VerificationReport,
+    commit,
     iteration_result_to_wire,
     run_optimization,
     verify_integrity,
@@ -388,7 +389,7 @@ def cmd_verify(config: ScenarioConfig) -> int:
     """Re-check all stored proofs, pruning tampered records from group files."""
     out = _output_dir(config)
     store = FileStore(config.store_root)
-    report = verify_integrity(load_setups(store), store)
+    report = commit(verify_integrity(load_setups(store)), store)
     _write_json(out / "verification.json", _report_to_wire(report))
     if any(o.reason is FailureReason.CORRUPT for o in report.outcomes.values()):
         return EXIT_CORRUPT

@@ -36,7 +36,7 @@ class EvidenceStore(Protocol):
 
 
 class MemoryStore:
-    """Dict-backed store; thread-safe for distinct keys per the contract."""
+    """Dict-backed store; its lock guards the dict, so threads may share one store."""
 
     def __init__(self) -> None:
         self._objects: dict[str, bytes] = {}
@@ -78,7 +78,6 @@ class FileStore:
     def __init__(self, root: Union[str, Path]) -> None:
         # Nothing is created until a put: a missing root lists as empty.
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         """key's path, never outside the root: StoreWriteFailed for a bad key."""
@@ -86,10 +85,16 @@ class FileStore:
 
     def put(self, key: str, data: bytes) -> None:
         path = self._path(key)
+        # One per process and thread, and not .json, so never a key: renamed onto it whole.
+        temp = path.with_name(f".{os.getpid()}-{threading.get_native_id()}.tmp")
         try:
-            with self._lock:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                temp.write_bytes(data)
+                os.replace(temp, path)
+            except OSError:
+                temp.unlink(missing_ok=True)
+                raise
         except OSError as exc:
             raise StoreWriteFailed(f"cannot write {key!r}: {exc}") from exc
 
@@ -102,8 +107,7 @@ class FileStore:
     def delete(self, key: str) -> None:
         path = self._path(key)
         try:
-            with self._lock:
-                path.unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
         except OSError as exc:
             raise StoreWriteFailed(f"cannot delete {key!r}: {exc}") from exc
 

@@ -32,6 +32,7 @@ from .handler import (
 from .proofs import (
     StoredGroup,
     ThresholdPolicy,
+    TreeInfo,
     build_merkle_tree,
     filter_batch,
     group_key,
@@ -71,22 +72,23 @@ def find_mismatch(
 
 
 class FailureReason(Enum):
-    PRUNED = "pruned"  # rewritten over the records its proof still vouches for
+    PRUNED = "pruned"  # survivors and their tree; commit rewrites the file
     EMPTY_PROOF = "empty_proof"  # a proof with an empty root: nothing to prune
     CORRUPT = "corrupt"  # the file, or an element to prune, would not parse
-    STORE_ERROR = "store_error"  # the store refused the pruned rewrite
+    STORE_ERROR = "store_error"  # commit's rewrite failed
 
 
 @dataclass(frozen=True)
 class GroupOutcome:
     """One group file's verdict, reason None for a pass; detail is the
-    corrupt or store error's message, survivors the record elements a
-    pruned group was rewritten over, and pruned its pruned trace ids."""
+    corrupt or store error's message, survivors the elements a pruned
+    group keeps, tree their Merkle tree, and pruned its pruned trace ids."""
 
     reason: Optional[FailureReason] = None
     detail: str = ""
     survivors: tuple[bytes, ...] = ()
     pruned: tuple[str, ...] = ()
+    tree: TreeInfo = TreeInfo.empty()
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class VerificationReport:
         return bool(self.outcomes) and all(o.reason is None for o in self.outcomes.values())
 
 
-def _verify_group(key: str, group: Union[StoredGroup, None, str], store) -> GroupOutcome:
+def _verify_group(group: Union[StoredGroup, None, str]) -> GroupOutcome:
     """One group's outcome from its load_setups value.  A leaf list vouches
     for no element when the root is empty, or when a leaf lies past the
     last element and so names no trace to prune."""
@@ -146,18 +148,11 @@ def _verify_group(key: str, group: Union[StoredGroup, None, str], store) -> Grou
     if not proof.root:
         return GroupOutcome(FailureReason.EMPTY_PROOF)
     kept = [p for p, t in enumerate(trace_of) if hops.get(t) == most]
-    survivors = tuple(records[p] for p in kept)
-    try:
-        store.put(group_key(key), join_group_file(
-            survivors, build_merkle_tree([recomputed[p] for p in kept])))
-    except StoreWriteFailed as exc:
-        return GroupOutcome(FailureReason.STORE_ERROR, str(exc))
-    return GroupOutcome(FailureReason.PRUNED, "", survivors, tuple(doomed.values()))
+    return GroupOutcome(FailureReason.PRUNED, "", tuple(records[p] for p in kept),
+                        tuple(doomed.values()), build_merkle_tree([recomputed[p] for p in kept]))
 
 
-def verify_integrity(
-    setups: Mapping[str, Union[StoredGroup, None, str]], store: EvidenceStore
-) -> VerificationReport:
+def verify_integrity(setups: Mapping[str, Union[StoredGroup, None, str]]) -> VerificationReport:
     """Decide every group file's outcome from load_setups' map.
 
     A group load_setups mapped to a reason is corrupt.  A proof with an
@@ -169,18 +164,29 @@ def verify_integrity(
     element whose leaf does not match is pruned, as filter_batch flags
     whole traces, and so is every trace left with fewer vouched elements
     than the most any trace kept: all traces of a group have as many
-    hops.  The group file is rewritten over the rest; the outcome holds
-    the survivors' bytes and each pruned trace id once, or the store's
-    error when the rewrite fails.  Nothing is deleted.  A group
-    load_setups mapped to None, its bytes those persist sealed, passes
-    unread; a proof load_group_file sealed is not rebuilt.
+    hops.  The outcome holds the rest's bytes, their Merkle tree and each
+    pruned trace id once; nothing is written, as commit rewrites the file.
+    A group load_setups mapped to None, its bytes those persist sealed,
+    passes unread; a proof load_group_file sealed is not rebuilt.
 
     Every element the leaf list does not vouch for, and every element of
-    a trace that lost a hop, is decoded for its trace id before anything
-    is written; when one is not, whole, a JSON object with a traceid, the
-    group is corrupt and is not rewritten.
+    a trace that lost a hop, is decoded for its trace id; when one is not,
+    whole, a JSON object with a traceid, the group is corrupt.
     """
-    return VerificationReport({key: _verify_group(key, group, store) for key, group in setups.items()})
+    return VerificationReport({key: _verify_group(group) for key, group in setups.items()})
+
+
+def commit(report: VerificationReport, store: EvidenceStore) -> VerificationReport:
+    """Rewrite each pruned group's file over its survivors and tree, in report
+    order; a refused rewrite makes the group a STORE_ERROR with the store's message."""
+    outcomes = dict(report.outcomes)
+    for key, o in report.outcomes.items():
+        if o.reason is FailureReason.PRUNED:
+            try:
+                store.put(group_key(key), join_group_file(o.survivors, o.tree))
+            except StoreWriteFailed as exc:
+                outcomes[key] = GroupOutcome(FailureReason.STORE_ERROR, str(exc))
+    return VerificationReport(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +456,8 @@ def run_optimization(
     filtered evidence to a fresh store, verifies it once when the sampling
     plan says so (pruning on failure), and feeds the entry group's
     verified or surviving measurements to the optimizer: a survivor counts
-    as the persisted record it hashes to, and not at all if it hashes to
-    none.  A group file that will not parse fails the iteration's
+    as the persisted record with its leaf hash, and not at all if none has
+    it.  A group file that will not parse fails the iteration's
     integrity.  When nothing survives the setup reverts to initial_setup
     for the next iteration.  An inspected entry group file that still holds
     the bytes persist wrote passes by comparison, without a split or a hash.
@@ -508,14 +514,14 @@ def run_optimization(
         verified = None
         if inspect_this:
             setups = load_setups(store, seals)
-            report = verify_integrity(setups, store)
+            report = commit(verify_integrity(setups), store)
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             verified = report.integrity_verified
             entry = report.outcomes.get(fusion_key)
             if entry is None or entry.reason is not None:
                 persisted = dict(zip(tree.leaves, clean))
-                survivors = record_leaf_hashes(entry.survivors if entry else ())
+                survivors = entry.tree.leaves if entry else ()
                 usable_records = [persisted[h] for h in survivors if h in persisted]
                 del persisted, survivors
             # Drop the loaded evidence now rather than when the next

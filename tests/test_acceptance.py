@@ -37,6 +37,7 @@ from fusionproof.proofs import (
 from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import (
     SamplingState,
+    commit,
     csp1_step,
     find_mismatch,
     run_optimization,
@@ -160,7 +161,7 @@ def test_acceptance_2_exhaustive_tampering():
             assert find_mismatch(
                 record_leaf_hashes(encoded), stored_tree.leaves
             ) == list(positions)
-            report = verify_integrity({KEY: StoredGroup(encoded, stored_tree)}, store)
+            report = commit(verify_integrity({KEY: StoredGroup(encoded, stored_tree)}), store)
             assert report.integrity_verified is False
             assert report.group_results[KEY] is False
             assert report.pruned[KEY] == tuple(records[p].trace_id for p in positions)
@@ -169,7 +170,7 @@ def test_acceptance_2_exhaustive_tampering():
             )
             assert report.outcomes[KEY].survivors == survivors
             reloaded = load_setups(store)
-            second = verify_integrity(reloaded, store)
+            second = commit(verify_integrity(reloaded), store)
             if survivors:
                 assert second.integrity_verified is True
             else:
@@ -227,7 +228,7 @@ def test_acceptance_4_business_logic_scenario(tmp_path):
     reordered = [records[1], records[0], records[2]]
     store.put(f"{KEY}.json", group_file_bytes(reordered, tree))
     setups = load_setups(store)
-    report = verify_integrity(setups, store)
+    report = commit(verify_integrity(setups), store)
     assert report.integrity_verified is False
     assert set(report.pruned[KEY]) == {records[0].trace_id, records[1].trace_id}
 

@@ -82,7 +82,7 @@ def test_wrapped_boundaries_see_every_call(monkeypatch):
     tampered = original.replace(b'"billed":37', b'"billed":38', 1)
     assert tampered != original
     store.put("CW.SE.CS.CT.CA.json", tampered)
-    report = verification.verify_integrity(load_setups(store), store)
+    report = verification.commit(verification.verify_integrity(load_setups(store)), store)
 
     assert not report.integrity_verified
     # The tampered record's five-hop trace is pruned whole.

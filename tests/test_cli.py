@@ -35,6 +35,7 @@ from fusionproof.verification import (
     FailureReason,
     GroupOutcome,
     SamplingState,
+    commit,
     verify_integrity,
 )
 from fusionproof.workload import AttackMode, builtin_iot_app
@@ -876,7 +877,7 @@ class TestVerifyCommand:
         stored = FileStore(tmp_path / "evidence").get(f"{key}.json")
         store = RefusingStore()
         store.put(f"{key}.json", stored)
-        report = verify_integrity(load_setups(store), store)
+        report = commit(verify_integrity(load_setups(store)), store)
         message = f"cannot rewrite {key}.json: read-only"
         assert report.outcomes == {key: GroupOutcome(FailureReason.STORE_ERROR, message)}
 

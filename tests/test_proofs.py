@@ -36,7 +36,7 @@ from fusionproof.proofs import (
     record_to_wire,
 )
 from fusionproof.store import MemoryStore
-from fusionproof.verification import verify_integrity
+from fusionproof.verification import commit, verify_integrity
 from fusionproof.workload import (
     AttackPlan,
     InvocationRecord,
@@ -744,7 +744,7 @@ class TestMerkleLeafCheck:
         with pytest.raises(InvalidHexLeaf) as info:
             build_merkle_tree(forged.leaves)
         assert str(info.value) == f"leaf {bad!r} is not a 64-char lowercase hex digest"
-        report = verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}, store)
+        report = commit(verify_integrity({"CW.SE.CS.CT.CA": StoredGroup(group.records, forged)}), store)
         assert report.integrity_verified is False
         assert report.pruned == {"CW.SE.CS.CT.CA": tuple(dict.fromkeys(r.trace_id for r in records))}
         assert report.outcomes["CW.SE.CS.CT.CA"].survivors == ()

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
+import pathlib
 import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -31,7 +35,7 @@ from fusionproof.proofs import (
     stored_trace_id,
 )
 from fusionproof.store import FileStore, MemoryStore
-from fusionproof.verification import FailureReason, verify_integrity
+from fusionproof.verification import FailureReason, commit, verify_integrity
 from fusionproof.workload import InvocationRecord, builtin_iot_app, execute_request
 
 IOT = builtin_iot_app()
@@ -186,6 +190,65 @@ class TestFileStoreLayout:
             write(FileStore(tmp_path / "ev"))
         assert (tmp_path / "ev").read_bytes() == b"kept"
 
+    def test_write_that_fails_halfway_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
+        """The disk fills halfway through a rewrite: the put fails, the old
+        file keeps its bytes, the listing is unchanged, and no other file
+        is left beside it."""
+        root = tmp_path / "ev"
+        store = FileStore(root)
+        old = bytes(range(250)) * 4
+        store.put("g/a.json", old)
+        store.put("b.json", b"other")
+        listed = store.list()
+
+        def half_then_full(path, data):
+            with open(path, "wb") as f:
+                f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pathlib.Path, "write_bytes", half_then_full)
+            with pytest.raises(StoreWriteFailed, match="cannot write 'g/a.json'.*No space left"):
+                store.put("g/a.json", bytes(1000))
+        assert (root / "g" / "a.json").read_bytes() == old
+        assert store.list() == listed
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()) == [
+            "b.json", "g/a.json"]
+
+    def test_threads_sharing_a_store_each_write_whole_files(self, tmp_path):
+        """Four threads rewrite one shared key and one key of their own:
+        every file read back is one thread's whole payload, and only the
+        keys' files are left, with the permissions write_bytes gives."""
+        store = FileStore(tmp_path / "ev")
+        payloads = [bytes([65 + n]) * 200_000 for n in range(4)]
+        seen = []
+
+        def writer(n):
+            for _ in range(10):
+                store.put("shared.json", payloads[n])
+                store.put(f"own/{n}.json", payloads[n])
+                seen.append(store.get("shared.json"))
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.list() == ["own/0.json", "own/1.json", "own/2.json", "own/3.json", "shared.json"]
+        assert [store.get(f"own/{n}.json") for n in range(4)] == payloads
+        assert len(seen) == 40 and all(data in payloads for data in seen)
+        assert store.get("shared.json") in payloads
+        (tmp_path / "plain").write_bytes(b"x")
+        mode = (tmp_path / "plain").stat().st_mode
+        files = [p for p in (tmp_path / "ev").rglob("*") if p.is_file()]
+        assert len(files) == 5 and all(p.stat().st_mode == mode for p in files)
+
 
 class TestParseGroupFile:
     def test_round_trip(self):
@@ -314,7 +377,7 @@ def _verified(data: bytes):
     the file's bytes afterwards."""
     store = MemoryStore()
     store.put("CW.json", data)
-    report = verify_integrity(load_setups(store), store)
+    report = commit(verify_integrity(load_setups(store)), store)
     outcomes = report.outcomes.items()
     return (
         {key: o.detail for key, o in outcomes if o.reason is FailureReason.CORRUPT},
@@ -690,7 +753,7 @@ class TestOneReader:
         store.put("CW.json", edit(_FIRST))
         store.put("CS.json", _GROUP_FILES[1])
         setups = load_setups(store)
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert store.gets == {"CS.json": 1, "CW.json": 1}
         assert not any(isinstance(group, str) for group in setups.values())
         assert report.group_results == {"CS": True, "CW": not pruned and not corrupt}
@@ -720,7 +783,7 @@ class TestOneReader:
             return decode(*args)
 
         with mock.patch.object(proofs_module, "_decode", counting_decode):
-            report = verify_integrity(load_setups(store), store)
+            report = commit(verify_integrity(load_setups(store)), store)
         assert report.outcomes["CW.SE.CS.CT.CA"].reason is not FailureReason.CORRUPT
         assert len(report.pruned.get("CW.SE.CS.CT.CA", ())) == min(tampered, 1)
         assert len(report.outcomes["CW.SE.CS.CT.CA"].survivors) == (10 if tampered else 0)
@@ -762,7 +825,7 @@ def _load_and_verify(data: bytes, seal=None):
     assert seals == {} and store.gets == {"CW.json": 1}
     with mock.patch.object(verification_module, "build_merkle_tree",
                            lambda leaves: builds.append(leaves) or build(leaves)):
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
     group = setups.get("CW")
     rebuilt = isinstance(group, StoredGroup) and any(leaves is group.proof.leaves for leaves in builds)
     return report, store.get("CW.json"), splits, rebuilt
@@ -809,7 +872,7 @@ class TestSeal:
         with mock.patch.object(proofs_module, "load_group_file", side_effect=AssertionError):
             setups = load_setups(store, seals)
         assert (setups, seals) == ({"CW.SE.CS.CT.CA": None}, {})
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.integrity_verified and report.group_results == {"CW.SE.CS.CT.CA": True}
 
     def test_the_empty_group_is_not_sealed_and_still_fails(self):

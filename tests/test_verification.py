@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fusionproof.proofs as proofs
 import fusionproof.verification as verification
-from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError
+from fusionproof.errors import MissingMetric, NoVerifiedData, ParseError, StoreWriteFailed
 from fusionproof.handler import FusionSetup, entry_fusion_key, generate_trace_id
 from fusionproof.proofs import (
     StoredGroup,
@@ -37,6 +37,7 @@ from fusionproof.verification import (
     GroupOutcome,
     SamplingState,
     annotate_metrics,
+    commit,
     csp1_step,
     estimate_cost,
     find_mismatch,
@@ -128,19 +129,19 @@ class TestVerifyIntegrity:
         persist_evidence(store, self.KEY, records)
         before = {k: store.get(k) for k in store.list()}
         setups = load_setups(store)
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.integrity_verified is True
         assert report.group_results == {self.KEY: True}
         assert report.pruned == {}
         assert {k: store.get(k) for k in store.list()} == before
 
     def test_empty_setups_not_verified(self):
-        report = verify_integrity({}, MemoryStore())
+        report = verify_integrity({})
         assert report.integrity_verified is False
         assert report.group_results == {}
 
     def test_load_time_corrupt_file_fails_in_the_report(self):
-        report = verify_integrity({"ZZ": "not json"}, MemoryStore())
+        report = verify_integrity({"ZZ": "not json"})
         assert report.integrity_verified is False
         assert report.group_results == {"ZZ": False}
         assert corrupt_of(report) == {"ZZ": "not json"}
@@ -150,7 +151,7 @@ class TestVerifyIntegrity:
         persist_evidence(store, self.KEY, [])
         before = store.get(f"{self.KEY}.json")
         setups = load_setups(store)
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.integrity_verified is False
         assert report.group_results == {self.KEY: False}
         assert report.pruned == {}
@@ -164,7 +165,7 @@ class TestVerifyIntegrity:
             records[1], billed_duration_ms=records[1].billed_duration_ms + 7
         )
         setups = {self.KEY: stored_group([records[0], tampered, records[2]], blocks[-1])}
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[1].trace_id,)}
         assert survivors_of(report) == {self.KEY: encoded(records[0], records[2])}
@@ -181,7 +182,7 @@ class TestVerifyIntegrity:
                 store.put(f"{self.KEY}/{records[1].trace_id}.json", canonical_record_bytes(records[1]))
             setups = load_setups(store)
             assert [k for k, v in setups.items() if not isinstance(v, str)] == [self.KEY]
-            return store, records, verify_integrity(setups, store)
+            return store, records, commit(verify_integrity(setups), store)
 
         plain_store, records, plain = verify_tampered(block_too=False)
         store, _, report = verify_tampered(block_too=True)
@@ -203,7 +204,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[0], memory_used_mb=999)
         setups = {self.KEY: stored_group([tampered, records[1], records[2]], blocks[-1])}
-        verify_integrity(setups, store)
+        commit(verify_integrity(setups), store)
         rewritten = parse_group_file(store.get(f"{self.KEY}.json"))
         survivors = [records[1], records[2]]
         assert rewritten[:-1] == survivors
@@ -215,11 +216,11 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         tampered = dataclasses.replace(records[2], billed_duration_ms=1)
         group = stored_group([records[0], records[1], tampered, records[3]], blocks[-1])
-        first = verify_integrity({self.KEY: group}, store)
+        first = commit(verify_integrity({self.KEY: group}), store)
         assert first.integrity_verified is False
         reloaded = load_setups(store)
         assert reloaded[self.KEY].records == survivors_of(first)[self.KEY]
-        second = verify_integrity(reloaded, store)
+        second = commit(verify_integrity(reloaded), store)
         assert second.integrity_verified is True
         assert survivors_of(second) == {}
 
@@ -237,7 +238,7 @@ class TestVerifyIntegrity:
                 else r
                 for p, r in enumerate(records)
             ]
-            report = verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}, store)
+            report = commit(verify_integrity({self.KEY: stored_group(mutated, blocks[-1])}), store)
             assert report.pruned[self.KEY] == tuple(
                 records[p].trace_id for p in positions
             )
@@ -251,7 +252,7 @@ class TestVerifyIntegrity:
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         extra = fused_records(b"\x39" * 32, origin=9000)[0]
         setups = {self.KEY: stored_group([*records, extra], blocks[-1])}
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.pruned == {self.KEY: (extra.trace_id,)}
         assert survivors_of(report)[self.KEY] == encoded(*records)
 
@@ -267,14 +268,14 @@ class TestVerifyIntegrity:
         append_copy_of_last_record(0, store)
         setups = load_setups(store)
         assert setups[self.KEY].records == encoded(*records, records[-1])
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: (records[-1].trace_id,)}
         assert survivors_of(report) == {self.KEY: encoded(*records[:10])}
         survivors = encoded(*records[:10])
         assert store.get(f"{self.KEY}.json") == join_group_file(
             survivors, build_merkle_tree(record_leaf_hashes(survivors)))
-        assert verify_integrity(load_setups(store), store).integrity_verified is True
+        assert commit(verify_integrity(load_setups(store)), store).integrity_verified is True
 
     @pytest.mark.parametrize("sealed", [False, True], ids=["no_seal", "seal"])
     def test_truncated_last_record_prunes_every_trace(self, sealed):
@@ -288,13 +289,13 @@ class TestVerifyIntegrity:
         store.put(f"{self.KEY}.json", group_file_bytes(records[:-1], tree))
         setups = load_setups(store, seals if sealed else None)
         assert setups[self.KEY].proof == tree and setups[self.KEY].proof_sealed is sealed
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.group_results == {self.KEY: False}
         assert set(report.pruned[self.KEY]) == {r.trace_id for r in records}
         assert len(report.pruned[self.KEY]) == 3
         assert survivors_of(report) == {self.KEY: ()}
         assert store.get(f"{self.KEY}.json") == group_file_bytes([], TreeInfo.empty())
-        assert verify_integrity(load_setups(store), store).integrity_verified is False
+        assert commit(verify_integrity(load_setups(store)), store).integrity_verified is False
 
     @pytest.mark.parametrize("hop", [0, 2, 4])
     @pytest.mark.parametrize("requests, kept", [(3, 10), (2, 5)], ids=["three_traces", "two_traces"])
@@ -312,11 +313,11 @@ class TestVerifyIntegrity:
         piece = canonical_record_bytes(records[hop])
         data = store.get(f"{self.KEY}.json")
         store.put(f"{self.KEY}.json", data.replace(piece, piece.replace(real.encode(), edited.encode()), 1))
-        report = verify_integrity(load_setups(store), store)
+        report = commit(verify_integrity(load_setups(store)), store)
         assert report.pruned == {self.KEY: (edited, real)}
         assert survivors_of(report) == {self.KEY: encoded(*records[5:])}
         assert len(records[5:]) == kept
-        assert verify_integrity(load_setups(store), store).integrity_verified is True
+        assert commit(verify_integrity(load_setups(store)), store).integrity_verified is True
 
     @pytest.mark.parametrize(
         "edit",
@@ -331,7 +332,7 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         tree = parse_group_file(store.get(f"{self.KEY}.json"))[-1]
         forged = dataclasses.replace(tree, leaves=tuple(edit(list(tree.leaves))))
-        report = verify_integrity({self.KEY: stored_group(records, forged)}, store)
+        report = commit(verify_integrity({self.KEY: stored_group(records, forged)}), store)
         assert report.integrity_verified is False
         assert report.pruned == {self.KEY: tuple(r.trace_id for r in records)}
         assert survivors_of(report) == {self.KEY: ()}
@@ -341,7 +342,7 @@ class TestVerifyIntegrity:
         records = persist_distinct_blocks(store, 3)
         blocks = parse_group_file(store.get(f"{self.KEY}.json"))
         swapped = stored_group([records[1], records[0], records[2]], blocks[-1])
-        report = verify_integrity({self.KEY: swapped}, store)
+        report = commit(verify_integrity({self.KEY: swapped}), store)
         assert report.integrity_verified is False
         assert set(report.pruned[self.KEY]) == {records[0].trace_id, records[1].trace_id}
 
@@ -362,11 +363,68 @@ class TestVerifyIntegrity:
             ],
             setups["CW"].proof,
         )
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.group_results == {self.KEY: True, "CW": False}
         assert report.integrity_verified is False
         assert list(report.pruned) == ["CW"]
 
+
+
+class RefusingStore(MemoryStore):
+    """A MemoryStore that refuses every put to the key named refused."""
+
+    refused = None
+
+    def put(self, key, data):
+        if key == self.refused:
+            raise StoreWriteFailed(f"cannot rewrite {key}: read-only")
+        super().put(key, data)
+
+
+class TestCommit:
+    KEYS = ("iter000/CW.SE.CS.CT.CA", "iter001/CW.SE.CS.CT.CA")
+
+    def tampered_store(self, store):
+        """Two groups of three single-record traces, each with its middle record edited."""
+        for n, key in enumerate(self.KEYS):
+            records = [fused_records(bytes([50 + 3 * n + k]) * 32, 1000 * k)[0] for k in range(3)]
+            tree = persist_evidence(store, key, records)
+            edited = dataclasses.replace(records[1], memory_used_mb=999)
+            store.put(f"{key}.json", group_file_bytes([records[0], edited, records[2]], tree))
+        return store
+
+    def test_verify_writes_nothing_and_commit_writes_the_pruned_groups(self):
+        store = self.tampered_store(MemoryStore())
+        setups = load_setups(store)
+        before = {k: store.get(k) for k in store.list()}
+        report = verify_integrity(setups)
+        assert verify_integrity(setups) == report
+        assert {k: store.get(k) for k in store.list()} == before
+        assert list(report.pruned) == list(self.KEYS)
+        for outcome in report.outcomes.values():
+            assert outcome.tree == build_merkle_tree(record_leaf_hashes(outcome.survivors))
+        assert commit(report, store) == report
+        assert {k: store.get(k) for k in store.list()} == {
+            f"{key}.json": join_group_file(o.survivors, o.tree) for key, o in report.outcomes.items()
+        }
+        assert commit(verify_integrity(load_setups(store)), store).integrity_verified is True
+
+    def test_refused_rewrite_is_a_store_error_and_the_next_group_is_still_written(self):
+        store = self.tampered_store(RefusingStore())
+        report = verify_integrity(load_setups(store))
+        first, second = self.KEYS
+        stored = store.get(f"{first}.json")
+        store.refused = f"{first}.json"
+        committed = commit(report, store)
+        message = f"cannot rewrite {first}.json: read-only"
+        assert committed.outcomes == {
+            first: GroupOutcome(FailureReason.STORE_ERROR, message),
+            second: report.outcomes[second],
+        }
+        assert committed.pruned == {second: report.pruned[second]}
+        assert store.get(f"{first}.json") == stored
+        kept = report.outcomes[second]
+        assert store.get(f"{second}.json") == join_group_file(kept.survivors, kept.tree)
 
 class TestStoredBytes:
     """Verification hashes each record element exactly as stored."""
@@ -381,7 +439,7 @@ class TestStoredBytes:
     def verify(self, store):
         setups = load_setups(store)
         assert not any(isinstance(group, str) for group in setups.values())
-        return verify_integrity(setups, store)
+        return commit(verify_integrity(setups), store)
 
     @pytest.mark.parametrize(
         "head, separator, tail",
@@ -396,7 +454,7 @@ class TestStoredBytes:
         spaced = head + separator.join(elements) + tail
         assert json.loads(spaced) == json.loads(data)
         store.put(f"{self.KEY}.json", spaced)
-        report = verify_integrity(load_setups(store), store)
+        report = commit(verify_integrity(load_setups(store)), store)
         assert report.integrity_verified is False
         assert list(corrupt_of(report)) == [self.KEY]
         assert report.pruned == {} and survivors_of(report) == {}
@@ -461,7 +519,7 @@ class TestStoredBytes:
         store.put(f"{self.KEY}.json", tampered)
         setups = load_setups(store)
         assert len(setups[self.KEY].records) < 3
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         assert report.group_results == {self.KEY: False}
         assert corrupt_of(report)[self.KEY].startswith("group file's record 0 is not valid JSON: Extra data")
         assert store.get(f"{self.KEY}.json") == tampered
@@ -556,7 +614,7 @@ class TestSealedTree:
                 monkeypatch.setattr(owner, name, counting)
         setups = load_setups(store, seals)
         assert seals == {}
-        report = verify_integrity(setups, store)
+        report = commit(verify_integrity(setups), store)
         return report, {k: store.get(k) for k in store.list()}, setups, calls
 
     @pytest.mark.parametrize("case", SEALED_CASES)
@@ -1423,9 +1481,9 @@ class TestRunOptimization:
 
     @pytest.mark.parametrize(
         "tamper, splits, hashes",
-        # Tampered: verify_integrity hashes the 10 stored records once,
-        # then the 5 survivors are hashed to find their persisted records.
-        [(None, 0, []), (tamper_first_record, 1, [10, 5])],
+        # Tampered: verify_integrity hashes the 10 stored records once; the
+        # 5 survivors' persisted records are found by their tree's leaves.
+        [(None, 0, []), (tamper_first_record, 1, [10])],
         ids=["untouched", "tampered"],
     )
     def test_an_untouched_group_is_neither_split_nor_hashed_again(
