@@ -224,7 +224,11 @@ def _value(raw, hint, path: str):
         if get_origin(hint) is Annotated:
             return hint.__metadata__[0](raw)
         if is_dataclass(hint):
-            return hint(**_convert(_section(raw) or {}, hint, path + "."))
+            section = _convert(_section(raw) or {}, hint, path + ".")
+            try:
+                return hint(**section)
+            except FusionProofError as exc:  # the section's own check; its type is kept
+                raise type(exc)(f"bad config value: {path}: {exc}") from exc
         if get_origin(hint) is tuple:
             item, _ = get_args(hint)  # tuple[T, ...]
             return tuple(_value(each, item, f"{path}[{i}]") for i, each in enumerate(_list(raw)))

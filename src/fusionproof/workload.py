@@ -251,7 +251,8 @@ def _compile_walk(
 
     Each task reachable from the entry becomes (base duration, jitter,
     quantized memory, edges), each edge (callee, is_sync, route, delay).
-    With no jitter on any reachable task, the bills are set here and the walk never draws.
+    With no jitter on any reachable task, the bills are set here and the walk never draws;
+    with whole-number delays too, the timeline is timed here once and each request replays it.
     The walk takes a wire trace id that its caller has minted or validated under setup.
     """
     reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
@@ -263,19 +264,15 @@ def _compile_walk(
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 
-    def walk(wire_id: str, attack: Optional[AttackPlan], seed: int,
-             clock_origin_ms: float) -> list[InvocationRecord]:
+    def timeline(clock_origin_ms: float, seed: int) -> list[tuple]:
         draw = random.Random(seed).random if jittered else None
-        records: list[InvocationRecord] = []
+        rows: list[tuple] = []
 
         def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
             duration, jitter, memory, edges = table[name]
             billed = duration if draw is None else _quantize(
                 duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
-            records.append(InvocationRecord(
-                wire_id, name, len(records), caller, int(round(start)),
-                billed, memory, kind, setup.version,
-            ))
+            rows.append((name, len(rows), caller, int(round(start)), billed, memory, kind))
             now, latest = start + billed, _NEVER
             for callee, is_sync, route, delay in edges:
                 if is_sync:
@@ -288,6 +285,25 @@ def _compile_walk(
 
         # The entry task itself arrives through the platform's front door.
         visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
+        return rows
+
+    replayed, reach = (), -1
+    if not jittered and all(delay % 1 == 0 for *_, edges in table.values() for *_, delay in edges):
+        # A visit's times are the origin plus bills and delays: while |origin| + span (each visit's
+        # bill and |delay|) <= 2**53, every float sum is exact and the timeline only shifts.
+        replayed = timeline(0, seed=0)
+        reach = 2**53 - sum(row[4] for row in replayed) - sum(
+            abs(int(model.overhead_ms(row[6]))) for row in replayed[1:])
+
+    def walk(wire_id: str, attack: Optional[AttackPlan], seed: int,
+             clock_origin_ms: float) -> list[InvocationRecord]:
+        if type(clock_origin_ms) is int and abs(clock_origin_ms) <= reach:
+            rows, shift = replayed, clock_origin_ms
+        else:
+            rows, shift = timeline(clock_origin_ms, seed), 0
+        records = [InvocationRecord(wire_id, task, index, caller, shift + start, billed, memory,
+                                    route, setup.version)
+                   for task, index, caller, start, billed, memory, route in rows]
         return records if attack is None else _apply_attack(app, records, attack)
 
     return walk

@@ -27,7 +27,7 @@ from fusionproof.cli import (
     main,
     resolve_config,
 )
-from fusionproof.errors import CycleDetected, StoreWriteFailed, UnknownCallee
+from fusionproof.errors import CycleDetected, ParseError, StoreWriteFailed, UnknownCallee
 from fusionproof.proofs import ThresholdPolicy, group_file_bytes, load_setups, parse_group_file
 from fusionproof.store import FileStore, MemoryStore
 from fusionproof.verification import (
@@ -216,6 +216,38 @@ class TestConfig:
         config = write_config(tmp_path, csp1={"i": 0})
         assert main([command, "--config", str(config)]) == EXIT_USAGE
         assert "clearance number i must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    @pytest.mark.parametrize(
+        "csp1, message",
+        [
+            ({"i": 0}, "clearance number i must be >= 1"),
+            ({"f": 0.0}, "sampling fraction f must be in (0, 1]"),
+        ],
+        ids=["i", "f"],
+    )
+    def test_section_check_names_its_section(self, tmp_path, capsys, command, csp1, message):
+        config = write_config(tmp_path, csp1=csp1)
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: bad config value: csp1: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_section_check_keeps_its_error_type(self):
+        with pytest.raises(ParseError) as caught:
+            config_from_dict({"csp1": {"i": 0}})
+        assert str(caught.value) == "bad config value: csp1: clearance number i must be >= 1"
+
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_task_check_names_its_task_once(self, tmp_path, capsys, command):
+        app = tmp_path / "app.json"
+        app.write_text(json.dumps({"name": "one", "entry_task": "A", "tasks": [
+            {"name": "A", "base_duration_ms": 0}]}), encoding="utf-8")
+        config = write_config(tmp_path, app=str(app))
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: bad config value: app.tasks[0]: task 'A': base_duration_ms must be positive\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([app, config])
 
     @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
     @pytest.mark.parametrize(
@@ -635,11 +667,27 @@ class TestLoadAppSpec:
                 "bad config value: app.tasks[0].calls[0].callee: TypeError: ",
             ),
             (("tasks", 1, "base_memroy_mb"), "64", "unknown config keys: app.tasks[1].base_memroy_mb"),
-            (("tasks", 1, "base_duration_ms"), "0", "task 'B': base_duration_ms must be positive"),
-            (("tasks", 1, "base_memory_mb"), "-1", "task 'B': base_memory_mb must be positive"),
-            (("tasks", 1, "jitter_fraction"), "1", "task 'B': jitter_fraction must be in [0, 1)"),
-            (("tasks", 1, "jitter_fraction"), "-0.5", "task 'B': jitter_fraction must be in [0, 1)"),
-            (("tasks", 1, "name"), '"A"', "app 'pair' declares a task twice"),
+            (
+                ("tasks", 1, "base_duration_ms"),
+                "0",
+                "bad config value: app.tasks[1]: task 'B': base_duration_ms must be positive\n",
+            ),
+            (
+                ("tasks", 1, "base_memory_mb"),
+                "-1",
+                "bad config value: app.tasks[1]: task 'B': base_memory_mb must be positive\n",
+            ),
+            (
+                ("tasks", 1, "jitter_fraction"),
+                "1",
+                "bad config value: app.tasks[1]: task 'B': jitter_fraction must be in [0, 1)\n",
+            ),
+            (
+                ("tasks", 1, "jitter_fraction"),
+                "-0.5",
+                "bad config value: app.tasks[1]: task 'B': jitter_fraction must be in [0, 1)\n",
+            ),
+            (("tasks", 1, "name"), '"A"', "bad config value: app: app 'pair' declares a task twice\n"),
         ],
         ids=["name", "calls", "nan", "1e400", "string-duration", "null-jitter", "list-entry", "list-callee", "misspelt-key",
              "zero-duration", "negative-memory", "jitter-one", "negative-jitter", "task-twice"],

@@ -8,6 +8,7 @@ import hashlib
 import pickle
 import random
 import typing
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -543,15 +544,16 @@ _OVERHEAD = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infi
 
 
 @st.composite
-def _walk_inputs(draw):
-    """A tree app (fanout 2-4, depth 1-3) or iot, with a jitter fraction
-    and a call mode drawn per task and per call, under a drawn partition."""
+def _walk_inputs(draw, jitter=True):
+    """A tree app (fanout 2-4, depth 1-3) or iot, with a jitter fraction (unless
+    jitter is false) and a call mode drawn per task and per call, under a drawn partition."""
     base = draw(st.one_of(
         st.just(IOT), st.builds(builtin_tree_app, st.integers(2, 4), st.integers(1, 3))))
     tasks = tuple(
         dataclasses.replace(
             task,
-            jitter_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
+            jitter_fraction=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+            if jitter else 0.0,
             calls=tuple(CallSpec(c.callee, draw(st.sampled_from(CallMode))) for c in task.calls),
         )
         for task in base.tasks
@@ -573,3 +575,101 @@ class TestWalkMatchesReference:
         trace = generate_trace_id(setup, app.entry_task, randomness)
         records = execute_request(app, setup, trace, None, seed, origin, CostModel(remote, local))
         assert records == reference_walk(app, setup, trace, seed, origin, remote, local)
+
+
+# Whole-number overheads, negative ones included, as int and as integral float.
+_WHOLE_OVERHEAD = st.one_of(st.integers(-100, 100), st.integers(-100, 100).map(float))
+
+
+def _span(app, setup, model):
+    """Each visit's bill plus the |delay| of the call that reached it, summed."""
+    trace = generate_trace_id(setup, app.entry_task, b"\x00" * 32)
+    records = reference_walk(app, setup, trace, 0, 0, model.remote_overhead_ms,
+                             model.local_overhead_ms)
+    return sum(r.billed_duration_ms for r in records) + sum(
+        abs(int(model.overhead_ms(r.route))) for r in records[1:])
+
+
+def _walk_once(app, setup, model, trace, attack, seed, origin):
+    """(records of one compiled walk, whether it replayed the compile-time timeline).
+
+    The probe: the replayed rows were timed before EXTERNAL_CALLER is patched,
+    so only a walk that recurses names the patched entry caller."""
+    walk = workload._compile_walk(app, setup, model)
+    with mock.patch.object(workload, "EXTERNAL_CALLER", "probe"):
+        records = walk(trace.full, attack, seed, origin)
+    replayed = records[0].caller != "probe"
+    if not replayed:  # the caller the recursion would have named
+        records[0] = dataclasses.replace(records[0], caller=workload.EXTERNAL_CALLER)
+    return records, replayed
+
+
+def _reference(app, setup, model, trace, seed, origin):
+    return reference_walk(app, setup, trace, seed, origin, model.remote_overhead_ms,
+                          model.local_overhead_ms)
+
+
+class TestReplayMatchesReference:
+    """A jitter-free walk with whole-number overheads is timed once and replayed
+    at each integer origin within 2**53 - span; every other request recurses."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_walk_inputs(jitter=False), st.binary(min_size=32, max_size=32),
+           st.integers(0, 2**64 - 1), _WHOLE_OVERHEAD, _WHOLE_OVERHEAD,
+           st.one_of(st.integers(0, 10**7), st.tuples(st.sampled_from([1, -1]), st.integers(0, 3))))
+    def test_replay_equals_the_reference(self, app_setup, randomness, seed, remote, local, origin):
+        app, setup = app_setup
+        model = CostModel(remote, local)
+        if isinstance(origin, tuple):  # at the bound, or up to 3 ms inside it
+            sign, inside = origin
+            origin = sign * (2**53 - _span(app, setup, model) - inside)
+        trace = generate_trace_id(setup, app.entry_task, randomness)
+        records, replayed = _walk_once(app, setup, model, trace, None, seed, origin)
+        assert replayed
+        assert records == _reference(app, setup, model, trace, seed, origin)
+
+        batch = run_workload(app, setup, [3], None, 1, seed, model)
+        master = random.Random(seed)
+        expected = []
+        for serial in range(3):
+            request_trace = generate_trace_id(setup, app.entry_task, master.randbytes(32))
+            expected += _reference(app, setup, model, request_trace, master.getrandbits(64),
+                                   serial * workload.REQUEST_SPACING_MS)
+        assert list(batch.records) == expected
+
+    @pytest.mark.parametrize("app, model, origin", [
+        (builtin_tree_app(3, 2), CostModel(50.5, 0), 5000),
+        (builtin_tree_app(3, 2), CostModel(50, -0.25), 5000),
+        (AppSpec("tree", "N0", tuple(
+            dataclasses.replace(t, jitter_fraction=0.1) if t.name == "N0_1" else t
+            for t in builtin_tree_app(3, 2).tasks)), CostModel(50, 0), 5000),
+        (builtin_tree_app(3, 2), CostModel(50, 0), 5000.0),
+        (IOT, CostModel(50, 0), 2**53 - _span(IOT, SPLIT, CostModel(50, 0)) + 1),
+        (IOT, CostModel(50, 0), -(2**53 - _span(IOT, SPLIT, CostModel(50, 0)) + 1)),
+    ], ids=["fractional-remote", "fractional-local", "one-jittered-task", "float-origin",
+            "past-the-bound", "past-the-bound-negative"])
+    def test_fallback_recurses_and_equals_the_reference(self, app, model, origin):
+        setup = SPLIT if app is IOT else FusionSetup.fused(
+            [[n for n in app.task_names() if n.startswith("N0_0")],
+             [n for n in app.task_names() if not n.startswith("N0_0")]])
+        trace = generate_trace_id(setup, app.entry_task, b"\x05" * 32)
+        records, replayed = _walk_once(app, setup, model, trace, None, 11, origin)
+        assert not replayed
+        assert records == _reference(app, setup, model, trace, 11, origin)
+
+    def test_float_origin_through_execute_request(self):
+        app = builtin_tree_app(3, 2)
+        setup = FusionSetup.singletons(app.task_names())
+        trace = generate_trace_id(setup, "N0", b"\x06" * 32)
+        for origin in (5000.0, 5000.5, 1e15 + 0.5):
+            assert execute_request(app, setup, trace, None, 3, origin) == _reference(
+                app, setup, CostModel(), trace, 3, origin)
+
+    @pytest.mark.parametrize("attack", [
+        AttackPlan.dow("CS", 5000.5), AttackPlan.business_logic(("CT", "CA"))], ids=["dow", "business_logic"])
+    def test_attack_on_a_replayed_request_gives_the_recursive_records(self, attack):
+        trace = generate_trace_id(SPLIT, "CW", b"\x07" * 32)
+        replayed, took_replay = _walk_once(IOT, SPLIT, CostModel(), trace, attack, 7, 5000)
+        recursed, took_recursion = _walk_once(IOT, SPLIT, CostModel(), trace, attack, 7, 5000.0)
+        assert took_replay and not took_recursion
+        assert replayed == recursed != _reference(IOT, SPLIT, CostModel(), trace, 7, 5000)
