@@ -27,7 +27,6 @@ from .handler import (
     FusionSetup,
     entry_fusion_key,
     fusion_key_for_trace,
-    route_call,
 )
 from .proofs import (
     StoredGroup,
@@ -50,6 +49,7 @@ from .workload import (
     CallMode,
     CostModel,
     InvocationRecord,
+    finish_ms,
     run_workload,
 )
 
@@ -293,44 +293,25 @@ def annotate_metrics(
 def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostModel) -> float:
     """Critical-path latency of one request under `setup`, plus a memory term.
 
-    Each edge pays the model's overhead for its route under `setup`, as
-    in the walk; sync edges run sequentially, async edges branch from the
-    caller's start and contribute through the slowest branch.  The memory
-    term bills each task's mean duration against its whole group's memory
-    footprint, scaled by memory_weight.
+    The request from each root is timed by the walk's own rule (finish_ms)
+    over the mean bills, each edge paying the model's overhead for its route
+    under `setup`.  The memory term bills each task's mean duration against
+    its whole group's memory footprint, scaled by memory_weight.
     """
-    children: dict[str, list[tuple[str, CallMode]]] = {}
-    tasks = set(metrics.task_mean_billed_ms)
-    has_incoming: set[str] = set()
-    for (caller, callee), mode in metrics.edges.items():
-        children.setdefault(caller, []).append((callee, mode))
-        tasks.update((caller, callee))
-        has_incoming.add(callee)
-    roots = sorted(tasks - has_incoming)
+    means = metrics.task_mean_billed_ms
+    unmeasured = sorted({task for edge in metrics.edges for task in edge} - means.keys())
+    if unmeasured:
+        raise MissingMetric(f"no billed mean observed for task {unmeasured[0]!r}")
+    roots = sorted(means.keys() - {callee for _, callee in metrics.edges})
     if not roots:
         raise MissingMetric("metrics contain no entry task")
-
-    def mean_billed(task: str) -> float:
-        try:
-            return metrics.task_mean_billed_ms[task]
-        except KeyError:
-            raise MissingMetric(f"no billed mean observed for task {task!r}") from None
-
-    def completion(task: str, start: float) -> float:
-        now = start + mean_billed(task)
-        branch_ends: list[float] = []
-        for callee, mode in children.get(task, []):
-            delay = model.overhead_ms(route_call(setup, task, callee))
-            if mode is CallMode.SYNC:
-                now = completion(callee, now + delay)
-            else:
-                branch_ends.append(completion(callee, start + delay))
-        return max([now, *branch_ends])
-
-    cost = max(completion(root, 0.0) for root in roots)
+    calls: dict[str, list[tuple[str, CallMode]]] = {}
+    for (caller, callee), mode in metrics.edges.items():
+        calls.setdefault(caller, []).append((callee, mode))
+    cost = max(finish_ms(root, means, calls, setup, model) for root in roots)
     if model.memory_weight:
         term = 0.0
-        for task, mean in metrics.task_mean_billed_ms.items():
+        for task, mean in means.items():
             group_memory = sum(
                 metrics.task_mean_memory_mb.get(member, 0.0)
                 for member in setup.group_of(task)

@@ -8,6 +8,7 @@ ground-truth labels stay on the simulator side.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -49,6 +50,12 @@ class CostModel:
     remote_overhead_ms: float = 50
     local_overhead_ms: float = 0
     memory_weight: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):  # a negative delay would start a callee before its caller
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParseError(f"{f.name} must be finite and >= 0, got {value!r}")
 
     def overhead_ms(self, route: RouteKind) -> float:
         """The delay before a callee reached over route starts."""
@@ -244,6 +251,47 @@ def _quantize(value: float) -> int:
     return max(1, int(round(value)))
 
 
+def _edges(setup: FusionSetup, model: CostModel, caller: str, calls: Iterable[tuple]) -> tuple:
+    """Each (callee, mode) call of caller as the edge (callee, is_sync, route, delay)."""
+    return tuple((callee, mode is CallMode.SYNC, route, model.overhead_ms(route))
+                 for callee, mode in calls for route in [route_call(setup, caller, callee)])
+
+
+def _timeline(table: Mapping[str, tuple], entry: str, origin: float,
+              draw: Optional[Callable[[], float]]) -> tuple[list[tuple], float]:
+    """One request timed from origin by execute_request's rule, over each task's (duration,
+    jitter, memory, edges): its rows (task, index, caller, start, bill, memory, route) in walk
+    order, and when its last call finishes.  With draw, each bill jitters the duration."""
+    rows: list[tuple] = []
+
+    def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
+        duration, jitter, memory, edges = table[name]
+        billed = duration if draw is None else _quantize(
+            duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
+        rows.append((name, len(rows), caller, int(round(start)), billed, memory, kind))
+        now, latest = start + billed, _NEVER
+        for callee, is_sync, route, delay in edges:
+            if is_sync:
+                now = visit(callee, name, now + delay, route)
+            else:
+                done = visit(callee, name, start + delay, route)
+                if done > latest:
+                    latest = done
+        return latest if latest > now else now  # max([now, *async completions])
+
+    # The entry task itself arrives through the platform's front door.
+    return rows, visit(entry, EXTERNAL_CALLER, origin, RouteKind.REMOTE)
+
+
+def finish_ms(entry: str, durations: Mapping[str, float], calls: Mapping[str, Sequence[tuple]],
+              setup: FusionSetup, model: CostModel) -> float:
+    """When a jitter-free request from entry at time 0 ends, timed by the walk's rule: each task
+    bills its duration and makes its (callee, mode) calls in order, routed under setup."""
+    table = {task: (duration, 0.0, 0, _edges(setup, model, task, calls.get(task, ())))
+             for task, duration in durations.items()}
+    return _timeline(table, entry, 0.0, None)[1]
+
+
 def _compile_walk(
     app: AppSpec, setup: FusionSetup, model: CostModel
 ) -> Callable[[str, Optional[AttackPlan], int, float], list[InvocationRecord]]:
@@ -259,48 +307,25 @@ def _compile_walk(
     jittered = any(task.jitter_fraction for task in reachable)
     table = {}
     for task in reachable:
-        routes = [(call, route_call(setup, task.name, call.callee)) for call in task.calls]
-        edges = tuple((c.callee, c.mode is CallMode.SYNC, r, model.overhead_ms(r)) for c, r in routes)
+        edges = _edges(setup, model, task.name, [(c.callee, c.mode) for c in task.calls])
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
-
-    def timeline(clock_origin_ms: float, seed: int) -> list[tuple]:
-        draw = random.Random(seed).random if jittered else None
-        rows: list[tuple] = []
-
-        def visit(name: str, caller: str, start: float, kind: RouteKind) -> float:
-            duration, jitter, memory, edges = table[name]
-            billed = duration if draw is None else _quantize(
-                duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
-            rows.append((name, len(rows), caller, int(round(start)), billed, memory, kind))
-            now, latest = start + billed, _NEVER
-            for callee, is_sync, route, delay in edges:
-                if is_sync:
-                    now = visit(callee, name, now + delay, route)
-                else:
-                    done = visit(callee, name, start + delay, route)
-                    if done > latest:
-                        latest = done
-            return latest if latest > now else now  # max([now, *async completions])
-
-        # The entry task itself arrives through the platform's front door.
-        visit(app.entry_task, EXTERNAL_CALLER, float(clock_origin_ms), RouteKind.REMOTE)
-        return rows
 
     replayed, reach = (), -1
     if not jittered and all(delay % 1 == 0 for *_, edges in table.values() for *_, delay in edges):
         # A visit's times are the origin plus bills and delays: while |origin| + span (each visit's
-        # bill and |delay|) <= 2**53, every float sum is exact and the timeline only shifts.
-        replayed = timeline(0, seed=0)
+        # bill and delay) <= 2**53, every float sum is exact and the timeline only shifts.
+        replayed = _timeline(table, app.entry_task, 0.0, None)[0]
         reach = 2**53 - sum(row[4] for row in replayed) - sum(
-            abs(int(model.overhead_ms(row[6]))) for row in replayed[1:])
+            int(model.overhead_ms(row[6])) for row in replayed[1:])
 
     def walk(wire_id: str, attack: Optional[AttackPlan], seed: int,
              clock_origin_ms: float) -> list[InvocationRecord]:
         if type(clock_origin_ms) is int and abs(clock_origin_ms) <= reach:
             rows, shift = replayed, clock_origin_ms
         else:
-            rows, shift = timeline(clock_origin_ms, seed), 0
+            draw = random.Random(seed).random if jittered else None
+            rows, shift = _timeline(table, app.entry_task, float(clock_origin_ms), draw)[0], 0
         records = [InvocationRecord(wire_id, task, index, caller, shift + start, billed, memory,
                                     route, setup.version)
                    for task, index, caller, start, billed, memory, route in rows]

@@ -232,6 +232,16 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: bad config value: csp1: {message}\n"
         assert sorted(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
+    @pytest.mark.parametrize("key", ["remote_overhead_ms", "local_overhead_ms", "memory_weight"])
+    def test_negative_cost_is_refused_at_load(self, tmp_path, capsys, command, key):
+        config = write_config(tmp_path, initial_setup="split", cost_model={key: -1000000})
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: bad config value: cost_model: {key} must be finite and >= 0, got -1000000.0\n"
+        )
+        assert sorted(tmp_path.iterdir()) == [config]
+
     def test_section_check_keeps_its_error_type(self):
         with pytest.raises(ParseError) as caught:
             config_from_dict({"csp1": {"i": 0}})

@@ -935,6 +935,25 @@ class TestEstimateCost:
         with pytest.raises(MissingMetric):
             estimate_cost(FUSED, partial, CostModel())
 
+    @pytest.mark.parametrize("groups, model, expected", [
+        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(50, 0.5), 216.9),
+        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(10.1, 0.3, 0.01), 275.0383),
+        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(50, 0.5), 170.1),
+        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 297.499725),
+        ([["A", "B", "C", "D", "R", "S"]], CostModel(50, 0.5), 167.4),
+        ([["A", "B", "C", "D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 571.153175),
+    ], ids=["split", "split-memory", "mixed", "mixed-memory", "fused", "fused-memory"])
+    def test_hand_built_metrics_price_exactly(self, groups, model, expected):
+        # Two roots (A and R; each one wins under some setup), fractional means,
+        # and A's async branch to B listed before its sync call to C.
+        metrics = AnnotatedMetrics(
+            {"A": 37.25, "B": 120.1, "C": 12.3, "D": 40.7, "R": 0.1, "S": 166.9},
+            {"A": 10.5, "B": 64.0, "C": 12.25, "D": 10.0, "R": 3.3, "S": 7.0},
+            {("A", "B"): CallMode.ASYNC, ("A", "C"): CallMode.SYNC,
+             ("C", "D"): CallMode.SYNC, ("R", "S"): CallMode.ASYNC},
+        )
+        assert estimate_cost(FusionSetup.fused(groups), metrics, model) == expected
+
 
 JITTER_FREE_APPS = [IOT, *(builtin_tree_app(f, d) for f, d in [(2, 1), (2, 2), (3, 2), (4, 2)])]
 

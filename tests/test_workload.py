@@ -94,6 +94,15 @@ class TestBuiltinApps:
             builtin_tree_app(2, 0)
 
 
+class TestCostModel:
+    @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")], ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("key", ["remote_overhead_ms", "local_overhead_ms", "memory_weight"])
+    def test_no_call_can_have_the_cost(self, key, value):
+        with pytest.raises(ParseError) as info:
+            CostModel(**{key: value})
+        assert str(info.value) == f"{key} must be finite and >= 0, got {value!r}"
+
+
 class TestAppValidation:
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
@@ -540,7 +549,7 @@ def reference_walk(app, setup, trace, seed, clock_origin_ms, remote_overhead_ms,
     return records
 
 
-_OVERHEAD = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
+_OVERHEAD = st.floats(min_value=0, max_value=100, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -577,8 +586,8 @@ class TestWalkMatchesReference:
         assert records == reference_walk(app, setup, trace, seed, origin, remote, local)
 
 
-# Whole-number overheads, negative ones included, as int and as integral float.
-_WHOLE_OVERHEAD = st.one_of(st.integers(-100, 100), st.integers(-100, 100).map(float))
+# Whole-number overheads as int and as integral float.
+_WHOLE_OVERHEAD = st.one_of(st.integers(0, 100), st.integers(0, 100).map(float))
 
 
 def _span(app, setup, model):
@@ -639,7 +648,7 @@ class TestReplayMatchesReference:
 
     @pytest.mark.parametrize("app, model, origin", [
         (builtin_tree_app(3, 2), CostModel(50.5, 0), 5000),
-        (builtin_tree_app(3, 2), CostModel(50, -0.25), 5000),
+        (builtin_tree_app(3, 2), CostModel(50, 0.25), 5000),
         (AppSpec("tree", "N0", tuple(
             dataclasses.replace(t, jitter_fraction=0.1) if t.name == "N0_1" else t
             for t in builtin_tree_app(3, 2).tasks)), CostModel(50, 0), 5000),
