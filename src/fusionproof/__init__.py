@@ -10,7 +10,6 @@ from .errors import FusionProofError
 from .handler import (
     FusionSetup,
     RouteKind,
-    TraceID,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -69,7 +68,6 @@ __all__ = [
     "SamplingState",
     "TaskSpec",
     "ThresholdPolicy",
-    "TraceID",
     "TreeInfo",
     "VerificationReport",
     "annotate_metrics",

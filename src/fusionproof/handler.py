@@ -49,13 +49,12 @@ def validate_name(name: str) -> str:
 
 def all_hex64(values: Sequence[str]) -> bool:
     """True when every value is a str of exactly 64 lowercase hex digits: a
-    SHA-256 hexdigest.  One check over the joined values, which must read
-    back unchanged from their bytes; that rejects uppercase, the whitespace
-    that bytes.fromhex skips, and anything that is not ASCII hex."""
+    SHA-256 hexdigest.  After the lengths, one check over the joined values:
+    deleting every lowercase hex digit from their ASCII bytes leaves nothing."""
     try:
-        joined = "".join(values)
-        return {*map(len, values)} <= {64} and bytes.fromhex(joined).hex() == joined
-    except (TypeError, ValueError):  # a value that is not a str, or not hex
+        return {*map(len, values)} <= {64} and not (
+            "".join(values).encode("ascii").translate(None, b"0123456789abcdef"))
+    except (TypeError, UnicodeEncodeError):  # a value that is not a str, or not ASCII
         return False
 
 
@@ -126,52 +125,31 @@ def route_call(setup: FusionSetup, caller: str, callee: str) -> RouteKind:
     return RouteKind.LOCAL if same else RouteKind.REMOTE
 
 
-@dataclass(frozen=True)
-class TraceID:
-    """Parsed form of a four-part trace identifier.
-
-    The wire form is ``<setup_part>-<function_name>-<random_part>-<hash_part>``
-    where random_part is 64 hex characters of entropy and hash_part is the
-    SHA-256 of the first three parts joined by "-".
-    """
-
-    setup_part: str
-    function_name: str
-    random_part: str
-    hash_part: str
-
-    @property
-    def full(self) -> str:
-        return f"{self.setup_part}-{self.function_name}-{self.random_part}-{self.hash_part}"
-
-
 def compute_hash_part(setup_part: str, function_name: str, random_part: str) -> str:
     data = f"{setup_part}-{function_name}-{random_part}".encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
-def generate_trace_id(setup: FusionSetup, function_name: str, randomness: bytes) -> TraceID:
+def generate_trace_id(setup: FusionSetup, function_name: str, randomness: bytes) -> str:
     """Mint a fresh trace identifier for an invocation of function_name.
 
-    randomness must supply exactly 32 bytes; the caller owns the RNG so
-    that runs are reproducible.
+    The wire form is ``<setup_part>-<function_name>-<random_part>-<hash_part>``
+    where random_part is the 64 hex characters of randomness and hash_part
+    is the SHA-256 of the first three parts joined by "-".  randomness must
+    supply exactly 32 bytes; the caller owns the RNG so that runs are
+    reproducible.
     """
     setup.group_index(function_name)  # UnknownFunction when it is not in the setup
     if len(randomness) != RANDOM_PART_BYTES:
         raise MalformedTraceID(
             f"need {RANDOM_PART_BYTES} random bytes, got {len(randomness)}"
         )
-    setup_part = setup.setup_part
-    random_part = randomness.hex()
-    return TraceID(
-        setup_part=setup_part,
-        function_name=function_name,
-        random_part=random_part,
-        hash_part=compute_hash_part(setup_part, function_name, random_part),
-    )
+    head = (setup.setup_part, function_name, randomness.hex())
+    return "-".join((*head, compute_hash_part(*head)))
 
 
-def split_trace_id(value: str) -> TraceID:
+def split_trace_id(value: str) -> tuple[str, str, str, str]:
+    """The four parts of a well-shaped trace ID, or MalformedTraceID."""
     # random_part and hash_part have fixed 64-hex width, and names may not
     # contain "-", so splitting on the three rightmost "-" is unambiguous.
     parts = value.rsplit("-", 3)
@@ -183,25 +161,24 @@ def split_trace_id(value: str) -> TraceID:
     if not all_hex64((random_part, hash_part)):
         bad = "hash" if all_hex64((random_part,)) else "random"
         raise MalformedTraceID(f"trace ID {value!r} has a bad {bad} part")
-    return TraceID(setup_part, function_name, random_part, hash_part)
+    return setup_part, function_name, random_part, hash_part
 
 
-def parse_and_validate_trace_id(value: str, setup: FusionSetup) -> TraceID:
-    """Parse a wire-form trace ID and check it against the live setup.
+def parse_and_validate_trace_id(value: str, setup: FusionSetup) -> str:
+    """Check a wire-form trace ID against the live setup; returns it unchanged.
 
     Checks run in a fixed order: shape (MalformedTraceID), then checksum
     (TamperedTraceID), then setup agreement (SetupMismatch).
     """
-    trace = split_trace_id(value)
-    expected = compute_hash_part(trace.setup_part, trace.function_name, trace.random_part)
-    if trace.hash_part != expected:
+    setup_part, function_name, random_part, hash_part = split_trace_id(value)
+    if hash_part != compute_hash_part(setup_part, function_name, random_part):
         raise TamperedTraceID(f"trace ID {value!r} fails its checksum")
-    if trace.setup_part != setup.setup_part:
+    if setup_part != setup.setup_part:
         raise SetupMismatch(
-            f"trace ID was minted under {trace.setup_part!r}, "
+            f"trace ID was minted under {setup_part!r}, "
             f"current setup is {setup.setup_part!r}"
         )
-    return trace
+    return value
 
 
 def entry_fusion_key(setup: FusionSetup, entry_function: str) -> str:
@@ -211,10 +188,8 @@ def entry_fusion_key(setup: FusionSetup, entry_function: str) -> str:
 
 def fusion_key_for_trace(trace_id: str) -> str:
     """Recover the fusion key from a trace ID's embedded setup and entry."""
-    trace = split_trace_id(trace_id)
-    for group in trace.setup_part.split(","):
-        if trace.function_name in group.split("."):
+    setup_part, entry, _, _ = split_trace_id(trace_id)
+    for group in setup_part.split(","):
+        if entry in group.split("."):
             return group
-    raise MalformedTraceID(
-        f"trace ID names entry {trace.function_name!r} outside its own setup part"
-    )
+    raise MalformedTraceID(f"trace ID names entry {entry!r} outside its own setup part")

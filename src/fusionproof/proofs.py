@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -86,12 +87,18 @@ class Verdict:
 class ThresholdPolicy:
     """Per-record limits plus the expected task order of one trace.
 
-    An empty expected_sequence disables the order check.
+    An empty expected_sequence disables the order check, and an infinite
+    limit its threshold check.
     """
 
     max_billed_ms: float = 90000.0
     max_memory_mb: float = 128.0
     expected_sequence: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("max_billed_ms", "max_memory_mb"):  # no value exceeds a NaN limit
+            if math.isnan(getattr(self, name)):
+                raise ParseError(f"{name} must not be NaN; use inf for no limit")
 
 
 def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Optional[Verdict]:

@@ -28,7 +28,6 @@ from .handler import (
     EXTERNAL_CALLER,
     FusionSetup,
     RouteKind,
-    TraceID,
     generate_trace_id,
     parse_and_validate_trace_id,
     route_call,
@@ -173,8 +172,9 @@ class AttackPlan:
         if self.mode is AttackMode.DOW:
             if not self.target_task:
                 raise InvalidAttack("duration attack needs a target_task")
-            if self.inflated_duration_ms <= 0:
-                raise InvalidAttack("duration attack needs a positive inflated duration")
+            if not 0 < self.inflated_duration_ms < math.inf:  # False for NaN too
+                raise InvalidAttack("duration attack needs a positive, finite inflated duration, "
+                                    f"got {self.inflated_duration_ms!r}")
         if self.mode is AttackMode.BUSINESS_LOGIC:
             if not self.swap or len(self.swap) != 2 or self.swap[0] == self.swap[1]:
                 raise InvalidAttack("reorder attack needs two distinct swap tasks")
@@ -337,7 +337,7 @@ def _compile_walk(
 def execute_request(
     app: AppSpec,
     setup: FusionSetup,
-    trace_id: TraceID,
+    trace_id: str,
     attack: Optional[AttackPlan],
     seed: int,
     clock_origin_ms: float,
@@ -352,9 +352,7 @@ def execute_request(
     overhead for the route of its call.
     """
     walk = _compile_walk(app, setup, model)
-    wire_id = trace_id.full
-    parse_and_validate_trace_id(wire_id, setup)
-    return walk(wire_id, attack, seed, clock_origin_ms)
+    return walk(parse_and_validate_trace_id(trace_id, setup), attack, seed, clock_origin_ms)
 
 
 def _apply_attack(
@@ -445,7 +443,7 @@ def run_workload(
             for request_index in range(load):
                 randomness = master.randbytes(32)
                 request_seed = master.getrandbits(64)
-                wire_id = generate_trace_id(setup, app.entry_task, randomness).full
+                wire_id = generate_trace_id(setup, app.entry_task, randomness)
                 attacked = attack is not None and attack.apply_on(iteration, request_index)
                 records.extend(walk(
                     wire_id, attack if attacked else None, request_seed,

@@ -6,7 +6,7 @@ import dataclasses
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionproof import proofs
@@ -31,6 +31,7 @@ from fusionproof.handler import (
     split_trace_id,
     validate_name,
 )
+from fusionproof.workload import builtin_iot_app, builtin_tree_app
 
 
 def sha_hex(text: str) -> str:
@@ -84,7 +85,7 @@ class TestSetup:
         assert entry_fusion_key(SETUP, "C") == "C"
 
     def test_fusion_key_for_trace_refuses_an_entry_outside_its_setup_part(self):
-        assert fusion_key_for_trace(generate_trace_id(SETUP, "C", ZERO32).full) == "C"
+        assert fusion_key_for_trace(generate_trace_id(SETUP, "C", ZERO32)) == "C"
         # The checksum holds: only the entry's place is wrong.
         random_part = "00" * 32
         forged = f"A.B,C-D-{random_part}-{compute_hash_part('A.B,C', 'D', random_part)}"
@@ -110,24 +111,25 @@ class TestValidateName:
 class TestGenerate:
     def test_frozen_hash_part(self):
         trace = generate_trace_id(SETUP, "A", ZERO32)
-        assert trace.setup_part == "A.B,C"
-        assert trace.random_part == "00" * 32
-        assert trace.hash_part == FROZEN_HASH_PART
+        setup_part, _, random_part, hash_part = split_trace_id(trace)
+        assert setup_part == "A.B,C"
+        assert random_part == "00" * 32
+        assert hash_part == FROZEN_HASH_PART
 
     def test_hash_part_matches_definition(self):
         trace = generate_trace_id(SETUP, "B", b"\xab" * 32)
-        assert trace.hash_part == sha_hex(f"A.B,C-B-{'ab' * 32}")
+        assert split_trace_id(trace)[3] == sha_hex(f"A.B,C-B-{'ab' * 32}")
 
     def test_full_has_four_fields(self):
         trace = generate_trace_id(SETUP, "A", ZERO32)
-        assert trace.full == f"A.B,C-A-{'00' * 32}-{FROZEN_HASH_PART}"
+        assert trace == f"A.B,C-A-{'00' * 32}-{FROZEN_HASH_PART}"
 
     def test_distinct_randomness_changes_only_random_and_hash(self):
-        one = generate_trace_id(SETUP, "A", b"\x01" * 32)
-        two = generate_trace_id(SETUP, "A", b"\x02" * 32)
-        assert one.setup_part == two.setup_part
-        assert one.random_part != two.random_part
-        assert one.hash_part != two.hash_part
+        one = split_trace_id(generate_trace_id(SETUP, "A", b"\x01" * 32))
+        two = split_trace_id(generate_trace_id(SETUP, "A", b"\x02" * 32))
+        assert one[0] == two[0]
+        assert one[2] != two[2]
+        assert one[3] != two[3]
 
     def test_unknown_function_rejected(self):
         with pytest.raises(UnknownFunction):
@@ -141,11 +143,11 @@ class TestGenerate:
 class TestParseAndEnsure:
     def test_round_trip(self):
         trace = generate_trace_id(SETUP, "A", b"\x11" * 32)
-        assert parse_and_validate_trace_id(trace.full, SETUP) == trace
+        assert parse_and_validate_trace_id(trace, SETUP) is trace
 
     def test_ensure_mints_when_absent(self):
         trace = generate_trace_id(SETUP, "A", ZERO32)
-        assert trace.hash_part == FROZEN_HASH_PART
+        assert split_trace_id(trace)[3] == FROZEN_HASH_PART
 
     @pytest.mark.parametrize(
         "value",
@@ -166,24 +168,25 @@ class TestParseAndEnsure:
     def test_uppercase_hex_is_malformed(self):
         minted = generate_trace_id(SETUP, "A", ZERO32)
         with pytest.raises(MalformedTraceID):
-            parse_and_validate_trace_id(minted.full.upper(), SETUP)
+            parse_and_validate_trace_id(minted.upper(), SETUP)
 
     def test_tampered_random_part(self):
         minted = generate_trace_id(SETUP, "A", ZERO32)
-        forged = minted.full.replace("00" * 32, "11" * 32)
+        forged = minted.replace("00" * 32, "11" * 32)
         with pytest.raises(TamperedTraceID):
             parse_and_validate_trace_id(forged, SETUP)
 
     def test_tampered_function_name(self):
         minted = generate_trace_id(SETUP, "A", ZERO32)
-        forged = f"A.B,C-B-{minted.random_part}-{minted.hash_part}"
+        _, _, random_part, hash_part = split_trace_id(minted)
+        forged = f"A.B,C-B-{random_part}-{hash_part}"
         with pytest.raises(TamperedTraceID):
             parse_and_validate_trace_id(forged, SETUP)
 
     def test_flipped_hash_digit_is_tampered(self):
         minted = generate_trace_id(SETUP, "A", ZERO32)
-        flipped = "0" if minted.hash_part[-1] != "0" else "1"
-        forged = minted.full[:-1] + flipped
+        flipped = "0" if minted[-1] != "0" else "1"
+        forged = minted[:-1] + flipped
         with pytest.raises(TamperedTraceID):
             parse_and_validate_trace_id(forged, SETUP)
 
@@ -191,31 +194,31 @@ class TestParseAndEnsure:
         other = FusionSetup.fused([["A"], ["B"], ["C"]])
         minted = generate_trace_id(other, "A", ZERO32)
         with pytest.raises(SetupMismatch):
-            parse_and_validate_trace_id(minted.full, SETUP)
+            parse_and_validate_trace_id(minted, SETUP)
 
     def test_checksum_checked_before_setup(self):
         # Both defects present: wrong setup and a broken checksum.
         other = FusionSetup.fused([["A"], ["B"], ["C"]])
         minted = generate_trace_id(other, "A", ZERO32)
-        flipped = "0" if minted.full[-1] != "0" else "1"
+        flipped = "0" if minted[-1] != "0" else "1"
         with pytest.raises(TamperedTraceID):
-            parse_and_validate_trace_id(minted.full[:-1] + flipped, SETUP)
+            parse_and_validate_trace_id(minted[:-1] + flipped, SETUP)
 
     @given(pos=st.integers(min_value=0, max_value=63), nibble=st.sampled_from("0123456789abcdef"))
     def test_any_random_part_edit_breaks_checksum(self, pos, nibble):
-        minted = generate_trace_id(SETUP, "A", b"\x5a" * 32)
-        original = minted.random_part
+        setup_part, function_name, original, hash_part = split_trace_id(
+            generate_trace_id(SETUP, "A", b"\x5a" * 32))
         if original[pos] == nibble:
             return
         edited = original[:pos] + nibble + original[pos + 1 :]
-        forged = f"{minted.setup_part}-{minted.function_name}-{edited}-{minted.hash_part}"
+        forged = f"{setup_part}-{function_name}-{edited}-{hash_part}"
         with pytest.raises(TamperedTraceID):
             parse_and_validate_trace_id(forged, SETUP)
 
     @given(st.binary(min_size=32, max_size=32))
     def test_minted_ids_always_validate(self, randomness):
         trace = generate_trace_id(SETUP, "C", randomness)
-        assert parse_and_validate_trace_id(trace.full, SETUP) == trace
+        assert parse_and_validate_trace_id(trace, SETUP) is trace
 
 
 class TestRouting:
@@ -240,6 +243,41 @@ class TestRouting:
 
     def test_routing_is_pure(self):
         assert route_call(SETUP, "A", "C") == route_call(SETUP, "A", "C")
+
+
+def _fromhex_all_hex64(values):
+    """all_hex64 as first written: the joined values must read back unchanged
+    from bytes.fromhex, which skips whitespace and accepts uppercase."""
+    try:
+        joined = "".join(values)
+        return {*map(len, values)} <= {64} and bytes.fromhex(joined).hex() == joined
+    except (TypeError, ValueError):
+        return False
+
+
+# Hex digits of both cases, whitespace bytes.fromhex skips or not, and
+# non-ASCII digits and letters.
+_HEX_NEIGHBOURS = "0123456789abcdefABCDEF \t\n\x0b\x0c\r\x85\u0660\u00e9\uff10"
+
+
+@st.composite
+def _hex_candidates(draw):
+    """Mostly 64-character strings near a hexdigest: a lowercase digest with up
+    to three characters replaced from _HEX_NEIGHBOURS, strings over those
+    characters, wrong lengths, and items that are not str."""
+    kind = draw(st.sampled_from(["edited", "edited", "any", "length", "other"]))
+    if kind == "other":
+        return draw(st.one_of(st.binary(min_size=64, max_size=64), st.none(), st.integers(),
+                              st.just(["a"] * 64)))
+    if kind == "any":
+        return draw(st.text(alphabet=_HEX_NEIGHBOURS + "gz-", min_size=60, max_size=68))
+    digest = draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64))
+    if kind == "length":
+        return digest[:draw(st.integers(0, 63))] + draw(st.text(alphabet="0f", max_size=2))
+    chars = list(digest)
+    for pos in draw(st.lists(st.integers(0, 63), max_size=3)):
+        chars[pos] = draw(st.sampled_from(_HEX_NEIGHBOURS))
+    return "".join(chars)
 
 
 class TestHexValidator:
@@ -277,13 +315,22 @@ class TestHexValidator:
         with pytest.raises(InvalidHexLeaf):
             proofs.build_merkle_tree([self.GOOD, bad])
 
+    @settings(deadline=None)
+    @given(st.lists(_hex_candidates(), max_size=4))
+    @example([])
+    @example(["a" * 62 + " a"])
+    def test_agrees_with_the_fromhex_definition(self, values):
+        assert all_hex64(values) is _fromhex_all_hex64(values)
+
+
+_NAMES = st.lists(st.text(alphabet="ABCXYZ_019", min_size=1, max_size=3), min_size=1, max_size=9,
+                  unique=True)
+
 
 @st.composite
-def partitions(draw):
-    """A FusionSetup's groups: distinct valid names cut into non-empty groups."""
-    names = draw(st.lists(
-        st.text(alphabet="ABCXYZ_019", min_size=1, max_size=3), min_size=1, max_size=9, unique=True
-    ))
+def partitions(draw, names=_NAMES):
+    """A FusionSetup's groups: distinct names, in the drawn order, cut into non-empty groups."""
+    names = draw(names)
     groups, current = [], [names[0]]
     for name in names[1:]:
         if draw(st.booleans()):
@@ -337,3 +384,23 @@ class TestSetupLookupsMatchLinearScan:
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
         assert used != dataclasses.replace(used, version=3)
+
+
+# The task names of iot or tree(2-4, 1-2), in a drawn order.
+_APP_TASKS = st.one_of(
+    st.just(builtin_iot_app()), st.builds(builtin_tree_app, st.integers(2, 4), st.integers(1, 2))
+).flatmap(lambda app: st.permutations(app.task_names()))
+
+
+class TestTraceKeyIsTheEntryKey:
+    """run_optimization keeps the entry group's records by fusion_key_for_trace,
+    so a minted trace's key must be the key entry_fusion_key gives its group."""
+
+    @settings(deadline=None)
+    @given(groups=partitions(_APP_TASKS), randomness=st.binary(min_size=32, max_size=32))
+    def test_both_derivations_agree_for_every_entry(self, groups, randomness):
+        setup = FusionSetup(groups)
+        for entry in setup.functions():
+            trace = generate_trace_id(setup, entry, randomness)
+            assert parse_and_validate_trace_id(trace, setup) is trace
+            assert fusion_key_for_trace(trace) == entry_fusion_key(setup, entry)

@@ -344,6 +344,16 @@ class TestCheckRecord:
         verdict = check_record(self.make(mem=256), ThresholdPolicy(max_memory_mb=128))
         assert verdict.kind is ViolationKind.MEMORY_EXCEEDED
 
+    @pytest.mark.parametrize("field", ["max_billed_ms", "max_memory_mb"])
+    def test_nan_limit_is_refused(self, field):
+        # Nothing exceeds NaN, so a NaN limit would silently pass every record.
+        with pytest.raises(ParseError, match=f"^{field} must not be NaN"):
+            ThresholdPolicy(**{field: float("nan")})
+
+    def test_infinite_limits_flag_nothing(self):
+        policy = ThresholdPolicy(max_billed_ms=float("inf"), max_memory_mb=float("inf"))
+        assert check_record(self.make(billed=10**12, mem=10**12), policy) is None
+
 
 class TestChainSequence:
     def test_in_order_passes(self):

@@ -170,8 +170,8 @@ class TestExecuteRequest:
 
     def test_forged_hash_part_is_tampered(self):
         trace = generate_trace_id(FUSED, "CW", b"\xab" * 32)
-        flipped = "1" if trace.hash_part[0] == "0" else "0"
-        forged = dataclasses.replace(trace, hash_part=flipped + trace.hash_part[1:])
+        head, hash_part = trace.rsplit("-", 1)
+        forged = f"{head}-{'1' if hash_part[0] == '0' else '0'}{hash_part[1:]}"
         with pytest.raises(TamperedTraceID):
             execute_request(IOT, FUSED, forged, None, 7, 0)
 
@@ -218,6 +218,12 @@ class TestExecuteRequest:
     def test_dow_needs_declared_target(self):
         with pytest.raises(InvalidAttack):
             one_request(FUSED, AttackPlan.dow("NOPE", 999999))
+
+    @pytest.mark.parametrize("inflated", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_dow_refuses_a_non_finite_duration(self, inflated):
+        with pytest.raises(InvalidAttack, match="positive, finite inflated duration"):
+            AttackPlan.dow("SE", inflated)
 
     def test_attack_plan_validation(self):
         with pytest.raises(InvalidAttack):
@@ -533,7 +539,7 @@ def reference_walk(app, setup, trace, seed, clock_origin_ms, remote_overhead_ms,
         billed = duration if draw is None else workload._quantize(
             duration * (1.0 + jitter * (2.0 * draw() - 1.0)))
         records.append(InvocationRecord(
-            trace.full, name, len(records), caller, int(round(start)),
+            trace, name, len(records), caller, int(round(start)),
             billed, memory, kind, setup.version,
         ))
         now = start + billed
@@ -606,7 +612,7 @@ def _walk_once(app, setup, model, trace, attack, seed, origin):
     so only a walk that recurses names the patched entry caller."""
     walk = workload._compile_walk(app, setup, model)
     with mock.patch.object(workload, "EXTERNAL_CALLER", "probe"):
-        records = walk(trace.full, attack, seed, origin)
+        records = walk(trace, attack, seed, origin)
     replayed = records[0].caller != "probe"
     if not replayed:  # the caller the recursion would have named
         records[0] = dataclasses.replace(records[0], caller=workload.EXTERNAL_CALLER)
