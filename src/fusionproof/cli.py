@@ -284,7 +284,7 @@ def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
     if attack.mode == "none":
         return None
     return AttackPlan(AttackMode(attack.mode), attack.target_task, attack.inflated_duration_ms,
-                      attack.swap, ATTACK_GATES[attack.when])
+                      attack.swap, attack.when)
 
 
 def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:

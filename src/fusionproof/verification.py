@@ -357,21 +357,22 @@ def optimize_step(
     metrics: AnnotatedMetrics,
     model: CostModel,
     history: set[str],
-) -> FusionSetup:
-    """Greedy move: adopt the cheapest unvisited neighbor, if any improves.
+) -> tuple[FusionSetup, float]:
+    """Greedy move: adopt the cheapest unvisited neighbor, if any improves,
+    and return it with current's estimated cost, the bar it had to beat.
 
     Ties between equally cheap candidates go to the lexicographically
     smallest setup_part; no strict improvement means staying put.
     """
-    best: Optional[FusionSetup] = None
-    best_cost = estimate_cost(current, metrics, model)
+    bar = estimate_cost(current, metrics, model)
+    best, best_cost = current, bar
     for candidate in sorted(propose_candidates(current, metrics), key=lambda s: s.setup_part):
         if candidate.setup_part in history:
             continue
         cost = estimate_cost(candidate, metrics, model)
         if cost < best_cost:
             best, best_cost = candidate, cost
-    return best if best is not None else current
+    return best, bar
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +514,7 @@ def run_optimization(
         cost: Optional[float] = None
         try:
             metrics = annotate_metrics(usable_records, fusion_key, app)
-            cost = estimate_cost(current, metrics, model)
-            proposed = optimize_step(current, metrics, model, history)
+            proposed, cost = optimize_step(current, metrics, model, history)
             if proposed.setup_part != current.setup_part:
                 next_setup = replace(proposed, version=current.version + 1)
             else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -143,7 +143,7 @@ class AttackMode(Enum):
     BUSINESS_LOGIC = "business_logic"
 
 
-# Named apply_on gates, (iteration, request) -> whether the attack fires.
+# The gates a plan names by its when: (iteration, request) -> whether the attack fires.
 ATTACK_GATES: Mapping[str, Callable[[int, int], bool]] = {
     "odd_iterations": lambda iteration, request: iteration % 2 == 1,
     "even_iterations": lambda iteration, request: iteration % 2 == 0,
@@ -156,19 +156,20 @@ ATTACK_GATES: Mapping[str, Callable[[int, int], bool]] = {
 class AttackPlan:
     """What to tamper with and when.
 
-    apply_on(iteration, request) decides per request whether the attack
-    fires; the default alternates clean and malicious iterations.
+    when names the ATTACK_GATES gate that decides per request whether the
+    attack fires; the default alternates clean and malicious iterations.
     """
 
     mode: AttackMode
     target_task: Optional[str] = None
     inflated_duration_ms: float = 0.0
     swap: Optional[tuple[str, str]] = None
-    apply_on: Callable[[int, int], bool] = field(
-        default=ATTACK_GATES["odd_iterations"], compare=False
-    )
+    when: str = "odd_iterations"
 
     def __post_init__(self) -> None:
+        if self.when not in ATTACK_GATES:
+            raise InvalidAttack(
+                f"attack gate {self.when!r} is not one of {', '.join(ATTACK_GATES)}")
         if self.mode is AttackMode.DOW:
             if not self.target_task:
                 raise InvalidAttack("duration attack needs a target_task")
@@ -178,24 +179,6 @@ class AttackPlan:
         if self.mode is AttackMode.BUSINESS_LOGIC:
             if not self.swap or len(self.swap) != 2 or self.swap[0] == self.swap[1]:
                 raise InvalidAttack("reorder attack needs two distinct swap tasks")
-
-    @classmethod
-    def dow(
-        cls,
-        target_task: str,
-        inflated_duration_ms: float,
-        apply_on: Callable[[int, int], bool] = ATTACK_GATES["odd_iterations"],
-    ) -> "AttackPlan":
-        return cls(AttackMode.DOW, target_task=target_task,
-                   inflated_duration_ms=inflated_duration_ms, apply_on=apply_on)
-
-    @classmethod
-    def business_logic(
-        cls,
-        swap: tuple[str, str],
-        apply_on: Callable[[int, int], bool] = ATTACK_GATES["odd_iterations"],
-    ) -> "AttackPlan":
-        return cls(AttackMode.BUSINESS_LOGIC, swap=swap, apply_on=apply_on)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -292,15 +275,62 @@ def finish_ms(entry: str, durations: Mapping[str, float], calls: Mapping[str, Se
     return _timeline(table, entry, 0.0, None)[1]
 
 
+def _attack_rewrite(app: AppSpec, attack: AttackPlan,
+                    order: Sequence[tuple]) -> Callable[[Sequence[tuple]], list[tuple]]:
+    """Check attack once against order, a request's rows (task, index, caller, start, bill,
+    memory, route) in walk order, which every request of app follows: InvalidAttack if it does
+    not fit, else what it does to an attacked request's rows."""
+    tasks = [task for task, *_ in order]
+    if attack.mode is AttackMode.DOW:
+        target, billed = attack.target_task, _quantize(attack.inflated_duration_ms)
+        if target not in app.task_map:
+            raise InvalidAttack(f"target task {target!r} is not declared")
+        hits = [position for position, task in enumerate(tasks) if task == target]
+        if not hits:
+            raise InvalidAttack(f"target task {target!r} is not reached from {app.entry_task!r}")
+
+        def inflate(rows: Sequence[tuple]) -> list[tuple]:
+            rows = list(rows)
+            for position in hits:
+                task, index, caller, start, _, memory, route = rows[position]
+                rows[position] = (task, index, caller, start, billed, memory, route)
+            return rows
+
+        return inflate
+
+    first, second = attack.swap
+    if first not in tasks or second not in tasks:
+        raise InvalidAttack(f"swap tasks {first!r}, {second!r} not both present in the trace")
+    p, q = tasks.index(first), tasks.index(second)
+    if abs(p - q) != 1:
+        raise InvalidAttack(f"swap tasks {first!r}, {second!r} are not consecutive in the chain")
+    for task_name, position in ((first, p), (second, q)):
+        incoming = order[position][2]
+        if incoming != EXTERNAL_CALLER:
+            edge = next(c for c in app.task_map[incoming].calls if c.callee == task_name)
+            if edge.mode is not CallMode.SYNC:
+                raise InvalidAttack(f"swap task {task_name!r} is not reached synchronously")
+
+    def reorder(rows: Sequence[tuple]) -> list[tuple]:
+        # Emission position dictates the index, so the swapped pair trade indices.
+        rows = list(rows)
+        rows[p], rows[q] = (rows[q][0], p, *rows[q][2:]), (rows[p][0], q, *rows[p][2:])
+        return rows
+
+    return reorder
+
+
 def _compile_walk(
-    app: AppSpec, setup: FusionSetup, model: CostModel
-) -> Callable[[str, Optional[AttackPlan], int, float], list[InvocationRecord]]:
-    """Resolve once what no request changes, and return the walk bound to setup.
+    app: AppSpec, setup: FusionSetup, model: CostModel, attack: Optional[AttackPlan] = None
+) -> Callable[[str, bool, int, float], list[InvocationRecord]]:
+    """Resolve once what no request changes, and return the walk bound to setup and attack.
 
     Each task reachable from the entry becomes (base duration, jitter,
     quantized memory, edges), each edge (callee, is_sync, route, delay).
     With no jitter on any reachable task, the bills are set here and the walk never draws;
     with whole-number delays too, the timeline is timed here once and each request replays it.
+    The attack is checked here against the walk, and an attacked request's rows are rewritten
+    before its records are built; a replayed request's attacked rows are rewritten here.
     The walk takes a wire trace id that its caller has minted or validated under setup.
     """
     reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
@@ -311,25 +341,28 @@ def _compile_walk(
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 
-    replayed, reach = (), -1
+    clean = _timeline(table, app.entry_task, 0.0, None)[0]
+    # With no plan, list copies the rows: no request is attacked.
+    rewrite = list if attack is None else _attack_rewrite(app, attack, clean)
+    attacked_rows, reach = rewrite(clean), -1
     if not jittered and all(delay % 1 == 0 for *_, edges in table.values() for *_, delay in edges):
         # A visit's times are the origin plus bills and delays: while |origin| + span (each visit's
         # bill and delay) <= 2**53, every float sum is exact and the timeline only shifts.
-        replayed = _timeline(table, app.entry_task, 0.0, None)[0]
-        reach = 2**53 - sum(row[4] for row in replayed) - sum(
-            int(model.overhead_ms(row[6])) for row in replayed[1:])
+        reach = 2**53 - sum(row[4] for row in clean) - sum(
+            int(model.overhead_ms(row[6])) for row in clean[1:])
 
-    def walk(wire_id: str, attack: Optional[AttackPlan], seed: int,
+    def walk(wire_id: str, attacked: bool, seed: int,
              clock_origin_ms: float) -> list[InvocationRecord]:
         if type(clock_origin_ms) is int and abs(clock_origin_ms) <= reach:
-            rows, shift = replayed, clock_origin_ms
+            rows, shift = attacked_rows if attacked else clean, clock_origin_ms
         else:
             draw = random.Random(seed).random if jittered else None
             rows, shift = _timeline(table, app.entry_task, float(clock_origin_ms), draw)[0], 0
-        records = [InvocationRecord(wire_id, task, index, caller, shift + start, billed, memory,
-                                    route, setup.version)
-                   for task, index, caller, start, billed, memory, route in rows]
-        return records if attack is None else _apply_attack(app, records, attack)
+            if attacked:
+                rows = rewrite(rows)
+        return [InvocationRecord(wire_id, task, index, caller, shift + start, billed, memory,
+                                 route, setup.version)
+                for task, index, caller, start, billed, memory, route in rows]
 
     return walk
 
@@ -349,49 +382,11 @@ def execute_request(
     start when the caller's sequential work reaches the call; async
     callees are dispatched relative to the caller's own start and do not
     extend the caller's path.  Each callee starts after the model's
-    overhead for the route of its call.
+    overhead for the route of its call.  A given attack is applied, whatever its gate.
     """
-    walk = _compile_walk(app, setup, model)
-    return walk(parse_and_validate_trace_id(trace_id, setup), attack, seed, clock_origin_ms)
-
-
-def _apply_attack(
-    app: AppSpec, records: list[InvocationRecord], attack: AttackPlan
-) -> list[InvocationRecord]:
-    """Tamper with the already-emitted records of one request."""
-    if attack.mode is AttackMode.DOW:
-        if attack.target_task not in app.task_map:
-            raise InvalidAttack(f"target task {attack.target_task!r} is not declared")
-        out = []
-        for rec in records:
-            if rec.task == attack.target_task:
-                rec = replace(rec, billed_duration_ms=_quantize(attack.inflated_duration_ms))
-            out.append(rec)
-        return out
-
-    assert attack.mode is AttackMode.BUSINESS_LOGIC and attack.swap is not None
-    first, second = attack.swap
-    positions: dict[str, int] = {}
-    for pos, rec in enumerate(records):
-        positions.setdefault(rec.task, pos)
-    if first not in positions or second not in positions:
-        raise InvalidAttack(f"swap tasks {first!r}, {second!r} not both present in the trace")
-    p, q = positions[first], positions[second]
-    if abs(p - q) != 1:
-        raise InvalidAttack(f"swap tasks {first!r}, {second!r} are not consecutive in the chain")
-    for task_name in (first, second):
-        incoming = records[positions[task_name]].caller
-        if incoming != EXTERNAL_CALLER:
-            edge = next(c for c in app.task_map[incoming].calls if c.callee == task_name)
-            if edge.mode is not CallMode.SYNC:
-                raise InvalidAttack(f"swap task {task_name!r} is not reached synchronously")
-    out = list(records)
-    out[p], out[q] = out[q], out[p]
-    # Emission position dictates chain_index, so the swapped pair trade indices.
-    a, b = out[p], out[q]
-    out[p] = replace(a, chain_index=b.chain_index)
-    out[q] = replace(b, chain_index=a.chain_index)
-    return out
+    walk = _compile_walk(app, setup, model, attack)
+    return walk(parse_and_validate_trace_id(trace_id, setup), attack is not None, seed,
+                clock_origin_ms)
 
 
 @dataclass(frozen=True)
@@ -425,14 +420,16 @@ def run_workload(
 ) -> LogBatch:
     """Run iterations × request_counts requests with fresh trace IDs.
 
-    The attack plan's apply_on(iteration, request) gate decides which
-    requests are tampered with; iteration_offset shifts the iteration
+    The attack is checked against the app before the first request, whatever
+    its gate.  The gate its plan names, fires(iteration, request), decides
+    which requests are tampered with; iteration_offset shifts the iteration
     index seen by the gate so outer optimization loops can run one
     iteration at a time.
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
-    walk = _compile_walk(app, setup, model)
+    walk = _compile_walk(app, setup, model, attack)
+    fires = None if attack is None else ATTACK_GATES[attack.when]
     master = random.Random(seed)
     records: list[InvocationRecord] = []
     outcomes: list[RequestOutcome] = []
@@ -444,11 +441,8 @@ def run_workload(
                 randomness = master.randbytes(32)
                 request_seed = master.getrandbits(64)
                 wire_id = generate_trace_id(setup, app.entry_task, randomness)
-                attacked = attack is not None and attack.apply_on(iteration, request_index)
-                records.extend(walk(
-                    wire_id, attack if attacked else None, request_seed,
-                    serial * REQUEST_SPACING_MS,
-                ))
+                attacked = fires is not None and fires(iteration, request_index)
+                records.extend(walk(wire_id, attacked, request_seed, serial * REQUEST_SPACING_MS))
                 outcomes.append(RequestOutcome(load, wire_id, attacked))
                 serial += 1
     return LogBatch(records=tuple(records), outcomes=tuple(outcomes))

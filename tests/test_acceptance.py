@@ -44,6 +44,7 @@ from fusionproof.verification import (
     verify_integrity,
 )
 from fusionproof.workload import (
+    AttackMode,
     AttackPlan,
     InvocationRecord,
     builtin_iot_app,
@@ -184,7 +185,7 @@ def test_acceptance_2_exhaustive_tampering():
 
 @criterion(3, "one inflated-duration trace among ten is excluded before the proof")
 def test_acceptance_3_dow_scenario(tmp_path):
-    attack = AttackPlan.dow("SE", 999999, lambda iteration, request: request == 0)
+    attack = AttackPlan(AttackMode.DOW, "SE", 999999, when="first_request")
     batch = run_workload(IOT, FUSED, [10], attack, 1, seed=101)
     assert len(batch.records) == 50
     attacked_traces = {o.trace_id for o in batch.outcomes if o.attacked}
@@ -210,9 +211,7 @@ def test_acceptance_3_dow_scenario(tmp_path):
 
 @criterion(4, "call-order manipulation is flagged, stored reorders break the root")
 def test_acceptance_4_business_logic_scenario(tmp_path):
-    attack = AttackPlan.business_logic(
-        ("CT", "CA"), lambda iteration, request: request == 0
-    )
+    attack = AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA"), when="first_request")
     batch = run_workload(IOT, FUSED, [3], attack, 1, seed=103)
     clean, flagged = filter_batch(batch.records, POLICY)
     assert len(clean) == 10
@@ -238,8 +237,8 @@ def test_acceptance_5_detection_across_loads():
     started = time.monotonic()
     loads = (100, 200, 300, 400, 500, 1000)
     attacks = [
-        AttackPlan.dow("SE", 999999),
-        AttackPlan.business_logic(("CT", "CA")),
+        AttackPlan(AttackMode.DOW, "SE", 999999),
+        AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")),
     ]
     for attack in attacks:
         batch = run_workload(IOT, FUSED, loads, attack, 5, seed=105)

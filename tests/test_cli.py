@@ -532,6 +532,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
         assert "target_task" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, iterations", [("run", 1), ("optimize", 3)])
+    def test_unfit_attack_exits_before_anything_is_written(
+        self, tmp_path, capsys, command, iterations
+    ):
+        # The default gate fires on no request of run's one iteration, and
+        # first in optimize's second: the plan is checked before either.
+        config = write_config(
+            tmp_path, iterations=iterations, attack={"mode": "dow", "target_task": "NOPE"})
+        assert main([command, "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: target task 'NOPE' is not declared\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("initial_setup", [[[1, 2]], [[None]], ["CWSE"], 5],
                              ids=["numbers", "null", "flat_list", "number"])
     def test_initial_setup_that_is_not_groups_of_names_is_a_bad_value(

@@ -24,7 +24,7 @@ from fusionproof.verification import (
     iteration_result_to_wire,
     run_optimization,
 )
-from fusionproof.workload import AttackPlan, builtin_tree_app
+from fusionproof.workload import AttackMode, AttackPlan, builtin_tree_app
 
 STORES_SHA256 = "ad78ad0564eda601e7ad6dd8164e3f1267b9a6dba61039a25aa723ee2d86d1b8"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
@@ -66,7 +66,7 @@ def seeded_run(
         FusionSetup.singletons(app.task_names()),
         iterations=iterations,
         policy=ThresholdPolicy(expected_sequence=app.sync_chain()),
-        attack=AttackPlan.dow("N0_1_1", 999999),
+        attack=AttackPlan(AttackMode.DOW, "N0_1_1", 999999),
         seed=2024,
         request_counts=(3, 4),
         sampling=sampling,

@@ -38,6 +38,7 @@ from fusionproof.proofs import (
 from fusionproof.store import MemoryStore
 from fusionproof.verification import commit, verify_integrity
 from fusionproof.workload import (
+    AttackMode,
     AttackPlan,
     InvocationRecord,
     builtin_iot_app,
@@ -361,7 +362,8 @@ class TestChainSequence:
         assert check_chain_sequence(records, POLICY) is None
 
     def test_swap_detected(self):
-        records = iot_records(b"\x03" * 32, attack=AttackPlan.business_logic(("CT", "CA")))
+        records = iot_records(
+            b"\x03" * 32, attack=AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")))
         verdict = check_chain_sequence(records, POLICY)
         assert verdict.kind is ViolationKind.SEQUENCE_VIOLATION
 
@@ -375,7 +377,8 @@ class TestChainSequence:
         assert verdict.kind is ViolationKind.SEQUENCE_VIOLATION
 
     def test_empty_expected_disables_check(self):
-        records = iot_records(b"\x03" * 32, attack=AttackPlan.business_logic(("CT", "CA")))
+        records = iot_records(
+            b"\x03" * 32, attack=AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")))
         assert check_chain_sequence(records, ThresholdPolicy()) is None
 
 
@@ -388,7 +391,8 @@ class TestFilterBatch:
 
     def test_dow_trace_flagged_atomically(self):
         clean_trace = iot_records(b"\x06" * 32)
-        attacked = iot_records(b"\x07" * 32, attack=AttackPlan.dow("SE", 999999), origin=1000)
+        attacked = iot_records(
+            b"\x07" * 32, attack=AttackPlan(AttackMode.DOW, "SE", 999999), origin=1000)
         clean, flagged = filter_batch(clean_trace + attacked, POLICY)
         assert clean == clean_trace
         assert [r.trace_id for r, _ in flagged] == [r.trace_id for r in attacked]
@@ -398,14 +402,15 @@ class TestFilterBatch:
         assert kinds["CW"] is ViolationKind.DURATION_EXCEEDED
 
     def test_sequence_violation_flags_trace(self):
-        attacked = iot_records(b"\x08" * 32, attack=AttackPlan.business_logic(("CT", "CA")))
+        attacked = iot_records(
+            b"\x08" * 32, attack=AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")))
         clean, flagged = filter_batch(attacked, POLICY)
         assert clean == []
         assert all(v.kind is ViolationKind.SEQUENCE_VIOLATION for _, v in flagged)
 
     def test_all_flagged_leaves_clean_empty(self):
-        a = iot_records(b"\x09" * 32, attack=AttackPlan.dow("SE", 999999))
-        b = iot_records(b"\x0a" * 32, attack=AttackPlan.dow("CT", 999999), origin=1000)
+        a = iot_records(b"\x09" * 32, attack=AttackPlan(AttackMode.DOW, "SE", 999999))
+        b = iot_records(b"\x0a" * 32, attack=AttackPlan(AttackMode.DOW, "CT", 999999), origin=1000)
         clean, flagged = filter_batch(a + b, POLICY)
         assert clean == []
         assert len(flagged) == 10
@@ -421,7 +426,7 @@ class TestFilterBatch:
 
     def test_no_record_in_both_outputs(self):
         records = iot_records(b"\x0d" * 32) + iot_records(
-            b"\x0e" * 32, attack=AttackPlan.dow("SE", 999999), origin=1000
+            b"\x0e" * 32, attack=AttackPlan(AttackMode.DOW, "SE", 999999), origin=1000
         )
         clean, flagged = filter_batch(records, POLICY)
         flagged_only = [r for r, _ in flagged]

@@ -48,6 +48,7 @@ from fusionproof.verification import (
     verify_integrity,
 )
 from fusionproof.workload import (
+    AttackMode,
     AttackPlan,
     CallMode,
     builtin_iot_app,
@@ -1074,30 +1075,30 @@ class TestProposeCandidates:
 class TestOptimizeStep:
     def test_adopts_cheapest_with_lexicographic_tie_break(self):
         metrics = iot_metrics(SPLIT)
-        chosen = optimize_step(SPLIT, metrics, CostModel(), {SPLIT.setup_part})
+        chosen, _ = optimize_step(SPLIT, metrics, CostModel(), {SPLIT.setup_part})
         # All four merges save one boundary; the smallest setup_part wins.
         assert chosen.setup_part == "CW,SE,CS,CT.CA"
 
     def test_history_excludes_visited(self):
         metrics = iot_metrics(SPLIT)
         history = {SPLIT.setup_part, "CW,SE,CS,CT.CA"}
-        chosen = optimize_step(SPLIT, metrics, CostModel(), history)
+        chosen, _ = optimize_step(SPLIT, metrics, CostModel(), history)
         assert chosen.setup_part == "CW,SE,CS.CT,CA"
 
     def test_no_candidates_stays_put(self):
         metrics = iot_metrics(FUSED)
-        assert optimize_step(FUSED, metrics, CostModel(), set()) is FUSED
+        assert optimize_step(FUSED, metrics, CostModel(), set())[0] is FUSED
 
     def test_requires_strict_improvement(self):
         metrics = iot_metrics(SPLIT)
         # Free boundaries make every merge cost-neutral, so nothing moves.
         model = CostModel(remote_overhead_ms=0.0)
-        assert optimize_step(SPLIT, metrics, model, {SPLIT.setup_part}) is SPLIT
+        assert optimize_step(SPLIT, metrics, model, {SPLIT.setup_part})[0] is SPLIT
 
     def test_scale_invariant_choice(self):
         metrics = iot_metrics(SPLIT)
-        small = optimize_step(SPLIT, metrics, CostModel(remote_overhead_ms=5.0), set())
-        large = optimize_step(SPLIT, metrics, CostModel(remote_overhead_ms=5000.0), set())
+        small, _ = optimize_step(SPLIT, metrics, CostModel(remote_overhead_ms=5.0), set())
+        large, _ = optimize_step(SPLIT, metrics, CostModel(remote_overhead_ms=5000.0), set())
         assert small.setup_part == large.setup_part
 
 
@@ -1473,7 +1474,7 @@ class TestRunOptimization:
             FUSED,
             2,
             policy=POLICY,
-            attack=AttackPlan.dow("SE", 999999),
+            attack=AttackPlan(AttackMode.DOW, "SE", 999999),
             seed=23,
             request_counts=(3,),
         )

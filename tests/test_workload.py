@@ -8,10 +8,11 @@ import hashlib
 import pickle
 import random
 import typing
+from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fusionproof import workload
@@ -23,11 +24,12 @@ from fusionproof.errors import (
     TamperedTraceID,
     UnknownCallee,
 )
-from fusionproof.handler import FusionSetup, RouteKind, generate_trace_id
+from fusionproof.handler import EXTERNAL_CALLER, FusionSetup, RouteKind, generate_trace_id
 from fusionproof.proofs import canonical_record_bytes
 from fusionproof.workload import (
     RECORD_FIELDS,
     AppSpec,
+    AttackMode,
     AttackPlan,
     CallMode,
     CallSpec,
@@ -176,7 +178,7 @@ class TestExecuteRequest:
             execute_request(IOT, FUSED, forged, None, 7, 0)
 
     def test_dow_inflates_only_target_billed(self):
-        records = one_request(FUSED, AttackPlan.dow("SE", 999999))
+        records = one_request(FUSED, AttackPlan(AttackMode.DOW, "SE", 999999))
         clean = one_request(FUSED)
         assert [r.task for r in records] == [r.task for r in clean]
         assert records[1].billed_duration_ms == 999999
@@ -188,7 +190,7 @@ class TestExecuteRequest:
                 assert got.memory_used_mb == want.memory_used_mb
 
     def test_business_logic_swaps_emission_order(self):
-        records = one_request(FUSED, AttackPlan.business_logic(("CT", "CA")))
+        records = one_request(FUSED, AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")))
         assert [r.task for r in records] == ["CW", "SE", "CS", "CA", "CT"]
         assert [r.chain_index for r in records] == [0, 1, 2, 3, 4]
         by_task = {r.task: r for r in records}
@@ -202,36 +204,57 @@ class TestExecuteRequest:
 
     def test_business_logic_requires_adjacency(self):
         with pytest.raises(InvalidAttack):
-            one_request(FUSED, AttackPlan.business_logic(("CW", "CS")))
+            one_request(FUSED, AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CW", "CS")))
 
     def test_business_logic_needs_both_tasks_in_the_trace(self):
         with pytest.raises(InvalidAttack, match="not both present in the trace"):
-            one_request(FUSED, AttackPlan.business_logic(("CW", "NOPE")))
+            one_request(FUSED, AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CW", "NOPE")))
 
     def test_business_logic_rejects_async_targets(self):
         app = builtin_tree_app(2, 1)
         setup = FusionSetup.fused([app.task_names()])
         trace = generate_trace_id(setup, "N0", b"\x01" * 32)
         with pytest.raises(InvalidAttack):
-            execute_request(app, setup, trace, AttackPlan.business_logic(("N0_0", "N0_1")), 1, 0)
+            attack = AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("N0_0", "N0_1"))
+            execute_request(app, setup, trace, attack, 1, 0)
 
     def test_dow_needs_declared_target(self):
         with pytest.raises(InvalidAttack):
-            one_request(FUSED, AttackPlan.dow("NOPE", 999999))
+            one_request(FUSED, AttackPlan(AttackMode.DOW, "NOPE", 999999))
 
     @pytest.mark.parametrize("inflated", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "-inf"])
     def test_dow_refuses_a_non_finite_duration(self, inflated):
         with pytest.raises(InvalidAttack, match="positive, finite inflated duration"):
-            AttackPlan.dow("SE", inflated)
+            AttackPlan(AttackMode.DOW, "SE", inflated)
 
     def test_attack_plan_validation(self):
         with pytest.raises(InvalidAttack):
-            AttackPlan.dow("", 999999)
+            AttackPlan(AttackMode.DOW, "", 999999)
         with pytest.raises(InvalidAttack):
-            AttackPlan.dow("SE", 0)
+            AttackPlan(AttackMode.DOW, "SE", 0)
         with pytest.raises(InvalidAttack):
-            AttackPlan.business_logic(("CT", "CT"))
+            AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CT"))
+
+    def test_plans_differing_only_in_their_gate_differ(self):
+        always = AttackPlan(AttackMode.DOW, "SE", 999999, when="always")
+        assert always != AttackPlan(AttackMode.DOW, "SE", 999999)
+        assert always == AttackPlan(AttackMode.DOW, "SE", 999999, when="always")
+
+    def test_unknown_gate_is_refused(self):
+        with pytest.raises(InvalidAttack) as info:
+            AttackPlan(AttackMode.DOW, "SE", 999999, when="never")
+        assert str(info.value) == (
+            "attack gate 'never' is not one of odd_iterations, even_iterations, always, "
+            "first_request")
+
+    def test_dow_needs_a_reached_target(self):
+        app = AppSpec("pair", "A", (
+            TaskSpec("A", 10, calls=(CallSpec("B"),)), TaskSpec("B", 20), TaskSpec("C", 30)))
+        attack = AttackPlan(AttackMode.DOW, "C", 999999, when="always")
+        with pytest.raises(InvalidAttack) as info:
+            run_workload(app, FusionSetup.fused([["A", "B", "C"]]), [3], attack, 1, seed=1)
+        assert str(info.value) == "target task 'C' is not reached from 'A'"
 
     def test_async_children_start_from_callers_start(self):
         app = builtin_tree_app(2, 1)
@@ -278,7 +301,7 @@ class TestTraceIdEntryCheck:
         return calls
 
     def test_run_workload_checks_none_of_its_minted_ids(self, checks):
-        batch = run_workload(IOT, FUSED, [3], AttackPlan.dow("SE", 999999), 2, seed=3)
+        batch = run_workload(IOT, FUSED, [3], AttackPlan(AttackMode.DOW, "SE", 999999), 2, seed=3)
         assert len(batch.outcomes) == 6
         assert checks == []
 
@@ -305,14 +328,27 @@ class TestRunWorkload:
         assert len(ids) == 8
 
     def test_default_attack_gate_alternates_iterations(self):
-        attack = AttackPlan.dow("SE", 999999)
+        attack = AttackPlan(AttackMode.DOW, "SE", 999999)
         batch = run_workload(IOT, FUSED, [1], attack, 2, seed=3)
         assert [o.attacked for o in batch.outcomes] == [False, True]
         billed = [r.billed_duration_ms for r in batch.records if r.task == "SE"]
         assert billed == [37, 999999]
 
+    @pytest.mark.parametrize("attack, message", [
+        (AttackPlan(AttackMode.DOW, "NOPE", 999999), "target task 'NOPE' is not declared"),
+        (AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CW", "NOPE")),
+         "swap tasks 'CW', 'NOPE' not both present in the trace"),
+        (AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CW", "CS")),
+         "swap tasks 'CW', 'CS' are not consecutive in the chain"),
+    ], ids=["undeclared", "absent", "apart"])
+    def test_unfit_attack_is_refused_though_its_gate_never_fires(self, attack, message):
+        # The default odd_iterations gate fires on no request of iteration 0.
+        with pytest.raises(InvalidAttack) as info:
+            run_workload(IOT, FUSED, [3], attack, 1, seed=1)
+        assert str(info.value) == message
+
     def test_iteration_offset_shifts_gate(self):
-        attack = AttackPlan.dow("SE", 999999)
+        attack = AttackPlan(AttackMode.DOW, "SE", 999999)
         batch = run_workload(IOT, FUSED, [1], attack, 1, seed=3, iteration_offset=1)
         assert [o.attacked for o in batch.outcomes] == [True]
 
@@ -322,8 +358,8 @@ class TestRunWorkload:
         assert starts == [0, 1000, 2000]
 
     def test_determinism(self):
-        a = run_workload(IOT, SPLIT, [3], AttackPlan.dow("SE", 999999), 2, seed=42)
-        b = run_workload(IOT, SPLIT, [3], AttackPlan.dow("SE", 999999), 2, seed=42)
+        a = run_workload(IOT, SPLIT, [3], AttackPlan(AttackMode.DOW, "SE", 999999), 2, seed=42)
+        b = run_workload(IOT, SPLIT, [3], AttackPlan(AttackMode.DOW, "SE", 999999), 2, seed=42)
         assert a.records == b.records
         assert a.outcomes == b.outcomes
         assert emit_platform_logs(a.records) == emit_platform_logs(b.records)
@@ -393,8 +429,8 @@ class TestJitteredWalk:
         for setup in JITTERED_SETUPS:
             for attack in (
                 None,
-                AttackPlan.dow("D", 5000.5, apply_on=lambda i, r: True),
-                AttackPlan.business_logic(("B", "E")),
+                AttackPlan(AttackMode.DOW, "D", 5000.5, when="always"),
+                AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("B", "E")),
             ):
                 batch = run_workload(JITTERED, setup, [3, 7], attack, 2, 11, CostModel(17.5, 2.25))
                 for record in batch.records:
@@ -610,12 +646,13 @@ def _walk_once(app, setup, model, trace, attack, seed, origin):
 
     The probe: the replayed rows were timed before EXTERNAL_CALLER is patched,
     so only a walk that recurses names the patched entry caller."""
-    walk = workload._compile_walk(app, setup, model)
+    walk = workload._compile_walk(app, setup, model, attack)
     with mock.patch.object(workload, "EXTERNAL_CALLER", "probe"):
-        records = walk(trace, attack, seed, origin)
-    replayed = records[0].caller != "probe"
+        records = walk(trace, attack is not None, seed, origin)
+    entry = next(i for i, r in enumerate(records) if r.task == app.entry_task)
+    replayed = records[entry].caller != "probe"
     if not replayed:  # the caller the recursion would have named
-        records[0] = dataclasses.replace(records[0], caller=workload.EXTERNAL_CALLER)
+        records[entry] = dataclasses.replace(records[entry], caller=workload.EXTERNAL_CALLER)
     return records, replayed
 
 
@@ -681,10 +718,107 @@ class TestReplayMatchesReference:
                 app, setup, CostModel(), trace, 3, origin)
 
     @pytest.mark.parametrize("attack", [
-        AttackPlan.dow("CS", 5000.5), AttackPlan.business_logic(("CT", "CA"))], ids=["dow", "business_logic"])
+        AttackPlan(AttackMode.DOW, "CS", 5000.5),
+        AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")),
+    ], ids=["dow", "business_logic"])
     def test_attack_on_a_replayed_request_gives_the_recursive_records(self, attack):
         trace = generate_trace_id(SPLIT, "CW", b"\x07" * 32)
         replayed, took_replay = _walk_once(IOT, SPLIT, CostModel(), trace, attack, 7, 5000)
         recursed, took_recursion = _walk_once(IOT, SPLIT, CostModel(), trace, attack, 7, 5000.0)
         assert took_replay and not took_recursion
         assert replayed == recursed != _reference(IOT, SPLIT, CostModel(), trace, 7, 5000)
+
+
+_quantize = workload._quantize
+
+
+# The attack as each attacked request's records were once rebuilt, kept verbatim as the
+# oracle for the walk that checks a plan once and rewrites an attacked request's rows.
+def _apply_attack(
+    app: AppSpec, records: list[InvocationRecord], attack: AttackPlan
+) -> list[InvocationRecord]:
+    """Tamper with the already-emitted records of one request."""
+    if attack.mode is AttackMode.DOW:
+        if attack.target_task not in app.task_map:
+            raise InvalidAttack(f"target task {attack.target_task!r} is not declared")
+        out = []
+        for rec in records:
+            if rec.task == attack.target_task:
+                rec = replace(rec, billed_duration_ms=_quantize(attack.inflated_duration_ms))
+            out.append(rec)
+        return out
+
+    assert attack.mode is AttackMode.BUSINESS_LOGIC and attack.swap is not None
+    first, second = attack.swap
+    positions: dict[str, int] = {}
+    for pos, rec in enumerate(records):
+        positions.setdefault(rec.task, pos)
+    if first not in positions or second not in positions:
+        raise InvalidAttack(f"swap tasks {first!r}, {second!r} not both present in the trace")
+    p, q = positions[first], positions[second]
+    if abs(p - q) != 1:
+        raise InvalidAttack(f"swap tasks {first!r}, {second!r} are not consecutive in the chain")
+    for task_name in (first, second):
+        incoming = records[positions[task_name]].caller
+        if incoming != EXTERNAL_CALLER:
+            edge = next(c for c in app.task_map[incoming].calls if c.callee == task_name)
+            if edge.mode is not CallMode.SYNC:
+                raise InvalidAttack(f"swap task {task_name!r} is not reached synchronously")
+    out = list(records)
+    out[p], out[q] = out[q], out[p]
+    # Emission position dictates chain_index, so the swapped pair trade indices.
+    a, b = out[p], out[q]
+    out[p] = replace(a, chain_index=b.chain_index)
+    out[q] = replace(b, chain_index=a.chain_index)
+    return out
+
+
+@st.composite
+def _plans(draw, app):
+    """A duration attack on a task the walk reaches, or a swap of two tasks
+    adjacent in walk order; the swap may still not fit the app."""
+    chain = app.sync_chain()
+    if draw(st.booleans()):
+        return AttackPlan(AttackMode.DOW, draw(st.sampled_from(chain)),
+                          draw(st.floats(0, 10**7, exclude_min=True)))
+    first, second = draw(st.sampled_from([pair for pair in zip(chain, chain[1:])
+                                          if pair[0] != pair[1]]))
+    swap = draw(st.sampled_from([(first, second), (second, first)]))
+    return AttackPlan(AttackMode.BUSINESS_LOGIC, swap=swap)
+
+
+class TestAttackMatchesTheOracle:
+    """The compiled walk checks a plan once and rewrites an attacked request's
+    rows; its records equal the oracle's rebuild of the reference walk's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans(), st.binary(min_size=32, max_size=32),
+           st.integers(0, 2**64 - 1))
+    def test_attacked_walk_equals_the_oracle_on_the_reference(self, data, exact, randomness,
+                                                               seed):
+        """exact: no jitter, whole overheads and an integer origin, so the walk replays;
+        else jitter, any overheads and a float origin, so it recurses."""
+        # JITTERED visits D twice, so a duration attack on D rewrites two rows.
+        shared = AppSpec("jit", "A", tuple(
+            task if not exact else dataclasses.replace(task, jitter_fraction=0.0)
+            for task in JITTERED.tasks))
+        app, setup = data.draw(st.one_of(
+            _walk_inputs(jitter=not exact),
+            st.tuples(st.just(shared), st.sampled_from(JITTERED_SETUPS))))
+        attack = data.draw(_plans(app))
+        overhead = _WHOLE_OVERHEAD if exact else _OVERHEAD
+        model = CostModel(data.draw(overhead), data.draw(overhead))
+        origin = data.draw(st.integers(0, 10**7) if exact else st.floats(0, 10**7))
+        trace = generate_trace_id(setup, app.entry_task, randomness)
+        try:
+            expected = _apply_attack(app, _reference(app, setup, model, trace, seed, origin), attack)
+        except InvalidAttack as refused:  # refused at compile time, with the same message
+            with pytest.raises(InvalidAttack) as info:
+                workload._compile_walk(app, setup, model, attack)
+            assert str(info.value) == str(refused)
+            event("refused")
+            return
+        records, replayed = _walk_once(app, setup, model, trace, attack, seed, origin)
+        event(f"{attack.mode.value}, {'replayed' if replayed else 'recursed'}")
+        assert replayed is exact
+        assert records == expected
