@@ -289,12 +289,10 @@ _decode = json.JSONDecoder().raw_decode
 
 @dataclass(frozen=True)
 class StoredGroup:
-    """A group file as stored: every record element's exact bytes, then the
-    proof; proof_sealed when the proof's bytes are those persist wrote."""
+    """A group file as stored: every record element's exact bytes, then the proof."""
 
     records: tuple[bytes, ...]
     proof: TreeInfo
-    proof_sealed: bool = False
 
 
 def group_key(fusion_key: str) -> str:
@@ -371,12 +369,10 @@ def _read_proof(piece: bytes) -> TreeInfo:
     raise CorruptGroupFile("group file's proof is not in the layout the pipeline writes")
 
 
-def load_group_file(data: bytes, seal: Optional[bytes] = None) -> StoredGroup:
+def load_group_file(data: bytes) -> StoredGroup:
     """Split a group file at the boundaries join_group_file writes: "[",
     each '},{"traceid":', the last ',{"root":' and "]", and read the proof
-    by its layout; a file in any other layout is CorruptGroupFile.
-    proof_sealed is set when seal, the bytes persist wrote, ends with this
-    file's proof element: that proof is then the one persist built over its leaves."""
+    by its layout; a file in any other layout is CorruptGroupFile."""
     cut = max(data.rfind(b"," + _PROOF_START), 0)
     if not (data.startswith(b"[" + _RECORD_START if cut else b"[")
             and data.startswith(_PROOF_START, cut + 1) and data.endswith(b"]")):
@@ -384,8 +380,7 @@ def load_group_file(data: bytes, seal: Optional[bytes] = None) -> StoredGroup:
     tree = _read_proof(data[cut + 1 : -1])
     # The "[" or "," before each record element, then the "," before the proof (none: cut 0).
     commas = [0, *(m.start() + 1 for m in _RECORD_BOUNDARY.finditer(data, 1, cut)), cut]
-    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree,
-                       seal is not None and seal.endswith(data[cut:]))
+    return StoredGroup(tuple(data[s + 1 : e] for s, e in zip(commas, commas[1:]) if cut), tree)
 
 
 def record_trace_id(piece: bytes, position: int) -> tuple[bytes, object]:
@@ -428,8 +423,8 @@ def load_setups(
     seals optionally maps a fusion key to the bytes persist_evidence set
     in it.  A stored file equal to them is what verification would pass
     as it stands, so it is not split and maps to None; any other file is
-    split against them.  Each seal is popped as it is compared, and seals
-    is empty on return.
+    split.  Each seal is popped as it is compared, and seals is empty on
+    return.
     """
     setups: dict[str, Union[StoredGroup, None, str]] = {}
     seals = seals if seals is not None else {}
@@ -438,7 +433,7 @@ def load_setups(
         try:
             data, seal = store.get(key), seals.pop(fusion_key, None)
             # A store's get may return the very object put: then no byte is read.
-            setups[fusion_key] = None if data == seal else load_group_file(data, seal)
+            setups[fusion_key] = None if data == seal else load_group_file(data)
         except (NotFound, CorruptGroupFile) as exc:
             setups[fusion_key] = str(exc)
     seals.clear()

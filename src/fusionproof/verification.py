@@ -109,10 +109,10 @@ class VerificationReport:
         return bool(self.outcomes) and all(o.reason is None for o in self.outcomes.values())
 
 
-def _verify_group(group: Union[StoredGroup, None, str]) -> GroupOutcome:
-    """One group's outcome from its load_setups value.  A leaf list vouches
-    for no element when the root is empty, or when a leaf lies past the
-    last element and so names no trace to prune."""
+def _verify_group(group: Union[StoredGroup, None, str], anchor: Optional[TreeInfo]) -> GroupOutcome:
+    """One group's outcome from its load_setups value and its anchor.  A
+    leaf list vouches for no element when the root is empty, or when a
+    leaf lies past the last element and so names no trace to prune."""
     if group is None:
         return GroupOutcome()
     if isinstance(group, str):
@@ -121,7 +121,7 @@ def _verify_group(group: Union[StoredGroup, None, str]) -> GroupOutcome:
     unvouched: Sequence[int] = range(len(records))  # all, under an empty root
     if proof.root:
         try:
-            vouched = group.proof_sealed or build_merkle_tree(proof.leaves).root == proof.root
+            vouched = proof == anchor or build_merkle_tree(proof.leaves).root == proof.root
         except InvalidHexLeaf:
             vouched = False
         vouched = vouched and len(proof.leaves) <= len(records)
@@ -152,7 +152,8 @@ def _verify_group(group: Union[StoredGroup, None, str]) -> GroupOutcome:
                         tuple(doomed.values()), build_merkle_tree([recomputed[p] for p in kept]))
 
 
-def verify_integrity(setups: Mapping[str, Union[StoredGroup, None, str]]) -> VerificationReport:
+def verify_integrity(setups: Mapping[str, Union[StoredGroup, None, str]],
+                     anchors: Optional[Mapping[str, TreeInfo]] = None) -> VerificationReport:
     """Decide every group file's outcome from load_setups' map.
 
     A group load_setups mapped to a reason is corrupt.  A proof with an
@@ -167,13 +168,15 @@ def verify_integrity(setups: Mapping[str, Union[StoredGroup, None, str]]) -> Ver
     hops.  The outcome holds the rest's bytes, their Merkle tree and each
     pruned trace id once; nothing is written, as commit rewrites the file.
     A group load_setups mapped to None, its bytes those persist sealed,
-    passes unread; a proof load_group_file sealed is not rebuilt.
+    passes unread.  A stored proof equal to its anchor, the tree persist
+    returned for the group and held outside the store, is not rebuilt.
 
     Every element the leaf list does not vouch for, and every element of
     a trace that lost a hop, is decoded for its trace id; when one is not,
     whole, a JSON object with a traceid, the group is corrupt.
     """
-    return VerificationReport({key: _verify_group(group) for key, group in setups.items()})
+    anchors = anchors if anchors is not None else {}
+    return VerificationReport({k: _verify_group(g, anchors.get(k)) for k, g in setups.items()})
 
 
 def commit(report: VerificationReport, store: EvidenceStore) -> VerificationReport:
@@ -441,8 +444,9 @@ def run_optimization(
     as the persisted record with its leaf hash, and not at all if none has
     it.  A group file that will not parse fails the iteration's
     integrity.  When nothing survives the setup reverts to initial_setup
-    for the next iteration.  An inspected entry group file that still holds
-    the bytes persist wrote passes by comparison, without a split or a hash.
+    for the next iteration.  An inspected entry group is anchored by the
+    tree persist returned; a file that still holds the bytes persist wrote
+    passes by comparison, without a split or a hash.
     The optional tamper hook mutates the store between persist and verify,
     simulating an attacker with storage access.
     """
@@ -496,7 +500,7 @@ def run_optimization(
         verified = None
         if inspect_this:
             setups = load_setups(store, seals)
-            report = commit(verify_integrity(setups), store)
+            report = commit(verify_integrity(setups, {fusion_key: tree}), store)
             group_results = report.group_results
             pruned_counts = {k: len(v) for k, v in report.pruned.items()}
             verified = report.integrity_verified

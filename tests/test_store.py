@@ -812,36 +812,32 @@ class TestOneReader:
 
 def _load_and_verify(data: bytes, seal=None):
     """The report and the file's bytes afterwards, for a store holding one
-    group file loaded with or without a seal, the splits it took, and
-    whether the stored proof's leaf list was rebuilt."""
+    group file loaded with or without a seal and verified with or without
+    the seal's tree as its anchor, the splits it took, and whether the
+    stored proof's leaf list was rebuilt."""
     store = CountingStore()
     store.put("CW.json", data)
     seals = {} if seal is None else {"CW": seal}
+    anchors = {} if seal is None else {"CW": load_group_file(seal).proof}
     splits, builds = [], []
     split, build = proofs_module.load_group_file, verification_module.build_merkle_tree
-    with mock.patch.object(proofs_module, "load_group_file",
-                           lambda d, s=None: splits.append(d) or split(d, s)):
+    with mock.patch.object(proofs_module, "load_group_file", lambda d: splits.append(d) or split(d)):
         setups = load_setups(store, seals)
     assert seals == {} and store.gets == {"CW.json": 1}
     with mock.patch.object(verification_module, "build_merkle_tree",
                            lambda leaves: builds.append(leaves) or build(leaves)):
-        report = commit(verify_integrity(setups), store)
+        report = commit(verify_integrity(setups, anchors), store)
     group = setups.get("CW")
     rebuilt = isinstance(group, StoredGroup) and any(leaves is group.proof.leaves for leaves in builds)
     return report, store.get("CW.json"), splits, rebuilt
 
 
-def _proof_bytes(data: bytes) -> bytes:
-    """The bytes from a file's last proof boundary on; empty when it has none."""
-    at = data.rfind(b',{"root":')
-    return data[at:] if at >= 0 else b""
-
-
 class TestSeal:
     """A group file equal to the bytes persist sealed for it passes
-    unsplit, and a stored proof with the seal's proof bytes is not rebuilt;
-    every other file is split and checked in full, and the report and the
-    store are always those that loading without the seal gives."""
+    unsplit, and a stored proof equal to its anchor, the tree of the
+    sealed bytes, is not rebuilt; every other file is split and checked
+    in full, and the report and the store are always those that loading
+    and verifying without seal or anchor give."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([*_GROUP_FILES, _THREE_TRACES]), st.lists(_EDIT, max_size=4))
@@ -851,8 +847,8 @@ class TestSeal:
         unsealed_report, unsealed_after, _, checked = _load_and_verify(mutated)
         assert (report, after) == (unsealed_report, unsealed_after)
         assert splits == ([] if mutated == data else [mutated])
-        # Of the proofs a check rebuilds, the seal spares exactly those with its bytes.
-        assert rebuilt == (checked and _proof_bytes(mutated) != _proof_bytes(data))
+        # Of the proofs a check rebuilds, the anchor spares exactly those equal to it.
+        assert rebuilt == (checked and load_group_file(mutated).proof != load_group_file(data).proof)
 
     @pytest.mark.parametrize("data", [_FIRST, _THREE_TRACES], ids=["one_trace", "three_traces"])
     def test_one_byte_changed_anywhere_is_split(self, data):

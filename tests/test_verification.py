@@ -282,15 +282,16 @@ class TestVerifyIntegrity:
     def test_truncated_last_record_prunes_every_trace(self, sealed):
         """The last record element cut off and the proof left as it was:
         the 15th leaf names no trace, so the leaf list vouches for no
-        element, every trace is pruned, and the next verify fails too."""
+        element, every trace is pruned, and the next verify fails too.
+        Sealed, the proof equals its anchor, and the verdict is the same."""
         store, seals = MemoryStore(), {}
         records = run_workload(IOT, FUSED, [3], None, 1, seed=3).records
         assert len(records) == 15
         tree = persist_evidence(store, self.KEY, records, seals)
         store.put(f"{self.KEY}.json", group_file_bytes(records[:-1], tree))
         setups = load_setups(store, seals if sealed else None)
-        assert setups[self.KEY].proof == tree and setups[self.KEY].proof_sealed is sealed
-        report = commit(verify_integrity(setups), store)
+        assert setups[self.KEY].proof == tree
+        report = commit(verify_integrity(setups, {self.KEY: tree} if sealed else None), store)
         assert report.group_results == {self.KEY: False}
         assert set(report.pruned[self.KEY]) == {r.trace_id for r in records}
         assert len(report.pruned[self.KEY]) == 3
@@ -577,16 +578,17 @@ SEALED_CASES = {
 
 class TestSealedTree:
     """A stored file equal to the bytes persist sealed for its group is
-    not split, and a stored proof whose bytes are the seal's is not
-    rebuilt; every other group takes the full check, and the report and
-    the rewritten store are always those that verifying without the seal
-    gives."""
+    not split, and a stored proof equal to its anchor, the sealed tree,
+    is not rebuilt; every other group takes the full check, and the
+    report and the rewritten store are always those that verifying
+    without seal or anchor gives."""
 
     KEY = "CW.SE.CS.CT.CA"
 
     def verify(self, case, seal: str, monkeypatch=None):
         """seal is "none" or "bytes" (the file persist would write under
-        the sealed tree, given to load_setups).  Returns the report, the
+        the sealed tree, given to load_setups, and the sealed tree itself,
+        given to verify_integrity as the anchor).  Returns the report, the
         store's bytes afterwards, the loaded groups, and the Merkle
         builds, splits and verification-side leaf hashings, each by its
         length."""
@@ -615,7 +617,8 @@ class TestSealedTree:
                 monkeypatch.setattr(owner, name, counting)
         setups = load_setups(store, seals)
         assert seals == {}
-        report = commit(verify_integrity(setups), store)
+        anchors = {self.KEY: sealed} if seal == "bytes" else None
+        report = commit(verify_integrity(setups, anchors), store)
         return report, {k: store.get(k) for k in store.list()}, setups, calls
 
     @pytest.mark.parametrize("case", SEALED_CASES)
@@ -634,7 +637,8 @@ class TestSealedTree:
             ("tampered_record", False, [15, 10]),
             ("seal_differs_by_one_leaf", True, [15]),
             ("forged_root", True, [15, 0]),
-            ("records_dropped_proof_kept", True, [15, 0]),
+            # The proof equals its anchor, so only the survivors' empty tree is built.
+            ("records_dropped_proof_kept", True, [0]),
             ("proof_reformatted", True, []),  # corrupt: not in the writer's layout
             ("proof_in_the_older_layout", True, []),  # corrupt too
         ],
@@ -655,20 +659,24 @@ class TestSealedTree:
         assert self.verify(case, "bytes", monkeypatch)[3]["builds"] == builds
 
     @pytest.mark.parametrize(
-        "case, proof_sealed",
+        "case, anchored, unanchored",
         [
-            ("tampered_record", True),
-            ("appended_copy_of_last_record", True),
-            ("seal_differs_by_one_leaf", False),
-            ("records_dropped_proof_kept", False),
-            ("proof_reformatted", None),  # corrupt: not loaded at all
-            ("proof_in_the_older_layout", None),
+            ("tampered_record", [10], [15, 10]),
+            ("appended_copy_of_last_record", [10], [15, 10]),
+            ("seal_differs_by_one_leaf", [15], [15]),
+            ("records_dropped_proof_kept", [0], [15, 0]),
+            ("proof_reformatted", [], []),  # corrupt: not loaded at all
+            ("proof_in_the_older_layout", [], []),
         ],
     )
-    def test_only_a_proof_with_the_seals_bytes_is_sealed(self, case, proof_sealed):
-        loaded = {seal: self.verify(case, seal)[2].get(self.KEY) for seal in ("bytes", "none")}
-        assert getattr(loaded["bytes"], "proof_sealed", None) is proof_sealed
-        assert getattr(loaded["none"], "proof_sealed", None) is (None if proof_sealed is None else False)
+    def test_only_a_proof_equal_to_its_anchor_is_not_rebuilt(
+        self, monkeypatch, case, anchored, unanchored
+    ):
+        builds = {}
+        for seal in ("bytes", "none"):
+            with monkeypatch.context() as patch:
+                builds[seal] = self.verify(case, seal, patch)[3]["builds"]
+        assert (builds["bytes"], builds["none"]) == (anchored, unanchored)
 
     @pytest.mark.parametrize(
         "case, seal, splits, hashes",
@@ -1513,9 +1521,9 @@ class TestRunOptimization:
         inner_split, inner_hash = proofs.load_group_file, verification.record_leaf_hashes
         inner_load = verification.load_setups
 
-        def splitting(data, seal=None):
+        def splitting(data):
             calls["splits"] += 1
-            return inner_split(data, seal)
+            return inner_split(data)
 
         def hashing(encoded):
             calls["hashes"].append(len(encoded))
@@ -1553,12 +1561,39 @@ class TestRunOptimization:
         assert [s is not None for s in seals] == [r.inspected for r in trace.iterations]
         assert all(s == {} for s in seals if s is not None)
 
+    def test_verify_is_anchored_by_the_tree_persist_returned(self, monkeypatch):
+        """verify_integrity gets, under the entry fusion key, the very
+        TreeInfo that persist_evidence returned in its iteration; an
+        iteration that is not inspected calls it not at all."""
+        persisted, calls = [], []
+        inner_persist, inner_verify = verification.persist_evidence, verification.verify_integrity
+
+        def persisting(store, fusion_key, records, seals):
+            persisted.append((fusion_key, inner_persist(store, fusion_key, records, seals)))
+            return persisted[-1][1]
+
+        def verifying(setups, anchors=None):
+            calls.append((len(persisted) - 1, anchors))
+            return inner_verify(setups, anchors)
+
+        monkeypatch.setattr(verification, "persist_evidence", persisting)
+        monkeypatch.setattr(verification, "verify_integrity", verifying)
+        sampling = SamplingState(10, i=10, f=0.5)
+        trace = run_optimization(IOT, FUSED, 6, policy=POLICY, seed=29, sampling=sampling)
+        inspected = [r.inspected for r in trace.iterations]
+        assert set(inspected) == {True, False}
+        assert [it for it, _ in calls] == [it for it, x in enumerate(inspected) if x]
+        for it, anchors in calls:
+            key, tree = persisted[it]
+            assert key == entry_fusion_key(FUSED, IOT.entry_task) and tree.root
+            assert list(anchors) == [key] and anchors[key] is tree
+
     def test_tree_operation_gets_each_store_once(self, monkeypatch):
         """The tree_optimize benchmark's shape, scaled down: 8 inspected
         iterations of a fused tree(4,2), one stored record altered on
         every third.  Each iteration's store is read once, only the
         altered groups are split, and verification builds only their
-        survivors' trees: a stored proof with the seal's bytes is not
+        survivors' trees: a stored proof equal to its anchor is not
         rebuilt."""
         tree = builtin_tree_app(fanout=4, depth=2)
         gets, splits, builds = [], [], []
@@ -1576,7 +1611,7 @@ class TestRunOptimization:
                 store.put(key, data.replace(b'"billed":', b'"billed":1', 1))
 
         monkeypatch.setattr(proofs, "load_group_file",
-                            lambda data, seal=None: splits.append(1) or inner_split(data, seal))
+                            lambda data: splits.append(1) or inner_split(data))
         monkeypatch.setattr(verification, "build_merkle_tree",
                             lambda leaves: builds.append(len(leaves)) or inner_build(leaves))
         trace = run_optimization(
