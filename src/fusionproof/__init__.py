@@ -26,7 +26,6 @@ from .proofs import (
 )
 from .store import FileStore, MemoryStore
 from .verification import (
-    AnnotatedMetrics,
     SamplingState,
     VerificationReport,
     annotate_metrics,
@@ -55,7 +54,6 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedMetrics",
     "AppSpec",
     "AttackPlan",
     "CostModel",

@@ -12,6 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -23,7 +24,6 @@ from .errors import (
     StoreWriteFailed,
 )
 from .handler import (
-    EXTERNAL_CALLER,
     FusionSetup,
     entry_fusion_key,
     fusion_key_for_trace,
@@ -240,26 +240,20 @@ def csp1_step(
 # ---------------------------------------------------------------------------
 # Metrics
 
-@dataclass(frozen=True)
-class AnnotatedMetrics:
-    """Aggregates over records whose groups passed verification."""
-
-    task_mean_billed_ms: Mapping[str, float]
-    task_mean_memory_mb: Mapping[str, float]
-    edges: Mapping[tuple[str, str], CallMode]
-
-
 def annotate_metrics(
     records: Sequence[InvocationRecord],
     fusion_key: str,
     app: AppSpec,
-) -> AnnotatedMetrics:
-    """Aggregate per-task means and each observed edge's call mode from trusted records.
+) -> AppSpec:
+    """The measured app: app's tasks with a trusted record, in name order,
+    each with its mean bill and mean memory as its base duration and
+    memory, no jitter, and its declared calls.
 
     The records are those a verification pass vouched for under
     fusion_key; only records whose trace id names that group contribute.
     When none do, there is nothing safe to optimize from and
-    NoVerifiedData tells the caller to revert.
+    NoVerifiedData tells the caller to revert.  A record of an undeclared
+    task, or an entry or declared callee with no record, is MissingMetric.
     """
     # Records of one trace share its fusion key: derive it once per trace.
     keys = {t: fusion_key_for_trace(t) for t in dict.fromkeys(r.trace_id for r in records)}
@@ -268,73 +262,57 @@ def annotate_metrics(
         raise NoVerifiedData("no verified groups contributed any records")
     billed: dict[str, list[int]] = {}
     memory: dict[str, list[int]] = {}
-    observed: set[tuple[str, str]] = set()
-    task_map = app.task_map
     for record in verified:
         billed.setdefault(record.task, []).append(record.billed_duration_ms)
         memory.setdefault(record.task, []).append(record.memory_used_mb)
-        if record.caller != EXTERNAL_CALLER:
-            observed.add((record.caller, record.task))
-    edges: dict[tuple[str, str], CallMode] = {}
-    # Sorted insertion keeps edge iteration order deterministic downstream.
-    for caller, callee in sorted(observed):
-        try:
-            mode = next(c.mode for c in task_map[caller].calls if c.callee == callee)
-        except (KeyError, StopIteration):
-            raise MissingMetric(f"observed edge {caller}->{callee} is not in the app") from None
-        edges[(caller, callee)] = mode
-    return AnnotatedMetrics(
-        task_mean_billed_ms={t: sum(v) / len(v) for t, v in sorted(billed.items())},
-        task_mean_memory_mb={t: sum(v) / len(v) for t, v in sorted(memory.items())},
-        edges=edges,
-    )
+    undeclared = sorted(billed.keys() - app.task_map.keys())
+    if undeclared:
+        raise MissingMetric(f"record of undeclared task {undeclared[0]!r}")
+    tasks = tuple(replace(app.task_map[t], base_duration_ms=sum(v) / len(v), jitter_fraction=0.0,
+                          base_memory_mb=sum(memory[t]) / len(memory[t]))
+                  for t, v in sorted(billed.items()))
+    unmeasured = sorted({app.entry_task, *(c.callee for t in tasks for c in t.calls)} - set(billed))
+    if unmeasured:
+        raise MissingMetric(f"no billed mean observed for task {unmeasured[0]!r}")
+    return AppSpec(app.name, app.entry_task, tasks)
 
 
 # ---------------------------------------------------------------------------
 # Cost model and candidate search
 
-def estimate_cost(setup: FusionSetup, metrics: AnnotatedMetrics, model: CostModel) -> float:
+def estimate_cost(setup: FusionSetup, measured: AppSpec, model: CostModel) -> float:
     """Critical-path latency of one request under `setup`, plus a memory term.
 
-    The request from each root is timed by the walk's own rule (finish_ms)
-    over the mean bills, each edge paying the model's overhead for its route
+    The measured app's request is timed by the walk's own rule (finish_ms)
+    over the mean bills, each call paying the model's overhead for its route
     under `setup`.  The memory term bills each task's mean duration against
     its whole group's memory footprint, scaled by memory_weight.
     """
-    means = metrics.task_mean_billed_ms
-    unmeasured = sorted({task for edge in metrics.edges for task in edge} - means.keys())
-    if unmeasured:
-        raise MissingMetric(f"no billed mean observed for task {unmeasured[0]!r}")
-    roots = sorted(means.keys() - {callee for _, callee in metrics.edges})
-    if not roots:
-        raise MissingMetric("metrics contain no entry task")
-    calls: dict[str, list[tuple[str, CallMode]]] = {}
-    for (caller, callee), mode in metrics.edges.items():
-        calls.setdefault(caller, []).append((callee, mode))
-    cost = max(finish_ms(root, means, calls, setup, model) for root in roots)
+    cost = finish_ms(measured, setup, model)
     if model.memory_weight:
-        term = 0.0
-        for task, mean in means.items():
-            group_memory = sum(
-                metrics.task_mean_memory_mb.get(member, 0.0)
-                for member in setup.group_of(task)
-            )
-            term += mean * group_memory
+        task_map, term = measured.task_map, 0.0
+        for task in measured.tasks:
+            members = [task_map[m] for m in setup.group_of(task.name) if m in task_map]
+            term += task.base_duration_ms * sum(member.base_memory_mb for member in members)
         cost += model.memory_weight * term
     return cost
 
 
-def propose_candidates(setup: FusionSetup, metrics: AnnotatedMetrics) -> list[FusionSetup]:
-    """Neighboring setups: merge across sync boundaries, split async edges out.
+def propose_candidates(setup: FusionSetup, measured: AppSpec) -> list[FusionSetup]:
+    """Neighboring setups: merge across sync boundaries, split async calls out.
 
-    One merge candidate per observed sync edge that crosses groups (the
-    callee's group is absorbed after the caller's), and one split
-    candidate per observed async edge inside a group (the callee moves to
-    a fresh singleton group at the end).  Deduplicated, current excluded.
+    Over the measured app's calls by caller and callee: one merge
+    candidate per sync call that crosses groups (the callee's group is
+    absorbed after the caller's), and one split candidate per async call
+    inside a group (the callee moves to a fresh singleton group at the
+    end).  Deduplicated, current excluded.
     """
     seen = {setup.setup_part}
     candidates: list[FusionSetup] = []
-    for (caller, callee), mode in sorted(metrics.edges.items()):
+    # Keyed, as a mode does not order and a task may call one callee twice.
+    calls = sorted(((task.name, call.callee, call.mode) for task in measured.tasks
+                    for call in task.calls), key=itemgetter(0, 1))
+    for caller, callee, mode in calls:
         caller_group = setup.group_index(caller)
         callee_group = setup.group_index(callee)
         # A copy, so that the setup's own groups are never edited.
@@ -357,7 +335,7 @@ def propose_candidates(setup: FusionSetup, metrics: AnnotatedMetrics) -> list[Fu
 
 def optimize_step(
     current: FusionSetup,
-    metrics: AnnotatedMetrics,
+    measured: AppSpec,
     model: CostModel,
     history: set[str],
 ) -> tuple[FusionSetup, float]:
@@ -367,12 +345,12 @@ def optimize_step(
     Ties between equally cheap candidates go to the lexicographically
     smallest setup_part; no strict improvement means staying put.
     """
-    bar = estimate_cost(current, metrics, model)
+    bar = estimate_cost(current, measured, model)
     best, best_cost = current, bar
-    for candidate in sorted(propose_candidates(current, metrics), key=lambda s: s.setup_part):
+    for candidate in sorted(propose_candidates(current, measured), key=lambda s: s.setup_part):
         if candidate.setup_part in history:
             continue
-        cost = estimate_cost(candidate, metrics, model)
+        cost = estimate_cost(candidate, measured, model)
         if cost < best_cost:
             best, best_cost = candidate, cost
     return best, bar
@@ -517,8 +495,8 @@ def run_optimization(
 
         cost: Optional[float] = None
         try:
-            metrics = annotate_metrics(usable_records, fusion_key, app)
-            proposed, cost = optimize_step(current, metrics, model, history)
+            measured = annotate_metrics(usable_records, fusion_key, app)
+            proposed, cost = optimize_step(current, measured, model, history)
             if proposed.setup_part != current.setup_part:
                 next_setup = replace(proposed, version=current.version + 1)
             else:

@@ -234,10 +234,10 @@ def _quantize(value: float) -> int:
     return max(1, int(round(value)))
 
 
-def _edges(setup: FusionSetup, model: CostModel, caller: str, calls: Iterable[tuple]) -> tuple:
-    """Each (callee, mode) call of caller as the edge (callee, is_sync, route, delay)."""
-    return tuple((callee, mode is CallMode.SYNC, route, model.overhead_ms(route))
-                 for callee, mode in calls for route in [route_call(setup, caller, callee)])
+def _edges(setup: FusionSetup, model: CostModel, task: TaskSpec) -> tuple:
+    """Each call of task as the edge (callee, is_sync, route, delay)."""
+    return tuple((call.callee, call.mode is CallMode.SYNC, route, model.overhead_ms(route))
+                 for call in task.calls for route in [route_call(setup, task.name, call.callee)])
 
 
 def _timeline(table: Mapping[str, tuple], entry: str, origin: float,
@@ -266,13 +266,12 @@ def _timeline(table: Mapping[str, tuple], entry: str, origin: float,
     return rows, visit(entry, EXTERNAL_CALLER, origin, RouteKind.REMOTE)
 
 
-def finish_ms(entry: str, durations: Mapping[str, float], calls: Mapping[str, Sequence[tuple]],
-              setup: FusionSetup, model: CostModel) -> float:
-    """When a jitter-free request from entry at time 0 ends, timed by the walk's rule: each task
-    bills its duration and makes its (callee, mode) calls in order, routed under setup."""
-    table = {task: (duration, 0.0, 0, _edges(setup, model, task, calls.get(task, ())))
-             for task, duration in durations.items()}
-    return _timeline(table, entry, 0.0, None)[1]
+def finish_ms(app: AppSpec, setup: FusionSetup, model: CostModel) -> float:
+    """When a request of app from time 0 ends, timed by the walk's rule with no jitter: each task
+    bills its base duration, unquantized, and makes its calls in order, routed under setup."""
+    table = {task.name: (task.base_duration_ms, 0.0, 0, _edges(setup, model, task))
+             for task in app.tasks}
+    return _timeline(table, app.entry_task, 0.0, None)[1]
 
 
 def _attack_rewrite(app: AppSpec, attack: AttackPlan,
@@ -337,7 +336,7 @@ def _compile_walk(
     jittered = any(task.jitter_fraction for task in reachable)
     table = {}
     for task in reachable:
-        edges = _edges(setup, model, task.name, [(c.callee, c.mode) for c in task.calls])
+        edges = _edges(setup, model, task)
         duration = task.base_duration_ms if jittered else _quantize(task.base_duration_ms)
         table[task.name] = (duration, task.jitter_fraction, _quantize(task.base_memory_mb), edges)
 

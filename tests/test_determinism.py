@@ -5,7 +5,8 @@ These tests pin the SHA-256 of two outputs of one seeded
 ``run_optimization``: every iteration's evidence store, as persisted and
 as left after verification and pruning, and the wire form of the
 iteration results.  A third pin covers both outputs of a longer run
-whose CSP-1 plan clears and samples.  A digest that moves means an
+whose CSP-1 plan clears and samples, and a fourth both outputs of a run
+whose cost model weighs memory.  A digest that moves means an
 output moved; update the pin only for a deliberate, documented format
 change.
 """
@@ -24,11 +25,12 @@ from fusionproof.verification import (
     iteration_result_to_wire,
     run_optimization,
 )
-from fusionproof.workload import AttackMode, AttackPlan, builtin_tree_app
+from fusionproof.workload import AttackMode, AttackPlan, CostModel, builtin_tree_app
 
 STORES_SHA256 = "ad78ad0564eda601e7ad6dd8164e3f1267b9a6dba61039a25aa723ee2d86d1b8"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
 SAMPLING_SHA256 = "f4335dd05fccae8125c06a29ebbe91f5bb14364474e1a80292af56a0b4531962"
+MEMORY_SHA256 = "132b4ae06d57579073d66c4f8c4891e638661495a5897bf3f99ca8ccc4eef7b2"
 
 _BILLED = re.compile(rb'"billed":(\d+)')
 
@@ -101,3 +103,20 @@ def test_a_run_that_samples_is_pinned():
     after = [store_digest(store) for store in stores]
     payload = "".join(persisted + after).encode() + json.dumps(wire, sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == SAMPLING_SHA256
+
+
+def test_a_memory_weighted_run_is_pinned():
+    app = builtin_tree_app(2, 1)
+    stores: list[MemoryStore] = []
+
+    def store_factory(iteration: int) -> MemoryStore:
+        stores.append(MemoryStore())
+        return stores[-1]
+
+    trace = run_optimization(app, FusionSetup.fused([app.task_names()]), 4, seed=13,
+                             model=CostModel(memory_weight=0.01), store_factory=store_factory)
+    wire = [iteration_result_to_wire(r) for r in trace.iterations]
+    wire.append({"final_setup_part": trace.final_setup.setup_part})
+    assert wire[-1] == {"final_setup_part": "N0,N0_1,N0_0"}
+    payload = "".join(map(store_digest, stores)).encode() + json.dumps(wire, sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == MEMORY_SHA256

@@ -31,7 +31,6 @@ from fusionproof.proofs import (
 )
 from fusionproof.store import MemoryStore
 from fusionproof.verification import (
-    AnnotatedMetrics,
     CostModel,
     FailureReason,
     GroupOutcome,
@@ -48,9 +47,12 @@ from fusionproof.verification import (
     verify_integrity,
 )
 from fusionproof.workload import (
+    AppSpec,
     AttackMode,
     AttackPlan,
     CallMode,
+    CallSpec,
+    TaskSpec,
     builtin_iot_app,
     builtin_tree_app,
     execute_request,
@@ -62,6 +64,9 @@ IOT_TASKS = ["CW", "SE", "CS", "CT", "CA"]
 FUSED = FusionSetup.fused([IOT_TASKS])
 SPLIT = FusionSetup.singletons(IOT_TASKS)
 POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+# A calls B twice: the walk visits B once per call.
+TWICE = AppSpec("twice", "A", (TaskSpec("A", 10, calls=(CallSpec("B"), CallSpec("B"))),
+                               TaskSpec("B", 20)))
 
 
 def survivors_of(report) -> dict:
@@ -79,7 +84,7 @@ def fused_records(randomness: bytes, origin=0):
     return execute_request(IOT, FUSED, trace, None, 3, origin)
 
 
-def iot_metrics(setup: FusionSetup, requests: int = 3) -> AnnotatedMetrics:
+def iot_metrics(setup: FusionSetup, requests: int = 3) -> AppSpec:
     batch = run_workload(IOT, setup, [requests], None, 1, seed=11)
     clean, flagged = filter_batch_checked(batch.records)
     key = entry_fusion_key(setup, IOT.entry_task)
@@ -822,20 +827,23 @@ class TestCsp1:
 
 class TestAnnotateMetrics:
     def test_fused_means_exact(self):
-        metrics = iot_metrics(FUSED, requests=3)
-        assert metrics.task_mean_billed_ms == {
+        measured = iot_metrics(FUSED, requests=3)
+        assert measured.task_names() == tuple(sorted(IOT_TASKS))
+        assert {t.name: t.base_duration_ms for t in measured.tasks} == {
             "CW": 37.0, "SE": 37.0, "CS": 76.0, "CT": 64.0, "CA": 68.0,
         }
-        assert metrics.task_mean_memory_mb == {t: 10.0 for t in IOT_TASKS}
+        assert {t.name: t.base_memory_mb for t in measured.tasks} == {t: 10.0 for t in IOT_TASKS}
+        assert all(t.jitter_fraction == 0.0 for t in measured.tasks)
 
     def test_fused_edges(self):
-        metrics = iot_metrics(FUSED, requests=4)
-        edges = [("CW", "SE"), ("SE", "CS"), ("CS", "CT"), ("CT", "CA")]
-        assert metrics.edges == dict.fromkeys(edges, CallMode.SYNC)
+        # The measured app keeps each task's declared calls, and the app's entry.
+        measured = iot_metrics(FUSED, requests=4)
+        assert measured.entry_task == IOT.entry_task
+        assert {t.name: t.calls for t in measured.tasks} == {t.name: t.calls for t in IOT.tasks}
 
     def test_split_edges_have_the_apps_call_modes(self):
-        # The route a record took does not change its edge's call mode.
-        assert iot_metrics(SPLIT, requests=2).edges == iot_metrics(FUSED, requests=2).edges
+        # The route a record took changes neither its task's calls nor its bill.
+        assert iot_metrics(SPLIT, requests=2) == iot_metrics(FUSED, requests=2)
 
     def test_unverified_group_raises(self):
         records = fused_records(b"\x41" * 32)
@@ -857,14 +865,31 @@ class TestAnnotateMetrics:
         assert annotate_metrics(fused + split, "CW", IOT) == annotate_metrics(split, "CW", IOT)
 
     def test_entry_ingress_is_not_an_edge(self):
-        metrics = iot_metrics(FUSED)
-        assert all(caller != "I" for caller, _ in metrics.edges)
+        measured = iot_metrics(FUSED)
+        assert "I" not in measured.task_map
+        assert all(c.callee != "I" for t in measured.tasks for c in t.calls)
 
-    def test_unknown_edge_rejected(self):
-        base = fused_records(b"\x44" * 32)[0]
-        rogue = dataclasses.replace(base, task="CW", caller="CS")
-        with pytest.raises(MissingMetric):
-            annotate_metrics([rogue], "CW.SE.CS.CT.CA", IOT)
+    def test_record_of_undeclared_task_rejected(self):
+        records = fused_records(b"\x44" * 32)
+        rogue = dataclasses.replace(records[2], task="ZZ")
+        with pytest.raises(MissingMetric, match="'ZZ'"):
+            annotate_metrics([*records, rogue], "CW.SE.CS.CT.CA", IOT)
+
+    @pytest.mark.parametrize("hop, caller", [(0, "CS"), (2, "CA"), (4, "CW")])
+    def test_forged_caller_leaves_the_measured_app_as_it_was(self, hop, caller):
+        # The measured app's calls are the app's: a record's caller is not read.
+        records = fused_records(b"\x44" * 32)
+        forged = list(records)
+        forged[hop] = dataclasses.replace(records[hop], caller=caller)
+        assert forged != records
+        key = "CW.SE.CS.CT.CA"
+        assert annotate_metrics(forged, key, IOT) == annotate_metrics(records, key, IOT)
+
+    @pytest.mark.parametrize("task", ["CW", "CS"])
+    def test_entry_or_callee_without_record_rejected(self, task):
+        records = [r for r in fused_records(b"\x46" * 32) if r.task != task]
+        with pytest.raises(MissingMetric, match=f"'{task}'"):
+            annotate_metrics(records, "CW.SE.CS.CT.CA", IOT)
 
     def test_setup_version_does_not_enter_the_metrics(self):
         setup = dataclasses.replace(FUSED, version=3)
@@ -921,50 +946,32 @@ class TestEstimateCost:
         )
 
     def test_zero_weight_ignores_memory(self):
-        metrics = iot_metrics(FUSED)
-        bloated = AnnotatedMetrics(
-            metrics.task_mean_billed_ms,
-            {t: 10_000.0 for t in IOT_TASKS},
-            metrics.edges,
-        )
+        measured = iot_metrics(FUSED)
+        bloated = dataclasses.replace(measured, tasks=tuple(
+            dataclasses.replace(t, base_memory_mb=10_000.0) for t in measured.tasks))
         assert estimate_cost(FUSED, bloated, CostModel()) == pytest.approx(282.0)
 
-    def test_empty_metrics_rejected(self):
-        empty = AnnotatedMetrics({}, {}, {})
-        with pytest.raises(MissingMetric):
-            estimate_cost(FUSED, empty, CostModel())
-
-    def test_task_without_mean_rejected(self):
-        metrics = iot_metrics(FUSED)
-        partial = AnnotatedMetrics(
-            {t: m for t, m in metrics.task_mean_billed_ms.items() if t != "CS"},
-            metrics.task_mean_memory_mb,
-            metrics.edges,
-        )
-        with pytest.raises(MissingMetric):
-            estimate_cost(FUSED, partial, CostModel())
-
     @pytest.mark.parametrize("groups, model, expected", [
-        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(50, 0.5), 216.9),
-        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(10.1, 0.3, 0.01), 275.0383),
-        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(50, 0.5), 170.1),
-        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 297.499725),
-        ([["A", "B", "C", "D", "R", "S"]], CostModel(50, 0.5), 167.4),
-        ([["A", "B", "C", "D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 571.153175),
+        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(50, 0.5), 266.9),
+        ([["A"], ["B"], ["C"], ["D"], ["R"], ["S"]], CostModel(10.1, 0.3, 0.01), 285.13829999999996),
+        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(50, 0.5), 217.4),
+        ([["A", "C"], ["B"], ["D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 307.59972500000003),
+        ([["A", "B", "C", "D", "R", "S"]], CostModel(50, 0.5), 167.9),
+        ([["A", "B", "C", "D", "R", "S"]], CostModel(10.1, 0.3, 0.01), 571.4531750000001),
     ], ids=["split", "split-memory", "mixed", "mixed-memory", "fused", "fused-memory"])
     def test_hand_built_metrics_price_exactly(self, groups, model, expected):
-        # Two roots (A and R; each one wins under some setup), fractional means,
-        # and A's async branch to B listed before its sync call to C.
-        metrics = AnnotatedMetrics(
-            {"A": 37.25, "B": 120.1, "C": 12.3, "D": 40.7, "R": 0.1, "S": 166.9},
-            {"A": 10.5, "B": 64.0, "C": 12.25, "D": 10.0, "R": 3.3, "S": 7.0},
-            {("A", "B"): CallMode.ASYNC, ("A", "C"): CallMode.SYNC,
-             ("C", "D"): CallMode.SYNC, ("R", "S"): CallMode.ASYNC},
-        )
-        assert estimate_cost(FusionSetup.fused(groups), metrics, model) == expected
+        # Fractional means, and A's async calls to B and R listed around its sync call to C.
+        means = {"A": 37.25, "B": 120.1, "C": 12.3, "D": 40.7, "R": 0.1, "S": 166.9}
+        memory = {"A": 10.5, "B": 64.0, "C": 12.25, "D": 10.0, "R": 3.3, "S": 7.0}
+        calls = {"A": (CallSpec("B", CallMode.ASYNC), CallSpec("C"), CallSpec("R", CallMode.ASYNC)),
+                 "C": (CallSpec("D"),), "R": (CallSpec("S", CallMode.ASYNC),)}
+        measured = AppSpec("hand", "A", tuple(
+            TaskSpec(t, means[t], memory[t], 0.0, calls.get(t, ())) for t in sorted(means)))
+        assert estimate_cost(FusionSetup.fused(groups), measured, model) == expected
 
 
-JITTER_FREE_APPS = [IOT, *(builtin_tree_app(f, d) for f, d in [(2, 1), (2, 2), (3, 2), (4, 2)])]
+JITTER_FREE_APPS = [IOT, TWICE,
+                    *(builtin_tree_app(f, d) for f, d in [(2, 1), (2, 2), (3, 2), (4, 2)])]
 
 
 @st.composite
@@ -991,6 +998,18 @@ class TestCostModelMatchesWalk:
         assert estimate_cost(setup, metrics, model) == max(
             r.start_ms + r.billed_duration_ms for r in records
         )
+
+    @pytest.mark.parametrize("setup, expected", [
+        (FusionSetup.singletons(["A", "B"]), 150),
+        (FusionSetup.fused([["A", "B"]]), 50),
+    ], ids=["split", "fused"])
+    def test_a_repeated_call_is_priced_as_the_walk_times_it(self, setup, expected):
+        trace = generate_trace_id(setup, "A", b"\x06" * 32)
+        records = execute_request(TWICE, setup, trace, None, 1, 0)
+        assert [r.task for r in records] == ["A", "B", "B"]
+        assert max(r.start_ms + r.billed_duration_ms for r in records) == expected
+        measured = annotate_metrics(records, entry_fusion_key(setup, "A"), TWICE)
+        assert estimate_cost(setup, measured, CostModel()) == expected
 
 
 class TestProposeCandidates:
@@ -1047,6 +1066,16 @@ class TestProposeCandidates:
         )
         parts = {c.setup_part for c in propose_candidates(setup, metrics)}
         assert parts == {"N0,N0_1,N0_0"}
+
+    def test_a_callee_called_sync_and_async_gets_the_split(self):
+        app = AppSpec("both", "A", (
+            TaskSpec("A", 10, calls=(CallSpec("B"), CallSpec("B", CallMode.ASYNC))),
+            TaskSpec("B", 20)))
+        fused = FusionSetup.fused([["A", "B"]])
+        records = execute_request(app, fused, generate_trace_id(fused, "A", b"\x07" * 32),
+                                  None, 1, 0)
+        measured = annotate_metrics(records, entry_fusion_key(fused, "A"), app)
+        assert [c.groups for c in propose_candidates(fused, measured)] == [(("A",), ("B",))]
 
     def test_candidates_preserve_version(self):
         metrics = iot_metrics(SPLIT)
