@@ -48,6 +48,7 @@ from .workload import (
     builtin_tree_app,
     emit_platform_logs,
     execute_request,
+    expected_trace,
     run_workload,
 )
 
@@ -78,6 +79,7 @@ __all__ = [
     "emit_platform_logs",
     "estimate_cost",
     "execute_request",
+    "expected_trace",
     "filter_batch",
     "find_mismatch",
     "generate_trace_id",

@@ -44,6 +44,7 @@ from .workload import (
     CostModel,
     builtin_iot_app,
     builtin_tree_app,
+    expected_trace,
     record_to_wire,
     run_workload,
 )
@@ -77,13 +78,6 @@ class AttackConfig:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
-    max_billed_ms: float = ThresholdPolicy.max_billed_ms
-    max_memory_mb: float = ThresholdPolicy.max_memory_mb
-    sequence_check: bool = True
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """A config document resolved to typed values; fields mirror its keys."""
 
@@ -93,7 +87,6 @@ class ScenarioConfig:
     request_counts: Annotated[tuple[int, ...], _request_counts] = (10,)
     iterations: Annotated[int, _at_least(1)] = 7
     attack: AttackConfig = AttackConfig()
-    policy: PolicyConfig = PolicyConfig()
     cost_model: CostModel = CostModel()
     csp1: SamplingState = SamplingState()
     seed: Annotated[Optional[int], _integer_or_null] = None
@@ -131,7 +124,6 @@ def _exactly(kind, name: str):
     return check
 
 
-_boolean = _exactly(bool, "true or false")
 _string = _exactly(str, "a string")
 _list = _exactly(list, "a JSON list")
 _section = _exactly((Mapping, type(None)), "a JSON object or null")
@@ -193,7 +185,7 @@ def _finite(raw) -> float:
 
 
 # The converter of each field type that carries none.
-_PLAIN: Mapping[type, Callable] = {int: _integer, float: _finite, bool: _boolean, str: _string,
+_PLAIN: Mapping[type, Callable] = {int: _integer, float: _finite, str: _string,
                                    CallMode: lambda raw: CallMode(_string(raw).lower())}
 
 # Fields that hold run state, not config: no document may set them.
@@ -288,11 +280,8 @@ def build_attack(config: ScenarioConfig) -> Optional[AttackPlan]:
 
 
 def build_policy(config: ScenarioConfig, app: AppSpec) -> ThresholdPolicy:
-    return ThresholdPolicy(
-        max_billed_ms=config.policy.max_billed_ms,
-        max_memory_mb=config.policy.max_memory_mb,
-        expected_sequence=app.sync_chain() if config.policy.sequence_check else (),
-    )
+    """The filter's policy: app's own expected trace; no config key sets any part of it."""
+    return ThresholdPolicy(expected_trace(app))
 
 
 def _output_dir(config: ScenarioConfig) -> Path:

@@ -85,35 +85,36 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per-record limits plus the expected task order of one trace.
+    """workload.expected_trace's rows (task, caller, bill limit, memory limit), in walk order."""
 
-    An empty expected_sequence disables the order check, and an infinite
-    limit its threshold check.
-    """
+    expected: tuple[tuple[str, str, int, int], ...]
 
-    max_billed_ms: float = 90000.0
-    max_memory_mb: float = 128.0
-    expected_sequence: tuple[str, ...] = ()
+    @functools.cached_property
+    def limits(self) -> Mapping[str, tuple[int, int]]:
+        """Each task's (bill limit, memory limit); a task not listed fails check_chain_sequence."""
+        return {task: (billed, memory) for task, _, billed, memory in self.expected}
 
-    def __post_init__(self) -> None:
-        for name in ("max_billed_ms", "max_memory_mb"):  # no value exceeds a NaN limit
-            if math.isnan(getattr(self, name)):
-                raise ParseError(f"{name} must not be NaN; use inf for no limit")
+    @functools.cached_property
+    def hops(self) -> tuple[tuple[str, str], ...]:
+        """The expected (task, caller) pairs, in chain_index order."""
+        return tuple((task, caller) for task, caller, _, _ in self.expected)
+
+
+_UNLIMITED = (math.inf, math.inf)
 
 
 def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Optional[Verdict]:
-    """Threshold check for one record; duration outranks memory."""
-    if record.billed_duration_ms > policy.max_billed_ms:
+    """Check one record against its own task's limits, if listed; duration outranks memory."""
+    billed, memory = policy.limits.get(record.task, _UNLIMITED)
+    if record.billed_duration_ms > billed:
         return Verdict(
             ViolationKind.DURATION_EXCEEDED,
-            f"task {record.task}: billed {record.billed_duration_ms} ms "
-            f"> limit {policy.max_billed_ms:g} ms",
+            f"task {record.task}: billed {record.billed_duration_ms} ms > limit {billed} ms",
         )
-    if record.memory_used_mb > policy.max_memory_mb:
+    if record.memory_used_mb > memory:
         return Verdict(
             ViolationKind.MEMORY_EXCEEDED,
-            f"task {record.task}: memory {record.memory_used_mb} MB "
-            f"> limit {policy.max_memory_mb:g} MB",
+            f"task {record.task}: memory {record.memory_used_mb} MB > limit {memory} MB",
         )
     return None
 
@@ -121,16 +122,12 @@ def check_record(record: InvocationRecord, policy: ThresholdPolicy) -> Optional[
 def check_chain_sequence(
     records_of_one_trace: Sequence[InvocationRecord], policy: ThresholdPolicy
 ) -> Optional[Verdict]:
-    """Compare one trace's task order (by chain_index) to the policy."""
-    if not policy.expected_sequence:
-        return None
+    """Compare one trace's (task, caller) pairs, by chain_index, to the policy's."""
     ordered = sorted(records_of_one_trace, key=lambda r: r.chain_index)
-    observed = tuple(r.task for r in ordered)
-    if observed != policy.expected_sequence:
-        return Verdict(
-            ViolationKind.SEQUENCE_VIOLATION,
-            f"observed {','.join(observed)}; expected {','.join(policy.expected_sequence)}",
-        )
+    observed = tuple([(r.task, r.caller) for r in ordered])
+    if observed != policy.hops:
+        shown = [",".join(f"{c}->{t}" for t, c in each) for each in (observed, policy.hops)]
+        return Verdict(ViolationKind.SEQUENCE_VIOLATION, "observed {}; expected {}".format(*shown))
     return None
 
 

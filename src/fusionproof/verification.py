@@ -49,6 +49,7 @@ from .workload import (
     CallMode,
     CostModel,
     InvocationRecord,
+    expected_trace,
     finish_ms,
     run_workload,
 )
@@ -430,7 +431,7 @@ def run_optimization(
     """
     if iterations < 1:
         raise ParseError("iterations must be >= 1")
-    policy = policy if policy is not None else ThresholdPolicy()
+    policy = policy if policy is not None else ThresholdPolicy(expected_trace(app))
     state = sampling if sampling is not None else SamplingState()
     rng = random.Random(seed)
     iteration_seeds = [rng.getrandbits(64) for _ in range(iterations)]

@@ -121,22 +121,6 @@ class AppSpec:
     def task_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.tasks)
 
-    def sync_chain(self) -> tuple[str, ...]:
-        """Task names in depth-first walk order from the entry.
-
-        This is the expected emission order of a clean request and the
-        reference sequence for chain checking.
-        """
-        order: list[str] = []
-
-        def visit(name: str) -> None:
-            order.append(name)
-            for call in self.task_map[name].calls:
-                visit(call.callee)
-
-        visit(self.entry_task)
-        return tuple(order)
-
 
 class AttackMode(Enum):
     DOW = "dow"
@@ -232,6 +216,24 @@ def record_to_wire(record: InvocationRecord) -> dict:
 
 def _quantize(value: float) -> int:
     return max(1, int(round(value)))
+
+
+def expected_trace(app: AppSpec) -> tuple[tuple[str, str, int, int], ...]:
+    """One row (task, caller, bill limit, memory limit) per hop of a clean request of app, in
+    walk order: depth-first from the entry, caller EXTERNAL_CALLER, each task's calls in order.
+    The limits are the quantized memory and base duration raised by the jitter: a jittered
+    bill, _quantize(d * (1 + j * (2u - 1))) with u < 1, is monotone in u, so none exceeds it."""
+    rows: list[tuple[str, str, int, int]] = []
+
+    def visit(name: str, caller: str) -> None:
+        task = app.task_map[name]
+        rows.append((name, caller, _quantize(task.base_duration_ms * (1.0 + task.jitter_fraction)),
+                     _quantize(task.base_memory_mb)))
+        for call in task.calls:
+            visit(call.callee, name)
+
+    visit(app.entry_task, EXTERNAL_CALLER)
+    return tuple(rows)
 
 
 def _edges(setup: FusionSetup, model: CostModel, task: TaskSpec) -> tuple:
@@ -332,7 +334,7 @@ def _compile_walk(
     before its records are built; a replayed request's attacked rows are rewritten here.
     The walk takes a wire trace id that its caller has minted or validated under setup.
     """
-    reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
+    reachable = [app.task_map[name] for name in dict.fromkeys(t for t, *_ in expected_trace(app))]
     jittered = any(task.jitter_fraction for task in reachable)
     table = {}
     for task in reachable:

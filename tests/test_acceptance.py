@@ -50,6 +50,7 @@ from fusionproof.workload import (
     builtin_iot_app,
     emit_platform_logs,
     execute_request,
+    expected_trace,
     run_workload,
 )
 
@@ -99,7 +100,7 @@ IOT = builtin_iot_app()
 IOT_TASKS = ["CW", "SE", "CS", "CT", "CA"]
 FUSED = FusionSetup.fused([IOT_TASKS])
 SPLIT = FusionSetup.singletons(IOT_TASKS)
-POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+POLICY = ThresholdPolicy(expected_trace(IOT))
 KEY = "CW.SE.CS.CT.CA"
 
 
@@ -191,7 +192,7 @@ def test_acceptance_3_dow_scenario(tmp_path):
     attacked_traces = {o.trace_id for o in batch.outcomes if o.attacked}
     assert len(attacked_traces) == 1
 
-    clean, flagged = filter_batch(batch.records, ThresholdPolicy(max_billed_ms=90000))
+    clean, flagged = filter_batch(batch.records, POLICY)
     assert len(clean) == 45
     assert len(flagged) == 5
     assert {r.trace_id for r, _ in flagged} == attacked_traces

@@ -38,7 +38,7 @@ from fusionproof.verification import (
     commit,
     verify_integrity,
 )
-from fusionproof.workload import AttackMode, builtin_iot_app
+from fusionproof.workload import AttackMode, builtin_iot_app, expected_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -100,7 +100,6 @@ class TestConfig:
                 "app": "tree",
                 "app_params": {"fanout": 3, "depth": 2},
                 "attack": {"mode": "dow", "target_task": "SE", "when": "always"},
-                "policy": {"max_billed_ms": 500, "sequence_check": False},
                 "cost_model": {"memory_weight": 0.5},
                 "csp1": {"i": 4, "f": 0.5},
                 "seed": 3,
@@ -109,14 +108,12 @@ class TestConfig:
         assert (config.app_params.fanout, config.app_params.depth) == (3, 2)
         assert config.attack.mode == "dow"
         assert config.attack.when == "always"
-        assert config.policy.max_billed_ms == 500.0
-        assert config.policy.sequence_check is False
         assert config.cost_model.memory_weight == 0.5
         assert (config.csp1.i, config.csp1.f) == (4, 0.5)
         assert config.seed == 3
 
     @pytest.mark.parametrize(
-        "section", ["app_params", "attack", "policy", "cost_model", "csp1"]
+        "section", ["app_params", "attack", "cost_model", "csp1"]
     )
     def test_unknown_nested_key_names_its_path(self, section):
         with pytest.raises(ConfigError, match=rf"^unknown config keys: {section}\.bogus$"):
@@ -125,7 +122,7 @@ class TestConfig:
     def test_defaults_are_the_pipeline_defaults(self):
         app = builtin_iot_app()
         config = ScenarioConfig()
-        assert build_policy(config, app) == ThresholdPolicy(expected_sequence=app.sync_chain())
+        assert build_policy(config, app) == ThresholdPolicy(expected_trace(app))
         assert config.cost_model == CostModel()
         assert config.csp1 == SamplingState()
 
@@ -206,10 +203,15 @@ class TestConfig:
         assert sorted(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("value", ["false", 0, None])
-    def test_sequence_check_must_be_a_boolean(self, tmp_path, capsys, value):
-        config = write_config(tmp_path, policy={"sequence_check": value})
-        assert main(["run", "--config", str(config)]) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: bad config value")
+    def test_a_policy_section_is_an_unknown_key(self, tmp_path, capsys, value):
+        """The policy is the app's own profile: no config sets it, whatever the section holds."""
+        for policy in (value, {"sequence_check": value}, {"max_billed_ms": 500}):
+            with pytest.raises(ConfigError, match="^unknown config keys: policy$"):
+                config_from_dict({"policy": policy})
+            config = write_config(tmp_path, policy=policy)
+            assert main(["run", "--config", str(config)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: unknown config keys: policy\n"
+            assert sorted(tmp_path.iterdir()) == [config]
 
     @pytest.mark.parametrize("command", ["run", "verify", "optimize"])
     def test_out_of_range_csp1_fails_at_load(self, tmp_path, capsys, command):
@@ -329,7 +331,6 @@ class TestConfig:
         [
             ({"iterations": "abc"}, "iterations: TypeError"),
             ({"seed": "x"}, "seed: TypeError"),
-            ({"policy": {"sequence_check": "false"}}, "policy.sequence_check: TypeError"),
             ({"csp1": {"f": "half"}}, "csp1.f: TypeError"),
             ({"app_params": {"fanout": [2]}}, "app_params.fanout: TypeError"),
         ],
@@ -347,7 +348,6 @@ class TestConfig:
             {"app": 3},
             {"attack": {"mode": None}},
             {"attack": {"when": 1}},
-            {"policy": 0},
             {"attack": []},
             {"csp1": ""},
             {"app_params": False},
@@ -385,17 +385,11 @@ class TestConfig:
         [
             ({"iterations": True}, "iterations"),
             ({"seed": "5"}, "seed"),
-            ({"policy": {"max_billed_ms": "90000"}}, "policy.max_billed_ms"),
+            ({"cost_model": {"remote_overhead_ms": "50"}}, "cost_model.remote_overhead_ms"),
             ({"cost_model": {"remote_overhead_ms": float("inf")}}, "cost_model.remote_overhead_ms"),
-            (
-                {
-                    "policy": {"max_billed_ms": float("nan")},
-                    "attack": {"mode": "dow", "target_task": "SE", "when": "always"},
-                },
-                "policy.max_billed_ms",
-            ),
+            ({"csp1": {"f": float("nan")}}, "csp1.f"),
         ],
-        ids=["bool-iterations", "string-seed", "string-number", "infinity", "nan-threshold"],
+        ids=["bool-iterations", "string-seed", "string-number", "infinity", "nan-fraction"],
     )
     def test_number_must_be_an_exact_json_number(self, tmp_path, capsys, override, named):
         config = write_config(tmp_path, **override)
@@ -431,7 +425,7 @@ class TestConfig:
         assert "must be a JSON object" in capsys.readouterr().err
 
     def test_null_section_means_defaults(self):
-        sections = ["app_params", "attack", "policy", "cost_model", "csp1"]
+        sections = ["app_params", "attack", "cost_model", "csp1"]
         assert config_from_dict(dict.fromkeys(sections)) == ScenarioConfig()
 
     def test_cli_overrides_beat_config(self, tmp_path):
@@ -517,6 +511,33 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == EXIT_OK
         store = FileStore(tmp_path / "evidence")
         assert "A.json" in store.list()
+
+    def test_flagged_detail_names_the_tasks_own_limit(self, tmp_path):
+        attack = {"mode": "dow", "target_task": "SE", "inflated_duration_ms": 370,
+                  "when": "first_request"}
+        assert main(["run", "--config", str(write_config(tmp_path, attack=attack))]) == EXIT_OK
+        flagged = read_csv(tmp_path / "out" / "flagged.csv")
+        assert len(flagged) == 1 + 5
+        assert [row[-1] for row in flagged[1:] if row[1] == "SE"] == [
+            "task SE: billed 370 ms > limit 37 ms"]
+
+    @pytest.mark.parametrize("heavy", [{"base_duration_ms": 120000}, {"base_memory_mb": 256}],
+                             ids=["duration", "memory"])
+    def test_a_task_declared_above_the_old_global_caps_runs_clean(self, tmp_path, heavy):
+        app_doc = {
+            "name": "heavy",
+            "entry_task": "A",
+            "tasks": [
+                {"name": "A", "base_duration_ms": 10, "calls": [{"callee": "B"}]},
+                {"name": "B", "base_duration_ms": 20, **heavy},
+            ],
+        }
+        app_path = tmp_path / "heavy.json"
+        app_path.write_text(json.dumps(app_doc), encoding="utf-8")
+        config = write_config(tmp_path, app=str(app_path), request_counts=[3])
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert len(read_csv(tmp_path / "out" / "records.csv")) == 1 + 3 * 2
+        assert read_csv(tmp_path / "out" / "flagged.csv")[1:] == []
 
     def test_task_name_with_nul_is_a_usage_error(self, tmp_path, capsys):
         app_doc = {"name": "nul", "entry_task": "A\0B", "tasks": [{"name": "A\0B", "base_duration_ms": 10}]}

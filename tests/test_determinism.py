@@ -25,7 +25,7 @@ from fusionproof.verification import (
     iteration_result_to_wire,
     run_optimization,
 )
-from fusionproof.workload import AttackMode, AttackPlan, CostModel, builtin_tree_app
+from fusionproof.workload import AttackMode, AttackPlan, CostModel, builtin_tree_app, expected_trace
 
 STORES_SHA256 = "ad78ad0564eda601e7ad6dd8164e3f1267b9a6dba61039a25aa723ee2d86d1b8"
 TRACE_SHA256 = "2f3e7d839f5db66f8defe4f2f520e6c1d39517b808ae65155d08bcb1981f1e57"
@@ -67,7 +67,7 @@ def seeded_run(
         app,
         FusionSetup.singletons(app.task_names()),
         iterations=iterations,
-        policy=ThresholdPolicy(expected_sequence=app.sync_chain()),
+        policy=ThresholdPolicy(expected_trace(app)),
         attack=AttackPlan(AttackMode.DOW, "N0_1_1", 999999),
         seed=2024,
         request_counts=(3, 4),

@@ -19,6 +19,7 @@ from fusionproof.proofs import (
     StoredGroup,
     ThresholdPolicy,
     TreeInfo,
+    Verdict,
     ViolationKind,
     build_merkle_tree,
     canonical_record_bytes,
@@ -38,12 +39,16 @@ from fusionproof.proofs import (
 from fusionproof.store import MemoryStore
 from fusionproof.verification import commit, verify_integrity
 from fusionproof.workload import (
+    AppSpec,
     AttackMode,
     AttackPlan,
     InvocationRecord,
+    TaskSpec,
     builtin_iot_app,
     emit_platform_logs,
     execute_request,
+    expected_trace,
+    run_workload,
 )
 
 
@@ -79,7 +84,7 @@ def random_leaves(count: int, seed: int = 0) -> list[str]:
 
 IOT = builtin_iot_app()
 FUSED = FusionSetup.fused([["CW", "SE", "CS", "CT", "CA"]])
-POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+POLICY = ThresholdPolicy(expected_trace(IOT))
 WIRE_KEYS = ["traceid", "task", "idx", "caller", "start", "billed", "mem", "route", "setupv"]
 
 
@@ -329,31 +334,51 @@ class TestCheckRecord:
         return InvocationRecord("t", "SE", 1, "CW", 0, billed, mem, RouteKind.LOCAL, 1)
 
     def test_inflated_duration_flagged(self):
-        verdict = check_record(self.make(billed=999999), ThresholdPolicy(max_billed_ms=90000))
-        assert verdict.kind is ViolationKind.DURATION_EXCEEDED
+        verdict = check_record(self.make(billed=999999), POLICY)
+        assert verdict == Verdict(ViolationKind.DURATION_EXCEEDED,
+                                  "task SE: billed 999999 ms > limit 37 ms")
 
     def test_normal_record_passes(self):
-        verdict = check_record(self.make(), ThresholdPolicy())
+        verdict = check_record(self.make(), POLICY)
         assert verdict is None
 
     def test_duration_outranks_memory(self):
-        policy = ThresholdPolicy(max_billed_ms=10, max_memory_mb=5)
-        verdict = check_record(self.make(billed=100, mem=100), policy)
+        verdict = check_record(self.make(billed=100, mem=100), POLICY)
         assert verdict.kind is ViolationKind.DURATION_EXCEEDED
 
     def test_memory_only(self):
-        verdict = check_record(self.make(mem=256), ThresholdPolicy(max_memory_mb=128))
-        assert verdict.kind is ViolationKind.MEMORY_EXCEEDED
+        verdict = check_record(self.make(mem=256), POLICY)
+        assert verdict == Verdict(ViolationKind.MEMORY_EXCEEDED,
+                                  "task SE: memory 256 MB > limit 10 MB")
 
-    @pytest.mark.parametrize("field", ["max_billed_ms", "max_memory_mb"])
-    def test_nan_limit_is_refused(self, field):
-        # Nothing exceeds NaN, so a NaN limit would silently pass every record.
-        with pytest.raises(ParseError, match=f"^{field} must not be NaN"):
-            ThresholdPolicy(**{field: float("nan")})
+    def test_a_record_is_checked_against_its_own_tasks_limits(self):
+        # CS's limit is 76 ms: the bill that flags SE passes it.
+        cs = dataclasses.replace(self.make(billed=76), task="CS", caller="SE")
+        assert check_record(cs, POLICY) is None
+        assert check_record(self.make(billed=76), POLICY).kind is ViolationKind.DURATION_EXCEEDED
 
-    def test_infinite_limits_flag_nothing(self):
-        policy = ThresholdPolicy(max_billed_ms=float("inf"), max_memory_mb=float("inf"))
-        assert check_record(self.make(billed=10**12, mem=10**12), policy) is None
+    @pytest.mark.parametrize("billed, mem, kind", [
+        (37, 10, None),
+        (38, 10, ViolationKind.DURATION_EXCEEDED),
+        (37, 11, ViolationKind.MEMORY_EXCEEDED),
+    ], ids=["at_the_limits", "bill_over", "memory_over"])
+    def test_at_the_limit_passes_and_one_above_is_flagged(self, billed, mem, kind):
+        verdict = check_record(self.make(billed=billed, mem=mem), POLICY)
+        assert (verdict and verdict.kind) is kind
+
+    def test_a_jittered_tasks_limit_is_its_base_raised_by_its_jitter(self):
+        app = AppSpec("j", "A", (TaskSpec("A", 40, 12.4, 0.25),))
+        policy = ThresholdPolicy(expected_trace(app))
+        assert policy.expected == (("A", "I", 50, 12),)
+        record = InvocationRecord("t", "A", 0, "I", 0, 50, 12, RouteKind.REMOTE, 1)
+        assert check_record(record, policy) is None
+        over = dataclasses.replace(record, billed_duration_ms=51)
+        assert check_record(over, policy).detail == "task A: billed 51 ms > limit 50 ms"
+
+    def test_a_task_the_policy_does_not_list_has_no_limits(self):
+        # The trace check flags it instead (TestChainSequence).
+        stranger = dataclasses.replace(self.make(billed=10**12, mem=10**12), task="ZZ")
+        assert check_record(stranger, POLICY) is None
 
 
 class TestChainSequence:
@@ -376,10 +401,19 @@ class TestChainSequence:
         verdict = check_chain_sequence(records, POLICY)
         assert verdict.kind is ViolationKind.SEQUENCE_VIOLATION
 
-    def test_empty_expected_disables_check(self):
-        records = iot_records(
-            b"\x03" * 32, attack=AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA")))
-        assert check_chain_sequence(records, ThresholdPolicy()) is None
+    def test_forged_caller_detected(self):
+        records = iot_records(b"\x03" * 32)
+        records[3] = dataclasses.replace(records[3], caller="CA")
+        verdict = check_chain_sequence(records, POLICY)
+        assert verdict == Verdict(
+            ViolationKind.SEQUENCE_VIOLATION,
+            "observed I->CW,CW->SE,SE->CS,CA->CT,CT->CA; expected I->CW,CW->SE,SE->CS,CS->CT,CT->CA")
+
+    def test_unlisted_task_detected(self):
+        records = iot_records(b"\x03" * 32)
+        records[4] = dataclasses.replace(records[4], task="ZZ")
+        verdict = check_chain_sequence(records, POLICY)
+        assert verdict.kind is ViolationKind.SEQUENCE_VIOLATION
 
 
 class TestFilterBatch:
@@ -423,6 +457,29 @@ class TestFilterBatch:
         clean, flagged = filter_batch(interleaved, POLICY)
         assert clean == interleaved
         assert flagged == []
+
+    @pytest.mark.parametrize("inflated", [38, 370, 5000, 89999])
+    def test_dow_below_the_old_global_cap_flags_every_trace(self, inflated):
+        # Any bill above its task's declared profile is flagged, however small the excess.
+        attack = AttackPlan(AttackMode.DOW, "SE", inflated, when="always")
+        batch = run_workload(IOT, FUSED, [100], attack, 1, seed=5)
+        clean, flagged = filter_batch(batch.records, POLICY)
+        assert clean == []
+        assert {r.trace_id for r, _ in flagged} == {o.trace_id for o in batch.outcomes}
+        assert {v.detail for r, v in flagged if r.task == "SE"} == {
+            f"task SE: billed {inflated} ms > limit 37 ms"}
+
+    def test_forged_caller_flags_its_whole_trace(self):
+        setup = FusionSetup.singletons(IOT.task_names())
+        records = list(run_workload(IOT, setup, [2], None, 1, seed=1).records)
+        ct = next(i for i, r in enumerate(records) if r.task == "CT")
+        records[ct] = dataclasses.replace(records[ct], caller="CA")
+        clean, flagged = filter_batch(records, POLICY)
+        forged = records[ct].trace_id
+        assert [r for r, _ in flagged] == [r for r in records if r.trace_id == forged]
+        assert len(flagged) == 5
+        assert {v.kind for _, v in flagged} == {ViolationKind.SEQUENCE_VIOLATION}
+        assert clean == [r for r in records if r.trace_id != forged]
 
     def test_no_record_in_both_outputs(self):
         records = iot_records(b"\x0d" * 32) + iot_records(

@@ -56,6 +56,7 @@ from fusionproof.workload import (
     builtin_iot_app,
     builtin_tree_app,
     execute_request,
+    expected_trace,
     run_workload,
 )
 
@@ -63,7 +64,7 @@ IOT = builtin_iot_app()
 IOT_TASKS = ["CW", "SE", "CS", "CT", "CA"]
 FUSED = FusionSetup.fused([IOT_TASKS])
 SPLIT = FusionSetup.singletons(IOT_TASKS)
-POLICY = ThresholdPolicy(expected_sequence=IOT.sync_chain())
+POLICY = ThresholdPolicy(expected_trace(IOT))
 # A calls B twice: the walk visits B once per call.
 TWICE = AppSpec("twice", "A", (TaskSpec("A", 10, calls=(CallSpec("B"), CallSpec("B"))),
                                TaskSpec("B", 20)))
@@ -1244,6 +1245,13 @@ class TestRunOptimization:
         assert all(r.integrity_verified is True for r in trace.iterations)
         assert all(r.inspected for r in trace.iterations)
         assert all(not r.reverted for r in trace.iterations)
+
+    def test_the_default_policy_checks_the_order(self):
+        # With no policy given, the filter uses the app's expected trace, as the CLI does.
+        swap = AttackPlan(AttackMode.BUSINESS_LOGIC, swap=("CT", "CA"))
+        trace = run_optimization(IOT, SPLIT, 2, attack=swap, seed=9, request_counts=(3,))
+        assert [r.load_stats for r in trace.iterations] == [{3: (3, 0)}, {3: (0, 3)}]
+        assert trace.iterations[1].reverted is True
 
     def test_costs_non_increasing_without_attack(self):
         trace = run_optimization(IOT, SPLIT, 7, policy=POLICY, seed=21)

@@ -25,7 +25,7 @@ from fusionproof.errors import (
     UnknownCallee,
 )
 from fusionproof.handler import EXTERNAL_CALLER, FusionSetup, RouteKind, generate_trace_id
-from fusionproof.proofs import canonical_record_bytes
+from fusionproof.proofs import ThresholdPolicy, canonical_record_bytes, filter_batch
 from fusionproof.workload import (
     RECORD_FIELDS,
     AppSpec,
@@ -40,6 +40,7 @@ from fusionproof.workload import (
     builtin_tree_app,
     emit_platform_logs,
     execute_request,
+    expected_trace,
     record_to_wire,
     run_workload,
 )
@@ -61,7 +62,8 @@ class TestBuiltinApps:
         assert [t.base_duration_ms for t in IOT.tasks] == [37, 37, 76, 64, 68]
         assert all(t.base_memory_mb == 10 for t in IOT.tasks)
         assert all(t.jitter_fraction == 0 for t in IOT.tasks)
-        assert IOT.sync_chain() == ("CW", "SE", "CS", "CT", "CA")
+        assert expected_trace(IOT) == (("CW", "I", 37, 10), ("SE", "CW", 37, 10), ("CS", "SE", 76, 10),
+                                       ("CT", "CS", 64, 10), ("CA", "CT", 68, 10))
 
     def test_iot_total_duration(self):
         assert sum(t.base_duration_ms for t in IOT.tasks) == 282
@@ -558,7 +560,7 @@ def reference_walk(app, setup, trace, seed, clock_origin_ms, remote_overhead_ms,
     """The walk as it was when each visit built a list of its async
     completions and returned max([now, *async_completions]); kept as the
     oracle for the walk that keeps the latest completion in a local."""
-    reachable = [app.task_map[name] for name in dict.fromkeys(app.sync_chain())]
+    reachable = [app.task_map[name] for name in dict.fromkeys(t for t, *_ in expected_trace(app))]
     jittered = any(task.jitter_fraction for task in reachable)
     overhead = {RouteKind.REMOTE: remote_overhead_ms, RouteKind.LOCAL: local_overhead_ms}
     table = {}
@@ -777,7 +779,7 @@ def _apply_attack(
 def _plans(draw, app):
     """A duration attack on a task the walk reaches, or a swap of two tasks
     adjacent in walk order; the swap may still not fit the app."""
-    chain = app.sync_chain()
+    chain = [task for task, *_ in expected_trace(app)]
     if draw(st.booleans()):
         return AttackPlan(AttackMode.DOW, draw(st.sampled_from(chain)),
                           draw(st.floats(0, 10**7, exclude_min=True)))
@@ -810,6 +812,12 @@ class TestAttackMatchesTheOracle:
         model = CostModel(data.draw(overhead), data.draw(overhead))
         origin = data.draw(st.integers(0, 10**7) if exact else st.floats(0, 10**7))
         trace = generate_trace_id(setup, app.entry_task, randomness)
+        # The expected trace is the clean walk's, and no clean bill exceeds its limit.
+        clean = workload._compile_walk(app, setup, model)(trace, False, seed, origin)
+        policy = ThresholdPolicy(expected_trace(app))
+        assert [(r.task, r.caller) for r in clean] == [row[:2] for row in policy.expected]
+        batch = run_workload(app, setup, [3], None, 1, seed, model)
+        assert filter_batch(clean + list(batch.records), policy)[1] == []
         try:
             expected = _apply_attack(app, _reference(app, setup, model, trace, seed, origin), attack)
         except InvalidAttack as refused:  # refused at compile time, with the same message
